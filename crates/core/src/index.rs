@@ -9,8 +9,12 @@
 //! Fotakis-style online facility location implementations).
 //!
 //! [`FacilityIndex`] inverts the maintenance: facilities open rarely, so on
-//! each opening we spend `O(|M|)` once to refresh a per-point cache of
-//! `(nearest facility, distance)` and every subsequent query is `O(1)`.
+//! each opening we refresh a per-point cache of `(nearest facility,
+//! distance)` once and every subsequent query is `O(1)`. The refresh is
+//! `O(|M|)` over a full distance row; with the engine's block layout
+//! attached it visits only the blocks whose certified distance lower bound
+//! undercuts their largest cached distance — an opening can only lower
+//! caches near the new facility.
 //!
 //! # Bit-identical tie-breaking (the index invariant)
 //!
@@ -47,6 +51,8 @@ const NO_FACILITY: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct FacilityIndex {
     points: usize,
+    /// `|S|`: the number of small caches.
+    services: usize,
     /// `d(F(e) ∩ smalls, p)`, flat `e·|M| + p` (commodity-major: opening
     /// updates walk every `p` for one `e`, so this keeps them on contiguous
     /// memory; queries are single lookups either way). `INFINITY` when
@@ -60,6 +66,16 @@ pub struct FacilityIndex {
     large_f: Vec<u32>,
     /// Openings folded in so far (for diagnostics and refresh-boundary tests).
     openings: usize,
+    /// Block layout shared with the engine's [`OpeningTargetIndex`] (when
+    /// one is active): lets [`Self::note_opening_in_blocks`] skip every
+    /// block an opening provably cannot reach.
+    layout: Option<Arc<SpatialLayout>>,
+    /// Per-block upper bound on the cached distances, flat `e·nblocks + b`
+    /// for the small caches and `|S|·nblocks + b` for the large one.
+    /// Starts at `∞`; only the bounded refresh lowers it, recomputing
+    /// exactly the blocks it visits — caches only fall, so the bound is
+    /// never stale low.
+    block_max: Vec<f64>,
 }
 
 impl FacilityIndex {
@@ -67,12 +83,112 @@ impl FacilityIndex {
     pub fn new(points: usize, services: usize) -> Self {
         Self {
             points,
+            services,
             small_d: vec![f64::INFINITY; points * services],
             small_f: vec![NO_FACILITY; points * services],
             large_d: vec![f64::INFINITY; points],
             large_f: vec![NO_FACILITY; points],
             openings: 0,
+            layout: None,
+            block_max: Vec::new(),
         }
+    }
+
+    /// Adopts the opening-target index's block layout for the bounded
+    /// refresh, as [`PastIndex::attach_layout`] does for the shrink walks.
+    /// The per-block maxima start at `∞`, so the first opening of each
+    /// cache visits every block.
+    pub(crate) fn attach_layout(&mut self, layout: Arc<SpatialLayout>) {
+        self.block_max = vec![f64::INFINITY; (self.services + 1) * layout.nblocks()];
+        self.layout = Some(layout);
+    }
+
+    /// Range of the maxima row of the cache an opening of `e` (small) or
+    /// `None` (large) refreshes; empty without an attached layout.
+    fn maxima_range(&self, e: Option<CommodityId>) -> std::ops::Range<usize> {
+        let nblocks = self.layout.as_ref().map_or(0, |l| l.nblocks());
+        let row = e.map_or(self.services, |e| e.index());
+        row * nblocks..(row + 1) * nblocks
+    }
+
+    /// The per-block maxima of the cache an opening of `e` (small) or
+    /// `None` (large) refreshes; empty without an attached layout.
+    pub(crate) fn block_maxima(&self, e: Option<CommodityId>) -> &[f64] {
+        &self.block_max[self.maxima_range(e)]
+    }
+
+    /// The bounded refresh: folds an opening (small for `e`, or large for
+    /// `None`) into the cache over `blocks` only, with the same strict-`<`
+    /// update as [`Self::note_small_opening_with_row`], then recomputes
+    /// those blocks' maxima exactly. `blocks` must hold every block whose
+    /// certified lower bound on `d(·, at)` is below its maximum: a skipped
+    /// block has `d(p, at) ≥ max ≥ cached[p]` for every member, so the
+    /// update could not fire there. `row[p] = d(p, at)` must be verbatim
+    /// on the members of `blocks`; other entries are never read.
+    ///
+    /// A `full` row (the wide-coverage fallback) is walked contiguously
+    /// instead, and every maximum is recomputed through the layout's
+    /// positions.
+    pub(crate) fn note_opening_in_blocks(
+        &mut self,
+        e: Option<CommodityId>,
+        row: &[f64],
+        blocks: &[u32],
+        full: bool,
+        fid: FacilityId,
+    ) {
+        let range = self.maxima_range(e);
+        let layout = self
+            .layout
+            .as_deref()
+            .expect("bounded refresh needs a layout");
+        let maxima = &mut self.block_max[range];
+        let (cache_d, cache_f) = match e {
+            Some(e) => {
+                let base = e.index() * self.points;
+                (
+                    &mut self.small_d[base..base + self.points],
+                    &mut self.small_f[base..base + self.points],
+                )
+            }
+            None => (&mut self.large_d[..], &mut self.large_f[..]),
+        };
+        if full {
+            // Block sizes are powers of two: a shift, not a division, per
+            // point of the whole row.
+            debug_assert!(layout.block.is_power_of_two());
+            let shift = layout.block.trailing_zeros();
+            maxima.fill(0.0);
+            let cache = cache_d.iter_mut().zip(cache_f.iter_mut());
+            for (((sd, sf), &d), &pos) in cache.zip(row).zip(&layout.pos) {
+                if d < *sd {
+                    *sd = d;
+                    *sf = fid.0;
+                }
+                let b = (pos >> shift) as usize;
+                if *sd > maxima[b] {
+                    maxima[b] = *sd;
+                }
+            }
+        } else {
+            for &b in blocks {
+                let mut max = 0.0f64;
+                for &p in layout.members(b as usize) {
+                    let p = p as usize;
+                    let d = row[p];
+                    debug_assert!(!d.is_nan(), "bounded refresh read an uncovered entry");
+                    if d < cache_d[p] {
+                        cache_d[p] = d;
+                        cache_f[p] = fid.0;
+                    }
+                    if cache_d[p] > max {
+                        max = cache_d[p];
+                    }
+                }
+                maxima[b as usize] = max;
+            }
+        }
+        self.openings += 1;
     }
 
     /// An empty index sized for an instance.
@@ -650,9 +766,14 @@ impl PastIndex {
 /// * **Shrinks** (only when a facility opens, rare): `B` falls, keys
 ///   *rise*. A stale-low `blockmin` stays a valid lower bound — pruning
 ///   merely gets weaker, never wrong — so correctness needs no action at
-///   all. To keep the prune tight the engine calls [`Self::rebuild_small`]
-///   / [`Self::rebuild_large`] for the affected rows after its cap-shrink
-///   pass (`O(|M|)`, the same order as the pass itself).
+///   all. To keep the prune tight the engine rebuilds the affected rows
+///   after its cap-shrink pass: whole rows ([`Self::rebuild_small`] /
+///   [`Self::rebuild_large`], `O(|M|)`) on the full-row path, and only the
+///   blocks the shrink walks touched on the partial-row path
+///   (`rebuild_small_blocks` / `rebuild_large_blocks`). There every bound
+///   is always an exact block minimum — bumps min-fold exactly and each
+///   shrink rebuilds every block it touched — so an untouched block
+///   already holds what a full rebuild would write.
 ///
 /// Memory: `(|S| + 1) · ⌈|M| / TARGET_BLOCK⌉` bound floats plus the
 /// permutation and per-block summaries — with the block size of
@@ -818,8 +939,52 @@ impl SpatialLayout {
 
     /// Number of prune blocks under this layout's block size.
     #[inline]
-    fn nblocks(&self) -> usize {
+    pub(crate) fn nblocks(&self) -> usize {
         self.perm.len().div_ceil(self.block)
+    }
+
+    /// Original ids of block `b`'s members.
+    #[inline]
+    pub(crate) fn members(&self, b: usize) -> &[u32] {
+        let start = b * self.block;
+        &self.perm[start..(start + self.block).min(self.perm.len())]
+    }
+
+    /// Every block's representative (original ids, block order): what a
+    /// row must cover before [`Self::block_dlb`] can read it.
+    pub(crate) fn reps(&self) -> &[u32] {
+        &self.rep
+    }
+
+    /// The certified lower bound on `d(p, q)` over block `b`'s members,
+    /// read from a row of `q` that covers the block's representative.
+    #[inline]
+    pub(crate) fn block_dlb(&self, b: usize, row: &[f64]) -> f64 {
+        dist_lower_bound(row[self.rep[b] as usize], self.radius[b])
+    }
+
+    /// The blocks whose lower bound on `d(·, q)` passes `keep(b, dlb)`,
+    /// ascending, from a row of `q` covering every representative.
+    pub(crate) fn blocks_where(
+        &self,
+        row: &[f64],
+        mut keep: impl FnMut(usize, f64) -> bool,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        for b in 0..self.nblocks() {
+            if keep(b, self.block_dlb(b, row)) {
+                out.push(b as u32);
+            }
+        }
+    }
+
+    /// The members of `blocks`, appended block by block to a cleared `out`.
+    pub(crate) fn members_of(&self, blocks: &[u32], out: &mut Vec<u32>) {
+        out.clear();
+        for &b in blocks {
+            out.extend_from_slice(self.members(b as usize));
+        }
     }
 
     /// Refines `seed_order` into distance balls and computes the per-block
@@ -1110,6 +1275,25 @@ fn dist_upper_bound(d_rep: f64, radius: f64) -> f64 {
     (d_rep + radius) * (1.0 + RADIUS_BOUND_SLACK)
 }
 
+/// Share of all blocks above which a coverage-bounded read of a distance
+/// row — the opening location's facility-cache refresh, or a cap-shrink
+/// walk — gives up its block list for one bulk
+/// [`omfl_metric::Metric::fill_row`] and a contiguous walk of the whole
+/// row. A kept point costs a pointwise distance call plus a gathered walk
+/// step, several times a streamed one; on a 1M-point Euclidean grid the two
+/// break even near a fifth of the blocks. Wide passes are mostly each
+/// commodity's first openings, while the cached nearest distances are
+/// still `∞`.
+pub const WIDE_COVERAGE_SHARE: f64 = 0.2;
+
+/// Whether a pass whose surviving blocks number `blocks` out of `nblocks`
+/// takes the full-row fallback (see [`WIDE_COVERAGE_SHARE`]). Every
+/// coverage consumer decides through this one helper.
+#[inline]
+pub(crate) fn wide_coverage(blocks: usize, nblocks: usize) -> bool {
+    blocks as f64 > WIDE_COVERAGE_SHARE * nblocks as f64
+}
+
 /// Executes `body(0..nshards)` on the pool when one is installed, inline
 /// otherwise. Each shard's work must be independent (ours are: disjoint
 /// [`ShardWriter`] chunks over shared read-only inputs), which makes the
@@ -1134,19 +1318,39 @@ fn run_shards(pool: Option<&TaskPool>, nshards: usize, body: &(dyn Fn(usize) + S
     }
 }
 
+/// The exact minimum opening key over block `bi`'s members.
+#[inline]
+fn block_min(layout: &SpatialLayout, f_row: &[f64], b_row: &[f64], bi: usize) -> f64 {
+    let mut min = f64::INFINITY;
+    for &p in layout.members(bi) {
+        let p = p as usize;
+        let v = opening_key(f_row[p], b_row[p]);
+        if v < min {
+            min = v;
+        }
+    }
+    min
+}
+
 fn block_bounds(layout: &SpatialLayout, f_row: &[f64], b_row: &[f64], out: &mut [f64]) {
     for (bi, slot) in out.iter_mut().enumerate() {
-        let start = bi * layout.block;
-        let end = (start + layout.block).min(f_row.len());
-        let mut min = f64::INFINITY;
-        for &p in &layout.perm[start..end] {
-            let p = p as usize;
-            let v = opening_key(f_row[p], b_row[p]);
-            if v < min {
-                min = v;
-            }
-        }
-        *slot = min;
+        *slot = block_min(layout, f_row, b_row, bi);
+    }
+}
+
+/// [`block_bounds`] for the listed blocks only (sorted and deduplicated in
+/// place), so the cost scales with the list.
+fn rebuild_blocks(
+    layout: &SpatialLayout,
+    f_row: &[f64],
+    b_row: &[f64],
+    out: &mut [f64],
+    blocks: &mut Vec<u32>,
+) {
+    blocks.sort_unstable();
+    blocks.dedup();
+    for &b in blocks.iter() {
+        out[b as usize] = block_min(layout, f_row, b_row, b as usize);
     }
 }
 
@@ -1264,13 +1468,8 @@ impl OpeningTargetIndex {
     /// The block partition as original-id member lists, in relabeled block
     /// order (diagnostics and the ingest-equivalence tests).
     pub fn block_partition(&self) -> Vec<Vec<u32>> {
-        let points = self.layout.perm.len();
         (0..self.nblocks)
-            .map(|bi| {
-                let start = bi * self.layout.block;
-                let end = (start + self.layout.block).min(points);
-                self.layout.perm[start..end].to_vec()
-            })
+            .map(|bi| self.layout.members(bi).to_vec())
             .collect()
     }
 
@@ -1400,15 +1599,10 @@ impl OpeningTargetIndex {
                 return;
             }
         }
-        let points = self.layout.perm.len();
-        let block = self.layout.block;
         for (bi, &dlb) in self.dlb.iter().enumerate() {
-            if dlb >= cap {
-                continue;
+            if dlb < cap {
+                out.extend_from_slice(self.layout.members(bi));
             }
-            let start = bi * block;
-            let end = (start + block).min(points);
-            out.extend_from_slice(&self.layout.perm[start..end]);
         }
     }
 
@@ -1453,8 +1647,8 @@ impl OpeningTargetIndex {
     /// rebuild moves the bounds (the engine's serve order); a cover
     /// computed from the same bounds the scans will read cannot go stale
     /// within the arrival. Consumers that outlive the arrival's scans
-    /// (openings, cap shrinks) read full rows and trigger the row cache's
-    /// coverage fallback instead.
+    /// (openings, cap shrinks) bound their own coverage from the block
+    /// representatives of the row they read instead.
     pub fn query_scan_cover(&mut self, members: &[CommodityId], out: &mut Vec<u32>) {
         out.clear();
         let nblocks = self.nblocks;
@@ -1483,13 +1677,9 @@ impl OpeningTargetIndex {
             mark_scan(&small[e.index() * nblocks..(e.index() + 1) * nblocks]);
         }
         mark_scan(large);
-        let points = self.layout.perm.len();
-        let block = self.layout.block;
         for (bi, &marked) in marks.iter().enumerate() {
             if marked {
-                let start = bi * block;
-                let end = (start + block).min(points);
-                out.extend_from_slice(&self.layout.perm[start..end]);
+                out.extend_from_slice(self.layout.members(bi));
             }
         }
     }
@@ -1562,9 +1752,7 @@ impl OpeningTargetIndex {
                 if dlb_bi >= max_cap {
                     continue;
                 }
-                let start = bi * layout.block;
-                let end = (start + layout.block).min(m);
-                let mems = &layout.perm[start..end];
+                let mems = layout.members(bi);
                 let n = mems.len();
                 let screened = full_row.is_none()
                     && metric.screen_distances(loc, mems, &mut lo[..n], &mut hi[..n]);
@@ -1925,6 +2113,39 @@ impl OpeningTargetIndex {
         block_bounds(&self.layout, f_full, b_large, &mut self.large);
     }
 
+    /// [`Self::rebuild_small`] over the blocks a shrink pass touched
+    /// (deduplicated in place). Bit-identical to the full rebuild when
+    /// every other bound is already an exact block minimum — the partial-row
+    /// path's invariant: bumps min-fold exactly and each shrink rebuilds
+    /// every block it touched, so an untouched block holds what a full
+    /// rebuild would write.
+    pub(crate) fn rebuild_small_blocks(
+        &mut self,
+        e: CommodityId,
+        f_row: &[f64],
+        b_row: &[f64],
+        blocks: &mut Vec<u32>,
+    ) {
+        let bounds = &mut self.small[e.index() * self.nblocks..(e.index() + 1) * self.nblocks];
+        rebuild_blocks(&self.layout, f_row, b_row, bounds, blocks);
+    }
+
+    /// [`Self::rebuild_large`] over the touched blocks (see
+    /// [`Self::rebuild_small_blocks`]).
+    pub(crate) fn rebuild_large_blocks(
+        &mut self,
+        f_full: &[f64],
+        b_large: &[f64],
+        blocks: &mut Vec<u32>,
+    ) {
+        rebuild_blocks(&self.layout, f_full, b_large, &mut self.large, blocks);
+    }
+
+    /// The block layout, for the engine's coverage-bounded row reads.
+    pub(crate) fn layout(&self) -> &SpatialLayout {
+        &self.layout
+    }
+
     /// `(blocks pruned, blocks scanned)` across all queries so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.skipped, self.scanned)
@@ -2034,6 +2255,128 @@ mod tests {
         }
         assert_eq!(idx.nearest_large(PointId(1)).unwrap().1, 0.0);
         assert!(idx.nearest_small(CommodityId(0), PointId(0)).is_none());
+    }
+
+    /// The engine's bounded refresh, replayed by hand: the opening row is
+    /// read over the block representatives, then over the members of the
+    /// blocks whose lower bound undercuts their maximum (or in full when
+    /// those are wide). Every other entry stays NaN, so a read outside the
+    /// coverage would surface as a missed update (and a debug assert).
+    /// Returns whether the pass took the full-row fallback.
+    fn bounded_opening(
+        idx: &mut FacilityIndex,
+        layout: &SpatialLayout,
+        inst: &Instance,
+        e: Option<CommodityId>,
+        at: PointId,
+        fid: FacilityId,
+    ) -> bool {
+        let m = inst.num_points();
+        let mut row = vec![f64::NAN; m];
+        for &r in layout.reps() {
+            row[r as usize] = inst.distance(PointId(r), at);
+        }
+        let maxima = idx.block_maxima(e).to_vec();
+        let mut blocks = Vec::new();
+        layout.blocks_where(&row, |b, dlb| dlb < maxima[b], &mut blocks);
+        let full = wide_coverage(blocks.len(), layout.nblocks());
+        let mut ids = Vec::new();
+        if full {
+            ids.extend(0..m as u32);
+        } else {
+            layout.members_of(&blocks, &mut ids);
+        }
+        for p in ids {
+            row[p as usize] = inst.distance(PointId(p), at);
+        }
+        idx.note_opening_in_blocks(e, &row, &blocks, full, fid);
+        full
+    }
+
+    #[test]
+    fn bounded_refresh_matches_full_row_refresh_bit_for_bit() {
+        // Repeated locations and exact ties (a coarse line, every position
+        // shared by several ids), shuffled and coherent relabelings, and a
+        // random mix of small and large openings: after every opening the
+        // bounded index must answer every query exactly like the full-row
+        // one, and every block maximum must dominate its members' caches.
+        let (m, s) = (240usize, 3usize);
+        let mut st = 0x5EEDu64;
+        let positions: Vec<f64> = (0..m)
+            .map(|_| (xorshift(&mut st) % 48) as f64 * 0.5)
+            .collect();
+        let inst = inst(positions, s as u16);
+        let f_small = vec![1.0; m * s];
+        let f_full = vec![3.0; m];
+        let mut shuffled: Vec<u32> = (0..m as u32).collect();
+        for i in (1..m).rev() {
+            let j = (xorshift(&mut st) % (i as u64 + 1)) as usize;
+            shuffled.swap(i, j);
+        }
+        let layouts = [
+            OpeningTargetIndex::for_instance(&inst, &f_small, &f_full).layout_handle(),
+            OpeningTargetIndex::with_order(&inst, &f_small, &f_full, shuffled).layout_handle(),
+        ];
+        let (mut narrow, mut wide) = (0, 0);
+        for layout in layouts {
+            let mut bounded = FacilityIndex::new(m, s);
+            bounded.attach_layout(Arc::clone(&layout));
+            let mut reference = FacilityIndex::new(m, s);
+            for k in 0..160u32 {
+                let at = PointId((xorshift(&mut st) % m as u64) as u32);
+                let e = match xorshift(&mut st) % 5 {
+                    0 => None,
+                    c => Some(CommodityId((c % s as u64) as u16)),
+                };
+                let fid = FacilityId(k);
+                let full_row: Vec<f64> = (0..m as u32)
+                    .map(|p| inst.distance(PointId(p), at))
+                    .collect();
+                match e {
+                    Some(e) => reference.note_small_opening_with_row(&full_row, e, fid),
+                    None => reference.note_large_opening_with_row(&full_row, fid),
+                }
+                if bounded_opening(&mut bounded, &layout, &inst, e, at, fid) {
+                    wide += 1;
+                } else {
+                    narrow += 1;
+                }
+                let bits = |r: Option<(FacilityId, f64)>| r.map(|(f, d)| (f, d.to_bits()));
+                for p in (0..m as u32).map(PointId) {
+                    for c in (0..s as u16).map(CommodityId) {
+                        assert_eq!(
+                            bits(bounded.nearest_offering(c, p)),
+                            bits(reference.nearest_offering(c, p)),
+                            "offering {c:?} at {p:?} after opening {k}"
+                        );
+                    }
+                    assert_eq!(
+                        bits(bounded.nearest_large(p)),
+                        bits(reference.nearest_large(p)),
+                        "large at {p:?} after opening {k}"
+                    );
+                }
+                for row in (0..s as u16).map(|c| Some(CommodityId(c))).chain([None]) {
+                    let maxima = bounded.block_maxima(row);
+                    for (b, &max) in maxima.iter().enumerate() {
+                        for &p in layout.members(b) {
+                            let cached = match row {
+                                Some(c) => bounded.small_d[c.index() * m + p as usize],
+                                None => bounded.large_d[p as usize],
+                            };
+                            assert!(
+                                max >= cached,
+                                "block {b} maximum {max} below cache {cached} at {p}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            narrow > 0 && wide > 0,
+            "{narrow} narrow, {wide} wide passes"
+        );
     }
 
     #[test]

@@ -38,8 +38,11 @@
 //! The serve hot path is built on [`crate::index`]:
 //!
 //! * `d(F(e), r)` / `d(F̂, r)` come from a [`FacilityIndex`] — per-point
-//!   nearest-open-facility caches refreshed in `O(|M|)` *once per opening*
-//!   instead of scanned per request (openings are rare; requests are not);
+//!   nearest-open-facility caches refreshed *once per opening* instead of
+//!   scanned per request (openings are rare; requests are not). The
+//!   refresh walks a full row below [`PARTIAL_ROW_MIN_POINTS`]; above it,
+//!   only the blocks whose certified distance lower bound undercuts their
+//!   largest cached distance;
 //! * the t3/t4 opening targets come from an [`OpeningTargetIndex`] — a
 //!   bucketed lower-bound prune list over the monotone distance-free keys
 //!   `(f − B)⁺`, with blocks laid over a spatially coherent relabeling and
@@ -52,7 +55,12 @@
 //!   reinvestment to the blocks that can hold `d < cap`;
 //! * the cap-shrink passes after an opening consult a [`PastIndex`] —
 //!   past requests bucketed by location with per-bucket cap bounds — so the
-//!   walk is over locations (`O(|M|)`), not over the whole request history.
+//!   walk is over locations, not over the whole request history. Above
+//!   [`PARTIAL_ROW_MIN_POINTS`] each shrinking request's row is read only
+//!   over the blocks whose lower bound is below its old cap, and the bound
+//!   rebuild that follows recomputes only the blocks those reads touched.
+//!   A pass whose surviving blocks are wide falls back to one bulk row fill
+//!   ([`crate::index::WIDE_COVERAGE_SHARE`]).
 //!
 //! Distances flow through a [`DistanceBackend`]: a dense `|M|²` matrix up
 //! to [`DENSE_DISTANCE_CAP`] points, and a fixed-budget blocked row LRU
@@ -73,7 +81,7 @@
 //! against.
 
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
-use crate::index::{FacilityIndex, OpeningTargetIndex, PastIndex};
+use crate::index::{wide_coverage, FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout};
 use crate::instance::Instance;
 use crate::request::Request;
 use crate::solution::{FacilityId, Solution};
@@ -146,6 +154,13 @@ pub struct PdOmflp<'a> {
     /// Scratch for the partial-row coverage ids (block reps, then the
     /// predicted scan cover; see [`OpeningTargetIndex::query_scan_cover`]).
     cover_scratch: Vec<u32>,
+    /// Scratch for the blocks a coverage-bounded opening pass keeps (see
+    /// [`covered_row`]).
+    blocks_scratch: Vec<u32>,
+    /// Blocks each bid row's shrink walks touched during one opening, per
+    /// commodity plus one trailing row for `B̂`: the partial-row path
+    /// rebuilds only these bounds.
+    touched: Vec<Vec<u32>>,
     /// `true` pins this engine to the frozen PR 5 reference serve path
     /// (full row fills, serial candidate-list freeze): the paired benches
     /// time the current path against it, so it must not inherit the
@@ -236,6 +251,84 @@ fn backend_row<'r>(
                 *scratch_loc = Some(q);
             }
             scratch
+        }
+    }
+}
+
+/// A coverage-bounded read of `q`'s distance row on the partial-row path:
+/// the block representatives first, then the members of every block whose
+/// certified lower bound on `d(·, q)` passes `keep(b, dlb)` — or, when
+/// those blocks are wide ([`wide_coverage`]), one bulk fill of the whole
+/// row. Returns the row and whether it is full; `blocks` holds the kept
+/// blocks either way. On a partial row only the representatives and the
+/// kept blocks' members are covered.
+fn covered_row<'r>(
+    cache: &'r mut BlockedRowCache,
+    layout: &SpatialLayout,
+    inst: &Instance,
+    q: PointId,
+    blocks: &mut Vec<u32>,
+    ids: &mut Vec<u32>,
+    keep: impl FnMut(usize, f64) -> bool,
+) -> (&'r [f64], bool) {
+    let fill_at = |p| inst.distance(PointId(p), q);
+    let reps = cache.partial_row_with(q.0, layout.reps(), fill_at);
+    layout.blocks_where(reps, keep, blocks);
+    if wide_coverage(blocks.len(), layout.nblocks()) {
+        return (cache.row_with(q.0, |buf| inst.fill_row(q, buf)), true);
+    }
+    layout.members_of(blocks, ids);
+    (cache.partial_row_with(q.0, ids, fill_at), false)
+}
+
+/// The cap-shrink subtraction at one location after a cap fell from `old`
+/// to `dj`: `B −= (old − d)⁺ − (dj − d)⁺` with `d = dpj`. The delta
+/// vanishes exactly when `d ≥ old` (as `dj < old`), so skipping those
+/// entries is bit-exact.
+#[inline]
+fn shrink_bid(b: &mut f64, dpj: f64, old: f64, dj: f64) {
+    if dpj < old {
+        *b -= (old - dpj).max(0.0) - (dj - dpj).max(0.0);
+    }
+}
+
+/// [`shrink_bid`] over a whole bid row, `drow[p] = d(p, location)`.
+#[inline]
+fn shrink_bids(b_row: &mut [f64], drow: &[f64], old: f64, dj: f64) {
+    for (b, &dpj) in b_row.iter_mut().zip(drow) {
+        shrink_bid(b, dpj, old, dj);
+    }
+}
+
+/// [`shrink_bids`] on the partial-row path, over a row from
+/// [`covered_row`] whose kept `blocks` include every block with a lower
+/// bound below `old`: walks only those (no other block holds a `d < old`),
+/// or the whole row contiguously when it is `full`, and logs them in
+/// `touched` for the bound rebuild.
+#[allow(clippy::too_many_arguments)]
+fn shrink_bids_bounded(
+    b_row: &mut [f64],
+    drow: &[f64],
+    full: bool,
+    old: f64,
+    dj: f64,
+    layout: &SpatialLayout,
+    blocks: &[u32],
+    touched: &mut Vec<u32>,
+) {
+    let start = touched.len();
+    touched.extend(
+        blocks
+            .iter()
+            .filter(|&&b| layout.block_dlb(b as usize, drow) < old),
+    );
+    if full {
+        shrink_bids(b_row, drow, old, dj);
+        return;
+    }
+    for &b in &touched[start..] {
+        for &p in layout.members(b as usize) {
+            shrink_bid(&mut b_row[p as usize], drow[p as usize], old, dj);
         }
     }
 }
@@ -439,14 +532,17 @@ impl<'a> PdOmflp<'a> {
             )),
         };
         let mut past_index = PastIndex::new(m, s);
+        let mut index = FacilityIndex::new(m, s);
         if let Some(t) = &mut targets {
             if !legacy {
                 // Share the target index's spatial layout with the shrink
-                // walk so it can skip whole blocks, and fan the per-arrival
-                // block scans out over a worker pool once they are long
-                // enough to amortize it. Both are engine-invisible: results
-                // and skip/scan statistics stay bit-identical.
+                // walk and the facility caches so both can skip whole
+                // blocks, and fan the per-arrival block scans out over a
+                // worker pool once they are long enough to amortize it.
+                // All are engine-invisible: results and skip/scan
+                // statistics stay bit-identical.
                 past_index.attach_layout(t.layout_handle());
+                index.attach_layout(t.layout_handle());
                 let threads = omfl_par::default_threads();
                 if m >= PAR_SCAN_MIN_POINTS && threads > 1 {
                     t.set_scan_pool(Some(Arc::new(TaskPool::new(threads))));
@@ -457,7 +553,7 @@ impl<'a> PdOmflp<'a> {
             inst,
             sol: Solution::new(),
             past: Vec::new(),
-            index: FacilityIndex::new(m, s),
+            index,
             past_index,
             b_small: vec![0.0; m * s],
             b_large: vec![0.0; m],
@@ -468,6 +564,8 @@ impl<'a> PdOmflp<'a> {
             dist_row_loc: None,
             moved_scratch: Vec::new(),
             cover_scratch: Vec::new(),
+            blocks_scratch: Vec::new(),
+            touched: vec![Vec::new(); s + 1],
             frozen_reference: legacy,
             partial_rows_min: PARTIAL_ROW_MIN_POINTS,
             shrink_row: vec![0.0; m],
@@ -483,8 +581,28 @@ impl<'a> PdOmflp<'a> {
 
     /// Folds a fresh opening into the facility index — through a borrowed
     /// distance row in incremental mode, per-call in scan mode (the PR 3
-    /// cost profile). Values are identical either way.
+    /// cost profile). On the partial-row path the row of `at` is read only
+    /// over the blocks whose lower bound undercuts their largest cached
+    /// distance (the bounded refresh). Values are identical every way.
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
+        if self.partial_rows_active() {
+            let (Some(t), DistanceBackend::Blocked(c)) = (&self.targets, &mut self.dist) else {
+                unreachable!("partial_rows_active checked the index and the backend")
+            };
+            let maxima = self.index.block_maxima(e);
+            let (row, full) = covered_row(
+                c,
+                t.layout(),
+                self.inst,
+                at,
+                &mut self.blocks_scratch,
+                &mut self.cover_scratch,
+                |b, dlb| dlb < maxima[b],
+            );
+            self.index
+                .note_opening_in_blocks(e, row, &self.blocks_scratch, full, fid);
+            return;
+        }
         if self.targets.is_some() {
             let row = backend_row(
                 &mut self.dist,
@@ -587,8 +705,10 @@ impl<'a> PdOmflp<'a> {
     }
 
     /// Coverage-fallback promotions of the blocked row cache: partial rows
-    /// a full-row consumer (an opening's shrink pass) forced up to a full
-    /// fill. `None` for the dense and per-call backends.
+    /// a full-row consumer forced up to a full fill — on the partial-row
+    /// path, an opening pass whose surviving blocks were wide (see
+    /// [`crate::index::WIDE_COVERAGE_SHARE`]). `None` for the dense and
+    /// per-call backends.
     pub fn row_fallback_promotions(&self) -> Option<u64> {
         match &self.dist {
             DistanceBackend::Blocked(c) => Some(c.fallback_promotions()),
@@ -637,9 +757,16 @@ impl<'a> PdOmflp<'a> {
     /// cap bound exceeds the new distance; candidates come back in the
     /// ascending `(past index, slot)` order the full history walk used, so
     /// the `B` updates happen in the identical floating-point order.
+    ///
+    /// On the partial-row path each past location's row is read only over
+    /// the blocks whose lower bound is below the old cap ([`covered_row`]),
+    /// and the rebuild recomputes only the blocks those reads touched.
     fn post_open_small(&mut self, e: CommodityId, at: PointId) {
         let m = self.inst.num_points();
+        let bounded = self.partial_rows_active();
         let mut shrank = false;
+        let touched = &mut self.touched[e.index()];
+        touched.clear();
         for (pi, slot) in self.past_index.small_shrink_candidates(self.inst, e, at) {
             let pr = &self.past[pi as usize];
             let dj = self.dist.point(self.inst, at, pr.location);
@@ -647,20 +774,31 @@ impl<'a> PdOmflp<'a> {
             if dj < old {
                 let loc = pr.location;
                 shrank = true;
-                let drow = backend_row(
-                    &mut self.dist,
-                    self.inst,
-                    loc,
-                    &mut self.shrink_row,
-                    &mut self.shrink_row_loc,
-                );
                 let row = &mut self.b_small[e.index() * m..(e.index() + 1) * m];
-                for (b, &dpj) in row.iter_mut().zip(drow) {
-                    // delta = (old − dpj)⁺ − (dj − dpj)⁺ vanishes exactly
-                    // when dpj ≥ old (dj < old), so the skip is bit-exact.
-                    if dpj < old {
-                        let delta = (old - dpj).max(0.0) - (dj - dpj).max(0.0);
-                        *b -= delta;
+                match (&self.targets, &mut self.dist) {
+                    (Some(t), DistanceBackend::Blocked(c)) if bounded => {
+                        let layout = t.layout();
+                        let blocks = &mut self.blocks_scratch;
+                        let (drow, full) = covered_row(
+                            c,
+                            layout,
+                            self.inst,
+                            loc,
+                            blocks,
+                            &mut self.cover_scratch,
+                            |_, dlb| dlb < old,
+                        );
+                        shrink_bids_bounded(row, drow, full, old, dj, layout, blocks, touched);
+                    }
+                    (_, dist) => {
+                        let drow = backend_row(
+                            dist,
+                            self.inst,
+                            loc,
+                            &mut self.shrink_row,
+                            &mut self.shrink_row_loc,
+                        );
+                        shrink_bids(row, drow, old, dj);
                     }
                 }
                 self.past[pi as usize].caps[slot as usize] = dj;
@@ -670,11 +808,15 @@ impl<'a> PdOmflp<'a> {
         // one rebuild per pass restores tight pruning.
         if shrank {
             if let Some(t) = &mut self.targets {
-                t.rebuild_small(
-                    e,
+                let (f_row, b_row) = (
                     &self.f_small[e.index() * m..(e.index() + 1) * m],
                     &self.b_small[e.index() * m..(e.index() + 1) * m],
                 );
+                if bounded {
+                    t.rebuild_small_blocks(e, f_row, b_row, touched);
+                } else {
+                    t.rebuild_small(e, f_row, b_row);
+                }
             }
         }
     }
@@ -682,70 +824,104 @@ impl<'a> PdOmflp<'a> {
     /// Applies cap shrinkage after a *large* facility opened at `at`:
     /// it joins `F̂` and every `F(e)`. Same bucketed narrowing as
     /// [`Self::post_open_small`], walking candidate requests in ascending
-    /// past order.
+    /// past order. On the partial-row path each request's row is read over
+    /// the blocks below the largest cap the opening lowers, and each family
+    /// walks the part of it below its own old cap.
     fn post_open_large(&mut self, at: PointId) {
         let m = self.inst.num_points();
+        let s = self.inst.num_commodities();
+        let bounded = self.partial_rows_active();
         let mut shrank_large = false;
         let mut shrank_small: Vec<CommodityId> = Vec::new();
+        for touched in &mut self.touched {
+            touched.clear();
+        }
         for pi in self.past_index.large_shrink_candidates(self.inst, at) {
-            let pi = pi as usize;
-            let loc = self.past[pi].location;
-            let dj = self.dist.point(self.inst, at, loc);
-            let any_shrink =
-                dj < self.past[pi].cap_total || self.past[pi].caps.iter().any(|&c| dj < c);
-            if !any_shrink {
+            let pr = &mut self.past[pi as usize];
+            let dj = self.dist.point(self.inst, at, pr.location);
+            // The largest cap this opening lowers: every shrinking family
+            // reads the row below it.
+            let reach = pr.caps.iter().fold(pr.cap_total, |r, &c| r.max(c)).max(dj);
+            if reach == dj {
                 continue;
             }
-            let drow = backend_row(
-                &mut self.dist,
-                self.inst,
-                loc,
-                &mut self.shrink_row,
-                &mut self.shrink_row_loc,
-            );
-            // Large-facility cap.
-            let old_total = self.past[pi].cap_total;
-            if dj < old_total {
-                shrank_large = true;
-                for (b, &dpj) in self.b_large.iter_mut().zip(drow) {
-                    if dpj < old_total {
-                        let delta = (old_total - dpj).max(0.0) - (dj - dpj).max(0.0);
-                        *b -= delta;
-                    }
+            let (drow, cover) = match (&self.targets, &mut self.dist) {
+                (Some(t), DistanceBackend::Blocked(c)) if bounded => {
+                    let layout = t.layout();
+                    let (drow, full) = covered_row(
+                        c,
+                        layout,
+                        self.inst,
+                        pr.location,
+                        &mut self.blocks_scratch,
+                        &mut self.cover_scratch,
+                        |_, dlb| dlb < reach,
+                    );
+                    (drow, Some((layout, full)))
                 }
-                self.past[pi].cap_total = dj;
+                (_, dist) => (
+                    backend_row(
+                        dist,
+                        self.inst,
+                        pr.location,
+                        &mut self.shrink_row,
+                        &mut self.shrink_row_loc,
+                    ),
+                    None,
+                ),
+            };
+            let shrink = |b_row: &mut [f64], old: f64, touched: &mut Vec<u32>| match cover {
+                Some((layout, full)) => shrink_bids_bounded(
+                    b_row,
+                    drow,
+                    full,
+                    old,
+                    dj,
+                    layout,
+                    &self.blocks_scratch,
+                    touched,
+                ),
+                None => shrink_bids(b_row, drow, old, dj),
+            };
+            // Large-facility cap.
+            if dj < pr.cap_total {
+                shrank_large = true;
+                shrink(&mut self.b_large, pr.cap_total, &mut self.touched[s]);
+                pr.cap_total = dj;
             }
             // Per-commodity caps (a large facility offers every commodity).
-            for slot in 0..self.past[pi].commodities.len() {
-                let old = self.past[pi].caps[slot];
-                if dj < old {
-                    let e = self.past[pi].commodities[slot];
+            for (&e, cap) in pr.commodities.iter().zip(pr.caps.iter_mut()) {
+                if dj < *cap {
                     shrank_small.push(e);
                     let row = &mut self.b_small[e.index() * m..(e.index() + 1) * m];
-                    for (b, &dpj) in row.iter_mut().zip(drow) {
-                        if dpj < old {
-                            let delta = (old - dpj).max(0.0) - (dj - dpj).max(0.0);
-                            *b -= delta;
-                        }
-                    }
-                    self.past[pi].caps[slot] = dj;
+                    shrink(row, *cap, &mut self.touched[e.index()]);
+                    *cap = dj;
                 }
             }
         }
         // Budgets shrank: stale-low block bounds stay sound, but one
-        // rebuild per affected row restores tight pruning.
+        // rebuild per affected row restores tight pruning — on the
+        // partial-row path, of the blocks the walks touched.
         if let Some(t) = &mut self.targets {
             if shrank_large {
-                t.rebuild_large(&self.f_full, &self.b_large);
+                if bounded {
+                    t.rebuild_large_blocks(&self.f_full, &self.b_large, &mut self.touched[s]);
+                } else {
+                    t.rebuild_large(&self.f_full, &self.b_large);
+                }
             }
             shrank_small.sort_unstable();
             shrank_small.dedup();
             for e in shrank_small {
-                t.rebuild_small(
-                    e,
+                let (f_row, b_row) = (
                     &self.f_small[e.index() * m..(e.index() + 1) * m],
                     &self.b_small[e.index() * m..(e.index() + 1) * m],
                 );
+                if bounded {
+                    t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
+                } else {
+                    t.rebuild_small(e, f_row, b_row);
+                }
             }
         }
     }
@@ -969,8 +1145,9 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         // prepared bounds, extend the row to it — the pruned scans then
         // see verbatim backend values everywhere they look, so targets,
         // stats and all downstream state are bit-identical to a full fill.
-        // Any later full-row consumer (an opening's shrink pass) promotes
-        // the partial row through the cache's coverage fallback.
+        // Openings later read rows over the blocks they can change; only a
+        // wide pass promotes a partial row through the cache's coverage
+        // fallback.
         let dist_row: &[f64] = if self.partial_rows_active() {
             let (Some(t), DistanceBackend::Blocked(c)) = (&mut self.targets, &mut self.dist) else {
                 unreachable!("partial_rows_active checked the index and the backend")

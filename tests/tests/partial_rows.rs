@@ -111,9 +111,12 @@ fn frozen_reference_path_keeps_full_rows_and_stays_lockstep() {
 fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
     // The id-scattered adversary defeats id-order pruning entirely, so its
     // coverage sets are the least block-aligned the catalog produces; its
-    // region-hopping queries also open facilities, whose shrink passes
-    // read full rows and force the cache's coverage fallback. Lockstep
-    // must hold, and the fallback counter must be observable.
+    // region-hopping queries also open facilities. Openings read rows only
+    // over the blocks they can change, but a pass whose surviving blocks
+    // are wide — each commodity's first openings, while the cached nearest
+    // distances are still ∞ — falls back to one bulk fill, which promotes
+    // the row its representatives were just read into. Lockstep must
+    // hold, and the fallback counter must be observable.
     let profile = CatalogProfile {
         points: 40, // × 32 scale → 1280 points, past the dense cap
         services: 8,
@@ -151,14 +154,67 @@ fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
         hits + misses > 0,
         "the partial-row path must have touched the cache"
     );
-    // Promotions only happen when an arrival's location hosts an opening
-    // later; the adversary's hotspot phase makes that routine. If this
-    // ever goes flaky, the blocked-cache unit tests still force the
-    // fallback deterministically — this assert pins the *engine* wiring.
+    // Every commodity's first opening is a wide-coverage pass, so any
+    // stream that opens promotes at least once; the blocked-cache unit
+    // tests force the fallback directly — this assert pins the *engine*
+    // wiring.
     assert!(
         promotions > 0,
-        "openings on this workload must promote partial rows via the fallback"
+        "wide-coverage openings must promote partial rows via the fallback"
     );
+}
+
+#[test]
+fn coverage_bounded_openings_keep_every_pruning_statistic() {
+    // The partial-row path refreshes the facility caches block by block,
+    // reads shrink rows only over the blocks a lowered cap can reach, and
+    // rebuilds only the target bounds those walks touched; the full-row
+    // path (threshold at usize::MAX) walks whole rows and rebuilds whole
+    // bound rows. The target and shrink-walk statistics are functions of
+    // the bound values, so equal statistics after every arrival are what
+    // shows the touched-block rebuilds leave every bound exactly where a
+    // full rebuild would.
+    let profile = CatalogProfile {
+        points: 40,
+        services: 8,
+        requests: 150,
+    };
+    for name in [
+        "euclid-grid-large",
+        "cold-scatter-large",
+        "zipf-services-large",
+    ] {
+        for seed in [2u64, 9, 31] {
+            let sc = by_name(name).unwrap().build(&profile, seed).unwrap();
+            let inst = sc.instance();
+            for threads in [1usize, 2, 7, 16] {
+                let label = format!("{name} seed {seed} t={threads}");
+                let mut bounded = PdOmflp::new(inst);
+                bounded.set_partial_row_threshold(0);
+                assert!(bounded.partial_rows_active(), "{label}");
+                bounded.configure_parallel_scans(threads, 16);
+                let mut full = PdOmflp::new(inst);
+                full.set_partial_row_threshold(usize::MAX);
+                assert!(!full.partial_rows_active(), "{label}");
+                full.configure_parallel_scans(threads, 16);
+                for (step, r) in sc.requests.iter().enumerate() {
+                    let a = bounded.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let b = full.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(a, b, "{label}: outcome diverged at arrival {step}");
+                    assert_eq!(
+                        bounded.opening_target_stats(),
+                        full.opening_target_stats(),
+                        "{label}: target statistics diverged at arrival {step}"
+                    );
+                    assert_eq!(
+                        bounded.past_index_stats(),
+                        full.past_index_stats(),
+                        "{label}: shrink-walk statistics diverged at arrival {step}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
