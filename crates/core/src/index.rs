@@ -37,8 +37,9 @@
 use crate::instance::Instance;
 use crate::kd::KdTree;
 use crate::solution::FacilityId;
+use crate::CoreError;
 use omfl_commodity::CommodityId;
-use omfl_metric::PointId;
+use omfl_metric::{simd, PointId};
 use omfl_par::{ScatterWriter, ShardWriter, TaskPool};
 use std::sync::Arc;
 
@@ -117,32 +118,18 @@ impl FacilityIndex {
         &self.block_max[self.maxima_range(e)]
     }
 
-    /// The bounded refresh: folds an opening (small for `e`, or large for
-    /// `None`) into the cache over `blocks` only, with the same strict-`<`
-    /// update as [`Self::note_small_opening_with_row`], then recomputes
-    /// those blocks' maxima exactly. `blocks` must hold every block whose
-    /// certified lower bound on `d(·, at)` is below its maximum: a skipped
-    /// block has `d(p, at) ≥ max ≥ cached[p]` for every member, so the
-    /// update could not fire there. `row[p] = d(p, at)` must be verbatim
-    /// on the members of `blocks`; other entries are never read.
-    ///
-    /// A `full` row (the wide-coverage fallback) is walked contiguously
-    /// instead, and every maximum is recomputed through the layout's
-    /// positions.
-    pub(crate) fn note_opening_in_blocks(
+    /// The cache an opening of `e` (small) or `None` (large) refreshes,
+    /// with its per-block maxima and the attached layout.
+    #[allow(clippy::type_complexity)]
+    fn refresh_parts(
         &mut self,
         e: Option<CommodityId>,
-        row: &[f64],
-        blocks: &[u32],
-        full: bool,
-        fid: FacilityId,
-    ) {
+    ) -> (&mut [f64], &mut [u32], &mut [f64], &SpatialLayout) {
         let range = self.maxima_range(e);
         let layout = self
             .layout
             .as_deref()
             .expect("bounded refresh needs a layout");
-        let maxima = &mut self.block_max[range];
         let (cache_d, cache_f) = match e {
             Some(e) => {
                 let base = e.index() * self.points;
@@ -153,39 +140,70 @@ impl FacilityIndex {
             }
             None => (&mut self.large_d[..], &mut self.large_f[..]),
         };
-        if full {
-            // Block sizes are powers of two: a shift, not a division, per
-            // point of the whole row.
-            debug_assert!(layout.block.is_power_of_two());
-            let shift = layout.block.trailing_zeros();
-            maxima.fill(0.0);
-            let cache = cache_d.iter_mut().zip(cache_f.iter_mut());
-            for (((sd, sf), &d), &pos) in cache.zip(row).zip(&layout.pos) {
-                if d < *sd {
-                    *sd = d;
-                    *sf = fid.0;
+        (cache_d, cache_f, &mut self.block_max[range], layout)
+    }
+
+    /// The bounded refresh: folds an opening at `at` (small for `e`, or
+    /// large for `None`) into the cache over `blocks` only, with the same
+    /// strict-`<` update as [`Self::note_small_opening_with_row`], then
+    /// recomputes those blocks' maxima exactly. `blocks` must hold every
+    /// block whose certified lower bound on `d(·, at)` is below its
+    /// maximum: a skipped block has `d(p, at) ≥ max ≥ cached[p]` for every
+    /// member, so the update could not fire there. Each block's distances
+    /// come from one [`SpatialLayout::member_distances`] pass.
+    pub(crate) fn note_opening_in_blocks(
+        &mut self,
+        inst: &Instance,
+        e: Option<CommodityId>,
+        at: PointId,
+        blocks: &[u32],
+        fid: FacilityId,
+    ) {
+        let (cache_d, cache_f, maxima, layout) = self.refresh_parts(e);
+        let mut buf = [0.0; HUGE_BLOCK];
+        for &b in blocks {
+            let b = b as usize;
+            let dists = layout.member_distances(inst, b, at, &mut buf);
+            let mut max = 0.0f64;
+            for (&p, &d) in layout.members(b).iter().zip(dists) {
+                let p = p as usize;
+                if d < cache_d[p] {
+                    cache_d[p] = d;
+                    cache_f[p] = fid.0;
                 }
-                let b = (pos >> shift) as usize;
-                if *sd > maxima[b] {
-                    maxima[b] = *sd;
+                if cache_d[p] > max {
+                    max = cache_d[p];
                 }
             }
-        } else {
-            for &b in blocks {
-                let mut max = 0.0f64;
-                for &p in layout.members(b as usize) {
-                    let p = p as usize;
-                    let d = row[p];
-                    debug_assert!(!d.is_nan(), "bounded refresh read an uncovered entry");
-                    if d < cache_d[p] {
-                        cache_d[p] = d;
-                        cache_f[p] = fid.0;
-                    }
-                    if cache_d[p] > max {
-                        max = cache_d[p];
-                    }
-                }
-                maxima[b as usize] = max;
+            maxima[b] = max;
+        }
+        self.openings += 1;
+    }
+
+    /// The wide-coverage fallback of [`Self::note_opening_in_blocks`]: the
+    /// full row `row[p] = d(p, at)` walked contiguously, every maximum
+    /// recomputed through the layout's positions.
+    pub(crate) fn note_opening_full_row(
+        &mut self,
+        e: Option<CommodityId>,
+        row: &[f64],
+        fid: FacilityId,
+    ) {
+        let (cache_d, cache_f, maxima, layout) = self.refresh_parts(e);
+        // Block sizes are powers of two: a shift, not a division, per
+        // point of the whole row.
+        debug_assert!(layout.block.is_power_of_two());
+        let shift = layout.block.trailing_zeros();
+        maxima.fill(0.0);
+        let cache = cache_d.iter_mut().zip(cache_f.iter_mut());
+        for (((sd, sf), &d), &pos) in cache.zip(row).zip(&layout.pos) {
+            if d < *sd {
+                *sd = d;
+                *sf = fid.0;
+            }
+            let b = (pos >> shift) as usize;
+            if *sd > maxima[b] {
+                maxima[b] = *sd;
             }
         }
         self.openings += 1;
@@ -730,9 +748,11 @@ impl PastIndex {
 ///
 /// — distance-aware: blocks far from the query are pruned even when their
 /// distance-free keys are tiny (the cold-query regime where the id-order
-/// index scanned 60–75% of blocks). `d(rep_b, r)` is one read from the
-/// caller's distance row (representatives are real points), so the bound
-/// costs two loads per block and no metric calls. The spatial coherence of
+/// index scanned 60–75% of blocks). The caller supplies `d(rep_b, r)` for
+/// every block once per query ([`Self::prepare_query_at`]): on the
+/// engine's partial-row path from one contiguous pass over the
+/// representatives' coordinates, otherwise read from the query's full
+/// distance row (representatives are real points). The spatial coherence of
 /// the relabeling is what keeps `radius_b` small enough for the bound to
 /// bite; correctness never depends on it. The `slack` term
 /// ([`RADIUS_BOUND_SLACK`], relative) budgets for metrics whose computed
@@ -817,10 +837,13 @@ pub struct OpeningTargetIndex {
     dub: Vec<f64>,
     /// Scratch for [`Self::query_scan_cover`]'s per-block marks.
     cover_marks: Vec<bool>,
-    /// Fingerprint of the prepared row (debug builds): catches callers
-    /// querying with a distance row that was never prepared.
+    /// Scratch for the representative distances [`Self::prepare_query`]
+    /// gathers from a full row.
+    rep_scratch: Vec<f64>,
+    /// The prepared representative distances (debug builds): catches
+    /// callers querying with a distance row of another query point.
     #[cfg(debug_assertions)]
-    query_tag: Option<(usize, u64, u64)>,
+    query_reps: Vec<f64>,
     /// Blocks pruned / scanned across all queries (diagnostics; the
     /// lockstep tests assert pruning actually engages).
     skipped: u64,
@@ -910,13 +933,22 @@ pub(crate) struct SpatialLayout {
     min_id: Vec<u32>,
     /// kd-tree over the metric's coordinate embedding, when it offers one
     /// ([`omfl_metric::Metric::kd_coords`]). Used for the ball ingest and,
-    /// when `kd_isometric`, as a second pruning structure for the freeze
-    /// walk's candidate range queries.
+    /// when the embedding is isometric, as a second pruning structure for
+    /// the freeze walk's candidate range queries.
     kd: Option<KdTree>,
-    /// The embedding's distances are bit-identical to the metric's
-    /// (`KdCoords::isometric`) — the licence for using kd *distances*, not
-    /// just the kd *partition*.
-    kd_isometric: bool,
+    /// Axes of the coordinate copies below: the embedding's dimension when
+    /// it is isometric (`KdCoords::isometric` — the licence for computing
+    /// distances from coordinates, not just partitioning by them), 0
+    /// otherwise.
+    dim: usize,
+    /// The points' coordinates in layout order, column-major:
+    /// `cols[axis·|M| + pos]` is axis `axis` of point `perm[pos]`, so each
+    /// block's members are one contiguous run per axis. Empty when `dim`
+    /// is 0.
+    cols: Vec<f64>,
+    /// The block representatives' coordinates in block order,
+    /// column-major: `rep_cols[axis·nblocks + b]`. Empty when `dim` is 0.
+    rep_cols: Vec<f64>,
 }
 
 impl SpatialLayout {
@@ -933,8 +965,81 @@ impl SpatialLayout {
             radius: vec![f64::INFINITY; nblocks],
             min_id: (0..nblocks).map(|b| (b * TARGET_BLOCK) as u32).collect(),
             kd: None,
-            kd_isometric: false,
+            dim: 0,
+            cols: Vec::new(),
+            rep_cols: Vec::new(),
         }
+    }
+
+    /// Whether distances come from the layout-ordered coordinates (an
+    /// isometric kd embedding) rather than pointwise metric calls.
+    #[inline]
+    fn isometric(&self) -> bool {
+        self.dim > 0
+    }
+
+    /// `out[b] = d(rep_b, q)` for every block `b`, in block order — the
+    /// input of [`OpeningTargetIndex::prepare_query_at`] and
+    /// [`Self::blocks_where`].
+    ///
+    /// With an isometric embedding this is one contiguous pass per axis
+    /// over the representatives' coordinates
+    /// ([`omfl_metric::simd::accumulate_squared`], then
+    /// [`omfl_metric::simd::sqrt_in_place`]): per block the accumulator
+    /// starts at 0 and folds the axes in ascending order, the fold the
+    /// isometry contract equates with [`omfl_metric::Metric::distance`]
+    /// bit for bit. Otherwise every entry is an [`Instance::distance`]
+    /// call. The values are the same either way.
+    pub(crate) fn rep_distances(&self, inst: &Instance, q: PointId, out: &mut Vec<f64>) {
+        out.clear();
+        if !self.isometric() {
+            out.extend(self.rep.iter().map(|&r| inst.distance(PointId(r), q)));
+            return;
+        }
+        let nblocks = self.rep.len();
+        out.resize(nblocks, 0.0);
+        for axis in 0..self.dim {
+            let col = &self.rep_cols[axis * nblocks..(axis + 1) * nblocks];
+            simd::accumulate_squared(out, col, self.coord(q, axis));
+        }
+        simd::sqrt_in_place(out);
+    }
+
+    /// `d(p, q)` for block `b`'s members `p`, in [`Self::members`] order:
+    /// one contiguous pass per axis over the block's run of the
+    /// layout-ordered coordinates, or pointwise [`Instance::distance`]
+    /// calls without an isometric embedding — bit-identical either way
+    /// (see [`Self::rep_distances`]). Returns the filled prefix of `out`.
+    pub(crate) fn member_distances<'o>(
+        &self,
+        inst: &Instance,
+        b: usize,
+        q: PointId,
+        out: &'o mut [f64; HUGE_BLOCK],
+    ) -> &'o [f64] {
+        let members = self.members(b);
+        let out = &mut out[..members.len()];
+        if !self.isometric() {
+            for (slot, &p) in out.iter_mut().zip(members) {
+                *slot = inst.distance(PointId(p), q);
+            }
+            return out;
+        }
+        out.fill(0.0);
+        let n = self.perm.len();
+        let start = b * self.block;
+        for axis in 0..self.dim {
+            let col = &self.cols[axis * n + start..axis * n + start + members.len()];
+            simd::accumulate_squared(out, col, self.coord(q, axis));
+        }
+        simd::sqrt_in_place(out);
+        out
+    }
+
+    /// Axis `axis` of point `q` (original id), from the layout-ordered copy.
+    #[inline]
+    fn coord(&self, q: PointId, axis: usize) -> f64 {
+        self.cols[axis * self.perm.len() + self.pos[q.index()] as usize]
     }
 
     /// Number of prune blocks under this layout's block size.
@@ -950,40 +1055,26 @@ impl SpatialLayout {
         &self.perm[start..(start + self.block).min(self.perm.len())]
     }
 
-    /// Every block's representative (original ids, block order): what a
-    /// row must cover before [`Self::block_dlb`] can read it.
-    pub(crate) fn reps(&self) -> &[u32] {
-        &self.rep
-    }
-
     /// The certified lower bound on `d(p, q)` over block `b`'s members,
-    /// read from a row of `q` that covers the block's representative.
+    /// from `q`'s representative distances ([`Self::rep_distances`]).
     #[inline]
-    pub(crate) fn block_dlb(&self, b: usize, row: &[f64]) -> f64 {
-        dist_lower_bound(row[self.rep[b] as usize], self.radius[b])
+    pub(crate) fn block_dlb(&self, b: usize, rep_d: &[f64]) -> f64 {
+        dist_lower_bound(rep_d[b], self.radius[b])
     }
 
     /// The blocks whose lower bound on `d(·, q)` passes `keep(b, dlb)`,
-    /// ascending, from a row of `q` covering every representative.
+    /// ascending, from `q`'s representative distances.
     pub(crate) fn blocks_where(
         &self,
-        row: &[f64],
+        rep_d: &[f64],
         mut keep: impl FnMut(usize, f64) -> bool,
         out: &mut Vec<u32>,
     ) {
         out.clear();
         for b in 0..self.nblocks() {
-            if keep(b, self.block_dlb(b, row)) {
+            if keep(b, self.block_dlb(b, rep_d)) {
                 out.push(b as u32);
             }
-        }
-    }
-
-    /// The members of `blocks`, appended block by block to a cleared `out`.
-    pub(crate) fn members_of(&self, blocks: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        for &b in blocks {
-            out.extend_from_slice(self.members(b as usize));
         }
     }
 
@@ -1019,27 +1110,22 @@ impl SpatialLayout {
     /// bound exceeds some candidate's upper bound can be neither the
     /// winner nor an earlier tie of the winner, so pruning it cannot
     /// change the first-wins outcome.
+    ///
+    /// `seed_order` must be a permutation of the point ids: callers
+    /// validate caller-supplied orders ([`check_relabeling`]); a metric's
+    /// own [`omfl_metric::Metric::coherent_order`] is one by contract.
     fn from_order(inst: &Instance, seed_order: Vec<u32>, allow_kd: bool) -> Self {
         let points = inst.num_points();
-        assert_eq!(
-            seed_order.len(),
-            points,
-            "relabeling must cover every point"
-        );
-        {
-            let mut seen = vec![false; points];
-            for &p in &seed_order {
-                assert!(!seen[p as usize], "relabeling must be a permutation");
-                seen[p as usize] = true;
-            }
-        }
+        debug_assert!(check_relabeling(&seed_order, points).is_ok());
         let metric = inst.metric();
         let mut kd = None;
-        let mut kd_isometric = false;
+        let mut dim = 0;
         if allow_kd {
             if let Some(view) = metric.kd_coords() {
                 if view.dim > 0 && view.coords.len() == points * view.dim {
-                    kd_isometric = view.isometric;
+                    if view.isometric {
+                        dim = view.dim;
+                    }
                     kd = Some(KdTree::build(view.coords, view.dim));
                 }
             }
@@ -1132,6 +1218,13 @@ impl SpatialLayout {
             radius.push(best_rad);
             min_id.push(members.iter().copied().min().expect("non-empty block"));
         }
+        let (cols, rep_cols) = match &kd {
+            Some(tree) if dim > 0 => (
+                transpose_rows(tree, dim, &order),
+                transpose_rows(tree, dim, &rep),
+            ),
+            _ => (Vec::new(), Vec::new()),
+        };
         Self {
             perm: order,
             pos,
@@ -1142,7 +1235,9 @@ impl SpatialLayout {
             radius,
             min_id,
             kd,
-            kd_isometric,
+            dim,
+            cols,
+            rep_cols,
         }
     }
 
@@ -1246,6 +1341,45 @@ impl SpatialLayout {
 /// enough that layout construction stays `O(|M| · BALL_WINDOW)`.
 const BALL_WINDOW: usize = 256;
 
+/// The embedding rows of `ids`, column-major in the given order:
+/// `out[axis·ids.len() + i]` is axis `axis` of point `ids[i]`.
+fn transpose_rows(tree: &KdTree, dim: usize, ids: &[u32]) -> Vec<f64> {
+    let n = ids.len();
+    let mut out = vec![0.0; dim * n];
+    for (i, &p) in ids.iter().enumerate() {
+        for (axis, &c) in tree.point(p).iter().enumerate() {
+            out[axis * n + i] = c;
+        }
+    }
+    out
+}
+
+/// Checks that a caller-supplied relabeling is a permutation of the
+/// `points` point ids.
+fn check_relabeling(order: &[u32], points: usize) -> Result<(), CoreError> {
+    if order.len() != points {
+        return Err(CoreError::BadInstance(format!(
+            "relabeling has {} entries for {points} points",
+            order.len()
+        )));
+    }
+    let mut seen = vec![false; points];
+    for &p in order {
+        let Some(slot) = seen.get_mut(p as usize) else {
+            return Err(CoreError::BadInstance(format!(
+                "relabeling names point {p}, out of range for {points} points"
+            )));
+        };
+        if *slot {
+            return Err(CoreError::BadInstance(format!(
+                "relabeling repeats point {p}"
+            )));
+        }
+        *slot = true;
+    }
+    Ok(())
+}
+
 /// `(f − b)⁺` — the distance-free part of an opening-target key.
 #[inline]
 fn opening_key(f: f64, b: f64) -> f64 {
@@ -1275,15 +1409,16 @@ fn dist_upper_bound(d_rep: f64, radius: f64) -> f64 {
     (d_rep + radius) * (1.0 + RADIUS_BOUND_SLACK)
 }
 
-/// Share of all blocks above which a coverage-bounded read of a distance
-/// row — the opening location's facility-cache refresh, or a cap-shrink
-/// walk — gives up its block list for one bulk
+/// Share of all blocks above which a coverage-bounded read of a point's
+/// distances — the opening location's facility-cache refresh, or a
+/// cap-shrink walk — gives up its block list for one bulk
 /// [`omfl_metric::Metric::fill_row`] and a contiguous walk of the whole
-/// row. A kept point costs a pointwise distance call plus a gathered walk
-/// step, several times a streamed one; on a 1M-point Euclidean grid the two
-/// break even near a fifth of the blocks. Wide passes are mostly each
-/// commodity's first openings, while the cached nearest distances are
-/// still `∞`.
+/// row. A kept point costs its lane of a per-block distance pass (a
+/// pointwise call without an isometric embedding) plus a gathered walk
+/// step; the share was set to 0.2 on a 1M-point Euclidean grid when kept
+/// points still cost pointwise calls, and the break-even was not measured
+/// again for the per-block passes. Wide passes are mostly each commodity's
+/// first openings, while the cached nearest distances are still `∞`.
 pub const WIDE_COVERAGE_SHARE: f64 = 0.2;
 
 /// Whether a pass whose surviving blocks number `blocks` out of `nblocks`
@@ -1370,10 +1505,7 @@ impl OpeningTargetIndex {
     /// ingest (plus [`HUGE_BLOCK`] blocks at huge `|M|`); the rest keep the
     /// windowed ingest.
     pub fn for_instance(inst: &Instance, f_small: &[f64], f_full: &[f64]) -> Self {
-        match inst.metric().coherent_order() {
-            Some(order) => Self::with_order(inst, f_small, f_full, order),
-            None => Self::new(inst.num_points(), inst.num_commodities(), f_small, f_full),
-        }
+        Self::over_coherent_order(inst, f_small, f_full, true)
     }
 
     /// [`Self::for_instance`] pinned to the pre-kd layout generation:
@@ -1381,9 +1513,13 @@ impl OpeningTargetIndex {
     /// Kept callable so the paired benches can time the current serve path
     /// against the frozen baseline on identical instances.
     pub fn for_instance_legacy(inst: &Instance, f_small: &[f64], f_full: &[f64]) -> Self {
+        Self::over_coherent_order(inst, f_small, f_full, false)
+    }
+
+    fn over_coherent_order(inst: &Instance, f_small: &[f64], f_full: &[f64], kd: bool) -> Self {
         match inst.metric().coherent_order() {
             Some(order) => Self::with_layout(
-                SpatialLayout::from_order(inst, order, false),
+                SpatialLayout::from_order(inst, order, kd),
                 inst.num_commodities(),
                 f_small,
                 f_full,
@@ -1397,13 +1533,25 @@ impl OpeningTargetIndex {
     /// instance metric. Exposed beyond [`Self::for_instance`] so the test
     /// suites can drive *arbitrary* permutations — the answers must be
     /// bit-identical under every one of them.
-    pub fn with_order(inst: &Instance, f_small: &[f64], f_full: &[f64], order: Vec<u32>) -> Self {
-        Self::with_layout(
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadInstance`] when `order` is not a permutation of the
+    /// instance's point ids: a wrong length, a repeated id, or an id out
+    /// of range.
+    pub fn with_order(
+        inst: &Instance,
+        f_small: &[f64],
+        f_full: &[f64],
+        order: Vec<u32>,
+    ) -> Result<Self, CoreError> {
+        check_relabeling(&order, inst.num_points())?;
+        Ok(Self::with_layout(
             SpatialLayout::from_order(inst, order, true),
             inst.num_commodities(),
             f_small,
             f_full,
-        )
+        ))
     }
 
     fn with_layout(
@@ -1438,8 +1586,9 @@ impl OpeningTargetIndex {
             dlb: vec![0.0; nblocks],
             dub: vec![f64::INFINITY; nblocks],
             cover_marks: Vec::new(),
+            rep_scratch: Vec::new(),
             #[cfg(debug_assertions)]
-            query_tag: None,
+            query_reps: Vec::new(),
             skipped: 0,
             scanned: 0,
         }
@@ -1487,88 +1636,73 @@ impl OpeningTargetIndex {
             .collect()
     }
 
-    /// Fingerprints a distance row by values (debug builds): rows may be
-    /// re-materialized at different addresses between the serve phase and
-    /// the freeze phase (cache eviction + refill), but the fill contract
-    /// makes the values bit-identical, which is all the cached bounds
-    /// depend on.
-    #[cfg(debug_assertions)]
-    fn row_tag(dist_row: &[f64]) -> (usize, u64, u64) {
-        (
-            dist_row.len(),
-            dist_row.first().map_or(0, |d| d.to_bits()),
-            dist_row.last().map_or(0, |d| d.to_bits()),
-        )
-    }
-
+    /// Checks a query row against the prepared representative distances
+    /// (debug builds): every representative entry the row covers must hold
+    /// the prepared value. A partial row's uncovered entries are NaN in
+    /// debug builds and are skipped; the pruned scans' cover always holds
+    /// the representative of the first block they scan.
     #[cfg(debug_assertions)]
     fn assert_prepared(&self, dist_row: &[f64]) {
         assert_eq!(
-            self.query_tag,
-            Some(Self::row_tag(dist_row)),
-            "query with a distance row that prepare_query never saw"
+            self.query_reps.len(),
+            self.nblocks,
+            "query before prepare_query"
         );
+        for (&r, &d) in self.layout.rep.iter().zip(&self.query_reps) {
+            let v = dist_row[r as usize];
+            assert!(
+                v.is_nan() || v.to_bits() == d.to_bits(),
+                "query with a distance row that prepare_query never saw"
+            );
+        }
     }
 
-    /// Installs the arrival's distance row: computes the per-block distance
-    /// lower bounds `max(0, d(rep_b, r) − radius_b − slack)` once, to be
-    /// shared by every [`Self::small_target`] / [`Self::large_target`] /
-    /// [`Self::budget_move_candidates`] call of the arrival. Must be called
-    /// whenever the query row changes (debug builds assert it); rows with
-    /// identical values are interchangeable — the bounds are pure functions
-    /// of the values.
+    /// Installs the arrival's full distance row (`dist_row[p] = d(p, r)`):
+    /// [`Self::prepare_query_at`] over the representative entries the row
+    /// holds, with no query point.
     pub fn prepare_query(&mut self, dist_row: &[f64]) {
-        self.prepare_query_at(None, dist_row);
+        self.prepare_query_row(None, dist_row);
     }
 
-    /// [`Self::prepare_query`] with the query's original point id supplied
-    /// (the engine always knows it): identical bounds, plus the id unlocks
-    /// kd range narrowing in [`Self::budget_move_candidates`]. The bound
-    /// fill is sharded over the pool when one is installed — the values
-    /// are pure per-block functions of the row, so execution order is
-    /// invisible.
-    pub fn prepare_query_at(&mut self, at: Option<PointId>, dist_row: &[f64]) {
+    /// [`Self::prepare_query`] with the query point supplied.
+    pub(crate) fn prepare_query_row(&mut self, at: Option<PointId>, dist_row: &[f64]) {
+        let mut reps = std::mem::take(&mut self.rep_scratch);
+        reps.clear();
+        reps.extend(self.layout.rep.iter().map(|&r| dist_row[r as usize]));
+        self.prepare_query_at(at, &reps);
+        self.rep_scratch = reps;
+    }
+
+    /// Installs the arrival's query from its representative distances
+    /// (`rep_d[b] = d(rep_b, r)`, block order, e.g. from one
+    /// representative pass of the layout): computes the per-block distance
+    /// lower bounds `max(0, d(rep_b, r) − radius_b − slack)` and upper
+    /// bounds once, to be shared by every [`Self::small_target`] /
+    /// [`Self::large_target`] / [`Self::budget_move_candidates`] call and
+    /// the freeze walk of the arrival. Must be called whenever the query
+    /// changes (debug builds check the query rows against it); the bounds
+    /// are pure functions of the values. The query's original point id,
+    /// when supplied, unlocks kd range narrowing in
+    /// [`Self::budget_move_candidates`].
+    pub fn prepare_query_at(&mut self, at: Option<PointId>, rep_d: &[f64]) {
+        debug_assert_eq!(rep_d.len(), self.nblocks, "one distance per block");
         self.query_point = at;
         self.dlb.clear();
-        self.dlb.resize(self.nblocks, 0.0);
         self.dub.clear();
-        self.dub.resize(self.nblocks, f64::INFINITY);
         if self.layout.bounded {
-            let layout = &self.layout;
-            match &self.pool {
-                Some(pool) if self.nblocks >= 2 * self.shard_blocks => {
-                    let shard_blocks = self.shard_blocks;
-                    let lo_w = ShardWriter::new(&mut self.dlb, shard_blocks);
-                    let hi_w = ShardWriter::new(&mut self.dub, shard_blocks);
-                    let nshards = lo_w.num_chunks();
-                    let shards = pool.run(nshards, |s| {
-                        let lo = s * shard_blocks;
-                        // Safety: shard `s` writes only its own chunks.
-                        let lchunk = unsafe { lo_w.chunk(s) };
-                        let hchunk = unsafe { hi_w.chunk(s) };
-                        for (j, (lslot, hslot)) in lchunk.iter_mut().zip(hchunk).enumerate() {
-                            let bi = lo + j;
-                            let d_rep = dist_row[layout.rep[bi] as usize];
-                            *lslot = dist_lower_bound(d_rep, layout.radius[bi]);
-                            *hslot = dist_upper_bound(d_rep, layout.radius[bi]);
-                        }
-                    });
-                    if let Err(e) = shards {
-                        panic!("bound shard panicked: {e}");
-                    }
-                }
-                _ => {
-                    for bi in 0..self.nblocks {
-                        let d_rep = dist_row[layout.rep[bi] as usize];
-                        self.dlb[bi] = dist_lower_bound(d_rep, layout.radius[bi]);
-                        self.dub[bi] = dist_upper_bound(d_rep, layout.radius[bi]);
-                    }
-                }
-            }
+            let bounds = rep_d.iter().zip(&self.layout.radius);
+            self.dlb
+                .extend(bounds.clone().map(|(&d, &r)| dist_lower_bound(d, r)));
+            self.dub
+                .extend(bounds.map(|(&d, &r)| dist_upper_bound(d, r)));
+        } else {
+            self.dlb.resize(self.nblocks, 0.0);
+            self.dub.resize(self.nblocks, f64::INFINITY);
         }
         #[cfg(debug_assertions)]
         {
-            self.query_tag = Some(Self::row_tag(dist_row));
+            self.query_reps.clear();
+            self.query_reps.extend_from_slice(rep_d);
         }
     }
 
@@ -1592,7 +1726,7 @@ impl OpeningTargetIndex {
         #[cfg(debug_assertions)]
         self.assert_prepared(_dist_row);
         out.clear();
-        if self.layout.kd_isometric {
+        if self.layout.isometric() {
             if let (Some(kd), Some(at)) = (self.layout.kd.as_ref(), self.query_point) {
                 let r = cap * (1.0 + RADIUS_BOUND_SLACK);
                 kd.range(kd.point(at.0), r, out);
@@ -1612,18 +1746,6 @@ impl OpeningTargetIndex {
     /// the no-metric fallback scans distance-free and may read anything.
     pub fn partial_rows_supported(&self) -> bool {
         self.layout.bounded
-    }
-
-    /// The ids a partial distance row must cover *before*
-    /// [`Self::prepare_query_at`] can run on it: every block representative
-    /// (the bound pass reads exactly those) plus the row's two endpoints
-    /// (the debug-build row fingerprint reads them).
-    pub fn seed_cover_ids(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.layout.rep);
-        let m = self.layout.perm.len() as u32;
-        out.push(0);
-        out.push(m - 1);
     }
 
     /// Predicts, from the prepared per-block bounds alone, every original
@@ -1647,8 +1769,8 @@ impl OpeningTargetIndex {
     /// rebuild moves the bounds (the engine's serve order); a cover
     /// computed from the same bounds the scans will read cannot go stale
     /// within the arrival. Consumers that outlive the arrival's scans
-    /// (openings, cap shrinks) bound their own coverage from the block
-    /// representatives of the row they read instead.
+    /// (openings, cap shrinks) bound their own reads from a representative
+    /// pass over the point they read instead.
     pub fn query_scan_cover(&mut self, members: &[CommodityId], out: &mut Vec<u32>) {
         out.clear();
         let nblocks = self.nblocks;
@@ -2257,12 +2379,85 @@ mod tests {
         assert!(idx.nearest_small(CommodityId(0), PointId(0)).is_none());
     }
 
-    /// The engine's bounded refresh, replayed by hand: the opening row is
-    /// read over the block representatives, then over the members of the
-    /// blocks whose lower bound undercuts their maximum (or in full when
-    /// those are wide). Every other entry stays NaN, so a read outside the
-    /// coverage would surface as a missed update (and a debug assert).
-    /// Returns whether the pass took the full-row fallback.
+    /// A point cloud that stresses the coordinate fold: negative,
+    /// 1e8-scale and duplicate coordinates.
+    fn awkward_cloud(n: usize, dim: usize, salt: u64) -> Vec<Vec<f64>> {
+        let mut st = 0xC10D ^ salt;
+        let mut pts: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|_| {
+                        let v = ((xorshift(&mut st) % 20000) as f64 - 10000.0) * 0.0137;
+                        if i % 5 == 0 {
+                            v * 1.0e8
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        for i in (7..n).step_by(7) {
+            pts[i] = pts[i - 1].clone();
+        }
+        pts
+    }
+
+    #[test]
+    fn layout_distance_passes_equal_metric_distances_bitwise() {
+        // The representative pass and the per-block pass against
+        // `Instance::distance`, for every query point and every block:
+        // from the layout-ordered coordinates on L2 clouds (SIMD kernels
+        // on and off), pointwise on the kd-partitioned but non-isometric
+        // L1/L∞ clouds. 150 points make ten 16-point blocks, the last one
+        // short, so every kernel tail runs.
+        use omfl_metric::euclidean::{EuclideanMetric, Norm};
+        use omfl_metric::simd::set_simd_enabled;
+        let cases = [
+            (2, Norm::L2, true),
+            (3, Norm::L2, true),
+            (2, Norm::L1, false),
+            (3, Norm::LInf, false),
+        ];
+        for (dim, norm, isometric) in cases {
+            let pts = awkward_cloud(150, dim, dim as u64);
+            let metric = EuclideanMetric::new(&pts, norm).unwrap();
+            let inst = Instance::new(Box::new(metric), 2, CostModel::power(2, 1.0, 2.0)).unwrap();
+            let m = inst.num_points();
+            let (f_small, f_full) = (vec![1.0; 2 * m], vec![2.0; m]);
+            let layout = OpeningTargetIndex::for_instance(&inst, &f_small, &f_full).layout_handle();
+            assert_eq!(layout.isometric(), isometric, "{norm:?} in {dim}-D");
+            let mut rep_d = Vec::new();
+            let mut buf = [0.0; HUGE_BLOCK];
+            for simd in [true, false] {
+                set_simd_enabled(simd);
+                for q in (0..m as u32).map(PointId) {
+                    layout.rep_distances(&inst, q, &mut rep_d);
+                    assert_eq!(rep_d.len(), layout.nblocks());
+                    for (b, &d) in rep_d.iter().enumerate() {
+                        let want = inst.distance(PointId(layout.rep[b]), q);
+                        assert_eq!(d.to_bits(), want.to_bits(), "{norm:?}: rep {b}, {q:?}");
+                    }
+                    for b in 0..layout.nblocks() {
+                        let members = layout.members(b);
+                        let dists = layout.member_distances(&inst, b, q, &mut buf);
+                        assert_eq!(dists.len(), members.len());
+                        for (&p, &d) in members.iter().zip(dists) {
+                            let want = inst.distance(PointId(p), q);
+                            assert_eq!(d.to_bits(), want.to_bits(), "{norm:?}: p{p}, {q:?}");
+                        }
+                    }
+                }
+            }
+            set_simd_enabled(true);
+        }
+    }
+
+    /// The engine's bounded refresh, replayed by hand: one representative
+    /// pass picks the blocks whose lower bound undercuts their maximum,
+    /// whose member distances the refresh reads block by block — or the
+    /// full row when those blocks are wide. Returns whether the pass took
+    /// the full-row fallback.
     fn bounded_opening(
         idx: &mut FacilityIndex,
         layout: &SpatialLayout,
@@ -2271,25 +2466,19 @@ mod tests {
         at: PointId,
         fid: FacilityId,
     ) -> bool {
-        let m = inst.num_points();
-        let mut row = vec![f64::NAN; m];
-        for &r in layout.reps() {
-            row[r as usize] = inst.distance(PointId(r), at);
-        }
+        let mut rep_d = Vec::new();
+        layout.rep_distances(inst, at, &mut rep_d);
         let maxima = idx.block_maxima(e).to_vec();
         let mut blocks = Vec::new();
-        layout.blocks_where(&row, |b, dlb| dlb < maxima[b], &mut blocks);
+        layout.blocks_where(&rep_d, |b, dlb| dlb < maxima[b], &mut blocks);
         let full = wide_coverage(blocks.len(), layout.nblocks());
-        let mut ids = Vec::new();
         if full {
-            ids.extend(0..m as u32);
+            let mut row = vec![0.0; inst.num_points()];
+            inst.fill_row(at, &mut row);
+            idx.note_opening_full_row(e, &row, fid);
         } else {
-            layout.members_of(&blocks, &mut ids);
+            idx.note_opening_in_blocks(inst, e, at, &blocks, fid);
         }
-        for p in ids {
-            row[p as usize] = inst.distance(PointId(p), at);
-        }
-        idx.note_opening_in_blocks(e, &row, &blocks, full, fid);
         full
     }
 
@@ -2315,7 +2504,9 @@ mod tests {
         }
         let layouts = [
             OpeningTargetIndex::for_instance(&inst, &f_small, &f_full).layout_handle(),
-            OpeningTargetIndex::with_order(&inst, &f_small, &f_full, shuffled).layout_handle(),
+            OpeningTargetIndex::with_order(&inst, &f_small, &f_full, shuffled)
+                .unwrap()
+                .layout_handle(),
         ];
         let (mut narrow, mut wide) = (0, 0);
         for layout in layouts {
@@ -2425,7 +2616,7 @@ mod tests {
             let j = (xorshift(&mut st) % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
-        let idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, order);
+        let idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, order).unwrap();
         let mut pruned = PastIndex::new(m, s);
         pruned.attach_layout(idx.layout_handle());
         let mut plain = PastIndex::new(m, s);
@@ -2473,7 +2664,8 @@ mod tests {
         let inst = inst(positions, s as u16);
         let f_small = vec![1.0; m * s];
         let f_full = vec![3.0; m];
-        let idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, (0..m as u32).collect());
+        let idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, (0..m as u32).collect())
+            .unwrap();
         let mut past = PastIndex::new(m, s);
         past.attach_layout(idx.layout_handle());
         let e = CommodityId(0);
@@ -2786,9 +2978,10 @@ mod tests {
             shuffled.swap(i, j);
         }
         let mut base =
-            OpeningTargetIndex::with_order(&inst, &f_small, &f_full, (0..m as u32).collect());
+            OpeningTargetIndex::with_order(&inst, &f_small, &f_full, (0..m as u32).collect())
+                .unwrap();
         for order in [reversed, shuffled] {
-            let mut idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, order);
+            let mut idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, order).unwrap();
             for anchor in 0..m as u32 {
                 let mut dist_row = vec![0.0; m];
                 for (p, d) in dist_row.iter_mut().enumerate() {

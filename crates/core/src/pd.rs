@@ -42,7 +42,8 @@
 //!   scanned per request (openings are rare; requests are not). The
 //!   refresh walks a full row below [`PARTIAL_ROW_MIN_POINTS`]; above it,
 //!   only the blocks whose certified distance lower bound undercuts their
-//!   largest cached distance;
+//!   largest cached distance, reading each block's member distances in
+//!   one pass;
 //! * the t3/t4 opening targets come from an [`OpeningTargetIndex`] — a
 //!   bucketed lower-bound prune list over the monotone distance-free keys
 //!   `(f − B)⁺`, with blocks laid over a spatially coherent relabeling and
@@ -51,21 +52,32 @@
 //!   beat the running best instead of scanning all of `|M|` per demanded
 //!   commodity (see that type's docs for the invariants and why shrink
 //!   staleness is sound). The same per-arrival block bounds
-//!   ([`OpeningTargetIndex::prepare_query`]) narrow the freeze walk's bid
-//!   reinvestment to the blocks that can hold `d < cap`;
+//!   ([`OpeningTargetIndex::prepare_query_at`]) narrow the freeze walk's
+//!   bid reinvestment to the blocks that can hold `d < cap`;
 //! * the cap-shrink passes after an opening consult a [`PastIndex`] —
 //!   past requests bucketed by location with per-bucket cap bounds — so the
 //!   walk is over locations, not over the whole request history. Above
-//!   [`PARTIAL_ROW_MIN_POINTS`] each shrinking request's row is read only
-//!   over the blocks whose lower bound is below its old cap, and the bound
-//!   rebuild that follows recomputes only the blocks those reads touched.
-//!   A pass whose surviving blocks are wide falls back to one bulk row fill
-//!   ([`crate::index::WIDE_COVERAGE_SHARE`]).
+//!   [`PARTIAL_ROW_MIN_POINTS`] each shrinking request's distances are
+//!   read only over the blocks whose lower bound is below its old cap, and
+//!   the bound rebuild that follows recomputes only the blocks those reads
+//!   touched. A pass whose surviving blocks are wide falls back to one
+//!   bulk row fill ([`crate::index::WIDE_COVERAGE_SHARE`]).
 //!
 //! Distances flow through a [`DistanceBackend`]: a dense `|M|²` matrix up
 //! to [`DENSE_DISTANCE_CAP`] points, and a fixed-budget blocked row LRU
 //! ([`omfl_metric::blocked::BlockedRowCache`]) beyond it, so large metrics
 //! keep cached-row locality instead of paying a metric call per distance.
+//! On the partial-row path the per-block distances come from the target
+//! index's layout instead, without touching the row cache: each arrival
+//! and each opening pass reads `d(rep_b, ·)` for every block in one
+//! representative pass, and an opening pass reads each kept block's
+//! member distances in one pass more (`SpatialLayout::rep_distances` and
+//! `member_distances`). When the metric embeds isometrically
+//! (`KdCoords::isometric`: L2 Euclidean, and lines within their magnitude
+//! and gap guards) these are contiguous SIMD folds over coordinates
+//! stored in layout order, bit-identical to the metric's own calls;
+//! otherwise they are those calls. Only the arrival's predicted scan
+//! cover and the wide-coverage fallback fill rows.
 //!
 //! All structures reproduce the retired linear scans **bit for bit**: cache
 //! updates use the same `distance(query, location)` call and strict-`<`
@@ -81,7 +93,9 @@
 //! against.
 
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
-use crate::index::{wide_coverage, FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout};
+use crate::index::{
+    wide_coverage, FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout, HUGE_BLOCK,
+};
 use crate::instance::Instance;
 use crate::request::Request;
 use crate::solution::{FacilityId, Solution};
@@ -151,11 +165,14 @@ pub struct PdOmflp<'a> {
     /// ids (see [`OpeningTargetIndex::budget_move_candidates`]); the
     /// current path shards the freeze walk inside the index instead.
     moved_scratch: Vec<u32>,
-    /// Scratch for the partial-row coverage ids (block reps, then the
-    /// predicted scan cover; see [`OpeningTargetIndex::query_scan_cover`]).
+    /// Scratch for the partial-row coverage ids (the predicted scan cover;
+    /// see [`OpeningTargetIndex::query_scan_cover`]).
     cover_scratch: Vec<u32>,
+    /// Scratch for one point's representative distances on the
+    /// partial-row path (see [`SpatialLayout::rep_distances`]).
+    rep_scratch: Vec<f64>,
     /// Scratch for the blocks a coverage-bounded opening pass keeps (see
-    /// [`covered_row`]).
+    /// [`covered_blocks`]).
     blocks_scratch: Vec<u32>,
     /// Blocks each bid row's shrink walks touched during one opening, per
     /// commodity plus one trailing row for `B̂`: the partial-row path
@@ -177,7 +194,11 @@ pub struct PdOmflp<'a> {
     /// Anchor tag for `shrink_row` (see `dist_row_loc`).
     shrink_row_loc: Option<PointId>,
     /// Incremental t3/t4 maintenance; `None` runs the PR 3 full scans
-    /// (the frozen perf baseline, see [`PdOmflp::with_full_scans`]).
+    /// (the frozen perf baseline, see [`PdOmflp::with_full_scans`]). On
+    /// the current path its layout holds every point's coordinates in
+    /// layout order when the metric embeds isometrically, which is where
+    /// the partial-row path's representative and block distances come
+    /// from.
     targets: Option<OpeningTargetIndex>,
     /// The t3 targets `(value, location)` of the last non-fast-path arrival.
     last_t3: Vec<(f64, PointId)>,
@@ -255,30 +276,27 @@ fn backend_row<'r>(
     }
 }
 
-/// A coverage-bounded read of `q`'s distance row on the partial-row path:
-/// the block representatives first, then the members of every block whose
-/// certified lower bound on `d(·, q)` passes `keep(b, dlb)` — or, when
-/// those blocks are wide ([`wide_coverage`]), one bulk fill of the whole
-/// row. Returns the row and whether it is full; `blocks` holds the kept
-/// blocks either way. On a partial row only the representatives and the
-/// kept blocks' members are covered.
-fn covered_row<'r>(
+/// The blocks a coverage-bounded opening pass over `q`'s distances visits
+/// on the partial-row path: one representative pass of the layout fills
+/// `rep_d` with `q`'s representative distances and `blocks` with every
+/// block whose certified lower bound on `d(·, q)` passes `keep(b, dlb)`.
+/// When those blocks are wide ([`wide_coverage`]) it returns `q`'s full
+/// row instead — one bulk fill through the cache — for a contiguous walk;
+/// otherwise the caller reads each kept block's member distances
+/// ([`SpatialLayout::member_distances`]) and no row is materialized.
+fn covered_blocks<'r>(
     cache: &'r mut BlockedRowCache,
     layout: &SpatialLayout,
     inst: &Instance,
     q: PointId,
+    rep_d: &mut Vec<f64>,
     blocks: &mut Vec<u32>,
-    ids: &mut Vec<u32>,
     keep: impl FnMut(usize, f64) -> bool,
-) -> (&'r [f64], bool) {
-    let fill_at = |p| inst.distance(PointId(p), q);
-    let reps = cache.partial_row_with(q.0, layout.reps(), fill_at);
-    layout.blocks_where(reps, keep, blocks);
-    if wide_coverage(blocks.len(), layout.nblocks()) {
-        return (cache.row_with(q.0, |buf| inst.fill_row(q, buf)), true);
-    }
-    layout.members_of(blocks, ids);
-    (cache.partial_row_with(q.0, ids, fill_at), false)
+) -> Option<&'r [f64]> {
+    layout.rep_distances(inst, q, rep_d);
+    layout.blocks_where(rep_d, keep, blocks);
+    wide_coverage(blocks.len(), layout.nblocks())
+        .then(|| cache.row_with(q.0, |buf| inst.fill_row(q, buf)))
 }
 
 /// The cap-shrink subtraction at one location after a cap fell from `old`
@@ -300,51 +318,16 @@ fn shrink_bids(b_row: &mut [f64], drow: &[f64], old: f64, dj: f64) {
     }
 }
 
-/// [`shrink_bids`] on the partial-row path, over a row from
-/// [`covered_row`] whose kept `blocks` include every block with a lower
-/// bound below `old`: walks only those (no other block holds a `d < old`),
-/// or the whole row contiguously when it is `full`, and logs them in
-/// `touched` for the bound rebuild.
-#[allow(clippy::too_many_arguments)]
-fn shrink_bids_bounded(
-    b_row: &mut [f64],
-    drow: &[f64],
-    full: bool,
-    old: f64,
-    dj: f64,
-    layout: &SpatialLayout,
-    blocks: &[u32],
-    touched: &mut Vec<u32>,
-) {
-    let start = touched.len();
-    touched.extend(
-        blocks
-            .iter()
-            .filter(|&&b| layout.block_dlb(b as usize, drow) < old),
-    );
-    if full {
-        shrink_bids(b_row, drow, old, dj);
-        return;
+/// Bid row `f` of a cap-shrink pass: commodity `f`'s `B` row, or `B̂` for
+/// `f = |S|`.
+#[inline]
+fn bid_row<'b>(b_small: &'b mut [f64], b_large: &'b mut [f64], f: usize) -> &'b mut [f64] {
+    let m = b_large.len();
+    if f * m == b_small.len() {
+        b_large
+    } else {
+        &mut b_small[f * m..(f + 1) * m]
     }
-    for &b in &touched[start..] {
-        for &p in layout.members(b as usize) {
-            shrink_bid(&mut b_row[p as usize], drow[p as usize], old, dj);
-        }
-    }
-}
-
-/// Which opening-target maintenance a `with_parts` engine gets.
-enum Targets {
-    /// PR 3 full scans (the frozen perf baseline).
-    FullScans,
-    /// Incremental index over the metric's coherent order (the default).
-    Coherent,
-    /// Incremental index over an explicit relabeling (test hook).
-    Order(Vec<u32>),
-    /// The PR 5 incremental layout generation: windowed ball ingest,
-    /// 16-point blocks, no kd tree, no `PastIndex` block pruning, no
-    /// worker pool. The frozen baseline for the `huge` paired bench.
-    Legacy,
 }
 
 /// Per-member outcome inside one arrival.
@@ -404,16 +387,17 @@ pub const DENSE_DISTANCE_CAP: usize = 1024;
 pub const PAR_SCAN_MIN_POINTS: usize = 65536;
 
 /// Point-count threshold at which the engine serves arrivals through
-/// kd-bounded *partial* row fills and the sharded screened freeze walk.
-/// Below it a full row fill is one bulk [`omfl_metric::Metric::fill_row`]
-/// (a memcpy for graph metrics, a streamed SIMD pass for Euclidean ones)
-/// that beats thousands of per-call distance evaluations, and the serial
-/// candidate-list freeze walk over a cached full row is already cheap —
-/// partial fills would trade a fast bulk primitive for slow pointwise
-/// calls. Above it the `O(|M|)` fill itself is the dominant serve cost
-/// and coverage-bounded fills win by an order of magnitude. Either path
-/// is bit-identical to the other (`tests/tests/partial_rows.rs` pins
-/// engines to both and locksteps them).
+/// kd-bounded *partial* row fills, coverage-bounded opening passes and the
+/// sharded screened freeze walk. Below it a full row fill is one bulk
+/// [`omfl_metric::Metric::fill_row`] (a memcpy for graph metrics, a
+/// streamed SIMD pass for Euclidean ones) that the row cache keeps for
+/// later arrivals, and the serial candidate-list freeze walk over a cached
+/// full row is already cheap — the partial path's pointwise scan-cover
+/// fill and screened freeze walk would not pay. Above it the `O(|M|)` fill
+/// itself is the dominant serve cost and coverage-bounded reads win by an
+/// order of magnitude. Either path is bit-identical to the other
+/// (`tests/tests/partial_rows.rs` pins engines to both and locksteps them,
+/// and serves one engine unforced at exactly this size).
 pub const PARTIAL_ROW_MIN_POINTS: usize = 65536;
 
 impl<'a> PdOmflp<'a> {
@@ -424,13 +408,10 @@ impl<'a> PdOmflp<'a> {
     /// requires) and, for metrics up to [`DENSE_DISTANCE_CAP`] points, the
     /// dense distance cache.
     pub fn new(inst: &'a Instance) -> Self {
-        let m = inst.num_points();
-        let dist = if m <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
-        };
-        Self::with_parts(inst, dist, Targets::Coherent)
+        let (f_small, f_full) = Self::facility_costs(inst);
+        let targets = OpeningTargetIndex::for_instance(inst, &f_small, &f_full);
+        let dist = Self::cached_backend(inst);
+        Self::with_parts(inst, dist, f_small, f_full, Some(targets), false)
     }
 
     /// [`PdOmflp::new`] with the opening-target index laid over an
@@ -439,14 +420,23 @@ impl<'a> PdOmflp<'a> {
     /// outcome must be bit-identical to [`PdOmflp::new`] under *any*
     /// permutation — the property the relabeling proptest in
     /// `tests/tests/index_bounds.rs` drives through whole runs.
-    pub fn with_target_order(inst: &'a Instance, order: Vec<u32>) -> Self {
-        let m = inst.num_points();
-        let dist = if m <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
-        };
-        Self::with_parts(inst, dist, Targets::Order(order))
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadInstance`] when `order` is not a permutation of the
+    /// instance's point ids (see [`OpeningTargetIndex::with_order`]).
+    pub fn with_target_order(inst: &'a Instance, order: Vec<u32>) -> Result<Self, CoreError> {
+        let (f_small, f_full) = Self::facility_costs(inst);
+        let targets = OpeningTargetIndex::with_order(inst, &f_small, &f_full, order)?;
+        let dist = Self::cached_backend(inst);
+        Ok(Self::with_parts(
+            inst,
+            dist,
+            f_small,
+            f_full,
+            Some(targets),
+            false,
+        ))
     }
 
     /// The PR 3 serve path: full t3/t4 scans every arrival and, beyond
@@ -455,13 +445,13 @@ impl<'a> PdOmflp<'a> {
     /// performance baseline the `pd-argmin` bench and the target-lockstep
     /// tests compare against.
     pub fn with_full_scans(inst: &'a Instance) -> Self {
-        let m = inst.num_points();
-        let dist = if m <= DENSE_DISTANCE_CAP {
+        let (f_small, f_full) = Self::facility_costs(inst);
+        let dist = if inst.num_points() <= DENSE_DISTANCE_CAP {
             DistanceBackend::Dense(Self::dense_matrix(inst))
         } else {
             DistanceBackend::PerCall
         };
-        Self::with_parts(inst, dist, Targets::FullScans)
+        Self::with_parts(inst, dist, f_small, f_full, None, false)
     }
 
     /// The PR 5 serve path, frozen: the incremental opening-target index
@@ -471,13 +461,10 @@ impl<'a> PdOmflp<'a> {
     /// exactly this PR's serve-path changes. Behaviorally bit-identical to
     /// [`PdOmflp::new`] — the layout generation is engine-invisible.
     pub fn with_reference_layout(inst: &'a Instance) -> Self {
-        let m = inst.num_points();
-        let dist = if m <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
-        };
-        Self::with_parts(inst, dist, Targets::Legacy)
+        let (f_small, f_full) = Self::facility_costs(inst);
+        let targets = OpeningTargetIndex::for_instance_legacy(inst, &f_small, &f_full);
+        let dist = Self::cached_backend(inst);
+        Self::with_parts(inst, dist, f_small, f_full, Some(targets), true)
     }
 
     /// Test/bench hook: forces the sharded-scan worker pool (`threads ≤ 1`
@@ -509,7 +496,20 @@ impl<'a> PdOmflp<'a> {
         dmat
     }
 
-    fn with_parts(inst: &'a Instance, dist: DistanceBackend, mode: Targets) -> Self {
+    /// The distance backend of the incremental engines: the dense matrix
+    /// up to [`DENSE_DISTANCE_CAP`] points, the blocked row cache beyond.
+    fn cached_backend(inst: &Instance) -> DistanceBackend {
+        let m = inst.num_points();
+        if m <= DENSE_DISTANCE_CAP {
+            DistanceBackend::Dense(Self::dense_matrix(inst))
+        } else {
+            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
+        }
+    }
+
+    /// The cached facility costs `(f^{e}_m, f^{S}_m)`: commodity-major
+    /// `e·|M| + m`, and per point.
+    fn facility_costs(inst: &Instance) -> (Vec<f64>, Vec<f64>) {
         let m = inst.num_points();
         let s = inst.num_commodities();
         let mut f_small = vec![0.0; m * s];
@@ -520,17 +520,21 @@ impl<'a> PdOmflp<'a> {
             }
             f_full[p] = inst.large_cost(PointId(p as u32));
         }
-        let legacy = matches!(mode, Targets::Legacy);
-        let mut targets = match mode {
-            Targets::FullScans => None,
-            Targets::Coherent => Some(OpeningTargetIndex::for_instance(inst, &f_small, &f_full)),
-            Targets::Order(order) => Some(OpeningTargetIndex::with_order(
-                inst, &f_small, &f_full, order,
-            )),
-            Targets::Legacy => Some(OpeningTargetIndex::for_instance_legacy(
-                inst, &f_small, &f_full,
-            )),
-        };
+        (f_small, f_full)
+    }
+
+    /// Assembles an engine; `targets` is `None` in scan mode, and `legacy`
+    /// pins the frozen PR 5 reference path.
+    fn with_parts(
+        inst: &'a Instance,
+        dist: DistanceBackend,
+        f_small: Vec<f64>,
+        f_full: Vec<f64>,
+        mut targets: Option<OpeningTargetIndex>,
+        legacy: bool,
+    ) -> Self {
+        let m = inst.num_points();
+        let s = inst.num_commodities();
         let mut past_index = PastIndex::new(m, s);
         let mut index = FacilityIndex::new(m, s);
         if let Some(t) = &mut targets {
@@ -564,6 +568,7 @@ impl<'a> PdOmflp<'a> {
             dist_row_loc: None,
             moved_scratch: Vec::new(),
             cover_scratch: Vec::new(),
+            rep_scratch: Vec::new(),
             blocks_scratch: Vec::new(),
             touched: vec![Vec::new(); s + 1],
             frozen_reference: legacy,
@@ -590,17 +595,14 @@ impl<'a> PdOmflp<'a> {
                 unreachable!("partial_rows_active checked the index and the backend")
             };
             let maxima = self.index.block_maxima(e);
-            let (row, full) = covered_row(
-                c,
-                t.layout(),
-                self.inst,
-                at,
-                &mut self.blocks_scratch,
-                &mut self.cover_scratch,
-                |b, dlb| dlb < maxima[b],
-            );
-            self.index
-                .note_opening_in_blocks(e, row, &self.blocks_scratch, full, fid);
+            let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
+            let keep = |b, dlb| dlb < maxima[b];
+            match covered_blocks(c, t.layout(), self.inst, at, rep_d, blocks, keep) {
+                Some(row) => self.index.note_opening_full_row(e, row, fid),
+                None => self
+                    .index
+                    .note_opening_in_blocks(self.inst, e, at, blocks, fid),
+            }
             return;
         }
         if self.targets.is_some() {
@@ -758,50 +760,24 @@ impl<'a> PdOmflp<'a> {
     /// ascending `(past index, slot)` order the full history walk used, so
     /// the `B` updates happen in the identical floating-point order.
     ///
-    /// On the partial-row path each past location's row is read only over
-    /// the blocks whose lower bound is below the old cap ([`covered_row`]),
-    /// and the rebuild recomputes only the blocks those reads touched.
+    /// On the partial-row path each past location's distances are read
+    /// only over the blocks whose lower bound is below the old cap
+    /// ([`Self::shrink_rows`]), and the rebuild recomputes only the blocks
+    /// those reads touched.
     fn post_open_small(&mut self, e: CommodityId, at: PointId) {
         let m = self.inst.num_points();
         let bounded = self.partial_rows_active();
         let mut shrank = false;
-        let touched = &mut self.touched[e.index()];
-        touched.clear();
+        self.touched[e.index()].clear();
         for (pi, slot) in self.past_index.small_shrink_candidates(self.inst, e, at) {
-            let pr = &self.past[pi as usize];
+            let pr = &mut self.past[pi as usize];
             let dj = self.dist.point(self.inst, at, pr.location);
             let old = pr.caps[slot as usize];
             if dj < old {
-                let loc = pr.location;
                 shrank = true;
-                let row = &mut self.b_small[e.index() * m..(e.index() + 1) * m];
-                match (&self.targets, &mut self.dist) {
-                    (Some(t), DistanceBackend::Blocked(c)) if bounded => {
-                        let layout = t.layout();
-                        let blocks = &mut self.blocks_scratch;
-                        let (drow, full) = covered_row(
-                            c,
-                            layout,
-                            self.inst,
-                            loc,
-                            blocks,
-                            &mut self.cover_scratch,
-                            |_, dlb| dlb < old,
-                        );
-                        shrink_bids_bounded(row, drow, full, old, dj, layout, blocks, touched);
-                    }
-                    (_, dist) => {
-                        let drow = backend_row(
-                            dist,
-                            self.inst,
-                            loc,
-                            &mut self.shrink_row,
-                            &mut self.shrink_row_loc,
-                        );
-                        shrink_bids(row, drow, old, dj);
-                    }
-                }
-                self.past[pi as usize].caps[slot as usize] = dj;
+                pr.caps[slot as usize] = dj;
+                let loc = pr.location;
+                self.shrink_rows(loc, dj, &[(e.index(), old)]);
             }
         }
         // `B[·][e]` shrank: the block bounds went stale low (still sound);
@@ -813,7 +789,7 @@ impl<'a> PdOmflp<'a> {
                     &self.b_small[e.index() * m..(e.index() + 1) * m],
                 );
                 if bounded {
-                    t.rebuild_small_blocks(e, f_row, b_row, touched);
+                    t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
                 } else {
                     t.rebuild_small(e, f_row, b_row);
                 }
@@ -824,9 +800,8 @@ impl<'a> PdOmflp<'a> {
     /// Applies cap shrinkage after a *large* facility opened at `at`:
     /// it joins `F̂` and every `F(e)`. Same bucketed narrowing as
     /// [`Self::post_open_small`], walking candidate requests in ascending
-    /// past order. On the partial-row path each request's row is read over
-    /// the blocks below the largest cap the opening lowers, and each family
-    /// walks the part of it below its own old cap.
+    /// past order; each request shrinks every family whose cap the opening
+    /// lowers in one [`Self::shrink_rows`] read.
     fn post_open_large(&mut self, at: PointId) {
         let m = self.inst.num_points();
         let s = self.inst.num_commodities();
@@ -836,67 +811,28 @@ impl<'a> PdOmflp<'a> {
         for touched in &mut self.touched {
             touched.clear();
         }
+        let mut families = Vec::new();
         for pi in self.past_index.large_shrink_candidates(self.inst, at) {
             let pr = &mut self.past[pi as usize];
             let dj = self.dist.point(self.inst, at, pr.location);
-            // The largest cap this opening lowers: every shrinking family
-            // reads the row below it.
-            let reach = pr.caps.iter().fold(pr.cap_total, |r, &c| r.max(c)).max(dj);
-            if reach == dj {
-                continue;
-            }
-            let (drow, cover) = match (&self.targets, &mut self.dist) {
-                (Some(t), DistanceBackend::Blocked(c)) if bounded => {
-                    let layout = t.layout();
-                    let (drow, full) = covered_row(
-                        c,
-                        layout,
-                        self.inst,
-                        pr.location,
-                        &mut self.blocks_scratch,
-                        &mut self.cover_scratch,
-                        |_, dlb| dlb < reach,
-                    );
-                    (drow, Some((layout, full)))
-                }
-                (_, dist) => (
-                    backend_row(
-                        dist,
-                        self.inst,
-                        pr.location,
-                        &mut self.shrink_row,
-                        &mut self.shrink_row_loc,
-                    ),
-                    None,
-                ),
-            };
-            let shrink = |b_row: &mut [f64], old: f64, touched: &mut Vec<u32>| match cover {
-                Some((layout, full)) => shrink_bids_bounded(
-                    b_row,
-                    drow,
-                    full,
-                    old,
-                    dj,
-                    layout,
-                    &self.blocks_scratch,
-                    touched,
-                ),
-                None => shrink_bids(b_row, drow, old, dj),
-            };
+            families.clear();
             // Large-facility cap.
             if dj < pr.cap_total {
                 shrank_large = true;
-                shrink(&mut self.b_large, pr.cap_total, &mut self.touched[s]);
+                families.push((s, pr.cap_total));
                 pr.cap_total = dj;
             }
             // Per-commodity caps (a large facility offers every commodity).
             for (&e, cap) in pr.commodities.iter().zip(pr.caps.iter_mut()) {
                 if dj < *cap {
                     shrank_small.push(e);
-                    let row = &mut self.b_small[e.index() * m..(e.index() + 1) * m];
-                    shrink(row, *cap, &mut self.touched[e.index()]);
+                    families.push((e.index(), *cap));
                     *cap = dj;
                 }
+            }
+            if !families.is_empty() {
+                let loc = pr.location;
+                self.shrink_rows(loc, dj, &families);
             }
         }
         // Budgets shrank: stale-low block bounds stay sound, but one
@@ -921,6 +857,63 @@ impl<'a> PdOmflp<'a> {
                     t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
                 } else {
                     t.rebuild_small(e, f_row, b_row);
+                }
+            }
+        }
+    }
+
+    /// The cap-shrink subtractions of one past request at `loc` whose caps
+    /// fell to `dj`: for each `(f, old)` of `families`, bid row `f` (a
+    /// commodity's `B` row, or `B̂` at `f = |S|`) takes [`shrink_bid`] at
+    /// every location.
+    ///
+    /// On the partial-row path the pass visits only the blocks whose lower
+    /// bound on `d(·, loc)` is below the largest old cap
+    /// ([`covered_blocks`]) — no other block holds a `d < old` for any
+    /// family. Each kept block's member distances come from one layout
+    /// pass and feed every family whose own old cap clears the block's
+    /// bound, which logs the block in `touched` for the bound rebuild.
+    /// Every bid slot still takes one subtraction per family, so the rows
+    /// end bit-identical to per-family walks. A wide pass walks `loc`'s
+    /// full row instead.
+    fn shrink_rows(&mut self, loc: PointId, dj: f64, families: &[(usize, f64)]) {
+        let bounded = self.partial_rows_active();
+        let (b_small, b_large) = (&mut self.b_small, &mut self.b_large);
+        if !bounded {
+            let (row, row_loc) = (&mut self.shrink_row, &mut self.shrink_row_loc);
+            let drow = backend_row(&mut self.dist, self.inst, loc, row, row_loc);
+            for &(f, old) in families {
+                shrink_bids(bid_row(b_small, b_large, f), drow, old, dj);
+            }
+            return;
+        }
+        let (Some(t), DistanceBackend::Blocked(c)) = (&self.targets, &mut self.dist) else {
+            unreachable!("partial_rows_active checked the index and the backend")
+        };
+        let layout = t.layout();
+        let reach = families.iter().fold(0.0f64, |r, &(_, old)| r.max(old));
+        let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
+        let keep = |_, dlb| dlb < reach;
+        if let Some(drow) = covered_blocks(c, layout, self.inst, loc, rep_d, blocks, keep) {
+            for &(f, old) in families {
+                shrink_bids(bid_row(b_small, b_large, f), drow, old, dj);
+                let below = |b: &&u32| layout.block_dlb(**b as usize, rep_d) < old;
+                self.touched[f].extend(blocks.iter().filter(below));
+            }
+            return;
+        }
+        let mut buf = [0.0; HUGE_BLOCK];
+        for &b in blocks.iter() {
+            let bi = b as usize;
+            let dlb = layout.block_dlb(bi, rep_d);
+            let dists = layout.member_distances(self.inst, bi, loc, &mut buf);
+            for &(f, old) in families {
+                if dlb < old {
+                    let row = bid_row(b_small, b_large, f);
+                    for (&p, &d) in layout.members(bi).iter().zip(dists) {
+                        shrink_bid(&mut row[p as usize], d, old, dj);
+                    }
+                    self.touched[f].push(b);
                 }
             }
         }
@@ -1140,24 +1133,23 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         }
         let inst = self.inst;
         // Radius-bounded index over the blocked cache: fill only the
-        // entries this arrival's scans can read. Seed the reps (the bound
-        // pass reads exactly those), predict the scan cover from the
-        // prepared bounds, extend the row to it — the pruned scans then
-        // see verbatim backend values everywhere they look, so targets,
-        // stats and all downstream state are bit-identical to a full fill.
-        // Openings later read rows over the blocks they can change; only a
-        // wide pass promotes a partial row through the cache's coverage
-        // fallback.
+        // entries this arrival's scans can read. The block bounds come
+        // from one representative pass of the layout, which predicts the
+        // scan cover; the row is filled over that cover alone — the pruned
+        // scans then see verbatim backend values everywhere they look, so
+        // targets, stats and all downstream state are bit-identical to a
+        // full fill. Openings later read distances over the blocks they can
+        // change; only a wide pass promotes a partial row through the
+        // cache's coverage fallback.
         let dist_row: &[f64] = if self.partial_rows_active() {
             let (Some(t), DistanceBackend::Blocked(c)) = (&mut self.targets, &mut self.dist) else {
                 unreachable!("partial_rows_active checked the index and the backend")
             };
-            let cover = &mut self.cover_scratch;
-            t.seed_cover_ids(cover);
-            let seeded = c.partial_row_with(loc.0, cover, |p| inst.distance(PointId(p), loc));
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
-            t.prepare_query_at(Some(loc), seeded);
+            t.layout().rep_distances(inst, loc, &mut self.rep_scratch);
+            t.prepare_query_at(Some(loc), &self.rep_scratch);
+            let cover = &mut self.cover_scratch;
             t.query_scan_cover(&scratch.members, cover);
             c.partial_row_with(loc.0, cover, |p| inst.distance(PointId(p), loc))
         } else {
@@ -1171,7 +1163,7 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
             if let Some(t) = &mut self.targets {
-                t.prepare_query_at(Some(loc), row);
+                t.prepare_query_row(Some(loc), row);
             }
             row
         };

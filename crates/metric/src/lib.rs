@@ -37,12 +37,20 @@ use std::fmt;
 /// `isometric` asserts that the **L2 distance over these coordinates,
 /// folded over axes in ascending order exactly as
 /// [`euclidean::EuclideanMetric::distance`] does, is bit-identical to
-/// [`Metric::distance`]**. Consumers may then substitute their own L2
-/// computation over the coordinates for `distance` calls with no float
-/// divergence (up to the documented per-op rounding of any *different*
-/// fold they choose). When `isometric` is `false` the coordinates are only
-/// spatially correlated with the metric (e.g. an L1/L∞ norm over the same
-/// points) — good enough to build partitions, never for distance values.
+/// [`Metric::distance`]** for every pair of points. Consumers may then
+/// substitute their own L2 computation over the coordinates for
+/// `distance` calls with no float divergence (up to the documented per-op
+/// rounding of any *different* fold they choose). Two do: the PD engine's
+/// kd range queries for the freeze walk's candidates, and its block layout,
+/// which keeps the coordinates in layout order and computes the
+/// representative and per-block distances of its partial-row path as
+/// contiguous [`simd::accumulate_squared`] / [`simd::sqrt_in_place`]
+/// passes — the same fold, lane by lane. L2 Euclidean metrics claim it;
+/// line metrics claim it inside the guards of [`line::LineMetric`]'s
+/// embedding (no overflowing and no subnormal squares). When `isometric`
+/// is `false` the coordinates are only spatially correlated with the
+/// metric (e.g. an L1/L∞ norm over the same points) — good enough to build
+/// partitions, never for distance values.
 #[derive(Debug, Clone)]
 pub struct KdCoords {
     /// Row-major coordinates, `len * dim` entries, all finite.

@@ -102,20 +102,35 @@ impl Metric for LineMetric {
         Some(self.by_position.clone())
     }
 
-    /// The positions as a 1-D embedding. Isometric: in round-to-nearest
-    /// IEEE arithmetic `√(fl(r·r)) = |r|` exactly for the one-axis L2 fold
-    /// (absent overflow/deep-subnormal squares, which the magnitude guard
-    /// rules out), so the Euclidean-style fold reproduces `|x_a − x_b|` bit
-    /// for bit.
+    /// The positions as a 1-D embedding. Isometric when the one-axis L2
+    /// fold `√(fl(r·r))` of every difference `r = fl(x_a − x_b)` is `|r|`,
+    /// which round-to-nearest IEEE arithmetic guarantees whenever `fl(r·r)`
+    /// neither overflows nor leaves the normal range. Two guards ensure
+    /// both: every `|x| < 1e150` (so `r² < 4e300`), and every nonzero gap
+    /// between adjacent sorted positions is at least `2⁻⁵¹¹` (so
+    /// `r² ≥ 2⁻¹⁰²²`, the smallest normal double): a computed difference
+    /// of two positions is at least the computed gap of any adjacent pair
+    /// between them, as subtraction rounds monotonically. Below the gap
+    /// bound the square goes subnormal and the fold drifts — `[0, 1.6e-162]`
+    /// folds to `2.2e-162`.
     fn kd_coords(&self) -> Option<KdCoords> {
         let max_abs = self.positions.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+        let normal_gaps = self.by_position.windows(2).all(|w| {
+            let gap = self.positions[w[1] as usize] - self.positions[w[0] as usize];
+            gap == 0.0 || gap >= MIN_ISOMETRIC_GAP
+        });
         Some(KdCoords {
             coords: self.positions.clone(),
             dim: 1,
-            isometric: max_abs < 1.0e150,
+            isometric: max_abs < 1.0e150 && normal_gaps,
         })
     }
 }
+
+/// `2⁻⁵¹¹`: the smallest nonzero gap between adjacent positions a
+/// [`LineMetric`] embeds isometrically (its square, `2⁻¹⁰²²`, is the
+/// smallest normal double).
+const MIN_ISOMETRIC_GAP: f64 = f64::from_bits(512 << 52);
 
 #[cfg(test)]
 mod tests {
@@ -186,5 +201,50 @@ mod tests {
     fn duplicate_positions_are_allowed() {
         let m = LineMetric::new(vec![2.0, 2.0]).unwrap();
         assert_eq!(m.distance(PointId(0), PointId(1)), 0.0);
+    }
+
+    /// Whether the one-axis L2 fold over the embedding equals `distance`
+    /// bitwise for every pair.
+    fn fold_is_exact(m: &LineMetric) -> bool {
+        let kd = m.kd_coords().expect("lines embed");
+        let n = m.len();
+        (0..n).all(|a| {
+            (0..n).all(|b| {
+                let r = kd.coords[a] - kd.coords[b];
+                let fold = (0.0 + r * r).sqrt();
+                fold.to_bits() == m.distance(PointId(a as u32), PointId(b as u32)).to_bits()
+            })
+        })
+    }
+
+    #[test]
+    fn isometry_claim_holds_exactly_down_to_the_gap_bound() {
+        // At the bound: tiny, duplicate, negative and large positions whose
+        // nonzero adjacent gaps are all at least 2^-511.
+        let g = MIN_ISOMETRIC_GAP;
+        let at_bound = LineMetric::new(vec![
+            0.0,
+            g,
+            g,
+            -g,
+            2.0 * g,
+            1.0,
+            1.0 + f64::EPSILON,
+            -3.5e149,
+            9.0e149,
+        ])
+        .unwrap();
+        assert!(at_bound.kd_coords().unwrap().isometric);
+        assert!(fold_is_exact(&at_bound));
+        // Below it the square goes subnormal: the fold of [0, 1.6e-162]
+        // is 2.2e-162, so the embedding must not claim isometry.
+        let below = LineMetric::new(vec![0.0, 1.6e-162]).unwrap();
+        assert!(!below.kd_coords().unwrap().isometric);
+        assert!(!fold_is_exact(&below));
+        let just_below = LineMetric::new(vec![5.0, 0.0, g * (1.0 - f64::EPSILON)]).unwrap();
+        assert!(!just_below.kd_coords().unwrap().isometric);
+        // And the magnitude guard still holds against overflowing squares.
+        let huge = LineMetric::new(vec![0.0, 1.0e150]).unwrap();
+        assert!(!huge.kd_coords().unwrap().isometric);
     }
 }

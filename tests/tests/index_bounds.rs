@@ -25,8 +25,9 @@
 //! never leak into engine-visible state.
 
 use omfl_core::algorithm::OnlineAlgorithm;
+use omfl_core::index::OpeningTargetIndex;
 use omfl_core::pd::PdOmflp;
-use omfl_core::{bounds, harmonic};
+use omfl_core::{bounds, harmonic, CoreError};
 use omfl_workload::catalog::{by_name, registry, CatalogProfile};
 use proptest::prelude::*;
 
@@ -261,7 +262,7 @@ proptest! {
             let j = (st % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
-        let mut relabeled = PdOmflp::with_target_order(inst, order);
+        let mut relabeled = PdOmflp::with_target_order(inst, order).unwrap();
         let mut reference = PdOmflp::new(inst);
         for (step, r) in sc.requests.iter().enumerate() {
             let a = relabeled.serve(r).unwrap();
@@ -313,4 +314,46 @@ fn refresh_arrival_state_matches_a_fresh_replay() {
         );
         break; // one deep replay per run keeps the test fast
     }
+}
+
+/// A bad relabeling — the identity order after `spoil` — through both
+/// public constructors that take one: each must return a typed
+/// `BadInstance` error naming the defect, not panic.
+fn assert_relabeling_rejected(spoil: impl FnOnce(&mut Vec<u32>), defect: &str) {
+    let sc = by_name("euclid-grid-large")
+        .unwrap()
+        .build(&profile(), 3)
+        .expect("euclid-grid-large");
+    let inst = sc.instance();
+    let (m, s) = (inst.num_points(), inst.num_commodities());
+    let mut order: Vec<u32> = (0..m as u32).collect();
+    spoil(&mut order);
+    let (f_small, f_full) = (vec![1.0; m * s], vec![2.0; m]);
+    let errors = [
+        PdOmflp::with_target_order(inst, order.clone()).err(),
+        OpeningTargetIndex::with_order(inst, &f_small, &f_full, order).err(),
+    ];
+    for err in errors {
+        match err {
+            Some(CoreError::BadInstance(msg)) => {
+                assert!(msg.contains(defect), "{defect}: message {msg:?}")
+            }
+            other => panic!("{defect}: expected BadInstance, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn relabeling_of_the_wrong_length_is_a_typed_error() {
+    assert_relabeling_rejected(|order| order.truncate(order.len() - 1), "entries for");
+}
+
+#[test]
+fn relabeling_with_a_repeated_point_is_a_typed_error() {
+    assert_relabeling_rejected(|order| order[5] = order[4], "repeats point 4");
+}
+
+#[test]
+fn relabeling_with_an_out_of_range_point_is_a_typed_error() {
+    assert_relabeling_rejected(|order| order[0] = order.len() as u32, "out of range");
 }

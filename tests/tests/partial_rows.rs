@@ -2,25 +2,30 @@
 //! the sharded, f32-screened freeze walk.
 //!
 //! From `PARTIAL_ROW_MIN_POINTS` up (forced on here via the
-//! `set_partial_row_threshold` hook so CI-sized metrics exercise it) the
-//! engine no longer fills a full `|M|`-entry distance row per arrival — it
-//! fills only the coverage set `OpeningTargetIndex::query_scan_cover`
-//! predicts from the prepared per-block bounds, and reinvests the freeze
+//! `set_partial_row_threshold` hook so CI-sized metrics exercise it, and
+//! reached unforced by one 65,536-point lockstep) the engine no longer
+//! fills a full `|M|`-entry distance row per arrival — it fills only the
+//! coverage set `OpeningTargetIndex::query_scan_cover` predicts from the
+//! per-block bounds of one representative pass, its openings read
+//! distances block by block from the layout, and it reinvests the freeze
 //! caps through a sharded walk that screens each block with certified f32
-//! brackets before confirming survivors exactly. Both are *execution* choices, never algorithmic
-//! ones: every covered entry is the verbatim metric value, the predicted
-//! cover is a superset of what the pruned scans can read, the freeze
-//! update set is exactly `{p : d < cap}` however it is narrowed, and the
-//! shard partition is a pure function of the block count. So the engine
+//! brackets before confirming survivors exactly. All are *execution*
+//! choices, never algorithmic ones: every covered entry and every layout
+//! distance is the verbatim metric value, the predicted cover is a
+//! superset of what the pruned scans can read, the freeze update set is
+//! exactly `{p : d < cap}` however it is narrowed, and the shard
+//! partition is a pure function of the block count. So the engine
 //! must be bit-for-bit indistinguishable — per-arrival outcomes, dual
 //! sums, total costs — from the full-row, full-walk reference at 1, 2, 7,
 //! or 16 threads, on every family including the id-scattered adversary.
 
 use omfl_core::algorithm::OnlineAlgorithm;
-use omfl_core::pd::PdOmflp;
+use omfl_core::pd::{PdOmflp, PARTIAL_ROW_MIN_POINTS};
+use omfl_metric::euclidean::{EuclideanMetric, Norm};
 use omfl_workload::catalog::{by_name, CatalogProfile};
 use omfl_workload::Scenario;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Serves one scenario on both engines in lockstep; everything observable
 /// must agree bit for bit.
@@ -111,12 +116,13 @@ fn frozen_reference_path_keeps_full_rows_and_stays_lockstep() {
 fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
     // The id-scattered adversary defeats id-order pruning entirely, so its
     // coverage sets are the least block-aligned the catalog produces; its
-    // region-hopping queries also open facilities. Openings read rows only
-    // over the blocks they can change, but a pass whose surviving blocks
-    // are wide — each commodity's first openings, while the cached nearest
-    // distances are still ∞ — falls back to one bulk fill, which promotes
-    // the row its representatives were just read into. Lockstep must
-    // hold, and the fallback counter must be observable.
+    // region-hopping queries also open facilities. Openings read distances
+    // only over the blocks they can change, without touching the row
+    // cache, but a pass whose surviving blocks are wide — each commodity's
+    // first openings, while the cached nearest distances are still ∞ —
+    // falls back to one bulk fill of the opening location's row, which
+    // promotes the partial row an arrival there left. Lockstep must hold,
+    // and the fallback counter must be observable.
     let profile = CatalogProfile {
         points: 40, // × 32 scale → 1280 points, past the dense cap
         services: 8,
@@ -154,41 +160,66 @@ fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
         hits + misses > 0,
         "the partial-row path must have touched the cache"
     );
-    // Every commodity's first opening is a wide-coverage pass, so any
-    // stream that opens promotes at least once; the blocked-cache unit
-    // tests force the fallback directly — this assert pins the *engine*
-    // wiring.
+    // Every commodity's first opening is a wide-coverage pass, and with
+    // location-independent costs it opens at the arrival's own location,
+    // whose row the arrival left partial; the blocked-cache unit tests
+    // force the fallback directly — this assert pins the *engine* wiring.
     assert!(
         promotions > 0,
         "wide-coverage openings must promote partial rows via the fallback"
     );
 }
 
+/// `sc`'s grid and stream over the same coordinates under another norm:
+/// the layout keeps its kd partition, but the embedding is no longer
+/// isometric, so every layout distance pass falls back to pointwise
+/// metric calls.
+fn with_norm(sc: &Scenario, norm: Norm) -> Scenario {
+    let kd = sc.metric.kd_coords().expect("Euclidean metrics embed");
+    let rows: Vec<Vec<f64>> = kd.coords.chunks(kd.dim).map(<[f64]>::to_vec).collect();
+    let metric = EuclideanMetric::new(&rows, norm).expect("same coordinates");
+    Scenario::new(
+        format!("{} {norm:?}", sc.name),
+        Arc::new(metric),
+        sc.cost.clone(),
+        sc.requests.clone(),
+    )
+    .expect("same requests")
+}
+
 #[test]
 fn coverage_bounded_openings_keep_every_pruning_statistic() {
     // The partial-row path refreshes the facility caches block by block,
-    // reads shrink rows only over the blocks a lowered cap can reach, and
-    // rebuilds only the target bounds those walks touched; the full-row
-    // path (threshold at usize::MAX) walks whole rows and rebuilds whole
-    // bound rows. The target and shrink-walk statistics are functions of
-    // the bound values, so equal statistics after every arrival are what
-    // shows the touched-block rebuilds leave every bound exactly where a
-    // full rebuild would.
+    // reads shrink distances only over the blocks a lowered cap can reach,
+    // and rebuilds only the target bounds those walks touched; the
+    // full-row path (threshold at usize::MAX) walks whole rows and
+    // rebuilds whole bound rows. The target and shrink-walk statistics are
+    // functions of the bound values, so equal statistics after every
+    // arrival are what shows the touched-block rebuilds leave every bound
+    // exactly where a full rebuild would. The L1 and L∞ grids run the same
+    // kd-partitioned layouts without an isometric embedding: their
+    // representative and block distances are pointwise metric calls.
     let profile = CatalogProfile {
         points: 40,
         services: 8,
         requests: 150,
     };
-    for name in [
-        "euclid-grid-large",
-        "cold-scatter-large",
-        "zipf-services-large",
-    ] {
-        for seed in [2u64, 9, 31] {
-            let sc = by_name(name).unwrap().build(&profile, seed).unwrap();
+    for seed in [2u64, 9, 31] {
+        let build = |name| by_name(name).unwrap().build(&profile, seed).unwrap();
+        let grid = build("euclid-grid-large");
+        let l1 = with_norm(&grid, Norm::L1);
+        let linf = with_norm(&grid, Norm::LInf);
+        let scenarios = [
+            grid,
+            l1,
+            linf,
+            build("cold-scatter-large"),
+            build("zipf-services-large"),
+        ];
+        for sc in &scenarios {
             let inst = sc.instance();
             for threads in [1usize, 2, 7, 16] {
-                let label = format!("{name} seed {seed} t={threads}");
+                let label = format!("{} seed {seed} t={threads}", sc.name);
                 let mut bounded = PdOmflp::new(inst);
                 bounded.set_partial_row_threshold(0);
                 assert!(bounded.partial_rows_active(), "{label}");
@@ -197,24 +228,70 @@ fn coverage_bounded_openings_keep_every_pruning_statistic() {
                 full.set_partial_row_threshold(usize::MAX);
                 assert!(!full.partial_rows_active(), "{label}");
                 full.configure_parallel_scans(threads, 16);
-                for (step, r) in sc.requests.iter().enumerate() {
-                    let a = bounded.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
-                    let b = full.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
-                    assert_eq!(a, b, "{label}: outcome diverged at arrival {step}");
-                    assert_eq!(
-                        bounded.opening_target_stats(),
-                        full.opening_target_stats(),
-                        "{label}: target statistics diverged at arrival {step}"
-                    );
-                    assert_eq!(
-                        bounded.past_index_stats(),
-                        full.past_index_stats(),
-                        "{label}: shrink-walk statistics diverged at arrival {step}"
-                    );
-                }
+                assert_stats_lockstep(sc, &mut bounded, &mut full, &label);
             }
         }
     }
+}
+
+/// Serves `sc` on both engines in lockstep: equal outcomes, target
+/// statistics and shrink-walk statistics after every arrival.
+fn assert_stats_lockstep(sc: &Scenario, a: &mut PdOmflp<'_>, b: &mut PdOmflp<'_>, label: &str) {
+    for (step, r) in sc.requests.iter().enumerate() {
+        let oa = a.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let ob = b.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(oa, ob, "{label}: outcome diverged at arrival {step}");
+        assert_eq!(
+            a.opening_target_stats(),
+            b.opening_target_stats(),
+            "{label}: target statistics diverged at arrival {step}"
+        );
+        assert_eq!(
+            a.past_index_stats(),
+            b.past_index_stats(),
+            "{label}: shrink-walk statistics diverged at arrival {step}"
+        );
+    }
+}
+
+#[test]
+fn partial_rows_engage_unforced_at_the_size_threshold() {
+    // euclid-grid-large at points=1024 → |M| = 65,536 = PARTIAL_ROW_MIN_POINTS:
+    // the stock engine, with no threshold hook, builds the 64-point
+    // HUGE_BLOCK kd layout, serves through partial rows and the
+    // layout-ordered coordinate passes, and auto-engages its scan pool
+    // whenever OMFL_THREADS (or the machine) allows more than one thread.
+    // It must replay the full-scan engine bit for bit and keep every
+    // pruning statistic of an engine pinned to full rows.
+    let profile = CatalogProfile {
+        points: 1024,
+        services: 8,
+        requests: 24,
+    };
+    let sc = by_name("euclid-grid-large")
+        .unwrap()
+        .build(&profile, 3)
+        .expect("euclid-grid-large");
+    let inst = sc.instance();
+    assert_eq!(inst.num_points(), PARTIAL_ROW_MIN_POINTS);
+    let stock = PdOmflp::new(inst);
+    assert!(
+        stock.partial_rows_active(),
+        "the size threshold must engage partial rows"
+    );
+    assert_serve_lockstep(&sc, stock, PdOmflp::with_full_scans(inst), "threshold");
+    let mut stock = PdOmflp::new(inst);
+    let mut full = PdOmflp::new(inst);
+    full.set_partial_row_threshold(usize::MAX);
+    assert!(!full.partial_rows_active());
+    assert_stats_lockstep(&sc, &mut stock, &mut full, "threshold stats");
+    // The stream opens facilities and shrinks caps, so every coverage-
+    // bounded opening pass runs at this size too.
+    assert!(stock.solution().facilities().len() > 1);
+    assert!(
+        stock.past_index_stats().1 > 0,
+        "no shrink walk scanned a block"
+    );
 }
 
 proptest! {
