@@ -9,9 +9,10 @@
 //!                                  BENCH_serve.json / BENCH_opt.json
 //! experiments --check-json [dir]   re-run the smoke profile and fail on
 //!                                  missing keys, a >1.5x perf regression
-//!                                  on any >=1ms cell, a speedup below its
-//!                                  floor, or a block skip rate below its
-//!                                  floor, vs the committed baselines.
+//!                                  on any >=1ms cell, the small PD cell's
+//!                                  speedup below its floor, or a block
+//!                                  skip rate below its floor, vs the
+//!                                  committed baselines.
 //!                                  The fresh output is always written to
 //!                                  <dir>/bench-fresh/ so CI can upload it
 //!                                  as an artifact — regenerating baselines
@@ -102,7 +103,7 @@ fn run_json_mode(dir: &Path, emit: bool) {
     if failed {
         eprintln!(
             "\nIf the failing cells are wall-clock on a uniformly slower machine (the \
-             machine-independent speedup/skip-rate gates still pass), regenerate the \
+             machine-independent skip-rate and digest gates still pass), regenerate the \
              committed baselines from this machine instead of loosening the factor:"
         );
         eprintln!("    cargo run --release -p omfl-bench --bin experiments -- --emit-json .");

@@ -1,34 +1,32 @@
-//! `pd-argmin` — the incremental t3/t4 opening-target index at large |M|.
+//! `pd-argmin` — the block-pruned t3/t4 opening-target argmins at large |M|.
 //!
-//! PR 3 made PD serve index-bound; the remaining `O(k·|M|)` per-arrival
-//! term was the t3/t4 opening-target scans over `(f − B)⁺ + d(m, r)`. This
-//! experiment measures what replacing those scans with the block-pruned
-//! argmin (`omfl_core::index::OpeningTargetIndex`, a bucketed lower-bound
-//! prune list) plus the blocked distance-row cache (`omfl_metric::blocked`)
-//! buys on the large-metric catalog families, against the retained PR 3
-//! full-scan path (`PdOmflp::with_full_scans`) — the two engines are
-//! bit-identical (the differential and lockstep suites prove it, and the
-//! shared harness cross-checks every timed pair), so the comparison is pure
-//! data-structure cost.
+//! PD serve is index-bound: the remaining per-arrival term is the t3/t4
+//! opening-target argmins over `(f − B)⁺ + d(m, r)`. This experiment
+//! measures the engine that answers them with the block-pruned argmin
+//! (`omfl_core::index::OpeningTargetIndex`, a bucketed lower-bound prune
+//! list) over the blocked distance-row cache (`omfl_metric::blocked`) on
+//! the large-metric catalog families. Every timed run is cross-checked
+//! against the linear-scan oracle `NaivePd`: it must reproduce the
+//! oracle's total cost bit for bit.
 //!
-//! Reported per family: |M|, requests, full-scan and incremental ms/run,
-//! the speedup, the share of opening-target blocks the prune skipped, and
-//! the blocked row-cache hit rate (dense-backend cells show "-").
+//! Reported per family: |M|, requests, construct + serve ms per run, the
+//! share of opening-target blocks the prune skipped, and the blocked
+//! row-cache hit rate (dense-backend cells show "-").
 //!
-//! The measurement protocol is [`crate::perfjson::paired_pd_timing`] — the
-//! same harness that produces the gated `large` cell of `BENCH_pd.json`.
+//! The measurement protocol is [`crate::perfjson::pd_timing`] — the same
+//! harness that produces the gated large cells of `BENCH_pd.json`.
 
-use crate::perfjson::{paired_pd_timing, PairedPdTiming};
+use crate::perfjson::{pd_timing, PdTiming};
 use crate::table::{fmt, Table};
 use omfl_workload::catalog::CatalogProfile;
 
-fn measure(family: &'static str, profile: &CatalogProfile, repeats: usize) -> PairedPdTiming {
-    paired_pd_timing(family, profile, repeats).expect("paired PD timing")
+fn measure(family: &'static str, profile: &CatalogProfile, repeats: usize) -> PdTiming {
+    pd_timing(family, profile, repeats).expect("PD timing")
 }
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {
-    let cells: Vec<(&str, PairedPdTiming)> = if quick {
+    let cells: Vec<(&str, PdTiming)> = if quick {
         // Matches perfjson::pd_large_profile / pd_euclid_large_profile, the
         // gated BENCH_pd.json cells: the steady-state tail (most arrivals
         // after facilities stabilize) is where the argmin index pays, so
@@ -104,9 +102,9 @@ pub fn run(quick: bool) -> Vec<Table> {
     };
 
     let mut t = Table::new(
-        "PD opening targets: incremental argmin + blocked rows vs PR 3 full scans",
+        "PD opening targets: block-pruned argmin + blocked rows (checked against NaivePd)",
         &[
-            "family", "|M|", "requests", "scan ms", "incr ms", "speedup", "blk skip", "row hit",
+            "family", "|M|", "requests", "incr ms", "blk skip", "row hit",
         ],
     );
     for (family, c) in &cells {
@@ -114,9 +112,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             family.to_string(),
             c.points.to_string(),
             c.requests.to_string(),
-            fmt(c.scan.mean * 1e3),
             fmt(c.incremental.mean * 1e3),
-            format!("{:.2}x", c.scan.mean / c.incremental.mean),
             format!("{:.1}%", 100.0 * c.block_skip_rate),
             c.row_hit_rate
                 .map_or_else(|| "-".to_string(), |r| format!("{:.1}%", 100.0 * r)),

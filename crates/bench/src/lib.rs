@@ -86,7 +86,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "pd-argmin",
-            title: "PD opening targets: incremental t3/t4 argmin vs full scans at large |M|",
+            title: "PD opening targets: block-pruned t3/t4 argmin at large |M|, checked against NaivePd",
             run: experiments::pd_argmin::run,
         },
     ]

@@ -1,24 +1,20 @@
 //! The `--emit-json` perf-regression path: machine-readable benchmark
-//! baselines in `BENCH_pd.json` / `BENCH_sweep.json`.
+//! baselines in `BENCH_pd.json`, `BENCH_sweep.json`, `BENCH_serve.json`
+//! and `BENCH_opt.json`.
 //!
 //! The ROADMAP's "measurably faster" PRs need numbers to beat; this module
-//! produces them. Two artifacts:
+//! produces them:
 //!
-//! * **`BENCH_pd.json`** — the PD serve hot path, three ways: the
-//!   `zipf-services` cell (indexed engine vs the retained linear-scan
-//!   reference `omfl_core::naive::NaivePd` — the PR 3 index-layer speedup),
-//!   the `large` cell (`zipf-services-large` at |M| = 4096, incremental
-//!   opening-target engine vs the PR 3 full-scan path
-//!   `PdOmflp::with_full_scans` — what the t3/t4 argmin index and the
-//!   blocked row cache buy at large metrics), and the `euclid-large` cell
-//!   (`euclid-grid-large` at |M| = 16384 — where distance-aware block
-//!   pruning and the bulk Euclidean `fill_row` carry the speedup), plus
-//!   the `huge` cell (`euclid-grid-large` at |M| = 1048576, the current
-//!   engine vs the frozen PR 5 path `PdOmflp::with_reference_layout` with
-//!   SIMD dispatch off — isolating the SIMD kernels, kd-ball ingest,
-//!   64-point blocks, block-pruned shrink walk, kd-bounded partial row
-//!   fills, and the sharded + f32-screened freeze walk). The large cells
-//!   also record their deterministic `block_skip_rate`;
+//! * **`BENCH_pd.json`** — the PD serve hot path: the `zipf-services`
+//!   cell (indexed engine vs the linear-scan oracle
+//!   `omfl_core::naive::NaivePd` — what the index layer buys), and three
+//!   single-engine cells timing `PdOmflp::new` construct + serve: `large`
+//!   (`zipf-services-large` at |M| = 4096, a graph metric), `euclid-large`
+//!   (`euclid-grid-large` at |M| = 16384) and `huge` (`euclid-grid-large`
+//!   at |M| = 1048576). Each large cell records `incremental_secs` and its
+//!   deterministic `block_skip_rate`, and every timed run must reproduce
+//!   the total cost of one untimed `NaivePd` run bit for bit (see
+//!   [`pd_timing`]);
 //! * **`BENCH_sweep.json`** — per (engine × family) serve wall-clock
 //!   (mean/std/min/max over trials) for the whole catalog under the
 //!   work-stealing sweep;
@@ -28,17 +24,18 @@
 //!   [`SERVE_DETERMINISM_CONFIGS`], hard-gated at 1.0), the
 //!   `arrivals_per_sec` throughput cell (gated as a ratio against the
 //!   committed baseline, dev-box target ≥ 1M/s aggregate), and
-//!   informational p50/p99 latency and backpressure telemetry.
+//!   informational p50/p99 latency and backpressure telemetry;
+//! * **`BENCH_opt.json`** — certified exact optima (see [`opt_json`]).
 //!
 //! The committed files at the repo root are the baseline; CI re-runs the
 //! smoke profile and [`check`]s the fresh numbers against them: missing
 //! keys fail, a `secs.mean` with a baseline of at least [`MIN_GATED_SECS`]
-//! regressing by more than [`REGRESSION_FACTOR`] fails, and the speedups
-//! dropping below [`MIN_PD_SPEEDUP`] / [`MIN_LARGE_PD_SPEEDUP`] fail.
-//! Wall-clock comparisons across machines are inherently noisy — hence the
-//! sub-millisecond exemption and the emphasis on the machine-independent
-//! *ratios*; the recorded `std` per summary is what justified tightening
-//! the factor to 1.5×.
+//! regressing by more than [`REGRESSION_FACTOR`] fails, the small-cell
+//! speedup dropping below [`MIN_PD_SPEEDUP`] fails, and a block skip rate
+//! dropping below [`MIN_BLOCK_SKIP_RATE`] fails. Wall-clock comparisons
+//! across machines are inherently noisy — hence the sub-millisecond
+//! exemption and the emphasis on deterministic gates; the recorded `std`
+//! per summary is what justified tightening the factor to 1.5×.
 //!
 //! JSON is written and parsed by hand (the workspace vendors no serde): the
 //! emitter produces a small object tree of numbers/strings (nested objects
@@ -71,42 +68,14 @@ pub const REGRESSION_FACTOR: f64 = 1.5;
 /// baseline is at least this long. Sub-millisecond cells (the per-family
 /// sweep timings) jitter far beyond 2× between a dev box and a shared CI
 /// runner — for those the check verifies key presence and reports the ratio
-/// as a note instead of failing the job; the machine-independent `speedup`
-/// ratio and the millisecond-scale PD/sweep-wall means stay hard-gated.
+/// as a note instead of failing the job; the `speedup` ratio and the
+/// millisecond-scale PD/sweep-wall means stay hard-gated.
 pub const MIN_GATED_SECS: f64 = 1e-3;
 
 /// The indexed-vs-naive PD speedup must stay at least this high. The
 /// acceptance bar when the index landed was 3×; CI machines are slower and
 /// noisier than the dev box, so the hard floor leaves headroom.
 pub const MIN_PD_SPEEDUP: f64 = 2.0;
-
-/// The incremental-vs-full-scan PD speedup on the large-metric cell
-/// (`zipf-services-large`, |M| ≥ 4096) must stay at least this high. The
-/// acceptance bar when the opening-target index landed was 3× (the
-/// committed baseline records it); like [`MIN_PD_SPEEDUP`] vs its own 3×
-/// bar, the hard CI floor sits below the bar to absorb shared-runner and
-/// cache-topology variance — the dev box measured 3.0–3.4× across runs.
-pub const MIN_LARGE_PD_SPEEDUP: f64 = 2.5;
-
-/// The incremental-vs-full-scan PD speedup on the `euclid-large` cell
-/// (`euclid-grid-large`, |M| = 16384) must stay at least this high. The
-/// acceptance bar when distance-aware pruning landed was 2.5× (from 1.78×
-/// with id-order bounds; the dev box measured 2.8×) — the floor sits below
-/// it for runner variance, same policy as the other speedup gates.
-pub const MIN_EUCLID_LARGE_PD_SPEEDUP: f64 = 2.0;
-
-/// Floor on the `huge.speedup` cell: the current serve path (SIMD
-/// `fill_row`, kd-ball ingest, 64-point blocks, block-pruned shrink walk,
-/// kd-bounded partial row fills, sharded + f32-screened freeze walk)
-/// against the frozen PR 5 path ([`PdOmflp::with_reference_layout`] with
-/// SIMD dispatch forced off) at |M| = 1048576. Both engines are
-/// incremental, so this ratio isolates the post-PR 5 serve-path wins and
-/// is far more machine-portable than a wall-clock cell. At 1M points the
-/// reference pays a full-row fill per arrival while the current engine
-/// fills only the coverage set; observed 1.7–2.4× run to run on the
-/// (single-core, contended) dev box, so 1.5× stays the collapse
-/// detector, not the acceptance bar.
-pub const MIN_HUGE_PD_SPEEDUP: f64 = 1.5;
 
 /// Every `block_skip_rate` recorded in `BENCH_pd.json` must stay at least
 /// this high. Unlike wall-clock, the skip rate is a *deterministic*
@@ -144,8 +113,7 @@ pub fn sweep_profile() -> CatalogProfile {
 
 /// The large-metric PD profile: `zipf-services-large` scales `points` by
 /// 32×, so this reaches |M| = 4096 — the regime where the per-arrival t3/t4
-/// opening-target scans dominate PD serve and the incremental argmin index
-/// is the order-of-magnitude lever.
+/// opening-target argmins dominate PD serve.
 pub fn pd_large_profile() -> CatalogProfile {
     CatalogProfile {
         points: 128,
@@ -156,8 +124,7 @@ pub fn pd_large_profile() -> CatalogProfile {
 
 /// The Euclidean large-metric PD profile: `euclid-grid-large` scales
 /// `points` by 64×, so this reaches |M| = 16384 — past any dense matrix,
-/// where computed Euclidean distances make the scan baseline cheap and the
-/// speedup is carried by distance-aware pruning plus the bulk `fill_row`.
+/// where distance-aware pruning and the bulk `fill_row` carry serve.
 pub fn pd_euclid_large_profile() -> CatalogProfile {
     CatalogProfile {
         points: 256,
@@ -167,13 +134,12 @@ pub fn pd_euclid_large_profile() -> CatalogProfile {
 }
 
 /// The huge-metric PD profile: `euclid-grid-large` scales `points` by 64×,
-/// so this reaches |M| = 1048576 — the 1M-point target regime. The frozen
-/// reference still pays a full 1M-point row fill per arrival; the current
+/// so this reaches |M| = 1048576 — the 1M-point target regime, where the
 /// engine fills only the kd-bounded coverage set the pruned scans can
 /// touch and walks the freeze reinvestment sharded and screened, so per
 /// arrival it does work proportional to the coverage, not to |M|.
-/// Requests are kept moderate: the *reference* runs still cost
-/// |requests| × |M| distance evaluations each.
+/// Requests are kept moderate: the untimed `NaivePd` check still costs
+/// |requests| × |M| distance evaluations.
 pub fn pd_huge_profile() -> CatalogProfile {
     CatalogProfile {
         points: 16384,
@@ -259,227 +225,83 @@ pub fn pd_bench(profile: &CatalogProfile, repeats: usize) -> Result<PdBench, Cor
     })
 }
 
-/// Large-metric PD measurement for `BENCH_pd.json`: the shared paired
-/// timing plus the identifying metadata the JSON cell records.
+/// One single-engine PD measurement for a large `BENCH_pd.json` cell and
+/// the `pd-argmin` experiment. Produced by [`pd_timing`], so the gated
+/// numbers and the reported table can never drift apart.
 #[derive(Debug, Clone)]
-pub struct PdLargeBench {
+pub struct PdTiming {
     /// Workload family name.
     pub family: &'static str,
     /// Commodity count.
     pub services: u16,
-    /// The paired incremental-vs-scan measurement.
-    pub timing: PairedPdTiming,
-}
-
-impl PdLargeBench {
-    /// `scan.mean / incremental.mean` — what the opening-target index and
-    /// the blocked row cache buy at large |M|.
-    pub fn speedup(&self) -> f64 {
-        self.timing.scan.mean / self.timing.incremental.mean
-    }
-}
-
-/// One paired incremental-vs-full-scan PD measurement, plus the index
-/// diagnostics of the last incremental run. Produced by
-/// [`paired_pd_timing`] — the single benchmark protocol behind both the
-/// `BENCH_pd.json` `large` cell and the `pd-argmin` experiment, so the
-/// gated number and the reported table can never drift apart.
-#[derive(Debug, Clone)]
-pub struct PairedPdTiming {
     /// Actual metric size |M|.
     pub points: usize,
     /// Requests served per run.
     pub requests: usize,
-    /// Incremental-engine wall-clock seconds over the repeats.
+    /// `PdOmflp::new` construct + serve wall-clock seconds over the
+    /// repeats.
     pub incremental: Summary,
-    /// Full-scan (PR 3 path) wall-clock seconds.
-    pub scan: Summary,
-    /// Share of opening-target blocks the prune skipped.
+    /// Share of opening-target blocks the prune skipped — deterministic
+    /// and machine-portable (the shard partition is a pure function of the
+    /// block count, never of the worker pool).
     pub block_skip_rate: f64,
     /// Blocked row-cache hit rate (`None` on the dense backend).
     pub row_hit_rate: Option<f64>,
 }
 
-/// Times PD serve on a catalog family: incremental t3/t4 maintenance +
-/// blocked rows (`PdOmflp::new`) against the PR 3 full scans
-/// (`PdOmflp::with_full_scans`). One untimed warm-up pair first; every
-/// timed pair is cross-checked bit-identical — the harness refuses to
-/// report timings of divergent engines.
-pub fn paired_pd_timing(
+/// Times PD construct + serve (`PdOmflp::new`) on a catalog family.
+///
+/// One untimed `NaivePd` run comes first and doubles as the warm-up; every
+/// timed run must reproduce its total cost bit for bit — the harness
+/// refuses to report timings of an engine that diverged from the oracle.
+/// The skip and hit rates are the last timed run's.
+pub fn pd_timing(
     family_name: &str,
     profile: &CatalogProfile,
     repeats: usize,
-) -> Result<PairedPdTiming, CoreError> {
+) -> Result<PdTiming, CoreError> {
     let family = catalog::by_name(family_name).expect("catalog family");
     let scenario = family.build(profile, 0x0B5E55ED)?;
     let inst = scenario.instance();
 
-    {
-        let mut warm_fast = PdOmflp::new(inst);
-        let mut warm_slow = PdOmflp::with_full_scans(inst);
+    let expected = {
+        let mut oracle = NaivePd::new(inst);
         for r in &scenario.requests {
-            warm_fast.serve(r)?;
-            warm_slow.serve(r)?;
+            oracle.serve(r)?;
         }
-    }
+        oracle.solution().total_cost().to_bits()
+    };
 
     let mut incremental = Vec::with_capacity(repeats);
-    let mut scan = Vec::with_capacity(repeats);
     let mut block_skip_rate = 0.0;
     let mut row_hit_rate = None;
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let mut fast = PdOmflp::new(inst);
+        let mut engine = PdOmflp::new(inst);
         for r in &scenario.requests {
-            fast.serve(r)?;
+            engine.serve(r)?;
         }
         incremental.push(t0.elapsed().as_secs_f64());
 
-        let t0 = Instant::now();
-        let mut slow = PdOmflp::with_full_scans(inst);
-        for r in &scenario.requests {
-            slow.serve(r)?;
-        }
-        scan.push(t0.elapsed().as_secs_f64());
-
         assert_eq!(
-            fast.solution().total_cost().to_bits(),
-            slow.solution().total_cost().to_bits(),
-            "incremental and full-scan PD diverged — bench numbers would be invalid"
+            engine.solution().total_cost().to_bits(),
+            expected,
+            "{family_name}: PD diverged from NaivePd — bench numbers would be invalid"
         );
-        let (skipped, scanned) = fast.opening_target_stats().expect("incremental stats");
+        let (skipped, scanned) = engine.opening_target_stats().expect("target stats");
         block_skip_rate = skipped as f64 / (skipped + scanned).max(1) as f64;
-        row_hit_rate = fast
+        row_hit_rate = engine
             .distance_cache_stats()
             .map(|(h, m, _)| h as f64 / (h + m).max(1) as f64);
     }
-    Ok(PairedPdTiming {
-        points: inst.num_points(),
-        requests: scenario.len(),
-        incremental: summarize(&incremental),
-        scan: summarize(&scan),
-        block_skip_rate,
-        row_hit_rate,
-    })
-}
-
-/// Times PD serve on `zipf-services-large` (|M| = 32 × `profile.points`)
-/// via [`paired_pd_timing`] and shapes the result for `BENCH_pd.json`.
-pub fn pd_large_bench(profile: &CatalogProfile, repeats: usize) -> Result<PdLargeBench, CoreError> {
-    Ok(PdLargeBench {
-        family: "zipf-services-large",
-        services: profile.services,
-        timing: paired_pd_timing("zipf-services-large", profile, repeats)?,
-    })
-}
-
-/// Times PD serve on `euclid-grid-large` (|M| = 64 × `profile.points`) for
-/// the `euclid-large` cell of `BENCH_pd.json`.
-pub fn pd_euclid_large_bench(
-    profile: &CatalogProfile,
-    repeats: usize,
-) -> Result<PdLargeBench, CoreError> {
-    Ok(PdLargeBench {
-        family: "euclid-grid-large",
-        services: profile.services,
-        timing: paired_pd_timing("euclid-grid-large", profile, repeats)?,
-    })
-}
-
-/// The `huge` cell measurement: the current serve path against the frozen
-/// PR 5 path on the same instance. Unlike [`PdLargeBench`], *both* engines
-/// here are incremental — the reference differs only in the post-PR 5
-/// serve-path work (scalar distance kernels, windowed ball ingest,
-/// 16-point blocks, no kd tree, no block-pruned shrink walk, no pool,
-/// full per-arrival row fills instead of kd-bounded partial ones, and the
-/// serial full-walk freeze instead of the sharded screened one).
-#[derive(Debug, Clone)]
-pub struct PdHugeBench {
-    /// Workload family name.
-    pub family: &'static str,
-    /// Commodity count.
-    pub services: u16,
-    /// Actual metric size |M|.
-    pub points: usize,
-    /// Requests served per run.
-    pub requests: usize,
-    /// Current-engine wall-clock seconds over the repeats.
-    pub current: Summary,
-    /// Frozen PR 5 reference wall-clock seconds (SIMD dispatch off).
-    pub reference: Summary,
-    /// Share of opening-target blocks the current engine's prune skipped —
-    /// deterministic and machine-portable (the shard partition is a pure
-    /// function of the block count, never of the worker pool).
-    pub block_skip_rate: f64,
-}
-
-impl PdHugeBench {
-    /// `reference.mean / current.mean` — what this PR's serve-path changes
-    /// buy at huge |M|.
-    pub fn speedup(&self) -> f64 {
-        self.reference.mean / self.current.mean
-    }
-}
-
-/// Times PD serve on `euclid-grid-large` at the huge profile: the current
-/// engine (`PdOmflp::new`) against the frozen PR 5 path
-/// (`PdOmflp::with_reference_layout`, with SIMD dispatch forced off for
-/// its timed runs so the reference really is the pre-SIMD kernel). One
-/// untimed warm-up pair first; every timed pair is cross-checked
-/// bit-identical before its numbers are accepted.
-pub fn pd_huge_bench(profile: &CatalogProfile, repeats: usize) -> Result<PdHugeBench, CoreError> {
-    let family = catalog::by_name("euclid-grid-large").expect("catalog family");
-    let scenario = family.build(profile, 0x0B5E55ED)?;
-    let inst = scenario.instance();
-
-    {
-        let mut warm_fast = PdOmflp::new(inst);
-        let mut warm_slow = PdOmflp::with_reference_layout(inst);
-        for r in &scenario.requests {
-            warm_fast.serve(r)?;
-            warm_slow.serve(r)?;
-        }
-    }
-
-    let mut current = Vec::with_capacity(repeats);
-    let mut reference = Vec::with_capacity(repeats);
-    let mut block_skip_rate = 0.0;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        let mut fast = PdOmflp::new(inst);
-        for r in &scenario.requests {
-            fast.serve(r)?;
-        }
-        current.push(t0.elapsed().as_secs_f64());
-
-        // The reference times the scalar kernels: SIMD dispatch is a
-        // bit-identical execution choice, so flipping it off is safe and
-        // makes the cell measure kernels + layout together.
-        omfl_metric::simd::set_simd_enabled(false);
-        let t0 = Instant::now();
-        let mut slow = PdOmflp::with_reference_layout(inst);
-        for r in &scenario.requests {
-            slow.serve(r)?;
-        }
-        reference.push(t0.elapsed().as_secs_f64());
-        omfl_metric::simd::set_simd_enabled(true);
-
-        assert_eq!(
-            fast.solution().total_cost().to_bits(),
-            slow.solution().total_cost().to_bits(),
-            "current and reference-layout PD diverged — bench numbers would be invalid"
-        );
-        let (skipped, scanned) = fast.opening_target_stats().expect("incremental stats");
-        block_skip_rate = skipped as f64 / (skipped + scanned).max(1) as f64;
-    }
-    Ok(PdHugeBench {
+    Ok(PdTiming {
         family: family.name,
         services: profile.services,
         points: inst.num_points(),
         requests: scenario.len(),
-        current: summarize(&current),
-        reference: summarize(&reference),
+        incremental: summarize(&incremental),
         block_skip_rate,
+        row_hit_rate,
     })
 }
 
@@ -873,50 +695,23 @@ fn summary_json(out: &mut String, key: &str, s: &Summary, indent: &str) {
     );
 }
 
-fn large_cell_json(out: &mut String, key: &str, cell: &PdLargeBench, trailing_comma: bool) {
+fn pd_cell_json(out: &mut String, key: &str, cell: &PdTiming, trailing_comma: bool) {
     let _ = writeln!(out, "  \"{key}\": {{");
-    let _ = writeln!(out, "    \"family\": \"{}\",", cell.family);
-    let _ = writeln!(out, "    \"requests\": {},", cell.timing.requests);
-    let _ = writeln!(out, "    \"points\": {},", cell.timing.points);
-    let _ = writeln!(out, "    \"services\": {},", cell.services);
-    summary_json(out, "incremental_secs", &cell.timing.incremental, "    ");
-    out.push_str(",\n");
-    summary_json(out, "scan_secs", &cell.timing.scan, "    ");
-    out.push_str(",\n");
-    let _ = writeln!(
-        out,
-        "    \"block_skip_rate\": {:.4},",
-        cell.timing.block_skip_rate
-    );
-    let _ = writeln!(out, "    \"speedup\": {:.4}", cell.speedup());
-    out.push_str(if trailing_comma { "  },\n" } else { "  }\n" });
-}
-
-fn huge_cell_json(out: &mut String, cell: &PdHugeBench, trailing_comma: bool) {
-    let _ = writeln!(out, "  \"huge\": {{");
     let _ = writeln!(out, "    \"family\": \"{}\",", cell.family);
     let _ = writeln!(out, "    \"requests\": {},", cell.requests);
     let _ = writeln!(out, "    \"points\": {},", cell.points);
     let _ = writeln!(out, "    \"services\": {},", cell.services);
-    summary_json(out, "current_secs", &cell.current, "    ");
+    summary_json(out, "incremental_secs", &cell.incremental, "    ");
     out.push_str(",\n");
-    summary_json(out, "reference_secs", &cell.reference, "    ");
-    out.push_str(",\n");
-    let _ = writeln!(out, "    \"block_skip_rate\": {:.4},", cell.block_skip_rate);
-    let _ = writeln!(out, "    \"speedup\": {:.4}", cell.speedup());
+    let _ = writeln!(out, "    \"block_skip_rate\": {:.4}", cell.block_skip_rate);
     out.push_str(if trailing_comma { "  },\n" } else { "  }\n" });
 }
 
-/// Renders `BENCH_pd.json`: the small-metric indexed-vs-naive cell, the
-/// two large-metric incremental-vs-scan cells (`large` on the graph family,
-/// `euclid-large` on the Euclidean one) and the `huge` current-vs-PR 5
-/// cell, each carrying its deterministic `block_skip_rate`.
-pub fn pd_json(
-    b: &PdBench,
-    large: &PdLargeBench,
-    euclid_large: &PdLargeBench,
-    huge: &PdHugeBench,
-) -> String {
+/// Renders `BENCH_pd.json`: the small-metric indexed-vs-naive cell and the
+/// single-engine `large` (graph family), `huge` and `euclid-large`
+/// (Euclidean family) cells, each carrying its deterministic
+/// `block_skip_rate`.
+pub fn pd_json(b: &PdBench, large: &PdTiming, euclid_large: &PdTiming, huge: &PdTiming) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"family\": \"{}\",", b.family);
     let _ = writeln!(out, "  \"requests\": {},", b.requests);
@@ -927,9 +722,9 @@ pub fn pd_json(
     summary_json(&mut out, "naive_secs", &b.naive, "  ");
     out.push_str(",\n");
     let _ = writeln!(out, "  \"speedup\": {:.4},", b.speedup());
-    large_cell_json(&mut out, "large", large, true);
-    huge_cell_json(&mut out, huge, true);
-    large_cell_json(&mut out, "euclid-large", euclid_large, false);
+    pd_cell_json(&mut out, "large", large, true);
+    pd_cell_json(&mut out, "huge", huge, true);
+    pd_cell_json(&mut out, "euclid-large", euclid_large, false);
     out.push_str("}\n");
     out
 }
@@ -1098,7 +893,10 @@ fn parse_object(
 ///   above the committed value (baselines of at least [`MIN_GATED_SECS`]
 ///   only);
 /// * a fresh `speedup` below [`MIN_PD_SPEEDUP`];
-/// * a fresh `large.speedup` below [`MIN_LARGE_PD_SPEEDUP`].
+/// * a fresh `*block_skip_rate` below [`MIN_BLOCK_SKIP_RATE`];
+/// * the deterministic `nodes_expanded`, `gap_certified`, `digest_match`
+///   and `faulted.quarantined` cells drifting, and the serve throughput
+///   falling by more than [`REGRESSION_FACTOR`].
 pub fn check(fresh: &str, committed: &str, label: &str) -> Result<Vec<String>, Vec<String>> {
     let (f_nums, f_strs) =
         parse_flat(fresh).map_err(|e| vec![format!("{label}: fresh JSON unreadable: {e}")])?;
@@ -1140,24 +938,6 @@ pub fn check(fresh: &str, committed: &str, label: &str) -> Result<Vec<String>, V
             errors.push(format!(
                 "{label}: PD index speedup {now:.2}x below the {MIN_PD_SPEEDUP}x floor \
                  (baseline {base:.2}x)"
-            ));
-        }
-        if key == "large.speedup" && now < MIN_LARGE_PD_SPEEDUP {
-            errors.push(format!(
-                "{label}: large-metric PD speedup {now:.2}x below the \
-                 {MIN_LARGE_PD_SPEEDUP}x floor (baseline {base:.2}x)"
-            ));
-        }
-        if key == "euclid-large.speedup" && now < MIN_EUCLID_LARGE_PD_SPEEDUP {
-            errors.push(format!(
-                "{label}: Euclidean large-metric PD speedup {now:.2}x below \
-                 the {MIN_EUCLID_LARGE_PD_SPEEDUP}x floor (baseline {base:.2}x)"
-            ));
-        }
-        if key == "huge.speedup" && now < MIN_HUGE_PD_SPEEDUP {
-            errors.push(format!(
-                "{label}: huge-metric PD speedup over the frozen PR 5 path \
-                 {now:.2}x below the {MIN_HUGE_PD_SPEEDUP}x floor (baseline {base:.2}x)"
             ));
         }
         if key.ends_with("nodes_expanded") && now != base {
@@ -1231,9 +1011,9 @@ pub fn check(fresh: &str, committed: &str, label: &str) -> Result<Vec<String>, V
 /// BENCH_serve.json, BENCH_opt.json)` contents.
 pub fn smoke_profile_json() -> Result<(String, String, String, String), CoreError> {
     let pd = pd_bench(&pd_profile(), 5)?;
-    let large = pd_large_bench(&pd_large_profile(), 3)?;
-    let euclid_large = pd_euclid_large_bench(&pd_euclid_large_profile(), 3)?;
-    let huge = pd_huge_bench(&pd_huge_profile(), 3)?;
+    let large = pd_timing("zipf-services-large", &pd_large_profile(), 3)?;
+    let euclid_large = pd_timing("euclid-grid-large", &pd_euclid_large_profile(), 3)?;
+    let huge = pd_timing("euclid-grid-large", &pd_huge_profile(), 3)?;
     let pd_doc = pd_json(&pd, &large, &euclid_large, &huge);
     // Cells are timed serially: under a parallel sweep, co-scheduled cells
     // contend for cores and per-cell wall-clock becomes too noisy to gate
@@ -1261,10 +1041,9 @@ mod tests {
             requests: 64,
         };
         let b = pd_bench(&profile, 2).unwrap();
-        let large = pd_large_bench(&profile, 2).unwrap();
-        let euclid = pd_euclid_large_bench(&profile, 2).unwrap();
-        let huge = pd_huge_bench(&profile, 2).unwrap();
-        let doc = pd_json(&b, &large, &euclid, &huge);
+        let large = pd_timing("zipf-services-large", &profile, 2).unwrap();
+        let euclid = pd_timing("euclid-grid-large", &profile, 2).unwrap();
+        let doc = pd_json(&b, &large, &euclid, &euclid);
         let (nums, strs) = parse_flat(&doc).unwrap();
         assert_eq!(strs["family"], "zipf-services");
         assert_eq!(nums["requests"], 64.0);
@@ -1275,18 +1054,13 @@ mod tests {
         assert_eq!(strs["large.family"], "zipf-services-large");
         assert_eq!(nums["large.points"], 256.0); // 8 × 32 scale
         assert!(nums["large.incremental_secs.mean"] > 0.0);
-        assert!(nums["large.scan_secs.mean"] > 0.0);
-        assert!(nums.contains_key("large.speedup"));
         assert!(nums.contains_key("large.block_skip_rate"));
         assert_eq!(strs["euclid-large.family"], "euclid-grid-large");
         assert_eq!(nums["euclid-large.points"], 529.0); // 8 × 64 ≈ 23×23 grid
         assert!(nums["euclid-large.incremental_secs.mean"] > 0.0);
-        assert!(nums.contains_key("euclid-large.speedup"));
         assert!(nums.contains_key("euclid-large.block_skip_rate"));
         assert_eq!(strs["huge.family"], "euclid-grid-large");
-        assert!(nums["huge.current_secs.mean"] > 0.0);
-        assert!(nums["huge.reference_secs.mean"] > 0.0);
-        assert!(nums.contains_key("huge.speedup"));
+        assert!(nums["huge.incremental_secs.mean"] > 0.0);
         assert!(nums.contains_key("huge.block_skip_rate"));
     }
 
@@ -1338,27 +1112,6 @@ mod tests {
         let collapsed = r#"{ "a": { "secs": { "mean": 1.0 } }, "speedup": 1.1 }"#;
         let errs = check(collapsed, base, "t").unwrap_err();
         assert!(errs[0].contains("below"));
-        // Large-metric speedup has its own floor.
-        let base_l = r#"{ "large": { "speedup": 3.2 } }"#;
-        let sagged = r#"{ "large": { "speedup": 2.0 } }"#;
-        let errs = check(sagged, base_l, "t").unwrap_err();
-        assert!(errs[0].contains("large-metric"));
-        let fine = r#"{ "large": { "speedup": 2.8 } }"#;
-        assert!(check(fine, base_l, "t").is_ok());
-        // The Euclidean large cell has its own (lower) floor.
-        let base_e = r#"{ "euclid-large": { "speedup": 2.8 } }"#;
-        let sagged_e = r#"{ "euclid-large": { "speedup": 1.8 } }"#;
-        let errs = check(sagged_e, base_e, "t").unwrap_err();
-        assert!(errs[0].contains("Euclidean"));
-        let fine_e = r#"{ "euclid-large": { "speedup": 2.2 } }"#;
-        assert!(check(fine_e, base_e, "t").is_ok());
-        // The huge current-vs-PR 5 cell has its own floor.
-        let base_h = r#"{ "huge": { "speedup": 2.6 } }"#;
-        let sagged_h = r#"{ "huge": { "speedup": 1.2 } }"#;
-        let errs = check(sagged_h, base_h, "t").unwrap_err();
-        assert!(errs[0].contains("frozen PR 5"));
-        let fine_h = r#"{ "huge": { "speedup": 2.0 } }"#;
-        assert!(check(fine_h, base_h, "t").is_ok());
         // Block skip rates are deterministic and hard-gated.
         let base_s = r#"{ "large": { "block_skip_rate": 0.77 } }"#;
         let inert = r#"{ "large": { "block_skip_rate": 0.31 } }"#;

@@ -769,9 +769,9 @@ impl PastIndex {
 /// loses the full scan's first-minimum rule to the smaller id). Surviving
 /// blocks are scanned with the verbatim key arithmetic, so the returned
 /// `(value, location)` is bit-identical to the full ascending-id
-/// strict-`<` scan — `tests/tests/index_bounds.rs` locksteps this against
-/// a full-scan engine at every arrival, and a proptest drives *random*
-/// relabelings through whole engine runs.
+/// strict-`<` scan — `tests/tests/index_bounds.rs` locksteps this at every
+/// arrival against that verbatim scan over the bids of a `NaivePd` run,
+/// and a proptest drives *random* relabelings through whole engine runs.
 ///
 /// # Maintenance under the PD budget dynamics
 ///
@@ -861,20 +861,42 @@ pub struct OpeningTargetIndex {
 ///
 /// Block size is a per-layout choice made at ingest (see
 /// [`HUGE_BLOCK`]); this constant is the default for graph closures,
-/// windowed fallbacks, and every point set below the huge threshold.
+/// windowed fallbacks, and every point set below
+/// [`HUGE_METRIC_MIN_POINTS`].
 pub const TARGET_BLOCK: usize = 16;
 
 /// Locations per prune block for *huge* kd-ingested Euclidean layouts
-/// (`|M| ≥` [`HUGE_BLOCK_MIN_POINTS`]). At that scale the per-query bound
+/// (`|M| ≥` [`HUGE_METRIC_MIN_POINTS`]). At that scale the per-query bound
 /// pass itself (`O(nblocks)`) becomes the floor cost of an argmin; 4×
 /// coarser blocks quarter it, and kd balls keep the covering radii tight
 /// enough that the skip rate holds (a 64-ball of a dense grid is only ~2×
 /// the radius of a 16-ball).
 pub const HUGE_BLOCK: usize = 64;
 
-/// Point-count threshold above which a kd-capable layout switches to
-/// [`HUGE_BLOCK`]-sized blocks.
-pub const HUGE_BLOCK_MIN_POINTS: usize = 65536;
+/// The size policy: the point count from which a metric counts as huge.
+/// It drives three decisions, all purely performance crossovers — either
+/// side of it serves every arrival bit-identically:
+///
+/// * **Pool-sharded t3/t4 scans.** [`crate::pd::PdOmflp::new`] installs
+///   the sharded-scan worker pool (when [`omfl_par::default_threads`]
+///   reports more than one thread). Below it the per-arrival scans are
+///   far too short for fan-out to pay; from it up each argmin spans
+///   thousands of blocks and the shard sweeps parallelize cleanly. The
+///   pool changes nothing observable, statistics included (the shard
+///   partition is a pure function of the block count; see
+///   [`SCAN_SHARD_BLOCKS`]).
+/// * **Partial rows with coverage-bounded openings.** The engine fills
+///   only the scan cover of each arrival's distance row, reads opening
+///   and cap-shrink distances block by block, and reinvests bids through
+///   the sharded screened freeze walk. Below it a full row fill is one
+///   bulk [`omfl_metric::Metric::fill_row`] that the row cache keeps for
+///   later arrivals, and the serial candidate-list freeze walk over it is
+///   already cheap; from it up the `O(|M|)` fill itself dominates serve
+///   time. `tests/tests/partial_rows.rs` pins engines to both paths and
+///   serves one engine unforced at exactly this size.
+/// * **64-point kd blocks.** A layout with kd ball ingest switches from
+///   [`TARGET_BLOCK`] to [`HUGE_BLOCK`] points per block.
+pub const HUGE_METRIC_MIN_POINTS: usize = 65536;
 
 /// Blocks per shard of the sharded argmin scan (see
 /// [`OpeningTargetIndex::small_target`]). The shard partition is a pure
@@ -1088,10 +1110,10 @@ impl SpatialLayout {
     /// makes radius bounds inert). So blocks are rebuilt as greedy balls —
     /// two ingest paths, selected by the metric:
     ///
-    /// * **kd ingest** (metrics offering [`omfl_metric::Metric::kd_coords`],
-    ///   `allow_kd` set): the next unassigned point of `seed_order` seeds a
-    ///   block and takes its `block − 1` *true* nearest unassigned points
-    ///   from [`KdTree::nearest_alive`], under the `(distance, seed-rank)`
+    /// * **kd ingest** (metrics offering [`omfl_metric::Metric::kd_coords`]):
+    ///   the next unassigned point of `seed_order` seeds a block and takes
+    ///   its `block − 1` *true* nearest unassigned points from
+    ///   [`KdTree::nearest_alive`], under the `(distance, seed-rank)`
     ///   total order. The partition is a pure function of the coordinates
     ///   and the seed order. Any deterministic partition is engine-safe
     ///   (the relabeling proptests drive arbitrary ones), so the kd fold
@@ -1114,23 +1136,21 @@ impl SpatialLayout {
     /// `seed_order` must be a permutation of the point ids: callers
     /// validate caller-supplied orders ([`check_relabeling`]); a metric's
     /// own [`omfl_metric::Metric::coherent_order`] is one by contract.
-    fn from_order(inst: &Instance, seed_order: Vec<u32>, allow_kd: bool) -> Self {
+    fn from_order(inst: &Instance, seed_order: Vec<u32>) -> Self {
         let points = inst.num_points();
         debug_assert!(check_relabeling(&seed_order, points).is_ok());
         let metric = inst.metric();
         let mut kd = None;
         let mut dim = 0;
-        if allow_kd {
-            if let Some(view) = metric.kd_coords() {
-                if view.dim > 0 && view.coords.len() == points * view.dim {
-                    if view.isometric {
-                        dim = view.dim;
-                    }
-                    kd = Some(KdTree::build(view.coords, view.dim));
+        if let Some(view) = metric.kd_coords() {
+            if view.dim > 0 && view.coords.len() == points * view.dim {
+                if view.isometric {
+                    dim = view.dim;
                 }
+                kd = Some(KdTree::build(view.coords, view.dim));
             }
         }
-        let block = if kd.is_some() && points >= HUGE_BLOCK_MIN_POINTS {
+        let block = if kd.is_some() && points >= HUGE_METRIC_MIN_POINTS {
             HUGE_BLOCK
         } else {
             TARGET_BLOCK
@@ -1288,7 +1308,7 @@ impl SpatialLayout {
     /// every pick lives inside the candidate window, so only the window's
     /// *unpicked* entries are moved (order preserved) to sit ahead of the
     /// untouched tail, and no already-assigned stretch is ever re-walked.
-    /// This runs inside the engine constructor, which the paired benches
+    /// This runs inside the engine constructor, which the benchmarks
     /// time, so the bound is load-bearing, not cosmetic.
     fn group_into_balls(inst: &Instance, seed_order: &[u32], block: usize) -> Vec<u32> {
         let n = seed_order.len();
@@ -1505,21 +1525,9 @@ impl OpeningTargetIndex {
     /// ingest (plus [`HUGE_BLOCK`] blocks at huge `|M|`); the rest keep the
     /// windowed ingest.
     pub fn for_instance(inst: &Instance, f_small: &[f64], f_full: &[f64]) -> Self {
-        Self::over_coherent_order(inst, f_small, f_full, true)
-    }
-
-    /// [`Self::for_instance`] pinned to the pre-kd layout generation:
-    /// windowed ball ingest, [`TARGET_BLOCK`]-sized blocks, no kd tree.
-    /// Kept callable so the paired benches can time the current serve path
-    /// against the frozen baseline on identical instances.
-    pub fn for_instance_legacy(inst: &Instance, f_small: &[f64], f_full: &[f64]) -> Self {
-        Self::over_coherent_order(inst, f_small, f_full, false)
-    }
-
-    fn over_coherent_order(inst: &Instance, f_small: &[f64], f_full: &[f64], kd: bool) -> Self {
         match inst.metric().coherent_order() {
             Some(order) => Self::with_layout(
-                SpatialLayout::from_order(inst, order, kd),
+                SpatialLayout::from_order(inst, order),
                 inst.num_commodities(),
                 f_small,
                 f_full,
@@ -1547,7 +1555,7 @@ impl OpeningTargetIndex {
     ) -> Result<Self, CoreError> {
         check_relabeling(&order, inst.num_points())?;
         Ok(Self::with_layout(
-            SpatialLayout::from_order(inst, order, true),
+            SpatialLayout::from_order(inst, order),
             inst.num_commodities(),
             f_small,
             f_full,

@@ -4,14 +4,16 @@
 //! incremental index layer ([`crate::index`]) landed: `nearest_offering` /
 //! `nearest_large` scan every open facility per query, and
 //! `post_open_small` / `post_open_large` re-walk the full request history on
-//! every opening. It exists for two consumers, both gated behind the
+//! every opening. It is the one frozen reference engine, gated behind the
 //! `naive-ref` feature so production builds never ship it:
 //!
 //! * the differential suite (`tests/tests/differential.rs`) proves the
 //!   indexed [`crate::pd::PdOmflp`] produces **bit-identical** outcomes,
-//!   duals and bid matrices on every catalog family;
+//!   duals and bid matrices on every catalog family, and the lockstep
+//!   suites replay against it arrival by arrival;
 //! * the bench runner's `--emit-json` path times it against the indexed
-//!   engine so `BENCH_pd.json` records the speedup the index buys.
+//!   engine so `BENCH_pd.json` records the speedup the index buys, and
+//!   checks every timed run of the large PD cells against its total cost.
 //!
 //! Do not "fix" or optimize this module: its value is being the frozen
 //! pre-index semantics. Behavioral changes belong in `pd.rs`, mirrored here

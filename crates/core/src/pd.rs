@@ -40,10 +40,10 @@
 //! * `d(F(e), r)` / `d(F̂, r)` come from a [`FacilityIndex`] — per-point
 //!   nearest-open-facility caches refreshed *once per opening* instead of
 //!   scanned per request (openings are rare; requests are not). The
-//!   refresh walks a full row below [`PARTIAL_ROW_MIN_POINTS`]; above it,
-//!   only the blocks whose certified distance lower bound undercuts their
-//!   largest cached distance, reading each block's member distances in
-//!   one pass;
+//!   refresh walks a full row below [`HUGE_METRIC_MIN_POINTS`]; from it
+//!   up, only the blocks whose certified distance lower bound undercuts
+//!   their largest cached distance, reading each block's member distances
+//!   in one pass;
 //! * the t3/t4 opening targets come from an [`OpeningTargetIndex`] — a
 //!   bucketed lower-bound prune list over the monotone distance-free keys
 //!   `(f − B)⁺`, with blocks laid over a spatially coherent relabeling and
@@ -56,15 +56,15 @@
 //!   bid reinvestment to the blocks that can hold `d < cap`;
 //! * the cap-shrink passes after an opening consult a [`PastIndex`] —
 //!   past requests bucketed by location with per-bucket cap bounds — so the
-//!   walk is over locations, not over the whole request history. Above
-//!   [`PARTIAL_ROW_MIN_POINTS`] each shrinking request's distances are
+//!   walk is over locations, not over the whole request history. From
+//!   [`HUGE_METRIC_MIN_POINTS`] up each shrinking request's distances are
 //!   read only over the blocks whose lower bound is below its old cap, and
 //!   the bound rebuild that follows recomputes only the blocks those reads
 //!   touched. A pass whose surviving blocks are wide falls back to one
 //!   bulk row fill ([`crate::index::WIDE_COVERAGE_SHARE`]).
 //!
-//! Distances flow through a [`DistanceBackend`]: a dense `|M|²` matrix up
-//! to [`DENSE_DISTANCE_CAP`] points, and a fixed-budget blocked row LRU
+//! Distances come from a dense `|M|²` matrix up to [`DENSE_DISTANCE_CAP`]
+//! points, and from a fixed-budget blocked row LRU
 //! ([`omfl_metric::blocked::BlockedRowCache`]) beyond it, so large metrics
 //! keep cached-row locality instead of paying a metric call per distance.
 //! On the partial-row path the per-block distances come from the target
@@ -85,16 +85,17 @@
 //! `(past index, slot)` order the history walk used, and pruned blocks are
 //! exactly those that provably cannot change the scan result — so every
 //! float in `B`, `B̂`, the caps and the outcomes is identical. The
-//! pre-index path survives as `naive::NaivePd` (feature `naive-ref`) and
-//! `tests/tests/differential.rs` asserts the equivalence across the whole
-//! scenario catalog; [`PdOmflp::with_full_scans`] additionally freezes the
-//! PR 3 full-scan serve path as the perf baseline the `pd-argmin` bench
-//! and the target-lockstep tests (`tests/tests/index_bounds.rs`) run
-//! against.
+//! pre-index path survives as `naive::NaivePd` (feature `naive-ref`), the
+//! one frozen reference engine: `tests/tests/differential.rs` asserts the
+//! equivalence across the whole scenario catalog, the lockstep suites
+//! (`tests/tests/index_bounds.rs`, `tests/tests/partial_rows.rs`) replay
+//! against it arrival by arrival, and the `BENCH_pd.json` PD cells
+//! cross-check every timed run against it.
 
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
 use crate::index::{
     wide_coverage, FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout, HUGE_BLOCK,
+    HUGE_METRIC_MIN_POINTS,
 };
 use crate::instance::Instance;
 use crate::request::Request;
@@ -151,19 +152,12 @@ pub struct PdOmflp<'a> {
     f_small: Vec<f64>,
     /// Cached `f^{S}_m`.
     f_full: Vec<f64>,
-    /// Distance substrate: dense matrix, blocked row LRU, or per-call —
-    /// every read is bit-identical to calling the metric (see
-    /// [`DistanceBackend`]).
+    /// Distance substrate: dense matrix or blocked row LRU — every read is
+    /// bit-identical to calling the metric.
     dist: DistanceBackend,
-    /// Scratch: `d(m, r)` for the anchor in `dist_row_loc`.
-    dist_row: Vec<f64>,
-    /// The anchor `dist_row` currently holds (rows are pure functions of the
-    /// anchor, so a matching tag means the row is valid). `None` until the
-    /// first fill.
-    dist_row_loc: Option<PointId>,
-    /// Scratch for the frozen reference path's block-narrowed candidate
+    /// Scratch for the full-row path's block-narrowed freeze candidate
     /// ids (see [`OpeningTargetIndex::budget_move_candidates`]); the
-    /// current path shards the freeze walk inside the index instead.
+    /// partial-row path shards the freeze walk inside the index instead.
     moved_scratch: Vec<u32>,
     /// Scratch for the partial-row coverage ids (the predicted scan cover;
     /// see [`OpeningTargetIndex::query_scan_cover`]).
@@ -178,28 +172,16 @@ pub struct PdOmflp<'a> {
     /// commodity plus one trailing row for `B̂`: the partial-row path
     /// rebuilds only these bounds.
     touched: Vec<Vec<u32>>,
-    /// `true` pins this engine to the frozen PR 5 reference serve path
-    /// (full row fills, serial candidate-list freeze): the paired benches
-    /// time the current path against it, so it must not inherit the
-    /// partial-row or sharded-freeze machinery.
-    frozen_reference: bool,
     /// Point-count floor for the partial-row serve path; defaults to
-    /// [`PARTIAL_ROW_MIN_POINTS`], overridable via
+    /// [`HUGE_METRIC_MIN_POINTS`], overridable via
     /// [`PdOmflp::set_partial_row_threshold`] so lockstep suites can
     /// engage the path on CI-sized metrics.
     partial_rows_min: usize,
-    /// Scratch row for the cap-shrink passes (rows of *past* locations),
-    /// used only by the per-call backend.
-    shrink_row: Vec<f64>,
-    /// Anchor tag for `shrink_row` (see `dist_row_loc`).
-    shrink_row_loc: Option<PointId>,
-    /// Incremental t3/t4 maintenance; `None` runs the PR 3 full scans
-    /// (the frozen perf baseline, see [`PdOmflp::with_full_scans`]). On
-    /// the current path its layout holds every point's coordinates in
-    /// layout order when the metric embeds isometrically, which is where
-    /// the partial-row path's representative and block distances come
-    /// from.
-    targets: Option<OpeningTargetIndex>,
+    /// Incremental t3/t4 maintenance. Its layout holds every point's
+    /// coordinates in layout order when the metric embeds isometrically,
+    /// which is where the partial-row path's representative and block
+    /// distances come from.
+    targets: OpeningTargetIndex,
     /// The t3 targets `(value, location)` of the last non-fast-path arrival.
     last_t3: Vec<(f64, PointId)>,
     /// The t4 target of the last non-fast-path arrival.
@@ -213,19 +195,16 @@ pub struct PdOmflp<'a> {
     dual_sum: f64,
 }
 
-/// Where `d(p, q)` reads come from. All three variants produce the verbatim
+/// Where `d(p, q)` reads come from. Both variants produce the verbatim
 /// `Instance::distance` results — they differ only in cost model:
 ///
 /// * `Dense` — the full `|M|²` matrix (row `q` at `q·|M|`, contiguous in
 ///   `p`), affordable up to [`DENSE_DISTANCE_CAP`] points;
 /// * `Blocked` — a fixed-budget LRU of metric rows
-///   ([`omfl_metric::blocked`]), the large-metric regime;
-/// * `PerCall` — no cache, one metric call per read: the pre-blocked-cache
-///   behavior beyond the dense cap, kept for the scan-mode perf baseline.
+///   ([`omfl_metric::blocked`]), the large-metric regime.
 enum DistanceBackend {
     Dense(Vec<f64>),
     Blocked(BlockedRowCache),
-    PerCall,
 }
 
 impl DistanceBackend {
@@ -239,40 +218,22 @@ impl DistanceBackend {
                 Some(row) => row[p.index()],
                 None => inst.distance(p, q),
             },
-            DistanceBackend::PerCall => inst.distance(p, q),
         }
     }
 }
 
 /// Borrows the distance row `d(·, q)` without copying: a slice into the
-/// dense matrix or the blocked cache, or — for the per-call backend — a
-/// fill of `scratch` (reused when `scratch_loc` already tags `q`; rows are
-/// pure functions of the anchor). Values are the verbatim metric results
-/// in every arm.
+/// dense matrix or the blocked cache. Values are the verbatim metric
+/// results either way.
 ///
 /// A free function rather than a method so callers can keep disjoint
 /// borrows of the other engine fields (bid rows, target index) alive while
 /// holding the row.
-fn backend_row<'r>(
-    dist: &'r mut DistanceBackend,
-    inst: &Instance,
-    q: PointId,
-    scratch: &'r mut [f64],
-    scratch_loc: &mut Option<PointId>,
-) -> &'r [f64] {
+fn backend_row<'r>(dist: &'r mut DistanceBackend, inst: &Instance, q: PointId) -> &'r [f64] {
     let m = inst.num_points();
     match dist {
         DistanceBackend::Dense(d) => &d[q.index() * m..(q.index() + 1) * m],
         DistanceBackend::Blocked(c) => c.row_with(q.0, |buf| inst.fill_row(q, buf)),
-        DistanceBackend::PerCall => {
-            if *scratch_loc != Some(q) {
-                for (p, slot) in scratch.iter_mut().enumerate() {
-                    *slot = inst.distance(PointId(p as u32), q);
-                }
-                *scratch_loc = Some(q);
-            }
-            scratch
-        }
     }
 }
 
@@ -372,33 +333,8 @@ struct ServeScratch {
 /// [`PdOmflp::new`] switches to the blocked row cache
 /// ([`omfl_metric::blocked::BlockedRowCache`], budget
 /// [`omfl_metric::blocked::DEFAULT_ROW_CACHE_BYTES`]), which keeps row
-/// locality for metrics up to ~100k points; only the scan-mode baseline
-/// ([`PdOmflp::with_full_scans`]) still falls back to per-call lookups.
+/// locality for metrics up to ~100k points.
 pub const DENSE_DISTANCE_CAP: usize = 1024;
-
-/// Point-count threshold at which [`PdOmflp::new`] engages the sharded-scan
-/// worker pool (when [`omfl_par::default_threads`] reports more than one
-/// thread). Below it the per-arrival scans are far too short for fan-out to
-/// pay; above it each t3/t4 argmin spans thousands of blocks and the
-/// shard sweeps parallelize cleanly. The pool changes *nothing* observable
-/// — results and skip/scan statistics are bit-identical at any thread
-/// count (the shard partition is a pure function of the block count; see
-/// [`crate::index::SCAN_SHARD_BLOCKS`]).
-pub const PAR_SCAN_MIN_POINTS: usize = 65536;
-
-/// Point-count threshold at which the engine serves arrivals through
-/// kd-bounded *partial* row fills, coverage-bounded opening passes and the
-/// sharded screened freeze walk. Below it a full row fill is one bulk
-/// [`omfl_metric::Metric::fill_row`] (a memcpy for graph metrics, a
-/// streamed SIMD pass for Euclidean ones) that the row cache keeps for
-/// later arrivals, and the serial candidate-list freeze walk over a cached
-/// full row is already cheap — the partial path's pointwise scan-cover
-/// fill and screened freeze walk would not pay. Above it the `O(|M|)` fill
-/// itself is the dominant serve cost and coverage-bounded reads win by an
-/// order of magnitude. Either path is bit-identical to the other
-/// (`tests/tests/partial_rows.rs` pins engines to both and locksteps them,
-/// and serves one engine unforced at exactly this size).
-pub const PARTIAL_ROW_MIN_POINTS: usize = 65536;
 
 impl<'a> PdOmflp<'a> {
     /// Creates the algorithm over an instance, with the incremental t3/t4
@@ -410,8 +346,7 @@ impl<'a> PdOmflp<'a> {
     pub fn new(inst: &'a Instance) -> Self {
         let (f_small, f_full) = Self::facility_costs(inst);
         let targets = OpeningTargetIndex::for_instance(inst, &f_small, &f_full);
-        let dist = Self::cached_backend(inst);
-        Self::with_parts(inst, dist, f_small, f_full, Some(targets), false)
+        Self::with_parts(inst, f_small, f_full, targets)
     }
 
     /// [`PdOmflp::new`] with the opening-target index laid over an
@@ -428,59 +363,21 @@ impl<'a> PdOmflp<'a> {
     pub fn with_target_order(inst: &'a Instance, order: Vec<u32>) -> Result<Self, CoreError> {
         let (f_small, f_full) = Self::facility_costs(inst);
         let targets = OpeningTargetIndex::with_order(inst, &f_small, &f_full, order)?;
-        let dist = Self::cached_backend(inst);
-        Ok(Self::with_parts(
-            inst,
-            dist,
-            f_small,
-            f_full,
-            Some(targets),
-            false,
-        ))
-    }
-
-    /// The PR 3 serve path: full t3/t4 scans every arrival and, beyond
-    /// [`DENSE_DISTANCE_CAP`], per-call distance lookups. Behaviorally
-    /// bit-identical to [`PdOmflp::new`] — it exists as the frozen
-    /// performance baseline the `pd-argmin` bench and the target-lockstep
-    /// tests compare against.
-    pub fn with_full_scans(inst: &'a Instance) -> Self {
-        let (f_small, f_full) = Self::facility_costs(inst);
-        let dist = if inst.num_points() <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::PerCall
-        };
-        Self::with_parts(inst, dist, f_small, f_full, None, false)
-    }
-
-    /// The PR 5 serve path, frozen: the incremental opening-target index
-    /// with windowed ball ingest and 16-point blocks, but no kd tree, no
-    /// `PastIndex` block pruning and no worker pool. Same distance backend
-    /// policy as [`PdOmflp::new`], so a paired bench against it isolates
-    /// exactly this PR's serve-path changes. Behaviorally bit-identical to
-    /// [`PdOmflp::new`] — the layout generation is engine-invisible.
-    pub fn with_reference_layout(inst: &'a Instance) -> Self {
-        let (f_small, f_full) = Self::facility_costs(inst);
-        let targets = OpeningTargetIndex::for_instance_legacy(inst, &f_small, &f_full);
-        let dist = Self::cached_backend(inst);
-        Self::with_parts(inst, dist, f_small, f_full, Some(targets), true)
+        Ok(Self::with_parts(inst, f_small, f_full, targets))
     }
 
     /// Test/bench hook: forces the sharded-scan worker pool (`threads ≤ 1`
     /// removes it) and the blocks-per-shard granularity, regardless of
     /// instance size. Answers are bit-identical under every configuration;
     /// shard size also changes which skips are *attempted* (the stats),
-    /// the pool never changes anything observable. No-op in scan mode.
+    /// the pool never changes anything observable.
     pub fn configure_parallel_scans(&mut self, threads: usize, shard_blocks: usize) {
-        if let Some(t) = &mut self.targets {
-            t.set_scan_pool(if threads > 1 {
-                Some(Arc::new(TaskPool::new(threads)))
-            } else {
-                None
-            });
-            t.set_scan_shard_blocks(shard_blocks);
-        }
+        self.targets.set_scan_pool(if threads > 1 {
+            Some(Arc::new(TaskPool::new(threads)))
+        } else {
+            None
+        });
+        self.targets.set_scan_shard_blocks(shard_blocks);
     }
 
     fn dense_matrix(inst: &Instance) -> Vec<f64> {
@@ -496,8 +393,8 @@ impl<'a> PdOmflp<'a> {
         dmat
     }
 
-    /// The distance backend of the incremental engines: the dense matrix
-    /// up to [`DENSE_DISTANCE_CAP`] points, the blocked row cache beyond.
+    /// The distance backend: the dense matrix up to [`DENSE_DISTANCE_CAP`]
+    /// points, the blocked row cache beyond.
     fn cached_backend(inst: &Instance) -> DistanceBackend {
         let m = inst.num_points();
         if m <= DENSE_DISTANCE_CAP {
@@ -523,35 +420,27 @@ impl<'a> PdOmflp<'a> {
         (f_small, f_full)
     }
 
-    /// Assembles an engine; `targets` is `None` in scan mode, and `legacy`
-    /// pins the frozen PR 5 reference path.
+    /// Assembles an engine around its opening-target index.
     fn with_parts(
         inst: &'a Instance,
-        dist: DistanceBackend,
         f_small: Vec<f64>,
         f_full: Vec<f64>,
-        mut targets: Option<OpeningTargetIndex>,
-        legacy: bool,
+        mut targets: OpeningTargetIndex,
     ) -> Self {
         let m = inst.num_points();
         let s = inst.num_commodities();
         let mut past_index = PastIndex::new(m, s);
         let mut index = FacilityIndex::new(m, s);
-        if let Some(t) = &mut targets {
-            if !legacy {
-                // Share the target index's spatial layout with the shrink
-                // walk and the facility caches so both can skip whole
-                // blocks, and fan the per-arrival block scans out over a
-                // worker pool once they are long enough to amortize it.
-                // All are engine-invisible: results and skip/scan
-                // statistics stay bit-identical.
-                past_index.attach_layout(t.layout_handle());
-                index.attach_layout(t.layout_handle());
-                let threads = omfl_par::default_threads();
-                if m >= PAR_SCAN_MIN_POINTS && threads > 1 {
-                    t.set_scan_pool(Some(Arc::new(TaskPool::new(threads))));
-                }
-            }
+        // Share the target index's spatial layout with the shrink walk and
+        // the facility caches so both can skip whole blocks, and fan the
+        // per-arrival block scans out over a worker pool once they are
+        // long enough to amortize it. All are engine-invisible: results
+        // and skip/scan statistics stay bit-identical.
+        past_index.attach_layout(targets.layout_handle());
+        index.attach_layout(targets.layout_handle());
+        let threads = omfl_par::default_threads();
+        if m >= HUGE_METRIC_MIN_POINTS && threads > 1 {
+            targets.set_scan_pool(Some(Arc::new(TaskPool::new(threads))));
         }
         Self {
             inst,
@@ -563,18 +452,13 @@ impl<'a> PdOmflp<'a> {
             b_large: vec![0.0; m],
             f_small,
             f_full,
-            dist,
-            dist_row: vec![0.0; m],
-            dist_row_loc: None,
+            dist: Self::cached_backend(inst),
             moved_scratch: Vec::new(),
             cover_scratch: Vec::new(),
             rep_scratch: Vec::new(),
             blocks_scratch: Vec::new(),
             touched: vec![Vec::new(); s + 1],
-            frozen_reference: legacy,
-            partial_rows_min: PARTIAL_ROW_MIN_POINTS,
-            shrink_row: vec![0.0; m],
-            shrink_row_loc: None,
+            partial_rows_min: HUGE_METRIC_MIN_POINTS,
             targets,
             last_t3: Vec::new(),
             last_t4: (f64::INFINITY, PointId(0)),
@@ -584,20 +468,19 @@ impl<'a> PdOmflp<'a> {
         }
     }
 
-    /// Folds a fresh opening into the facility index — through a borrowed
-    /// distance row in incremental mode, per-call in scan mode (the PR 3
-    /// cost profile). On the partial-row path the row of `at` is read only
+    /// Folds a fresh opening into the facility index through a borrowed
+    /// distance row. On the partial-row path the row of `at` is read only
     /// over the blocks whose lower bound undercuts their largest cached
-    /// distance (the bounded refresh). Values are identical every way.
+    /// distance (the bounded refresh). Values are identical either way.
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
         if self.partial_rows_active() {
-            let (Some(t), DistanceBackend::Blocked(c)) = (&self.targets, &mut self.dist) else {
-                unreachable!("partial_rows_active checked the index and the backend")
+            let DistanceBackend::Blocked(c) = &mut self.dist else {
+                unreachable!("partial_rows_active checked the backend")
             };
             let maxima = self.index.block_maxima(e);
             let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
             let keep = |b, dlb| dlb < maxima[b];
-            match covered_blocks(c, t.layout(), self.inst, at, rep_d, blocks, keep) {
+            match covered_blocks(c, self.targets.layout(), self.inst, at, rep_d, blocks, keep) {
                 Some(row) => self.index.note_opening_full_row(e, row, fid),
                 None => self
                     .index
@@ -605,23 +488,10 @@ impl<'a> PdOmflp<'a> {
             }
             return;
         }
-        if self.targets.is_some() {
-            let row = backend_row(
-                &mut self.dist,
-                self.inst,
-                at,
-                &mut self.shrink_row,
-                &mut self.shrink_row_loc,
-            );
-            match e {
-                Some(e) => self.index.note_small_opening_with_row(row, e, fid),
-                None => self.index.note_large_opening_with_row(row, fid),
-            }
-        } else {
-            match e {
-                Some(e) => self.index.note_small_opening(self.inst, e, at, fid),
-                None => self.index.note_large_opening(self.inst, at, fid),
-            }
+        let row = backend_row(&mut self.dist, self.inst, at);
+        match e {
+            Some(e) => self.index.note_small_opening_with_row(row, e, fid),
+            None => self.index.note_large_opening_with_row(row, fid),
         }
     }
 
@@ -675,8 +545,9 @@ impl<'a> PdOmflp<'a> {
     /// there — the race ends at delta 0 before any target is read).
     ///
     /// This is the lockstep hook for `tests/tests/index_bounds.rs`: the
-    /// incremental engine's recorded targets must equal a scan-mode
-    /// engine's fresh scans bit for bit at every arrival.
+    /// recorded targets must equal verbatim strict-`<` scans over the bids
+    /// of a `naive::NaivePd` run, taken just before each arrival, bit for
+    /// bit.
     pub fn last_opening_targets(&self) -> Option<(&[OpeningTarget], OpeningTarget)> {
         if self.last_targets_valid {
             Some((&self.last_t3, self.last_t4))
@@ -686,19 +557,18 @@ impl<'a> PdOmflp<'a> {
     }
 
     /// `(blocks pruned, blocks scanned)` across the opening-target index's
-    /// queries; `None` in scan mode.
+    /// queries. Always `Some`: every engine keeps the index.
     pub fn opening_target_stats(&self) -> Option<(u64, u64)> {
-        self.targets.as_ref().map(|t| t.stats())
+        Some(self.targets.stats())
     }
 
-    /// `(blocks skipped, blocks scanned)` by the past-index shrink walks
-    /// (both 0 unless the block layout is attached, i.e. incremental mode).
+    /// `(blocks skipped, blocks scanned)` by the past-index shrink walks.
     pub fn past_index_stats(&self) -> (u64, u64) {
         self.past_index.stats()
     }
 
     /// `(hits, misses, evictions)` of the blocked distance-row cache;
-    /// `None` for the dense and per-call backends.
+    /// `None` for the dense backend.
     pub fn distance_cache_stats(&self) -> Option<(u64, u64, u64)> {
         match &self.dist {
             DistanceBackend::Blocked(c) => Some(c.stats()),
@@ -709,8 +579,8 @@ impl<'a> PdOmflp<'a> {
     /// Coverage-fallback promotions of the blocked row cache: partial rows
     /// a full-row consumer forced up to a full fill — on the partial-row
     /// path, an opening pass whose surviving blocks were wide (see
-    /// [`crate::index::WIDE_COVERAGE_SHARE`]). `None` for the dense and
-    /// per-call backends.
+    /// [`crate::index::WIDE_COVERAGE_SHARE`]). `None` for the dense
+    /// backend.
     pub fn row_fallback_promotions(&self) -> Option<u64> {
         match &self.dist {
             DistanceBackend::Blocked(c) => Some(c.fallback_promotions()),
@@ -719,21 +589,16 @@ impl<'a> PdOmflp<'a> {
     }
 
     /// Whether arrivals are served through kd-bounded partial row fills and
-    /// the sharded freeze walk: blocked backend + radius-bounded layout, at
-    /// least [`PARTIAL_ROW_MIN_POINTS`] points (below that a bulk full fill
-    /// is faster than pointwise coverage fills), and not the frozen PR 5
-    /// reference path.
+    /// the sharded freeze walk: blocked backend + radius-bounded layout and
+    /// at least [`HUGE_METRIC_MIN_POINTS`] points (below that a bulk full
+    /// fill is faster than pointwise coverage fills).
     pub fn partial_rows_active(&self) -> bool {
-        !self.frozen_reference
-            && self.inst.num_points() >= self.partial_rows_min
+        self.inst.num_points() >= self.partial_rows_min
             && matches!(self.dist, DistanceBackend::Blocked(_))
-            && self
-                .targets
-                .as_ref()
-                .is_some_and(|t| t.partial_rows_supported())
+            && self.targets.partial_rows_supported()
     }
 
-    /// Test/bench hook: overrides the [`PARTIAL_ROW_MIN_POINTS`] floor so
+    /// Test/bench hook: overrides the [`HUGE_METRIC_MIN_POINTS`] floor so
     /// lockstep suites can engage (or suppress) the partial-row serve path
     /// on CI-sized metrics. Either side of the threshold is bit-identical
     /// — the floor is purely a performance crossover.
@@ -783,16 +648,15 @@ impl<'a> PdOmflp<'a> {
         // `B[·][e]` shrank: the block bounds went stale low (still sound);
         // one rebuild per pass restores tight pruning.
         if shrank {
-            if let Some(t) = &mut self.targets {
-                let (f_row, b_row) = (
-                    &self.f_small[e.index() * m..(e.index() + 1) * m],
-                    &self.b_small[e.index() * m..(e.index() + 1) * m],
-                );
-                if bounded {
-                    t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
-                } else {
-                    t.rebuild_small(e, f_row, b_row);
-                }
+            let t = &mut self.targets;
+            let (f_row, b_row) = (
+                &self.f_small[e.index() * m..(e.index() + 1) * m],
+                &self.b_small[e.index() * m..(e.index() + 1) * m],
+            );
+            if bounded {
+                t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
+            } else {
+                t.rebuild_small(e, f_row, b_row);
             }
         }
     }
@@ -838,26 +702,25 @@ impl<'a> PdOmflp<'a> {
         // Budgets shrank: stale-low block bounds stay sound, but one
         // rebuild per affected row restores tight pruning — on the
         // partial-row path, of the blocks the walks touched.
-        if let Some(t) = &mut self.targets {
-            if shrank_large {
-                if bounded {
-                    t.rebuild_large_blocks(&self.f_full, &self.b_large, &mut self.touched[s]);
-                } else {
-                    t.rebuild_large(&self.f_full, &self.b_large);
-                }
+        let t = &mut self.targets;
+        if shrank_large {
+            if bounded {
+                t.rebuild_large_blocks(&self.f_full, &self.b_large, &mut self.touched[s]);
+            } else {
+                t.rebuild_large(&self.f_full, &self.b_large);
             }
-            shrank_small.sort_unstable();
-            shrank_small.dedup();
-            for e in shrank_small {
-                let (f_row, b_row) = (
-                    &self.f_small[e.index() * m..(e.index() + 1) * m],
-                    &self.b_small[e.index() * m..(e.index() + 1) * m],
-                );
-                if bounded {
-                    t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
-                } else {
-                    t.rebuild_small(e, f_row, b_row);
-                }
+        }
+        shrank_small.sort_unstable();
+        shrank_small.dedup();
+        for e in shrank_small {
+            let (f_row, b_row) = (
+                &self.f_small[e.index() * m..(e.index() + 1) * m],
+                &self.b_small[e.index() * m..(e.index() + 1) * m],
+            );
+            if bounded {
+                t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
+            } else {
+                t.rebuild_small(e, f_row, b_row);
             }
         }
     }
@@ -880,17 +743,16 @@ impl<'a> PdOmflp<'a> {
         let bounded = self.partial_rows_active();
         let (b_small, b_large) = (&mut self.b_small, &mut self.b_large);
         if !bounded {
-            let (row, row_loc) = (&mut self.shrink_row, &mut self.shrink_row_loc);
-            let drow = backend_row(&mut self.dist, self.inst, loc, row, row_loc);
+            let drow = backend_row(&mut self.dist, self.inst, loc);
             for &(f, old) in families {
                 shrink_bids(bid_row(b_small, b_large, f), drow, old, dj);
             }
             return;
         }
-        let (Some(t), DistanceBackend::Blocked(c)) = (&self.targets, &mut self.dist) else {
-            unreachable!("partial_rows_active checked the index and the backend")
+        let DistanceBackend::Blocked(c) = &mut self.dist else {
+            unreachable!("partial_rows_active checked the backend")
         };
-        let layout = t.layout();
+        let layout = self.targets.layout();
         let reach = families.iter().fold(0.0f64, |r, &(_, old)| r.max(old));
         let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
         let keep = |_, dlb| dlb < reach;
@@ -969,87 +831,59 @@ impl<'a> PdOmflp<'a> {
     /// worker pool, fed the backend's row when a full one is already
     /// materialized and the metric's certified f32 screening brackets
     /// otherwise — bit-identical updates either way, and a partial row
-    /// stays partial. Below the threshold (and on the frozen reference
-    /// path) the serial [`OpeningTargetIndex::budget_move_candidates`]
-    /// candidate-list walk over a full row stays faster; scan mode keeps
-    /// the full contiguous walk.
+    /// stays partial. Below the threshold the serial
+    /// [`OpeningTargetIndex::budget_move_candidates`] candidate-list walk
+    /// over a full row stays faster.
     fn freeze_bids(&mut self, loc: PointId, members: &[CommodityId], caps: &[f64], cap_total: f64) {
         let m = self.inst.num_points();
         if self.partial_rows_active() {
-            if let Some(t) = &mut self.targets {
-                let full_row: Option<&[f64]> = match &self.dist {
-                    DistanceBackend::Dense(d) => Some(&d[loc.index() * m..(loc.index() + 1) * m]),
-                    DistanceBackend::Blocked(c) => c.cached_row(loc.0),
-                    DistanceBackend::PerCall => None,
-                };
-                t.freeze_reinvest(
-                    self.inst,
-                    loc,
-                    full_row,
-                    members,
-                    caps,
-                    cap_total,
-                    &mut self.b_small,
-                    &mut self.b_large,
-                    &self.f_small,
-                    &self.f_full,
-                );
-                return;
-            }
+            let full_row: Option<&[f64]> = match &self.dist {
+                DistanceBackend::Dense(d) => Some(&d[loc.index() * m..(loc.index() + 1) * m]),
+                DistanceBackend::Blocked(c) => c.cached_row(loc.0),
+            };
+            self.targets.freeze_reinvest(
+                self.inst,
+                loc,
+                full_row,
+                members,
+                caps,
+                cap_total,
+                &mut self.b_small,
+                &mut self.b_large,
+                &self.f_small,
+                &self.f_full,
+            );
+            return;
         }
-        let dist_row = backend_row(
-            &mut self.dist,
-            self.inst,
-            loc,
-            &mut self.dist_row,
-            &mut self.dist_row_loc,
-        );
-        let (b_small, b_large, targets) = (&mut self.b_small, &mut self.b_large, &mut self.targets);
+        let dist_row = backend_row(&mut self.dist, self.inst, loc);
+        let (b_small, b_large, t) = (&mut self.b_small, &mut self.b_large, &mut self.targets);
         let (f_small, f_full) = (&self.f_small, &self.f_full);
         let moved = &mut self.moved_scratch;
         for (&e, &cap) in members.iter().zip(caps) {
             if cap > 0.0 {
                 let row = &mut b_small[e.index() * m..(e.index() + 1) * m];
-                match targets {
-                    Some(t) => {
-                        let f_row = &f_small[e.index() * m..(e.index() + 1) * m];
-                        t.budget_move_candidates(dist_row, cap, moved);
-                        for &p in moved.iter() {
-                            let p = p as usize;
-                            let d = dist_row[p];
-                            if d < cap {
-                                let b = &mut row[p];
-                                *b += cap - d;
-                                t.note_small_bump(e, PointId(p as u32), (f_row[p] - *b).max(0.0));
-                            }
-                        }
-                    }
-                    None => {
-                        for (b, &d) in row.iter_mut().zip(dist_row) {
-                            *b += (cap - d).max(0.0);
-                        }
+                let f_row = &f_small[e.index() * m..(e.index() + 1) * m];
+                t.budget_move_candidates(dist_row, cap, moved);
+                for &p in moved.iter() {
+                    let p = p as usize;
+                    let d = dist_row[p];
+                    if d < cap {
+                        let b = &mut row[p];
+                        *b += cap - d;
+                        t.note_small_bump(e, PointId(p as u32), (f_row[p] - *b).max(0.0));
                     }
                 }
             }
         }
         if cap_total > 0.0 {
-            match targets {
-                Some(t) => {
-                    t.budget_move_candidates(dist_row, cap_total, moved);
-                    for &p in moved.iter() {
-                        let p = p as usize;
-                        let d = dist_row[p];
-                        if d < cap_total {
-                            let b = &mut b_large[p];
-                            *b += cap_total - d;
-                            t.note_large_bump(PointId(p as u32), (f_full[p] - *b).max(0.0));
-                        }
-                    }
-                }
-                None => {
-                    for (b, &d) in b_large.iter_mut().zip(dist_row) {
-                        *b += (cap_total - d).max(0.0);
-                    }
+            t.budget_move_candidates(dist_row, cap_total, moved);
+            for &p in moved.iter() {
+                let p = p as usize;
+                let d = dist_row[p];
+                if d < cap_total {
+                    let b = &mut b_large[p];
+                    *b += cap_total - d;
+                    t.note_large_bump(PointId(p as u32), (f_full[p] - *b).max(0.0));
                 }
             }
         }
@@ -1060,23 +894,6 @@ impl<'a> PdOmflp<'a> {
 #[inline]
 fn tight(value: f64, target: f64) -> bool {
     value >= target - EPS * (1.0 + target.abs())
-}
-
-/// The verbatim opening-target scan: `min_p (f[p] − b[p])⁺ + d[p]` with
-/// strict-`<` ascending-`p` tie-breaking — the reference the opening-target
-/// index must reproduce bit for bit, and the whole story in scan mode.
-#[inline]
-fn scan_target(f_row: &[f64], b_row: &[f64], dist_row: &[f64]) -> (f64, PointId) {
-    let mut best = f64::INFINITY;
-    let mut best_m = PointId(0);
-    for (p, ((&f, &b), &d)) in f_row.iter().zip(b_row).zip(dist_row).enumerate() {
-        let v = (f - b).max(0.0) + d;
-        if v < best {
-            best = v;
-            best_m = PointId(p as u32);
-        }
-    }
-    (best, best_m)
 }
 
 impl OnlineAlgorithm for PdOmflp<'_> {
@@ -1125,12 +942,7 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         }
 
         // Distance row d(m, r), borrowed zero-copy from the backend and
-        // reused everywhere this arrival. Scan mode drops the reuse tag
-        // first — the per-call refill is the PR 3 cost profile it exists
-        // to preserve.
-        if self.targets.is_none() {
-            self.dist_row_loc = None;
-        }
+        // reused everywhere this arrival.
         let inst = self.inst;
         // Radius-bounded index over the blocked cache: fill only the
         // entries this arrival's scans can read. The block bounds come
@@ -1142,9 +954,10 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         // change; only a wide pass promotes a partial row through the
         // cache's coverage fallback.
         let dist_row: &[f64] = if self.partial_rows_active() {
-            let (Some(t), DistanceBackend::Blocked(c)) = (&mut self.targets, &mut self.dist) else {
-                unreachable!("partial_rows_active checked the index and the backend")
+            let DistanceBackend::Blocked(c) = &mut self.dist else {
+                unreachable!("partial_rows_active checked the backend")
             };
+            let t = &mut self.targets;
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
             t.layout().rep_distances(inst, loc, &mut self.rep_scratch);
@@ -1153,26 +966,17 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             t.query_scan_cover(&scratch.members, cover);
             c.partial_row_with(loc.0, cover, |p| inst.distance(PointId(p), loc))
         } else {
-            let row = backend_row(
-                &mut self.dist,
-                inst,
-                loc,
-                &mut self.dist_row,
-                &mut self.dist_row_loc,
-            );
+            let row = backend_row(&mut self.dist, inst, loc);
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
-            if let Some(t) = &mut self.targets {
-                t.prepare_query_row(Some(loc), row);
-            }
+            self.targets.prepare_query_row(Some(loc), row);
             row
         };
 
         // Per-commodity targets t1 (connect) / t3 (temp open) and joint
         // targets t2 (connect large) / t4 (open large). All constant during
         // the arrival (see module docs). t3/t4 come from the opening-target
-        // index's block-pruned scan when it is engaged; scan mode runs the
-        // full strict-`<` scans.
+        // index's block-pruned scans.
         scratch.t1.clear();
         scratch.t1.resize(k, f64::INFINITY);
         scratch.t1_fac.clear();
@@ -1188,17 +992,13 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             }
             let f_row = &self.f_small[e.index() * mpts..(e.index() + 1) * mpts];
             let b_row = &self.b_small[e.index() * mpts..(e.index() + 1) * mpts];
-            let (best, best_m) = match &mut self.targets {
-                Some(t) => t.small_target(e, f_row, b_row, dist_row),
-                None => scan_target(f_row, b_row, dist_row),
-            };
+            let (best, best_m) = self.targets.small_target(e, f_row, b_row, dist_row);
             scratch.t3[i] = best;
             scratch.t3_loc[i] = best_m;
         }
-        let (t4, t4_loc) = match &mut self.targets {
-            Some(t) => t.large_target(&self.f_full, &self.b_large, dist_row),
-            None => scan_target(&self.f_full, &self.b_large, dist_row),
-        };
+        let (t4, t4_loc) = self
+            .targets
+            .large_target(&self.f_full, &self.b_large, dist_row);
         let (t2, t2_fac) = match self.index.nearest_large(loc) {
             Some((fid, d)) => (d, Some(fid)),
             None => (f64::INFINITY, None),

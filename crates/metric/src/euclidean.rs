@@ -457,6 +457,7 @@ mod tests {
     /// and with the scalar fallback agree bit for bit.
     #[test]
     fn simd_toggle_never_changes_row_bits() {
+        let _toggle = simd::toggle_lock();
         let mut pts = Vec::new();
         let mut state = 0xA5EDu64;
         for _ in 0..53 {

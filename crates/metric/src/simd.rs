@@ -37,10 +37,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Global SIMD switch, default on. Results are bit-identical either way —
-/// the toggle exists so paired benches can time the scalar (pre-SIMD) code
-/// path for an honest baseline, and so a misbehaving platform can be ruled
-/// out without a rebuild. Racing toggles are benign for the same reason:
-/// both paths compute the same bits.
+/// the toggle exists so the tier-equivalence tests can run the scalar
+/// loops and the vector kernels side by side in one process, and so a
+/// misbehaving platform can be ruled out without a rebuild. Racing toggles
+/// never change a result for the same reason: both paths compute the same
+/// bits. They do change which tier a comparison exercises, so this crate's
+/// tests that switch the toggle or rely on its state serialize on one lock.
 static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables the explicit SIMD kernels process-wide.
@@ -51,6 +53,19 @@ pub fn set_simd_enabled(on: bool) {
 /// Whether the explicit SIMD kernels are currently enabled.
 pub fn simd_enabled() -> bool {
     SIMD_ENABLED.load(Ordering::Relaxed)
+}
+
+/// Serializes the tests that switch [`set_simd_enabled`] or whose checks
+/// depend on its state: the harness runs a crate's tests on parallel
+/// threads of one process, where one test's "off" would otherwise turn
+/// another's dispatch check into a failure, or its vector-vs-scalar
+/// comparison into scalar against scalar. Poison-tolerant, so one failing
+/// test does not fail every later one.
+#[cfg(test)]
+pub(crate) fn toggle_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Which kernel tier [`active_dispatch`] resolves to.
@@ -450,6 +465,7 @@ mod tests {
 
     #[test]
     fn kernels_are_bit_identical_to_scalar_loops() {
+        let _toggle = toggle_lock();
         // Odd lengths exercise every vector tail; accumulators start from a
         // prior pass's values, not zero, to catch ordering mistakes.
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 31, 64, 129] {
@@ -497,6 +513,7 @@ mod tests {
 
     #[test]
     fn screen_kernel_is_bit_identical_to_its_scalar_loop() {
+        let _toggle = toggle_lock();
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 31, 64, 129] {
             let col: Vec<f32> = awkward(n, 4).iter().map(|&v| v as f32).collect();
             let seed_lo = awkward(n, 5);
@@ -520,6 +537,7 @@ mod tests {
 
     #[test]
     fn disabling_simd_changes_nothing_but_the_dispatch() {
+        let _toggle = toggle_lock();
         let col = awkward(97, 3);
         let mut on = vec![0.0; 97];
         accumulate_squared(&mut on, &col, 0.125);
@@ -535,6 +553,7 @@ mod tests {
 
     #[test]
     fn dispatch_reports_a_real_tier() {
+        let _toggle = toggle_lock();
         // On x86-64 the baseline guarantees at least SSE2.
         let d = active_dispatch();
         if cfg!(target_arch = "x86_64") {

@@ -20,12 +20,13 @@
 //!   [`EngineSnapshot`] per touched tenant through a [`SnapshotHandle`],
 //!   so metrics and bound checks read consistent state without ever
 //!   taking an engine lock on the serve path.
-//! - **Fault isolation**: each tenant serve runs under
-//!   [`catch_unwind`](std::panic::catch_unwind). A panicking (or erroring,
-//!   or verification-failing) tenant is **quarantined** — its remaining
-//!   arrivals are skipped, its last snapshot is republished with
-//!   [`valid`](EngineSnapshot::valid) cleared, and the fault is reported
-//!   as a typed [`Quarantine`] in the [`ServeReport`] — while every
+//! - **Fault isolation**: each tenant serve runs under [`catch_unwind`].
+//!   A panicking (or erroring, or verification-failing) tenant is
+//!   **quarantined** — its remaining arrivals are skipped, its last
+//!   snapshot is republished with
+//!   [`valid`](omfl_core::algorithm::EngineSnapshot::valid) cleared, and
+//!   the fault is reported as a typed [`Quarantine`] in the
+//!   [`ServeReport`] — while every
 //!   healthy tenant continues bit-identically. Tenant mutexes are
 //!   poison-recovering throughout: a reader asking for a poisoned
 //!   tenant's handle gets [`ServeError::TenantPoisoned`], never a panic.

@@ -18,17 +18,22 @@
 //!   here against `omfl_core::bounds::sqrt_s` and `harmonic`.
 //!
 //! On top of the bound curves, this suite locksteps the relabeled,
-//! radius-bounded opening-target prune against fresh full scans bitwise at
-//! every arrival across the whole catalog (including the cold-query
-//! adversary and past the dense distance cap), and drives *random*
+//! radius-bounded opening-target prune bitwise at every arrival against
+//! verbatim full scans over the oracle's bids, across the whole catalog
+//! (including the cold-query adversary, and past the dense distance cap
+//! on both the full-row and the partial-row path), and drives *random*
 //! relabelings through whole engine runs — the index's block layout must
 //! never leak into engine-visible state.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::index::OpeningTargetIndex;
-use omfl_core::pd::PdOmflp;
+use omfl_core::instance::Instance;
+use omfl_core::naive::NaivePd;
+use omfl_core::pd::{OpeningTarget, PdOmflp};
 use omfl_core::{bounds, harmonic, CoreError};
+use omfl_metric::PointId;
 use omfl_workload::catalog::{by_name, registry, CatalogProfile};
+use omfl_workload::Scenario;
 use proptest::prelude::*;
 
 fn profile() -> CatalogProfile {
@@ -39,45 +44,84 @@ fn profile() -> CatalogProfile {
     }
 }
 
-/// Locksteps the incremental engine against a scan-mode engine over one
-/// scenario: identical outcomes and, at every non-fast-path arrival, the
-/// memo-repaired t3/t4 targets must equal the fresh-scan argmins **bit for
-/// bit** — value bits and winning location both.
-fn assert_targets_lockstep(sc: &omfl_workload::Scenario, label: &str) -> (u64, u64) {
+/// The verbatim opening-target scan: `min_p (f[p] − b[p])⁺ + d(p, at)`
+/// with strict-`<` ascending-`p` tie-breaking — what the block-pruned
+/// argmins must reproduce bit for bit.
+fn scan_target(
+    inst: &Instance,
+    f: impl Fn(PointId) -> f64,
+    b: &[f64],
+    at: PointId,
+) -> OpeningTarget {
+    let mut best = f64::INFINITY;
+    let mut best_m = PointId(0);
+    for (p, &bp) in b.iter().enumerate() {
+        let p = PointId(p as u32);
+        let v = (f(p) - bp).max(0.0) + inst.distance(p, at);
+        if v < best {
+            best = v;
+            best_m = p;
+        }
+    }
+    (best, best_m)
+}
+
+/// Locksteps `engine` against the oracle over one scenario: identical
+/// outcomes and, at every non-fast-path arrival, the block-pruned t3/t4
+/// targets must equal verbatim scans over the oracle's bids taken just
+/// before the arrival **bit for bit** — value bits and winning location
+/// both. Returns the engine's `(skipped, scanned)` block statistics.
+fn assert_targets_lockstep(sc: &Scenario, mut engine: PdOmflp<'_>, label: &str) -> (u64, u64) {
     let inst = sc.instance();
-    let mut inc = PdOmflp::new(inst);
-    let mut scan = PdOmflp::with_full_scans(inst);
+    let s = inst.num_commodities();
+    let mut oracle = NaivePd::new(inst);
     for (step, r) in sc.requests.iter().enumerate() {
-        let a = inc
+        // The oracle's bids are point-major: `B[p][e]` at `p·|S| + e`.
+        let (b_small, b_large) = oracle.bids();
+        let at = r.location();
+        let t3: Vec<OpeningTarget> = r
+            .demand()
+            .iter()
+            .map(|e| {
+                let b: Vec<f64> = b_small.iter().skip(e.index()).step_by(s).copied().collect();
+                scan_target(inst, |p| inst.small_cost(p, e), &b, at)
+            })
+            .collect();
+        let t4 = scan_target(inst, |p| inst.large_cost(p), b_large, at);
+        let a = engine
             .serve(r)
-            .unwrap_or_else(|e| panic!("{label}: incremental: {e}"));
-        let b = scan
-            .serve(r)
-            .unwrap_or_else(|e| panic!("{label}: scan: {e}"));
-        assert_eq!(a, b, "{label}: outcome diverged at arrival {step}");
-        match (inc.last_opening_targets(), scan.last_opening_targets()) {
-            (None, None) => {} // both took the zero-distance large fast path
-            (Some((t3i, t4i)), Some((t3s, t4s))) => {
-                assert_eq!(t3i.len(), t3s.len(), "{label}: arrival {step}");
-                for (slot, (ti, ts)) in t3i.iter().zip(t3s).enumerate() {
+            .unwrap_or_else(|e| panic!("{label}: engine: {e}"));
+        match engine.last_opening_targets() {
+            // The zero-distance large fast path computes no targets.
+            None => assert!(
+                a.served_by_large && a.opened.is_empty() && a.connection_cost == 0.0,
+                "{label}: no targets recorded off the fast path at arrival {step}"
+            ),
+            Some((t3e, t4e)) => {
+                assert_eq!(t3e.len(), t3.len(), "{label}: arrival {step}");
+                for (slot, (te, ts)) in t3e.iter().zip(&t3).enumerate() {
                     assert_eq!(
-                        (ti.0.to_bits(), ti.1),
+                        (te.0.to_bits(), te.1),
                         (ts.0.to_bits(), ts.1),
                         "{label}: t3 slot {slot} diverged at arrival {step} \
-                         (memo {ti:?} vs fresh scan {ts:?})"
+                         (pruned {te:?} vs verbatim scan {ts:?})"
                     );
                 }
                 assert_eq!(
-                    (t4i.0.to_bits(), t4i.1),
-                    (t4s.0.to_bits(), t4s.1),
+                    (t4e.0.to_bits(), t4e.1),
+                    (t4.0.to_bits(), t4.1),
                     "{label}: t4 diverged at arrival {step}"
                 );
             }
-            (i, s) => panic!("{label}: fast-path divergence at arrival {step}: {i:?} vs {s:?}"),
         }
+        let b = oracle
+            .serve(r)
+            .unwrap_or_else(|e| panic!("{label}: oracle: {e}"));
+        assert_eq!(a, b, "{label}: outcome diverged at arrival {step}");
     }
-    inc.opening_target_stats()
-        .expect("incremental engine exposes stats")
+    engine
+        .opening_target_stats()
+        .expect("the engine exposes stats")
 }
 
 #[test]
@@ -87,7 +131,8 @@ fn incremental_targets_equal_fresh_scans_at_every_arrival() {
     let mut total_skipped = 0;
     for fam in registry() {
         let sc = fam.build(&profile(), 29).expect(fam.name);
-        let (skipped, scanned) = assert_targets_lockstep(&sc, fam.name);
+        let engine = PdOmflp::new(sc.instance());
+        let (skipped, scanned) = assert_targets_lockstep(&sc, engine, fam.name);
         assert!(
             skipped + scanned > 0,
             "{}: the opening-target index was never queried",
@@ -106,7 +151,10 @@ fn incremental_targets_lockstep_beyond_the_dense_cap() {
     // Push the large families — including the cold-query adversary whose
     // ids are scattered against spatial structure — past DENSE_DISTANCE_CAP
     // (1280–2560 points) so the lockstep covers the blocked-row-cache
-    // backend and the relabeled radius-bounded prune together.
+    // backend and the relabeled radius-bounded prune together. Each runs
+    // twice: on the full-row path, and with partial rows forced on, where
+    // the scans read only the predicted scan cover of each arrival's row
+    // (debug builds poison every uncovered entry with NaN).
     let profile = CatalogProfile {
         points: 40,
         services: 8,
@@ -122,11 +170,18 @@ fn incremental_targets_lockstep_beyond_the_dense_cap() {
             sc.instance().num_points() > omfl_core::pd::DENSE_DISTANCE_CAP,
             "{name}: profile failed to cross the dense cap"
         );
-        let (skipped, _) = assert_targets_lockstep(&sc, name);
+        let inst = sc.instance();
+        let (skipped, _) = assert_targets_lockstep(&sc, PdOmflp::new(inst), name);
         assert!(
             skipped > 0,
             "{name}: the prune never skipped a block on a hotspot workload"
         );
+        let mut partial = PdOmflp::new(inst);
+        partial.set_partial_row_threshold(0);
+        assert!(partial.partial_rows_active(), "{name}: partial rows");
+        let label = format!("{name} (partial rows)");
+        let (skipped, _) = assert_targets_lockstep(&sc, partial, &label);
+        assert!(skipped > 0, "{label}: the prune never skipped a block");
     }
 }
 
@@ -144,7 +199,8 @@ fn cold_query_family_is_pruned_by_radius_bounds_alone() {
         .unwrap()
         .build(&profile, 17)
         .expect("cold-scatter-large");
-    let (skipped, scanned) = assert_targets_lockstep(&sc, "cold-scatter-large");
+    let engine = PdOmflp::new(sc.instance());
+    let (skipped, scanned) = assert_targets_lockstep(&sc, engine, "cold-scatter-large");
     let rate = skipped as f64 / (skipped + scanned).max(1) as f64;
     assert!(
         rate >= 0.5,

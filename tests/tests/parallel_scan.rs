@@ -1,5 +1,5 @@
-//! Pool-invisibility and ingest-soundness locksteps for the PR 6 serve
-//! path: sharded within-arrival block scans and kd-tree ball ingest.
+//! Pool-invisibility and ingest-soundness locksteps for the sharded
+//! within-arrival block scans and the ball ingest behind the block layout.
 //!
 //! The worker pool behind the per-arrival t3/t4 scans is an *execution*
 //! choice, never an *algorithmic* one: the shard partition is a pure
@@ -10,9 +10,10 @@
 //! even the skip/scan statistics — at 1, 2, 7, or 16 threads, and under
 //! any blocks-per-shard granularity. These tests pin that down across the
 //! workload catalog, alongside the structural invariants both ball-ingest
-//! paths (kd nearest-neighbor and the frozen windowed baseline) must
-//! satisfy: the block partition is a permutation, each block's covering
-//! radius is sound, and the recorded min-id matches the members.
+//! paths (kd nearest-neighbor balls for metrics with coordinates, windowed
+//! balls for the rest) must satisfy: the block partition is a permutation,
+//! each block's covering radius is sound, and the recorded min-id matches
+//! the members.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::index::OpeningTargetIndex;
@@ -20,14 +21,6 @@ use omfl_core::pd::PdOmflp;
 use omfl_workload::catalog::{by_name, registry, CatalogProfile};
 use omfl_workload::Scenario;
 use proptest::prelude::*;
-
-fn small_profile() -> CatalogProfile {
-    CatalogProfile {
-        points: 14,
-        services: 6,
-        requests: 60,
-    }
-}
 
 /// Runs a configured engine against the stock sequential engine over one
 /// scenario; everything observable must agree bit for bit. Returns the
@@ -114,21 +107,6 @@ fn sharded_scans_lockstep_on_the_scattered_families() {
     }
 }
 
-#[test]
-fn reference_layout_engine_is_bit_identical_to_the_current_one() {
-    // `with_reference_layout` freezes the PR 5 layout generation (windowed
-    // balls, 16-point blocks, no kd, no block-pruned shrink walk). The
-    // layout is engine-invisible, so the frozen engine must replay every
-    // family bit for bit — this is what makes the `huge` paired bench a
-    // fair like-for-like speedup measurement.
-    for fam in registry() {
-        let sc = fam.build(&small_profile(), 41).expect(fam.name);
-        let inst = sc.instance();
-        let tuned = PdOmflp::with_reference_layout(inst);
-        assert_engine_lockstep(&sc, tuned, fam.name);
-    }
-}
-
 /// Structural soundness of one block layout: partition is a permutation of
 /// the point set, the medoid is a member, the covering radius dominates
 /// every member distance, and min_id is the true member minimum.
@@ -169,28 +147,43 @@ fn assert_ball_invariants(sc: &Scenario, idx: &OpeningTargetIndex, label: &str) 
 
 #[test]
 fn kd_and_windowed_ball_ingest_both_satisfy_the_block_invariants() {
-    // Both ingest paths — the kd nearest-neighbor balls behind the current
-    // engine and the frozen 256-point-window baseline — must produce sound
-    // layouts on every family that opts into spatial structure. (Scan-mode
-    // families produce the identity layout, which is trivially sound and
-    // checked too.)
+    // Both ingest paths — kd nearest-neighbor balls for metrics with a
+    // coordinate embedding, windowed balls over the coherent order for the
+    // rest — must produce sound layouts on every family that opts into
+    // spatial structure. (Families without a coherent order produce the
+    // identity layout, which is trivially sound and checked too.) The
+    // catalog must keep reaching both paths.
     let profile = CatalogProfile {
         points: 24,
         services: 4,
         requests: 10,
     };
+    let (mut kd_families, mut windowed_families) = (0, 0);
     for fam in registry() {
         let sc = fam.build(&profile, 3).expect(fam.name);
         let inst = sc.instance();
+        let metric = inst.metric();
+        let ingest = if metric.coherent_order().is_none() {
+            "identity layout"
+        } else if metric.kd_coords().is_some() {
+            kd_families += 1;
+            "kd ingest"
+        } else {
+            windowed_families += 1;
+            "windowed ingest"
+        };
         let m = inst.num_points();
         let s = inst.num_commodities();
         let f_small = vec![1.0; m * s];
         let f_full = vec![2.0; m];
-        let kd = OpeningTargetIndex::for_instance(inst, &f_small, &f_full);
-        assert_ball_invariants(&sc, &kd, &format!("{} (kd ingest)", fam.name));
-        let win = OpeningTargetIndex::for_instance_legacy(inst, &f_small, &f_full);
-        assert_ball_invariants(&sc, &win, &format!("{} (windowed ingest)", fam.name));
+        let idx = OpeningTargetIndex::for_instance(inst, &f_small, &f_full);
+        assert_ball_invariants(&sc, &idx, &format!("{} ({ingest})", fam.name));
     }
+    assert!(kd_families > 0, "no catalog family reaches the kd ingest");
+    assert!(
+        windowed_families > 0,
+        "no catalog family reaches the windowed ingest"
+    );
 }
 
 proptest! {

@@ -1,7 +1,7 @@
-//! Locksteps for the PR 8 serve path: kd-bounded partial row fills and
-//! the sharded, f32-screened freeze walk.
+//! Locksteps for the partial-row serve path: kd-bounded partial row fills,
+//! coverage-bounded openings and the sharded, f32-screened freeze walk.
 //!
-//! From `PARTIAL_ROW_MIN_POINTS` up (forced on here via the
+//! From `HUGE_METRIC_MIN_POINTS` up (forced on here via the
 //! `set_partial_row_threshold` hook so CI-sized metrics exercise it, and
 //! reached unforced by one 65,536-point lockstep) the engine no longer
 //! fills a full `|M|`-entry distance row per arrival — it fills only the
@@ -16,25 +16,24 @@
 //! exactly `{p : d < cap}` however it is narrowed, and the shard
 //! partition is a pure function of the block count. So the engine
 //! must be bit-for-bit indistinguishable — per-arrival outcomes, dual
-//! sums, total costs — from the full-row, full-walk reference at 1, 2, 7,
-//! or 16 threads, on every family including the id-scattered adversary.
+//! sums, total costs — from the linear-scan oracle `NaivePd` at 1, 2, 7,
+//! or 16 threads, on every family including the id-scattered adversary,
+//! and keep every pruning statistic of an engine pinned to full rows.
 
 use omfl_core::algorithm::OnlineAlgorithm;
-use omfl_core::pd::{PdOmflp, PARTIAL_ROW_MIN_POINTS};
+use omfl_core::index::HUGE_METRIC_MIN_POINTS;
+use omfl_core::naive::NaivePd;
+use omfl_core::pd::PdOmflp;
 use omfl_metric::euclidean::{EuclideanMetric, Norm};
 use omfl_workload::catalog::{by_name, CatalogProfile};
 use omfl_workload::Scenario;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Serves one scenario on both engines in lockstep; everything observable
-/// must agree bit for bit.
-fn assert_serve_lockstep(
-    sc: &Scenario,
-    mut tuned: PdOmflp<'_>,
-    mut reference: PdOmflp<'_>,
-    label: &str,
-) {
+/// Serves one scenario on the engine and the oracle in lockstep;
+/// everything observable must agree bit for bit.
+fn assert_serve_lockstep(sc: &Scenario, mut tuned: PdOmflp<'_>, label: &str) {
+    let mut reference = NaivePd::new(sc.instance());
     for (step, r) in sc.requests.iter().enumerate() {
         let a = tuned.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
         let b = reference
@@ -58,10 +57,9 @@ fn assert_serve_lockstep(
 fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
     // euclid-grid-large at points=40 → |M| = 2560: past the dense cap, so
     // the stock engine runs the blocked backend over the radius-bounded
-    // layout — partial rows and the sharded screened freeze are live. The
-    // full-scan engine fills complete rows and freezes with the serial
-    // full walk; both must replay identically at every pool size (the
-    // freeze walk shares the scan pool, so the extremes exercise it too).
+    // layout — partial rows and the sharded screened freeze are live. It
+    // must replay the oracle identically at every pool size (the freeze
+    // walk shares the scan pool, so the extremes exercise it too).
     let profile = CatalogProfile {
         points: 40,
         services: 8,
@@ -80,36 +78,8 @@ fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
             "blocked backend + bounded layout must enable partial rows"
         );
         tuned.configure_parallel_scans(threads, 16);
-        let reference = PdOmflp::with_full_scans(inst);
-        assert_serve_lockstep(&sc, tuned, reference, &format!("partial t={threads}"));
+        assert_serve_lockstep(&sc, tuned, &format!("partial t={threads}"));
     }
-}
-
-#[test]
-fn frozen_reference_path_keeps_full_rows_and_stays_lockstep() {
-    // `with_reference_layout` pins the PR 5 serve path: full row fills and
-    // the serial freeze, partial rows gated off — that gate is what keeps
-    // the `huge` paired bench a like-for-like measurement. It must still
-    // replay the current engine bit for bit.
-    let profile = CatalogProfile {
-        points: 40,
-        services: 8,
-        requests: 100,
-    };
-    let sc = by_name("euclid-grid-large")
-        .unwrap()
-        .build(&profile, 11)
-        .expect("euclid-grid-large");
-    let inst = sc.instance();
-    let mut current = PdOmflp::new(inst);
-    current.set_partial_row_threshold(0);
-    assert!(current.partial_rows_active());
-    let frozen = PdOmflp::with_reference_layout(inst);
-    assert!(
-        !frozen.partial_rows_active(),
-        "the frozen reference path must not take the partial-row fast path"
-    );
-    assert_serve_lockstep(&sc, frozen, current, "reference-layout");
 }
 
 #[test]
@@ -137,7 +107,7 @@ fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
     tuned.set_partial_row_threshold(0);
     assert!(tuned.partial_rows_active());
     tuned.configure_parallel_scans(7, 2);
-    let mut reference = PdOmflp::with_full_scans(inst);
+    let mut reference = NaivePd::new(inst);
     for (step, r) in sc.requests.iter().enumerate() {
         let a = tuned
             .serve(r)
@@ -256,13 +226,13 @@ fn assert_stats_lockstep(sc: &Scenario, a: &mut PdOmflp<'_>, b: &mut PdOmflp<'_>
 
 #[test]
 fn partial_rows_engage_unforced_at_the_size_threshold() {
-    // euclid-grid-large at points=1024 → |M| = 65,536 = PARTIAL_ROW_MIN_POINTS:
+    // euclid-grid-large at points=1024 → |M| = 65,536 = HUGE_METRIC_MIN_POINTS:
     // the stock engine, with no threshold hook, builds the 64-point
     // HUGE_BLOCK kd layout, serves through partial rows and the
     // layout-ordered coordinate passes, and auto-engages its scan pool
     // whenever OMFL_THREADS (or the machine) allows more than one thread.
-    // It must replay the full-scan engine bit for bit and keep every
-    // pruning statistic of an engine pinned to full rows.
+    // It must replay the oracle bit for bit and keep every pruning
+    // statistic of an engine pinned to full rows.
     let profile = CatalogProfile {
         points: 1024,
         services: 8,
@@ -273,13 +243,13 @@ fn partial_rows_engage_unforced_at_the_size_threshold() {
         .build(&profile, 3)
         .expect("euclid-grid-large");
     let inst = sc.instance();
-    assert_eq!(inst.num_points(), PARTIAL_ROW_MIN_POINTS);
+    assert_eq!(inst.num_points(), HUGE_METRIC_MIN_POINTS);
     let stock = PdOmflp::new(inst);
     assert!(
         stock.partial_rows_active(),
         "the size threshold must engage partial rows"
     );
-    assert_serve_lockstep(&sc, stock, PdOmflp::with_full_scans(inst), "threshold");
+    assert_serve_lockstep(&sc, stock, "threshold");
     let mut stock = PdOmflp::new(inst);
     let mut full = PdOmflp::new(inst);
     full.set_partial_row_threshold(usize::MAX);
@@ -299,7 +269,7 @@ proptest! {
 
     /// Random (large family, seed, threads, shard size) cells past the
     /// dense cap: the partial-row engine must be indistinguishable from
-    /// the full-scan one. Thread counts beyond the machine's cores are
+    /// the oracle. Thread counts beyond the machine's cores are
     /// deliberate — oversubscription must not be observable either.
     #[test]
     fn random_partial_row_configurations_never_change_outcomes(
@@ -320,8 +290,7 @@ proptest! {
         tuned.set_partial_row_threshold(0);
         prop_assert!(tuned.partial_rows_active(), "{name} must cross the dense cap");
         tuned.configure_parallel_scans(threads, shard_blocks);
-        let reference = PdOmflp::with_full_scans(inst);
         let label = format!("{name} t={threads} sb={shard_blocks}");
-        assert_serve_lockstep(&sc, tuned, reference, &label);
+        assert_serve_lockstep(&sc, tuned, &label);
     }
 }
