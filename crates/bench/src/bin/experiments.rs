@@ -7,12 +7,17 @@
 //! experiments --out results/       also write CSVs (default: results/)
 //! experiments --emit-json [dir]    write BENCH_pd.json / BENCH_sweep.json /
 //!                                  BENCH_serve.json / BENCH_opt.json
-//! experiments --check-json [dir]   re-run the smoke profile and fail on
-//!                                  missing keys, a >1.5x perf regression
-//!                                  on any >=1ms cell, the small PD cell's
-//!                                  speedup below its floor, or a block
-//!                                  skip rate below its floor, vs the
-//!                                  committed baselines.
+//! experiments --check-json [dir]   re-run the smoke profile and check it
+//!                                  against the committed baselines: a
+//!                                  missing key fails, and otherwise the
+//!                                  gate perfjson declares for the key
+//!                                  judges it — Exact (run shape, node
+//!                                  counts, certified gaps, quarantine
+//!                                  counts), Floor (the small PD cell's
+//!                                  speedup, block skip rates, every
+//!                                  digest_match), RatioMax (a >1.5x
+//!                                  regression of any >=1ms wall-clock
+//!                                  mean) or Info (never judged).
 //!                                  The fresh output is always written to
 //!                                  <dir>/bench-fresh/ so CI can upload it
 //!                                  as an artifact — regenerating baselines
@@ -26,63 +31,46 @@ use std::path::{Path, PathBuf};
 /// Runs the bench smoke profile and either writes (`emit`) or verifies
 /// (`check`) the `BENCH_*.json` artifacts in `dir`.
 fn run_json_mode(dir: &Path, emit: bool) {
-    let (pd_doc, sweep_doc, serve_doc, opt_doc) = match perfjson::smoke_profile_json() {
+    let docs = match perfjson::smoke_profile_json() {
         Ok(docs) => docs,
         Err(e) => {
             eprintln!("bench smoke profile failed: {e}");
             std::process::exit(1);
         }
     };
-    let pd_path = dir.join("BENCH_pd.json");
-    let sweep_path = dir.join("BENCH_sweep.json");
-    let serve_path = dir.join("BENCH_serve.json");
-    let opt_path = dir.join("BENCH_opt.json");
-    if emit {
-        std::fs::create_dir_all(dir).expect("bench output dir");
-        std::fs::write(&pd_path, &pd_doc).expect("write BENCH_pd.json");
-        std::fs::write(&sweep_path, &sweep_doc).expect("write BENCH_sweep.json");
-        std::fs::write(&serve_path, &serve_doc).expect("write BENCH_serve.json");
-        std::fs::write(&opt_path, &opt_doc).expect("write BENCH_opt.json");
-        println!("wrote {}", pd_path.display());
-        println!("wrote {}", sweep_path.display());
-        println!("wrote {}", serve_path.display());
-        println!("wrote {}", opt_path.display());
-        print!("{pd_doc}");
-        print!("{serve_doc}");
-        print!("{opt_doc}");
-        return;
-    }
     // The fresh run is persisted unconditionally: on failure CI uploads it
     // as a workflow artifact, and the messages below can point at a file
     // that actually exists instead of numbers scrolled out of a log.
-    let fresh_dir = dir.join("bench-fresh");
-    std::fs::create_dir_all(&fresh_dir).expect("bench-fresh dir");
-    std::fs::write(fresh_dir.join("BENCH_pd.json"), &pd_doc).expect("write fresh BENCH_pd.json");
-    std::fs::write(fresh_dir.join("BENCH_sweep.json"), &sweep_doc)
-        .expect("write fresh BENCH_sweep.json");
-    std::fs::write(fresh_dir.join("BENCH_serve.json"), &serve_doc)
-        .expect("write fresh BENCH_serve.json");
-    std::fs::write(fresh_dir.join("BENCH_opt.json"), &opt_doc).expect("write fresh BENCH_opt.json");
-
+    let out_dir = if emit {
+        dir.to_path_buf()
+    } else {
+        dir.join("bench-fresh")
+    };
+    std::fs::create_dir_all(&out_dir).expect("bench output dir");
     let mut failed = false;
-    for (path, fresh, label) in [
-        (&pd_path, &pd_doc, "BENCH_pd.json"),
-        (&sweep_path, &sweep_doc, "BENCH_sweep.json"),
-        (&serve_path, &serve_doc, "BENCH_serve.json"),
-        (&opt_path, &opt_doc, "BENCH_opt.json"),
-    ] {
-        let committed = match std::fs::read_to_string(path) {
+    for (name, doc) in &docs {
+        let out_path = out_dir.join(name);
+        let text = doc.render();
+        std::fs::write(&out_path, &text)
+            .unwrap_or_else(|e| panic!("write {}: {e}", out_path.display()));
+        if emit {
+            println!("wrote {}", out_path.display());
+            print!("{text}");
+            continue;
+        }
+        let path = dir.join(name);
+        let committed = match std::fs::read_to_string(&path) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!(
-                    "FAIL {label}: committed baseline unreadable at {}: {e}",
+                    "FAIL {name}: committed baseline unreadable at {}: {e}",
                     path.display()
                 );
                 failed = true;
                 continue;
             }
         };
-        match perfjson::check(fresh, &committed, label) {
+        match perfjson::check(doc, &committed, name) {
             Ok(notes) => {
                 for n in notes {
                     println!("ok   {n}");
@@ -92,13 +80,13 @@ fn run_json_mode(dir: &Path, emit: bool) {
                 for e in errors {
                     eprintln!("FAIL {e}");
                 }
-                eprintln!(
-                    "     this run's fresh {label} is at {}",
-                    fresh_dir.join(label).display()
-                );
+                eprintln!("     this run's fresh {name} is at {}", out_path.display());
                 failed = true;
             }
         }
+    }
+    if emit {
+        return;
     }
     if failed {
         eprintln!(

@@ -16,90 +16,29 @@
 //! The measurement protocol is [`crate::perfjson::pd_timing`] — the same
 //! harness that produces the gated large cells of `BENCH_pd.json`.
 
-use crate::perfjson::{pd_timing, PdTiming};
+use crate::perfjson::{pd_euclid_large_profile, pd_large_profile, pd_timing};
 use crate::table::{fmt, Table};
-use omfl_workload::catalog::CatalogProfile;
-
-fn measure(family: &'static str, profile: &CatalogProfile, repeats: usize) -> PdTiming {
-    pd_timing(family, profile, repeats).expect("PD timing")
-}
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {
-    let cells: Vec<(&str, PdTiming)> = if quick {
-        // Matches perfjson::pd_large_profile / pd_euclid_large_profile, the
-        // gated BENCH_pd.json cells: the steady-state tail (most arrivals
-        // after facilities stabilize) is where the argmin index pays, so
-        // short streams undersell it.
-        vec![
-            (
-                "zipf-services-large",
-                measure(
-                    "zipf-services-large",
-                    &CatalogProfile {
-                        points: 128, // × 32 scale → |M| = 4096
-                        services: 64,
-                        requests: 4096,
-                    },
-                    3,
-                ),
-            ),
-            (
-                "euclid-grid-large",
-                measure(
-                    "euclid-grid-large",
-                    &CatalogProfile {
-                        points: 256, // × 64 scale → |M| = 16384
-                        services: 64,
-                        requests: 4096,
-                    },
-                    3,
-                ),
-            ),
-        ]
-    } else {
-        vec![
-            (
-                "zipf-services-large",
-                measure(
-                    "zipf-services-large",
-                    &CatalogProfile {
-                        points: 128,
-                        services: 64,
-                        requests: 4096,
-                    },
-                    5,
-                ),
-            ),
-            (
-                "euclid-grid-large",
-                measure(
-                    "euclid-grid-large",
-                    &CatalogProfile {
-                        points: 256, // × 64 scale → |M| = 16384
-                        services: 64,
-                        requests: 4096,
-                    },
-                    3,
-                ),
-            ),
-            (
-                // The id-order adversary: ids random w.r.t. space and every
-                // query cold — the distance-free bounds see nothing, so the
-                // skip rate here is purely the relabeled radius bounds.
-                "cold-scatter-large",
-                measure(
-                    "cold-scatter-large",
-                    &CatalogProfile {
-                        points: 128, // × 32 scale → |M| = 4096
-                        services: 64,
-                        requests: 4096,
-                    },
-                    3,
-                ),
-            ),
-        ]
-    };
+    // The gated BENCH_pd.json cells' profiles: the steady-state tail (most
+    // arrivals after facilities stabilize) is where the argmin index pays,
+    // so short streams undersell it.
+    let graph_repeats = if quick { 3 } else { 5 };
+    let mut plan = vec![
+        ("zipf-services-large", pd_large_profile(), graph_repeats),
+        ("euclid-grid-large", pd_euclid_large_profile(), 3),
+    ];
+    if !quick {
+        // The id-order adversary: ids random w.r.t. space and every query
+        // cold — the distance-free bounds see nothing, so the skip rate
+        // here is purely the relabeled radius bounds.
+        plan.push(("cold-scatter-large", pd_large_profile(), 3));
+    }
+    let cells: Vec<_> = plan
+        .into_iter()
+        .map(|(family, profile, repeats)| pd_timing(family, &profile, repeats).expect("PD timing"))
+        .collect();
 
     let mut t = Table::new(
         "PD opening targets: block-pruned argmin + blocked rows (checked against NaivePd)",
@@ -107,9 +46,9 @@ pub fn run(quick: bool) -> Vec<Table> {
             "family", "|M|", "requests", "incr ms", "blk skip", "row hit",
         ],
     );
-    for (family, c) in &cells {
+    for c in &cells {
         t.row(&[
-            family.to_string(),
+            c.family.to_string(),
             c.points.to_string(),
             c.requests.to_string(),
             fmt(c.incremental.mean * 1e3),

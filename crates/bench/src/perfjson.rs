@@ -16,31 +16,36 @@
 //!   the total cost of one untimed `NaivePd` run bit for bit (see
 //!   [`pd_timing`]);
 //! * **`BENCH_sweep.json`** — per (engine × family) serve wall-clock
-//!   (mean/std/min/max over trials) for the whole catalog under the
-//!   work-stealing sweep;
+//!   (mean/std/min/max over trials) for the whole catalog;
 //! * **`BENCH_serve.json`** — the multi-tenant serve loop (`omfl_serve`):
 //!   the machine-independent `digest_match` determinism cell (aggregate
 //!   reports bit-identical across shard/thread configs
-//!   [`SERVE_DETERMINISM_CONFIGS`], hard-gated at 1.0), the
-//!   `arrivals_per_sec` throughput cell (gated as a ratio against the
-//!   committed baseline, dev-box target ≥ 1M/s aggregate), and
-//!   informational p50/p99 latency and backpressure telemetry;
+//!   [`SERVE_DETERMINISM_CONFIGS`]), the `serve_secs` wall-clock summary
+//!   with its derived `arrivals_per_sec` (dev-box target ≥ 1M/s
+//!   aggregate), and informational p50/p99 latency and backpressure
+//!   telemetry;
 //! * **`BENCH_opt.json`** — certified exact optima (see [`opt_json`]).
 //!
-//! The committed files at the repo root are the baseline; CI re-runs the
-//! smoke profile and [`check`]s the fresh numbers against them: missing
-//! keys fail, a `secs.mean` with a baseline of at least [`MIN_GATED_SECS`]
-//! regressing by more than [`REGRESSION_FACTOR`] fails, the small-cell
-//! speedup dropping below [`MIN_PD_SPEEDUP`] fails, and a block skip rate
-//! dropping below [`MIN_BLOCK_SKIP_RATE`] fails. Wall-clock comparisons
-//! across machines are inherently noisy — hence the sub-millisecond
-//! exemption and the emphasis on deterministic gates; the recorded `std`
-//! per summary is what justified tightening the factor to 1.5×.
+//! Each builder returns a [`Doc`]: an ordered document whose keys each
+//! hold a number or a string and the [`Gate`] that judges it, declared on
+//! the line that emits the value, or a nested document. [`Doc::render`] is
+//! the one JSON writer. The committed files at the repo root are the
+//! baseline; CI re-runs the smoke profile and [`check`]s each fresh
+//! document against them: a committed key missing from the fresh run
+//! fails, and otherwise the fresh entry's gate decides — run shape, node
+//! counts, certified gaps and quarantine counts are [`Gate::Exact`]; the
+//! small-cell speedup, the block skip rates and every `digest_match` have
+//! a [`Gate::Floor`]; every wall-clock mean is [`Gate::RatioMax`]; the
+//! rest is [`Gate::Info`]. A gated value that is not finite fails.
+//! Wall-clock comparisons across machines are inherently noisy — hence the
+//! sub-millisecond exemption and the emphasis on deterministic gates; the
+//! recorded `std` per summary is what justified tightening the factor to
+//! 1.5×.
 //!
-//! JSON is written and parsed by hand (the workspace vendors no serde): the
-//! emitter produces a small object tree of numbers/strings (nested objects
-//! to any depth — `large.incremental_secs.mean` is three levels), and the
-//! parser below reads exactly that shape back as flattened dotted keys.
+//! JSON is written and parsed by hand (the workspace vendors no serde):
+//! [`parse_flat`] reads the nested objects back as flattened dotted keys
+//! (`large.incremental_secs.mean` is three levels), the form [`check`]
+//! compares in.
 
 use omfl_baselines::offline::ExactSolver;
 use omfl_core::algorithm::OnlineAlgorithm;
@@ -54,22 +59,19 @@ use omfl_sim::{ArrivalSource, Engine};
 use omfl_workload::catalog::{self, CatalogProfile};
 use omfl_workload::Scenario;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Fresh `secs.mean` may be at most this factor above the committed
-/// baseline before the check fails. Applies only to cells whose baseline is
-/// at least [`MIN_GATED_SECS`]; with the recorded `std` showing
+/// A [`Gate::RatioMax`] value may be at most this factor above the
+/// committed baseline before the check fails. Applies only to cells whose
+/// baseline is at least [`MIN_GATED_SECS`]; with the recorded `std` showing
 /// millisecond-scale cells jitter well under 50% between runs, the factor
 /// sits at 1.5 (down from the initial 2.0).
 pub const REGRESSION_FACTOR: f64 = 1.5;
 
-/// Absolute-seconds regression gating only applies to keys whose committed
-/// baseline is at least this long. Sub-millisecond cells (the per-family
-/// sweep timings) jitter far beyond 2× between a dev box and a shared CI
-/// runner — for those the check verifies key presence and reports the ratio
-/// as a note instead of failing the job; the `speedup` ratio and the
-/// millisecond-scale PD/sweep-wall means stay hard-gated.
+/// [`Gate::RatioMax`] only fails keys whose committed baseline is at least
+/// this long. Sub-millisecond cells (most per-family sweep timings) jitter
+/// far beyond 2× between a dev box and a shared CI runner — for those the
+/// check reports the ratio as a note instead of failing the job.
 pub const MIN_GATED_SECS: f64 = 1e-3;
 
 /// The indexed-vs-naive PD speedup must stay at least this high. The
@@ -93,6 +95,150 @@ pub const MIN_BLOCK_SKIP_RATE: f64 = 0.65;
 /// records the comparison as 1.0/0.0 and CI hard-gates it at 1.0 — the one
 /// serve gate no machine difference can excuse.
 pub const SERVE_DETERMINISM_CONFIGS: [usize; 4] = [1, 2, 7, 16];
+
+/// How [`check`] judges one key of a fresh document against the committed
+/// baseline. Every gate but `Info` fails a value that is not finite, fresh
+/// or committed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Gate {
+    /// Must equal the committed value: run shape, node counts, certified
+    /// gaps, quarantine counts. Strings are always exact.
+    Exact,
+    /// Must be at least this floor, whatever the committed value.
+    Floor(f64),
+    /// Wall-clock: fails when fresh ÷ committed exceeds
+    /// [`REGRESSION_FACTOR`] and the committed value is at least
+    /// [`MIN_GATED_SECS`]; otherwise the ratio becomes a note.
+    RatioMax,
+    /// Recorded, never judged.
+    Info,
+}
+
+/// One emitted value: a number as its rendered text and the `f64` that
+/// text parses back to, or a string.
+#[derive(Debug, Clone, PartialEq)]
+enum Value {
+    Num(String, f64),
+    Str(String),
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Num(text, _) => f.write_str(text),
+            Value::Str(s) => write!(f, "\"{s}\""),
+        }
+    }
+}
+
+/// An ordered `BENCH_*.json` document: each key holds a value and the
+/// [`Gate`] that judges it, or a nested document.
+#[derive(Debug, Clone, Default)]
+pub struct Doc {
+    entries: Vec<(String, Entry)>,
+}
+
+#[derive(Debug, Clone)]
+enum Entry {
+    Value(Value, Gate),
+    Nested(Doc),
+}
+
+impl Doc {
+    /// Adds a number printed with `decimals` digits after the point. The
+    /// entry holds the printed value, so [`check`] judges exactly what the
+    /// rendered file says.
+    #[must_use]
+    pub fn num(self, key: &str, value: f64, decimals: usize, gate: Gate) -> Self {
+        let text = format!("{value:.decimals$}");
+        let value = text.parse().expect("a formatted f64 parses back");
+        self.push(key, Entry::Value(Value::Num(text, value), gate))
+    }
+
+    /// Adds a string; strings are [`Gate::Exact`].
+    #[must_use]
+    pub fn str(self, key: &str, value: &str) -> Self {
+        let value = Value::Str(value.to_string());
+        self.push(key, Entry::Value(value, Gate::Exact))
+    }
+
+    /// Adds a wall-clock summary under `key`: `mean` is
+    /// [`Gate::RatioMax`], `n`, `std`, `min` and `max` are [`Gate::Info`].
+    #[must_use]
+    pub fn summary(self, key: &str, s: &Summary) -> Self {
+        let summary = Doc::default()
+            .num("n", s.n as f64, 0, Gate::Info)
+            .num("mean", s.mean, 9, Gate::RatioMax)
+            .num("std", s.std, 9, Gate::Info)
+            .num("min", s.min, 9, Gate::Info)
+            .num("max", s.max, 9, Gate::Info);
+        self.nest(key, summary)
+    }
+
+    /// Adds `inner` as the object under `key`.
+    #[must_use]
+    pub fn nest(self, key: &str, inner: Doc) -> Self {
+        self.push(key, Entry::Nested(inner))
+    }
+
+    fn push(mut self, key: &str, entry: Entry) -> Self {
+        debug_assert!(
+            self.entries.iter().all(|(k, _)| k != key),
+            "duplicate key {key}"
+        );
+        self.entries.push((key.to_string(), entry));
+        self
+    }
+
+    /// Every value with its dotted key and gate, in document order.
+    fn flat(&self) -> Vec<(String, &Value, Gate)> {
+        let mut out = Vec::new();
+        for (key, entry) in &self.entries {
+            match entry {
+                Entry::Value(value, gate) => out.push((key.clone(), value, *gate)),
+                Entry::Nested(doc) => out.extend(
+                    doc.flat()
+                        .into_iter()
+                        .map(|(k, value, gate)| (format!("{key}.{k}"), value, gate)),
+                ),
+            }
+        }
+        out
+    }
+
+    /// Writes the document as nested JSON, keys in insertion order. Flat
+    /// objects (summaries, `faulted`) and single-key wrappers (sweep cells)
+    /// stay on one line; everything else takes a line per key.
+    pub fn render(&self) -> String {
+        self.render_at(0) + "\n"
+    }
+
+    fn render_at(&self, depth: usize) -> String {
+        let items: Vec<String> = self
+            .entries
+            .iter()
+            .map(|(key, entry)| match entry {
+                Entry::Value(value, _) => format!("\"{key}\": {value}"),
+                Entry::Nested(doc) => format!("\"{key}\": {}", doc.render_at(depth + 1)),
+            })
+            .collect();
+        let flat = self
+            .entries
+            .iter()
+            .all(|(_, e)| matches!(e, Entry::Value(..)));
+        if depth > 0 && (flat || items.len() == 1) {
+            format!("{{ {} }}", items.join(", "))
+        } else {
+            let pad = "  ".repeat(depth);
+            format!("{{\n{pad}  {}\n{pad}}}", items.join(&format!(",\n{pad}  ")))
+        }
+    }
+}
+
+/// How the `digest_match` cells record a comparison: 1.0 or 0.0.
+fn flag(b: bool) -> f64 {
+    f64::from(u8::from(b))
+}
 
 /// The PD hot-path bench profile: `zipf-services` at 4096 requests with a
 /// service-heavy shape — the regime the index layer targets, where the
@@ -617,139 +763,117 @@ pub fn opt_bench(
     })
 }
 
-/// Renders `BENCH_opt.json`: one cell per [`OPT_FAMILIES`] entry carrying
+/// Builds `BENCH_opt.json`: one cell per [`OPT_FAMILIES`] entry carrying
 /// the machine-independent `nodes_expanded` / `gap_certified` /
 /// `digest_match` gates plus the certified optimum and per-solve wall
-/// seconds (ratio-gated like every other `secs.mean`).
-pub fn opt_json(cells: &[OptBench], profile: &CatalogProfile) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"services\": {},", profile.services);
-    let _ = writeln!(out, "  \"node_budget\": {OPT_NODE_BUDGET},");
-    let _ = writeln!(
-        out,
-        "  \"thread_configs\": \"{:?}\",",
-        OPT_DETERMINISM_CONFIGS
-    );
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(out, "  \"{}\": {{", c.family);
-        let _ = writeln!(out, "    \"points\": {},", c.points);
-        let _ = writeln!(out, "    \"requests\": {},", c.requests);
-        let _ = writeln!(out, "    \"nodes_expanded\": {},", c.nodes_expanded);
-        let _ = writeln!(out, "    \"gap_certified\": {:.9},", c.gap_certified);
-        let _ = writeln!(out, "    \"optimum\": {:.9},", c.optimum);
-        let _ = writeln!(out, "    \"root_bound\": {:.9},", c.root_bound);
-        let _ = writeln!(
-            out,
-            "    \"digest_match\": {},",
-            if c.digest_match { "1.0" } else { "0.0" }
-        );
-        summary_json(&mut out, "solve_secs", &c.solve, "    ");
-        out.push('\n');
-        out.push_str(if i + 1 < cells.len() {
-            "  },\n"
-        } else {
-            "  }\n"
-        });
+/// seconds.
+pub fn opt_json(cells: &[OptBench], profile: &CatalogProfile) -> Doc {
+    let mut doc = Doc::default()
+        .num("services", f64::from(profile.services), 0, Gate::Exact)
+        .num("node_budget", OPT_NODE_BUDGET as f64, 0, Gate::Exact)
+        .str("thread_configs", &format!("{OPT_DETERMINISM_CONFIGS:?}"));
+    for c in cells {
+        let cell = Doc::default()
+            .num("points", c.points as f64, 0, Gate::Exact)
+            .num("requests", c.requests as f64, 0, Gate::Exact)
+            .num("nodes_expanded", c.nodes_expanded as f64, 0, Gate::Exact)
+            .num("gap_certified", c.gap_certified, 9, Gate::Exact)
+            .num("optimum", c.optimum, 9, Gate::Info)
+            .num("root_bound", c.root_bound, 9, Gate::Info)
+            .num("digest_match", flag(c.digest_match), 1, Gate::Floor(1.0))
+            .summary("solve_secs", &c.solve);
+        doc = doc.nest(c.family, cell);
     }
-    out.push_str("}\n");
-    out
+    doc
 }
 
-/// Renders `BENCH_serve.json`: the deterministic `digest_match` cell (CI
-/// hard-gates it at 1.0), the gated throughput cell, and informational
-/// latency/backpressure telemetry. See the README's serve section for the
-/// cell layout.
-pub fn serve_json(b: &ServeBench) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"family\": \"{}\",", b.family);
-    let _ = writeln!(out, "  \"tenants\": {},", b.tenants);
-    let _ = writeln!(out, "  \"arrivals\": {},", b.arrivals);
-    let _ = writeln!(out, "  \"shards\": {},", b.shards);
-    let _ = writeln!(out, "  \"pool_threads\": {},", b.pool_threads);
-    let _ = writeln!(
-        out,
-        "  \"digest_match\": {},",
-        if b.digest_match { "1.0" } else { "0.0" }
-    );
-    let _ = writeln!(
-        out,
-        "  \"faulted\": {{ \"quarantined\": {}, \"digest_match\": {} }},",
-        b.faulted_quarantined,
-        if b.faulted_digest_match { "1.0" } else { "0.0" }
-    );
-    summary_json(&mut out, "serve_secs", &b.serve, "  ");
-    out.push_str(",\n");
-    let _ = writeln!(out, "  \"arrivals_per_sec\": {:.1},", b.arrivals_per_sec());
-    let _ = writeln!(out, "  \"latency_p50_ns\": {},", b.latency_p50_ns);
-    let _ = writeln!(out, "  \"latency_p99_ns\": {},", b.latency_p99_ns);
-    let _ = writeln!(out, "  \"backpressure_waits\": {}", b.backpressure_waits);
-    out.push_str("}\n");
-    out
+/// Builds `BENCH_serve.json`: the deterministic `digest_match` and
+/// `faulted` cells, the wall-clock `serve_secs`, and informational
+/// throughput, latency and backpressure telemetry. See the README's serve
+/// section for the cell layout.
+pub fn serve_json(b: &ServeBench) -> Doc {
+    let faulted = Doc::default()
+        .num("quarantined", b.faulted_quarantined as f64, 0, Gate::Exact)
+        .num(
+            "digest_match",
+            flag(b.faulted_digest_match),
+            1,
+            Gate::Floor(1.0),
+        );
+    Doc::default()
+        .str("family", b.family)
+        .num("tenants", b.tenants as f64, 0, Gate::Exact)
+        .num("arrivals", b.arrivals as f64, 0, Gate::Exact)
+        .num("shards", b.shards as f64, 0, Gate::Exact)
+        .num("pool_threads", b.pool_threads as f64, 0, Gate::Info)
+        .num("digest_match", flag(b.digest_match), 1, Gate::Floor(1.0))
+        .nest("faulted", faulted)
+        .summary("serve_secs", &b.serve)
+        // Derived from `serve_secs.mean`, which carries the gate.
+        .num("arrivals_per_sec", b.arrivals_per_sec(), 1, Gate::Info)
+        .num("latency_p50_ns", b.latency_p50_ns as f64, 0, Gate::Info)
+        .num("latency_p99_ns", b.latency_p99_ns as f64, 0, Gate::Info)
+        .num(
+            "backpressure_waits",
+            b.backpressure_waits as f64,
+            0,
+            Gate::Info,
+        )
 }
 
-fn summary_json(out: &mut String, key: &str, s: &Summary, indent: &str) {
-    let _ = write!(
-        out,
-        "{indent}\"{key}\": {{ \"n\": {}, \"mean\": {:.9}, \"std\": {:.9}, \"min\": {:.9}, \"max\": {:.9} }}",
-        s.n, s.mean, s.std, s.min, s.max
-    );
+fn pd_cell_json(cell: &PdTiming) -> Doc {
+    Doc::default()
+        .str("family", cell.family)
+        .num("requests", cell.requests as f64, 0, Gate::Exact)
+        .num("points", cell.points as f64, 0, Gate::Exact)
+        .num("services", f64::from(cell.services), 0, Gate::Exact)
+        .summary("incremental_secs", &cell.incremental)
+        .num(
+            "block_skip_rate",
+            cell.block_skip_rate,
+            4,
+            Gate::Floor(MIN_BLOCK_SKIP_RATE),
+        )
 }
 
-fn pd_cell_json(out: &mut String, key: &str, cell: &PdTiming, trailing_comma: bool) {
-    let _ = writeln!(out, "  \"{key}\": {{");
-    let _ = writeln!(out, "    \"family\": \"{}\",", cell.family);
-    let _ = writeln!(out, "    \"requests\": {},", cell.requests);
-    let _ = writeln!(out, "    \"points\": {},", cell.points);
-    let _ = writeln!(out, "    \"services\": {},", cell.services);
-    summary_json(out, "incremental_secs", &cell.incremental, "    ");
-    out.push_str(",\n");
-    let _ = writeln!(out, "    \"block_skip_rate\": {:.4}", cell.block_skip_rate);
-    out.push_str(if trailing_comma { "  },\n" } else { "  }\n" });
-}
-
-/// Renders `BENCH_pd.json`: the small-metric indexed-vs-naive cell and the
+/// Builds `BENCH_pd.json`: the small-metric indexed-vs-naive cell and the
 /// single-engine `large` (graph family), `huge` and `euclid-large`
 /// (Euclidean family) cells, each carrying its deterministic
 /// `block_skip_rate`.
-pub fn pd_json(b: &PdBench, large: &PdTiming, euclid_large: &PdTiming, huge: &PdTiming) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"family\": \"{}\",", b.family);
-    let _ = writeln!(out, "  \"requests\": {},", b.requests);
-    let _ = writeln!(out, "  \"points\": {},", b.points);
-    let _ = writeln!(out, "  \"services\": {},", b.services);
-    summary_json(&mut out, "indexed_secs", &b.indexed, "  ");
-    out.push_str(",\n");
-    summary_json(&mut out, "naive_secs", &b.naive, "  ");
-    out.push_str(",\n");
-    let _ = writeln!(out, "  \"speedup\": {:.4},", b.speedup());
-    pd_cell_json(&mut out, "large", large, true);
-    pd_cell_json(&mut out, "huge", huge, true);
-    pd_cell_json(&mut out, "euclid-large", euclid_large, false);
-    out.push_str("}\n");
-    out
+pub fn pd_json(b: &PdBench, large: &PdTiming, euclid_large: &PdTiming, huge: &PdTiming) -> Doc {
+    Doc::default()
+        .str("family", b.family)
+        .num("requests", b.requests as f64, 0, Gate::Exact)
+        .num("points", b.points as f64, 0, Gate::Exact)
+        .num("services", f64::from(b.services), 0, Gate::Exact)
+        .summary("indexed_secs", &b.indexed)
+        .summary("naive_secs", &b.naive)
+        .num("speedup", b.speedup(), 4, Gate::Floor(MIN_PD_SPEEDUP))
+        .nest("large", pd_cell_json(large))
+        .nest("huge", pd_cell_json(huge))
+        .nest("euclid-large", pd_cell_json(euclid_large))
 }
 
-/// Times every catalog family × engine and renders `BENCH_sweep.json`.
+/// Times every catalog family × engine and builds `BENCH_sweep.json`.
 pub fn sweep_json(
     profile: &CatalogProfile,
     base_seed: u64,
     trials: usize,
     threads: usize,
-) -> Result<String, CoreError> {
+) -> Result<Doc, CoreError> {
     let families = catalog::registry();
     let engines = Engine::all(omfl_par::seed_for(base_seed, u64::MAX));
     let t0 = Instant::now();
     let cells = timed_sweep(&families, profile, &engines, base_seed, trials, threads)?;
     let wall = t0.elapsed().as_secs_f64();
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"trials\": {trials},");
-    let _ = writeln!(out, "  \"points\": {},", profile.points);
-    let _ = writeln!(out, "  \"services\": {},", profile.services);
-    let _ = writeln!(out, "  \"requests\": {},", profile.requests);
-    let _ = writeln!(out, "  \"sweep_wall_secs\": {wall:.9},");
-    let mut first = true;
+    let mut doc = Doc::default()
+        .num("threads", threads as f64, 0, Gate::Exact)
+        .num("trials", trials as f64, 0, Gate::Exact)
+        .num("points", profile.points as f64, 0, Gate::Exact)
+        .num("services", f64::from(profile.services), 0, Gate::Exact)
+        .num("requests", profile.requests as f64, 0, Gate::Exact)
+        .num("sweep_wall_secs", wall, 9, Gate::Info);
     for engine in &engines {
         for fam in &families {
             let secs: Vec<f64> = cells
@@ -760,18 +884,11 @@ pub fn sweep_json(
             if secs.is_empty() {
                 continue;
             }
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let key = format!("{}/{}", engine.name(), fam.name);
-            let mut obj = String::new();
-            summary_json(&mut obj, "secs", &summarize(&secs), "");
-            let _ = write!(out, "  \"{key}\": {{ {} }}", obj.trim_start());
+            let cell = Doc::default().summary("secs", &summarize(&secs));
+            doc = doc.nest(&format!("{}/{}", engine.name(), fam.name), cell);
         }
     }
-    out.push_str("\n}\n");
-    Ok(out)
+    Ok(doc)
 }
 
 // --- minimal JSON reading (the emitter's shape only) ----------------------
@@ -885,117 +1002,75 @@ fn parse_object(
     }
 }
 
-/// Compares a freshly generated JSON document against a committed baseline.
+/// Compares a fresh document against a committed baseline.
 ///
-/// Failure modes, in the order they are reported:
-/// * a key present in the baseline but missing from the fresh run;
-/// * a fresh `*.secs.mean` / `*_secs.mean` more than [`REGRESSION_FACTOR`]
-///   above the committed value (baselines of at least [`MIN_GATED_SECS`]
-///   only);
-/// * a fresh `speedup` below [`MIN_PD_SPEEDUP`];
-/// * a fresh `*block_skip_rate` below [`MIN_BLOCK_SKIP_RATE`];
-/// * the deterministic `nodes_expanded`, `gap_certified`, `digest_match`
-///   and `faulted.quarantined` cells drifting, and the serve throughput
-///   falling by more than [`REGRESSION_FACTOR`].
-pub fn check(fresh: &str, committed: &str, label: &str) -> Result<Vec<String>, Vec<String>> {
-    let (f_nums, f_strs) =
-        parse_flat(fresh).map_err(|e| vec![format!("{label}: fresh JSON unreadable: {e}")])?;
-    let (c_nums, c_strs) = parse_flat(committed)
+/// Walks the committed keys: one missing from `fresh` fails, and otherwise
+/// the fresh entry's [`Gate`] judges it. Returns the [`Gate::RatioMax`]
+/// notes on success, every failure otherwise; each message names the key,
+/// its gate and both values.
+pub fn check(fresh: &Doc, committed: &str, label: &str) -> Result<Vec<String>, Vec<String>> {
+    let (nums, strs) = parse_flat(committed)
         .map_err(|e| vec![format!("{label}: committed JSON unreadable: {e}")])?;
-
+    let fresh: BTreeMap<String, (&Value, Gate)> = fresh
+        .flat()
+        .into_iter()
+        .map(|(key, value, gate)| (key, (value, gate)))
+        .collect();
     let mut errors = Vec::new();
     let mut notes = Vec::new();
-    for key in c_nums.keys() {
-        if !f_nums.contains_key(key) {
-            errors.push(format!("{label}: key '{key}' missing from fresh run"));
+    for (key, base) in &strs {
+        match fresh.get(key) {
+            None => errors.push(format!("{label}: '{key}' missing from fresh run")),
+            Some((Value::Str(now), _)) if now == base => {}
+            Some(&(now, gate)) => errors.push(format!(
+                "{label}: '{key}' [{gate:?}] fresh {now} != committed \"{base}\""
+            )),
         }
     }
-    for key in c_strs.keys() {
-        if !f_strs.contains_key(key) {
-            errors.push(format!("{label}: key '{key}' missing from fresh run"));
-        }
-    }
-    for (key, &base) in &c_nums {
-        let Some(&now) = f_nums.get(key) else {
+    for (key, &base) in &nums {
+        let Some(&(now, gate)) = fresh.get(key) else {
+            errors.push(format!("{label}: '{key}' missing from fresh run"));
             continue;
         };
-        if key.ends_with("secs.mean") && base > 0.0 {
-            let ratio = now / base;
-            if ratio > REGRESSION_FACTOR && base >= MIN_GATED_SECS {
-                errors.push(format!(
-                    "{label}: '{key}' regressed {ratio:.2}x ({base:.6}s -> {now:.6}s)"
-                ));
-            } else {
-                let gated = if base >= MIN_GATED_SECS {
-                    ""
+        let &Value::Num(_, now) = now else {
+            errors.push(format!(
+                "{label}: '{key}' [{gate:?}] fresh {now} is not a number (committed {base})"
+            ));
+            continue;
+        };
+        if gate != Gate::Info && !(now.is_finite() && base.is_finite()) {
+            errors.push(format!(
+                "{label}: '{key}' [{gate:?}] is not finite (fresh {now}, committed {base})"
+            ));
+            continue;
+        }
+        match gate {
+            Gate::Exact if now != base => errors.push(format!(
+                "{label}: '{key}' [Exact] fresh {now} != committed {base}"
+            )),
+            Gate::Floor(floor) if now < floor => errors.push(format!(
+                "{label}: '{key}' [{gate:?}] fresh {now} is below the floor (committed {base})"
+            )),
+            Gate::RatioMax => {
+                let ratio = now / base;
+                let gated = base >= MIN_GATED_SECS;
+                let values = format!("committed {base:.6}s -> fresh {now:.6}s");
+                if gated && ratio > REGRESSION_FACTOR {
+                    errors.push(format!(
+                        "{label}: '{key}' [RatioMax] regressed {ratio:.2}x ({values})"
+                    ));
                 } else {
-                    " (ungated: sub-ms baseline)"
-                };
-                notes.push(format!("{label}: '{key}' {ratio:.2}x of baseline{gated}"));
+                    let ungated = if gated {
+                        ""
+                    } else {
+                        ", ungated: sub-ms baseline"
+                    };
+                    notes.push(format!(
+                        "{label}: '{key}' [RatioMax] {ratio:.2}x of baseline ({values}{ungated})"
+                    ));
+                }
             }
-        }
-        if key == "speedup" && now < MIN_PD_SPEEDUP {
-            errors.push(format!(
-                "{label}: PD index speedup {now:.2}x below the {MIN_PD_SPEEDUP}x floor \
-                 (baseline {base:.2}x)"
-            ));
-        }
-        if key.ends_with("nodes_expanded") && now != base {
-            errors.push(format!(
-                "{label}: '{key}' = {now} nodes vs committed {base} — the \
-                 branch-and-bound explored a different tree (node counts are \
-                 a deterministic function of the instance and the bound, \
-                 never of the machine or thread count)"
-            ));
-        }
-        if key.ends_with("gap_certified") && now != base {
-            errors.push(format!(
-                "{label}: '{key}' = {now} vs committed {base} — a certified \
-                 gap drifted (0.0 means proven optimal; any other value \
-                 means the certificate was lost)"
-            ));
-        }
-        if key.ends_with("digest_match") && now != 1.0 {
-            errors.push(format!(
-                "{label}: '{key}' results diverged across thread configs — \
-                 a deterministic pipeline (serve aggregate reports, or the \
-                 exact branch-and-bound frontier) lost thread-count \
-                 independence (this gate is machine-independent; the \
-                 'faulted.' variant gates healthy-tenant identity under an \
-                 injected panic)"
-            ));
-        }
-        if key == "faulted.quarantined" && now != base {
-            errors.push(format!(
-                "{label}: the injected-fault panel quarantined {now} tenants \
-                 (baseline {base}) — fault containment drifted"
-            ));
-        }
-        if key == "arrivals_per_sec" && base > 0.0 {
-            let ratio = base / now.max(1e-12);
-            let wall_gated = c_nums
-                .get("serve_secs.mean")
-                .is_some_and(|&w| w >= MIN_GATED_SECS);
-            if ratio > REGRESSION_FACTOR && wall_gated {
-                errors.push(format!(
-                    "{label}: serve throughput fell {ratio:.2}x \
-                     ({base:.0} -> {now:.0} arrivals/sec)"
-                ));
-            } else {
-                notes.push(format!(
-                    "{label}: serve throughput {:.2}x of baseline ({now:.0} arrivals/sec)",
-                    now / base
-                ));
-            }
-        }
-        if key.ends_with("block_skip_rate") && now < MIN_BLOCK_SKIP_RATE {
-            errors.push(format!(
-                "{label}: '{key}' = {:.1}% below the {:.0}% floor (baseline \
-                 {:.1}%) — the opening-target prune stopped engaging",
-                100.0 * now,
-                100.0 * MIN_BLOCK_SKIP_RATE,
-                100.0 * base
-            ));
+            _ => {}
         }
     }
     if errors.is_empty() {
@@ -1007,31 +1082,148 @@ pub fn check(fresh: &str, committed: &str, label: &str) -> Result<Vec<String>, V
 
 /// The smoke profile both `--emit-json` and `--check-json` run: PD hot
 /// path, catalog sweep timings, the multi-tenant serve loop, and the
-/// certified exact-OPT cells. Returns `(BENCH_pd.json, BENCH_sweep.json,
-/// BENCH_serve.json, BENCH_opt.json)` contents.
-pub fn smoke_profile_json() -> Result<(String, String, String, String), CoreError> {
+/// certified exact-OPT cells, as `(file name, document)` pairs.
+pub fn smoke_profile_json() -> Result<[(&'static str, Doc); 4], CoreError> {
     let pd = pd_bench(&pd_profile(), 5)?;
     let large = pd_timing("zipf-services-large", &pd_large_profile(), 3)?;
     let euclid_large = pd_timing("euclid-grid-large", &pd_euclid_large_profile(), 3)?;
     let huge = pd_timing("euclid-grid-large", &pd_huge_profile(), 3)?;
-    let pd_doc = pd_json(&pd, &large, &euclid_large, &huge);
     // Cells are timed serially: under a parallel sweep, co-scheduled cells
     // contend for cores and per-cell wall-clock becomes too noisy to gate
     // the regression factor on.
-    let sweep_doc = sweep_json(&sweep_profile(), 2020, 3, 1)?;
+    let sweep = sweep_json(&sweep_profile(), 2020, 3, 1)?;
     let (tenants, profile) = serve_profile();
-    let serve_doc = serve_json(&serve_bench(tenants, &profile, 3)?);
+    let serve = serve_bench(tenants, &profile, 3)?;
     let opt_cells = OPT_FAMILIES
         .iter()
         .map(|name| opt_bench(name, &opt_profile()))
         .collect::<Result<Vec<_>, _>>()?;
-    let opt_doc = opt_json(&opt_cells, &opt_profile());
-    Ok((pd_doc, sweep_doc, serve_doc, opt_doc))
+    Ok([
+        ("BENCH_pd.json", pd_json(&pd, &large, &euclid_large, &huge)),
+        ("BENCH_sweep.json", sweep),
+        ("BENCH_serve.json", serve_json(&serve)),
+        ("BENCH_opt.json", opt_json(&opt_cells, &opt_profile())),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// A committed baseline, read from the repo root.
+    fn committed(file: &str) -> String {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    /// Renders `doc` and parses it back; every value must survive the trip
+    /// bit for bit.
+    fn round_trip(doc: &Doc) -> FlatJson {
+        let (nums, strs) = parse_flat(&doc.render()).unwrap();
+        let entries = doc.flat();
+        for (key, value, _) in &entries {
+            match value {
+                Value::Num(_, value) => assert_eq!(nums[key].to_bits(), value.to_bits(), "{key}"),
+                Value::Str(s) => assert_eq!(&strs[key], s, "{key}"),
+            }
+        }
+        assert_eq!(nums.len() + strs.len(), entries.len());
+        (nums, strs)
+    }
+
+    /// Asserts `doc` emits exactly the committed baseline's keys, apart
+    /// from the committed cells named in `absent`.
+    fn assert_committed_key_set(doc: &Doc, file: &str, absent: &[&str]) {
+        let (nums, strs) = parse_flat(&committed(file)).unwrap();
+        let expected: BTreeSet<&str> = nums
+            .keys()
+            .chain(strs.keys())
+            .map(String::as_str)
+            .filter(|k| !absent.iter().any(|cell| k.starts_with(&format!("{cell}."))))
+            .collect();
+        let entries = doc.flat();
+        let emitted: BTreeSet<&str> = entries.iter().map(|(k, ..)| k.as_str()).collect();
+        assert_eq!(
+            emitted, expected,
+            "{file}: emitted keys differ from the baseline"
+        );
+    }
+
+    fn summary_at(nums: &BTreeMap<String, f64>, key: &str) -> Summary {
+        let at = |field: &str| nums[&format!("{key}.{field}")];
+        Summary {
+            n: at("n") as usize,
+            mean: at("mean"),
+            std: at("std"),
+            ci95: 0.0,
+            min: at("min"),
+            max: at("max"),
+        }
+    }
+
+    /// The `pd_json` inputs the committed `BENCH_pd.json` records:
+    /// the small cell and the `large`, `euclid-large` and `huge` cells.
+    fn committed_pd_inputs() -> (PdBench, [PdTiming; 3]) {
+        let (nums, strs) = parse_flat(&committed("BENCH_pd.json")).unwrap();
+        let family = |key: &str| catalog::by_name(&strs[key]).expect("catalog family").name;
+        let timing = |cell: &str| PdTiming {
+            family: family(&format!("{cell}.family")),
+            services: nums[&format!("{cell}.services")] as u16,
+            points: nums[&format!("{cell}.points")] as usize,
+            requests: nums[&format!("{cell}.requests")] as usize,
+            incremental: summary_at(&nums, &format!("{cell}.incremental_secs")),
+            block_skip_rate: nums[&format!("{cell}.block_skip_rate")],
+            row_hit_rate: None,
+        };
+        let small = PdBench {
+            family: family("family"),
+            requests: nums["requests"] as usize,
+            points: nums["points"] as usize,
+            services: nums["services"] as u16,
+            indexed: summary_at(&nums, "indexed_secs"),
+            naive: summary_at(&nums, "naive_secs"),
+        };
+        (
+            small,
+            [timing("large"), timing("euclid-large"), timing("huge")],
+        )
+    }
+
+    /// A serve result whose throughput repeats averaged `mean` seconds.
+    fn serve_fixture(mean: f64) -> ServeBench {
+        ServeBench {
+            family: "zipf-services",
+            tenants: 16,
+            arrivals: 40_000,
+            shards: 16,
+            pool_threads: 1,
+            serve: summarize(&[mean]),
+            digest_match: true,
+            digest: 0,
+            faulted_quarantined: 1,
+            faulted_digest_match: true,
+            latency_p50_ns: 256,
+            latency_p99_ns: 4096,
+            backpressure_waits: 0,
+        }
+    }
+
+    fn opt_fixture(nodes_expanded: u64, gap_certified: f64, digest_match: bool) -> OptBench {
+        OptBench {
+            family: "zipf-services",
+            points: 200,
+            requests: 48,
+            nodes_expanded,
+            gap_certified,
+            optimum: 100.0,
+            root_bound: 99.0,
+            digest_match,
+            solve: summarize(&[0.1]),
+        }
+    }
 
     #[test]
     fn emitted_pd_json_round_trips() {
@@ -1044,7 +1236,7 @@ mod tests {
         let large = pd_timing("zipf-services-large", &profile, 2).unwrap();
         let euclid = pd_timing("euclid-grid-large", &profile, 2).unwrap();
         let doc = pd_json(&b, &large, &euclid, &euclid);
-        let (nums, strs) = parse_flat(&doc).unwrap();
+        let (nums, strs) = round_trip(&doc);
         assert_eq!(strs["family"], "zipf-services");
         assert_eq!(nums["requests"], 64.0);
         assert!(nums["indexed_secs.mean"] > 0.0);
@@ -1062,6 +1254,7 @@ mod tests {
         assert_eq!(strs["huge.family"], "euclid-grid-large");
         assert!(nums["huge.incremental_secs.mean"] > 0.0);
         assert!(nums.contains_key("huge.block_skip_rate"));
+        assert_committed_key_set(&doc, "BENCH_pd.json", &[]);
     }
 
     #[test]
@@ -1077,48 +1270,137 @@ mod tests {
             2,
         )
         .unwrap();
-        let (nums, _) = parse_flat(&doc).unwrap();
+        let (nums, _) = round_trip(&doc);
         assert!(nums["sweep_wall_secs"] > 0.0);
-        // 8 families × 4 engines, each with a 4-field summary.
+        // Every family × 4 engines, each with a 5-field summary.
         assert!(nums.keys().any(|k| k == "pd-omflp/zipf-services.secs.mean"));
         assert!(nums.keys().any(|k| k == "all-large/dyadic-mix.secs.max"));
+        assert_committed_key_set(&doc, "BENCH_sweep.json", &[]);
     }
 
     #[test]
     fn check_flags_missing_keys_and_regressions() {
+        let timed = |mean: f64, speedup: f64| {
+            Doc::default().summary("a.secs", &summarize(&[mean])).num(
+                "speedup",
+                speedup,
+                4,
+                Gate::Floor(MIN_PD_SPEEDUP),
+            )
+        };
         let base = r#"{ "a": { "secs": { "mean": 1.0 } }, "speedup": 4.0 }"#;
         // Identical: passes.
-        assert!(check(base, base, "t").is_ok());
+        assert!(check(&timed(1.0, 4.0), base, "t").is_ok());
         // 3x slower: regression.
-        let slow = r#"{ "a": { "secs": { "mean": 3.0 } }, "speedup": 4.0 }"#;
-        let errs = check(slow, base, "t").unwrap_err();
-        assert!(errs[0].contains("regressed"));
+        let errs = check(&timed(3.0, 4.0), base, "t").unwrap_err();
+        assert!(errs[0].contains("'a.secs.mean' [RatioMax] regressed 3.00x"));
         // 1.6x slower on a >= 1 ms baseline: the tightened gate fires too.
-        let slow16 = r#"{ "a": { "secs": { "mean": 1.6 } }, "speedup": 4.0 }"#;
-        let errs = check(slow16, base, "t").unwrap_err();
+        let errs = check(&timed(1.6, 4.0), base, "t").unwrap_err();
         assert!(errs[0].contains("regressed"), "1.5x gate must fire at 1.6x");
         // 1.4x stays within the tightened tolerance.
-        let ok14 = r#"{ "a": { "secs": { "mean": 1.4 } }, "speedup": 4.0 }"#;
-        assert!(check(ok14, base, "t").is_ok());
+        assert!(check(&timed(1.4, 4.0), base, "t").is_ok());
         // Sub-millisecond baselines stay ungated however noisy.
         let sub = r#"{ "a": { "secs": { "mean": 0.0005 } }, "speedup": 4.0 }"#;
-        let noisy = r#"{ "a": { "secs": { "mean": 0.005 } }, "speedup": 4.0 }"#;
-        assert!(check(noisy, sub, "t").is_ok());
+        assert!(check(&timed(0.005, 4.0), sub, "t").is_ok());
         // Missing key: fails.
-        let missing = r#"{ "speedup": 4.0 }"#;
-        let errs = check(missing, base, "t").unwrap_err();
-        assert!(errs[0].contains("missing"));
+        let missing = Doc::default().num("speedup", 4.0, 4, Gate::Floor(MIN_PD_SPEEDUP));
+        let errs = check(&missing, base, "t").unwrap_err();
+        assert_eq!(errs, ["t: 'a.secs.mean' missing from fresh run"]);
         // Speedup collapse: fails.
-        let collapsed = r#"{ "a": { "secs": { "mean": 1.0 } }, "speedup": 1.1 }"#;
-        let errs = check(collapsed, base, "t").unwrap_err();
-        assert!(errs[0].contains("below"));
+        let errs = check(&timed(1.0, 1.1), base, "t").unwrap_err();
+        assert_eq!(
+            errs,
+            ["t: 'speedup' [Floor(2.0)] fresh 1.1 is below the floor (committed 4)"]
+        );
         // Block skip rates are deterministic and hard-gated.
+        let skip = |rate: f64| {
+            Doc::default().num(
+                "large.block_skip_rate",
+                rate,
+                4,
+                Gate::Floor(MIN_BLOCK_SKIP_RATE),
+            )
+        };
         let base_s = r#"{ "large": { "block_skip_rate": 0.77 } }"#;
-        let inert = r#"{ "large": { "block_skip_rate": 0.31 } }"#;
-        let errs = check(inert, base_s, "t").unwrap_err();
-        assert!(errs[0].contains("stopped engaging"));
-        let engaged = r#"{ "large": { "block_skip_rate": 0.72 } }"#;
-        assert!(check(engaged, base_s, "t").is_ok());
+        let errs = check(&skip(0.31), base_s, "t").unwrap_err();
+        assert!(errs[0].contains("'large.block_skip_rate' [Floor(0.65)] fresh 0.31"));
+        assert!(check(&skip(0.72), base_s, "t").is_ok());
+    }
+
+    #[test]
+    fn check_gates_run_shape_exactly() {
+        let committed = committed("BENCH_pd.json");
+        let (b, [large, euclid_large, huge]) = committed_pd_inputs();
+        assert!(check(&pd_json(&b, &large, &euclid_large, &huge), &committed, "t").is_ok());
+        // A lighter workload timed against the committed seconds fails,
+        // however well it times.
+        let lighter = PdTiming {
+            requests: large.requests / 2,
+            ..large.clone()
+        };
+        let errs = check(
+            &pd_json(&b, &lighter, &euclid_large, &huge),
+            &committed,
+            "t",
+        )
+        .unwrap_err();
+        assert_eq!(
+            errs,
+            ["t: 'large.requests' [Exact] fresh 2048 != committed 4096"]
+        );
+    }
+
+    #[test]
+    fn check_fails_on_an_infinite_committed_mean() {
+        // An infinite baseline would make every ratio 0, passing forever.
+        let base = r#"{ "secs": { "mean": inf } }"#;
+        let fresh = Doc::default().summary("secs", &summarize(&[1.0]));
+        let errs = check(&fresh, base, "t").unwrap_err();
+        assert_eq!(
+            errs,
+            ["t: 'secs.mean' [RatioMax] is not finite (fresh 1, committed inf)"]
+        );
+    }
+
+    #[test]
+    fn check_fails_on_a_nan_committed_mean() {
+        // A NaN baseline would fail every comparison and skip the gate.
+        let base = r#"{ "secs": { "mean": NaN } }"#;
+        let fresh = Doc::default().summary("secs", &summarize(&[1.0]));
+        let errs = check(&fresh, base, "t").unwrap_err();
+        assert_eq!(
+            errs,
+            ["t: 'secs.mean' [RatioMax] is not finite (fresh 1, committed NaN)"]
+        );
+    }
+
+    #[test]
+    fn check_fails_on_nan_fresh_values() {
+        // `NaN < floor` and `NaN > factor` are both false, so a NaN would
+        // pass a floor and a ratio gate alike.
+        let base =
+            r#"{ "speedup": 2.6, "large": { "block_skip_rate": 0.68 }, "secs": { "mean": 0.5 } }"#;
+        let fresh = Doc::default()
+            .num("speedup", f64::NAN, 4, Gate::Floor(MIN_PD_SPEEDUP))
+            .num(
+                "large.block_skip_rate",
+                f64::NAN,
+                4,
+                Gate::Floor(MIN_BLOCK_SKIP_RATE),
+            )
+            .summary("secs", &summarize(&[f64::NAN]));
+        let errs = check(&fresh, base, "t").unwrap_err();
+        assert_eq!(errs.len(), 3, "{errs:?}");
+        for key in ["speedup", "large.block_skip_rate", "secs.mean"] {
+            assert!(
+                errs.iter()
+                    .any(|e| e.contains(&format!("'{key}'")) && e.contains("not finite")),
+                "{key}: {errs:?}"
+            );
+        }
+        // Informational values are never judged.
+        let info = Doc::default().num("optimum", f64::NAN, 9, Gate::Info);
+        assert!(check(&info, r#"{ "optimum": 1.0 }"#, "t").is_ok());
     }
 
     #[test]
@@ -1139,7 +1421,7 @@ mod tests {
             "healthy tenants must be bit-identical under the injected panic"
         );
         let doc = serve_json(&b);
-        let (nums, strs) = parse_flat(&doc).unwrap();
+        let (nums, strs) = round_trip(&doc);
         assert_eq!(strs["family"], "zipf-services");
         assert_eq!(nums["tenants"], 3.0);
         assert_eq!(nums["arrivals"], 144.0);
@@ -1151,45 +1433,72 @@ mod tests {
         assert!(nums.contains_key("latency_p50_ns"));
         assert!(nums.contains_key("latency_p99_ns"));
         assert!(nums.contains_key("backpressure_waits"));
+        assert_committed_key_set(&doc, "BENCH_serve.json", &[]);
     }
 
     #[test]
     fn check_gates_serve_determinism_and_throughput() {
+        let base = r#"{ "shards": 16, "pool_threads": 1, "digest_match": 1.0, "serve_secs": { "mean": 0.02 }, "arrivals_per_sec": 2000000.0 }"#;
+        assert!(check(&serve_json(&serve_fixture(0.02)), base, "t").is_ok());
         // A digest mismatch fails regardless of every timing.
-        let base = r#"{ "digest_match": 1.0, "serve_secs": { "mean": 0.02 }, "arrivals_per_sec": 2000000.0 }"#;
-        let diverged = r#"{ "digest_match": 0.0, "serve_secs": { "mean": 0.02 }, "arrivals_per_sec": 2000000.0 }"#;
-        let errs = check(diverged, base, "t").unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("lost")), "{errs:?}");
-        // Throughput collapse beyond the factor fails on a >= 1 ms cell.
-        let slow = r#"{ "digest_match": 1.0, "serve_secs": { "mean": 0.04 }, "arrivals_per_sec": 1000000.0 }"#;
-        let errs = check(slow, base, "t").unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("throughput")), "{errs:?}");
+        let diverged = ServeBench {
+            digest_match: false,
+            ..serve_fixture(0.02)
+        };
+        let errs = check(&serve_json(&diverged), base, "t").unwrap_err();
+        assert_eq!(
+            errs,
+            ["t: 'digest_match' [Floor(1.0)] fresh 0 is below the floor (committed 1)"]
+        );
+        // A 2x throughput collapse fails through `serve_secs.mean`; the
+        // derived `arrivals_per_sec` is informational.
+        let errs = check(&serve_json(&serve_fixture(0.04)), base, "t").unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("'serve_secs.mean' [RatioMax] regressed 2.00x"));
         // A mild dip stays a note, not an error.
-        let mild = r#"{ "digest_match": 1.0, "serve_secs": { "mean": 0.025 }, "arrivals_per_sec": 1600000.0 }"#;
-        assert!(check(mild, base, "t").is_ok());
-        // Sub-millisecond serve cells exempt the throughput ratio too.
-        let sub_base = r#"{ "digest_match": 1.0, "serve_secs": { "mean": 0.0005 }, "arrivals_per_sec": 2000000.0 }"#;
-        let sub_noisy = r#"{ "digest_match": 1.0, "serve_secs": { "mean": 0.0005 }, "arrivals_per_sec": 200000.0 }"#;
-        assert!(check(sub_noisy, sub_base, "t").is_ok());
+        assert!(check(&serve_json(&serve_fixture(0.025)), base, "t").is_ok());
+        // Sub-millisecond serve cells are exempt from the ratio.
+        let sub_base = r#"{ "digest_match": 1.0, "serve_secs": { "mean": 0.0005 }, "arrivals_per_sec": 80000000.0 }"#;
+        assert!(check(&serve_json(&serve_fixture(0.005)), sub_base, "t").is_ok());
+        // The pool size follows the machine; the shard count is run shape.
+        let wider = ServeBench {
+            pool_threads: 2,
+            ..serve_fixture(0.02)
+        };
+        assert!(check(&serve_json(&wider), base, "t").is_ok());
+        let fewer = ServeBench {
+            shards: 8,
+            ..serve_fixture(0.02)
+        };
+        let errs = check(&serve_json(&fewer), base, "t").unwrap_err();
+        assert_eq!(errs, ["t: 'shards' [Exact] fresh 8 != committed 16"]);
     }
 
     #[test]
     fn check_gates_the_faulted_cell() {
         let base = r#"{ "faulted": { "quarantined": 1, "digest_match": 1.0 } }"#;
         // Healthy-tenant divergence under faults is a hard failure.
-        let diverged = r#"{ "faulted": { "quarantined": 1, "digest_match": 0.0 } }"#;
-        let errs = check(diverged, base, "t").unwrap_err();
+        let diverged = ServeBench {
+            faulted_digest_match: false,
+            ..serve_fixture(0.02)
+        };
+        let errs = check(&serve_json(&diverged), base, "t").unwrap_err();
         assert!(
-            errs.iter().any(|e| e.contains("faulted.digest_match")),
+            errs.iter().any(|e| e.contains("'faulted.digest_match'")),
             "{errs:?}"
         );
         // So is a drifting quarantine count (containment over- or
         // under-firing is machine-independent).
-        let drifted = r#"{ "faulted": { "quarantined": 2, "digest_match": 1.0 } }"#;
-        let errs = check(drifted, base, "t").unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("containment")), "{errs:?}");
-        let same = r#"{ "faulted": { "quarantined": 1, "digest_match": 1.0 } }"#;
-        assert!(check(same, base, "t").is_ok());
+        let drifted = ServeBench {
+            faulted_quarantined: 2,
+            ..serve_fixture(0.02)
+        };
+        let errs = check(&serve_json(&drifted), base, "t").unwrap_err();
+        assert_eq!(
+            errs,
+            ["t: 'faulted.quarantined' [Exact] fresh 2 != committed 1"]
+        );
+        assert!(check(&serve_json(&serve_fixture(0.02)), base, "t").is_ok());
     }
 
     #[test]
@@ -1216,7 +1525,7 @@ mod tests {
             assert!(c.optimum > 0.0, "{}", c.family);
         }
         let doc = opt_json(&cells, &profile);
-        let (nums, _) = parse_flat(&doc).unwrap();
+        let (nums, _) = round_trip(&doc);
         assert_eq!(nums["services"], 4.0);
         assert_eq!(nums["node_budget"], OPT_NODE_BUDGET as f64);
         for c in &cells {
@@ -1230,27 +1539,85 @@ mod tests {
             assert!(nums[&format!("{fam}.optimum")] > 0.0);
             assert!(nums.contains_key(&format!("{fam}.solve_secs.mean")));
         }
+        assert_committed_key_set(&doc, "BENCH_opt.json", &["euclid-clusters"]);
     }
 
     #[test]
     fn check_gates_opt_nodes_and_certified_gaps() {
         let base = r#"{ "zipf-services": { "nodes_expanded": 271, "gap_certified": 0.000000000, "digest_match": 1.0 } }"#;
-        assert!(check(base, base, "t").is_ok());
+        let opt = |cell: OptBench| opt_json(&[cell], &opt_profile());
+        assert!(check(&opt(opt_fixture(271, 0.0, true)), base, "t").is_ok());
         // A different tree is a hard failure even if everything else holds.
-        let drifted = r#"{ "zipf-services": { "nodes_expanded": 290, "gap_certified": 0.000000000, "digest_match": 1.0 } }"#;
-        let errs = check(drifted, base, "t").unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("different tree")),
-            "{errs:?}"
+        let errs = check(&opt(opt_fixture(290, 0.0, true)), base, "t").unwrap_err();
+        assert_eq!(
+            errs,
+            ["t: 'zipf-services.nodes_expanded' [Exact] fresh 290 != committed 271"]
         );
         // Losing the optimality certificate fails.
-        let uncertified = r#"{ "zipf-services": { "nodes_expanded": 271, "gap_certified": 0.031400000, "digest_match": 1.0 } }"#;
-        let errs = check(uncertified, base, "t").unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("certificate")), "{errs:?}");
-        // Thread-count divergence reuses the digest_match hard gate.
-        let diverged = r#"{ "zipf-services": { "nodes_expanded": 271, "gap_certified": 0.000000000, "digest_match": 0.0 } }"#;
-        let errs = check(diverged, base, "t").unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("thread")), "{errs:?}");
+        let errs = check(&opt(opt_fixture(271, 0.0314, true)), base, "t").unwrap_err();
+        assert_eq!(
+            errs,
+            ["t: 'zipf-services.gap_certified' [Exact] fresh 0.0314 != committed 0"]
+        );
+        // Thread-count divergence fails the digest_match floor.
+        let errs = check(&opt(opt_fixture(271, 0.0, false)), base, "t").unwrap_err();
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("'zipf-services.digest_match'")),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn render_reproduces_the_committed_layout() {
+        // BENCH_opt.json records every input of its builder, so rebuilding
+        // it from its own numbers must reproduce the file byte for byte.
+        let text = committed("BENCH_opt.json");
+        let (nums, _) = parse_flat(&text).unwrap();
+        let cells: Vec<OptBench> = OPT_FAMILIES
+            .iter()
+            .map(|&family| {
+                let at = |field: &str| nums[&format!("{family}.{field}")];
+                OptBench {
+                    family,
+                    points: at("points") as usize,
+                    requests: at("requests") as usize,
+                    nodes_expanded: at("nodes_expanded") as u64,
+                    gap_certified: at("gap_certified"),
+                    optimum: at("optimum"),
+                    root_bound: at("root_bound"),
+                    digest_match: at("digest_match") == 1.0,
+                    solve: summary_at(&nums, &format!("{family}.solve_secs")),
+                }
+            })
+            .collect();
+        let profile = CatalogProfile {
+            services: nums["services"] as u16,
+            ..opt_profile()
+        };
+        assert_eq!(opt_json(&cells, &profile).render(), text);
+        // Flat objects and single-key wrappers stay on one line.
+        let doc = Doc::default()
+            .str("family", "f")
+            .nest(
+                "faulted",
+                Doc::default().num("quarantined", 1.0, 0, Gate::Exact).num(
+                    "digest_match",
+                    1.0,
+                    1,
+                    Gate::Floor(1.0),
+                ),
+            )
+            .nest(
+                "pd-omflp/f",
+                Doc::default().summary("secs", &summarize(&[0.25])),
+            );
+        assert_eq!(
+            doc.render(),
+            "{\n  \"family\": \"f\",\n  \"faulted\": { \"quarantined\": 1, \"digest_match\": 1.0 },\n  \
+             \"pd-omflp/f\": { \"secs\": { \"n\": 1, \"mean\": 0.250000000, \"std\": 0.000000000, \
+             \"min\": 0.250000000, \"max\": 0.250000000 } }\n}\n"
+        );
     }
 
     #[test]

@@ -2,142 +2,45 @@
 //!
 //! Monte-Carlo estimation of RAND-OMFLP's *expected* competitive ratio needs
 //! dozens of independent trials per parameter point; this crate provides a
-//! dependency-free scoped parallel map with a work-stealing scheduler,
-//! deterministic per-task seeding (SplitMix64 — results must not depend on
-//! thread scheduling), and the mean/CI reduction the tables report.
-//!
-//! # Scheduling history (why work-stealing deques)
-//!
-//! Version 1 pulled indices from an atomic counter and wrote each result
-//! through a mutex-guarded `Vec<Option<R>>`; under small per-item work the
-//! shared result lock became the bottleneck. Version 2 assigned balanced
-//! contiguous chunks up front (lock-free, order-preserving), but static
-//! assignment stalls on skewed workloads: when a few slow items land in one
-//! chunk — exactly what happens in catalog sweeps where one
-//! (family, engine, trial) cell dominates — every other worker drains its
-//! chunk and idles while one worker serializes the tail.
-//!
-//! The current scheduler keeps version 2's per-thread result buffers and
-//! adds stealing: each worker starts with its contiguous chunk in a private
-//! deque, pops work from the front, and when empty steals *half* a victim's
-//! remaining items from the back. Results carry their original item index
-//! and are written into the output slot for that index after the join, so
-//! the output is in input order **regardless of which thread computed what**
-//! — `parallel_map(items, 1, f) == parallel_map(items, k, f)` bit for bit,
-//! for every `k`. Own-deque pops lock an uncontended mutex (tens of
-//! nanoseconds); contention only ever happens while some deque is being
-//! stolen from, which is rare for coarse items.
+//! dependency-free order-preserving parallel map over one fan-out runtime
+//! ([`TaskPool`]), deterministic per-task seeding (SplitMix64 — results must
+//! not depend on thread scheduling), and the mean/CI reduction the tables
+//! report.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Applies `f` to every index/item pair, spreading work over `threads` OS
-/// threads with work stealing. Results are returned in input order
-/// regardless of scheduling.
+/// Applies `f` to every index/item pair on a [`TaskPool`] of `threads`
+/// participants. The pool claims one index at a time, so a few slow items
+/// never hold up the rest (catalog sweeps, where one (family, engine,
+/// trial) cell can dominate). Each result lands in its index's slot, so
+/// the output is in input order regardless of scheduling —
+/// `parallel_map(items, 1, f) == parallel_map(items, k, f)` bit for bit.
 ///
 /// `threads = 0` or `1` runs inline (useful under a debugger and in tests).
+/// A panic in `f` re-panics in the caller with the pool's [`PoolError`]
+/// message.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
+    let threads = threads.min(items.len());
+    if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-
-    // Seed each deque with a balanced contiguous chunk (the first `rem`
-    // workers take one extra item). With uniform per-item work nobody ever
-    // steals and this behaves exactly like the chunk-static scheduler.
-    let base = n / threads;
-    let rem = n % threads;
-    let mut deques: Vec<Mutex<VecDeque<usize>>> = Vec::with_capacity(threads);
-    let mut start = 0;
-    for w in 0..threads {
-        let len = base + usize::from(w < rem);
-        deques.push(Mutex::new((start..start + len).collect()));
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    // Steals in transit: incremented while loot sits in neither deque
-    // (between a victim's split_off and the thief's extend). Workers only
-    // retire once every deque is empty AND nothing is in transit — without
-    // this, a worker sweeping during that window would exit early and the
-    // remaining backlog could serialize onto whoever holds it.
-    let in_flight = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let f = &f;
-            let deques = &deques;
-            let in_flight = &in_flight;
-            handles.push(scope.spawn(move || {
-                let mut buf: Vec<(usize, R)> = Vec::new();
-                loop {
-                    // Fast path: own deque front (uncontended unless a thief
-                    // holds the lock for a back-steal).
-                    let task = deques[w].lock().expect("deque poisoned").pop_front();
-                    if let Some(i) = task {
-                        buf.push((i, f(i, &items[i])));
-                        continue;
-                    }
-                    // Steal: scan victims round-robin from our right; take
-                    // half their backlog from the back.
-                    let mut stolen = false;
-                    for v in (0..threads).map(|k| (w + 1 + k) % threads) {
-                        if v == w {
-                            continue;
-                        }
-                        let mut victim = deques[v].lock().expect("deque poisoned");
-                        let take = victim.len().div_ceil(2);
-                        if take == 0 {
-                            continue;
-                        }
-                        let split = victim.len() - take;
-                        in_flight.fetch_add(1, Ordering::SeqCst);
-                        let loot: Vec<usize> = victim.split_off(split).into();
-                        drop(victim);
-                        deques[w].lock().expect("deque poisoned").extend(loot);
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                        stolen = true;
-                        break;
-                    }
-                    if stolen {
-                        continue;
-                    }
-                    // Empty sweep. If a steal is mid-transit its loot will
-                    // land in a deque momentarily — re-scan instead of
-                    // retiring. No task is ever produced after start-up, so
-                    // "all deques empty and nothing in transit" means every
-                    // remaining item is already being executed.
-                    if in_flight.load(Ordering::SeqCst) == 0 {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                buf
-            }));
-        }
-        // Per-thread buffers land in the per-index output slots, so the
-        // assembled Vec is in input order no matter who computed what.
-        for h in handles {
-            for (i, r) in h.join().expect("worker threads must not panic") {
-                debug_assert!(slots[i].is_none(), "item {i} computed twice");
-                slots[i] = Some(r);
-            }
-        }
-    });
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
+    let writer = ScatterWriter::new(&mut slots);
+    TaskPool::new(threads)
+        .run(items.len(), |i| {
+            // SAFETY: the pool runs each index of `0..items.len()` exactly
+            // once, so no slot is accessed from two threads.
+            unsafe { *writer.slot(i) = Some(f(i, &items[i])) };
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     slots
         .into_iter()
         .map(|s| s.expect("every item executed exactly once"))
@@ -192,11 +95,11 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `0..ntasks` indices, block until all complete, reuse the same OS threads
 /// for the next fan-out.
 ///
-/// [`parallel_map`] spawns a scope per call, which is fine for coarse
-/// experiment cells but far too heavy for a hot path that fans out many
-/// times per arrival (the per-block argmin shards run in the tens of
-/// microseconds). `TaskPool` keeps `threads − 1` workers parked on a
-/// condvar; [`TaskPool::run`] publishes one task per call, participates
+/// Spawning threads per fan-out (as [`parallel_map`] does, one pool per
+/// call) is fine for coarse experiment cells but far too heavy for a hot
+/// path that fans out many times per arrival (the per-block argmin shards
+/// run in the tens of microseconds). `TaskPool` keeps `threads − 1` workers
+/// parked on a condvar; [`TaskPool::run`] publishes one task per call, participates
 /// with the calling thread, and returns only when every index has executed.
 ///
 /// The pool provides **execution** only — no results, no ordering. Callers
@@ -626,6 +529,7 @@ pub fn summarize(samples: &[f64]) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -659,8 +563,8 @@ mod tests {
 
     #[test]
     fn uneven_work_still_ordered() {
-        // Later items are much heavier, so workers finish out of order and
-        // stealing kicks in; assembly must still be in index order.
+        // Later items are much heavier, so workers finish out of order;
+        // assembly must still be in index order.
         let items: Vec<u64> = (0..64).collect();
         let out = parallel_map(&items, 8, |_, &x| {
             let spins = if x >= 56 { 20_000 } else { 10 };
@@ -677,9 +581,8 @@ mod tests {
 
     #[test]
     fn skewed_front_loaded_work_is_bit_identical_across_thread_counts() {
-        // All the heavy items land in what would be the first static chunk —
-        // the adversarial case for the old scheduler and the case where
-        // stealing actually redistributes. Results must not care.
+        // All the heavy items come first, so whichever workers claim them
+        // finish last. Results must not care.
         let items: Vec<u64> = (0..96).collect();
         let work = |i: usize, x: u64| {
             let spins = if x < 12 { 50_000 } else { 5 };
@@ -939,6 +842,19 @@ mod tests {
         assert_eq!(err.panics.len(), 1);
         assert_eq!(err.panics[0].index, 0);
         pool.run(8, |_| {}).expect("pool still fine");
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate test panic at 5")]
+    fn parallel_map_repanics_an_item_panic_in_the_caller() {
+        quiet_expected_panics();
+        let items: Vec<u64> = (0..16).collect();
+        parallel_map(&items, 4, |i, &x| {
+            if i == 5 {
+                panic!("deliberate test panic at {i}");
+            }
+            x
+        });
     }
 
     #[test]

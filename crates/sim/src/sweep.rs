@@ -1,8 +1,8 @@
 //! Sharded (scenario-family × engine × seed) sweeps.
 //!
 //! [`sweep`] flattens the full matrix into independent cells, fans them
-//! across worker threads with `omfl_par::parallel_map` (order-preserving,
-//! chunk-static — results never depend on thread scheduling), and
+//! across worker threads with `omfl_par::parallel_map` (order-preserving —
+//! results never depend on thread scheduling), and
 //! [`aggregate`]s the cells into a per-(family, engine) comparison table.
 //! Scenario seeds derive from `(base_seed, family, trial)` via
 //! `omfl_par::seed_for`, so every engine sees the *same* instance in trial

@@ -2,7 +2,8 @@
 //! rely on: identical configs produce bit-identical `SimReport`s, and the
 //! sharded sweep produces the identical table at every thread count — now
 //! including adversarially skewed matrices where one cell dominates
-//! wall-clock and the work-stealing scheduler actually redistributes work.
+//! wall-clock and the parallel map's one-index-at-a-time claiming spreads
+//! the work.
 
 use omfl_core::CoreError;
 use omfl_sim::sweep::{aggregate, sweep, sweep_catalog};
@@ -117,11 +118,11 @@ fn skewed_sweep_tables_are_bit_identical_for_1_2_7_16_threads() {
 
 #[test]
 fn slow_cell_does_not_serialize_the_schedule() {
-    // Starvation regression for the work-stealing scheduler. All four slow
+    // Starvation regression for the parallel map's scheduler. All four slow
     // items sit in what a chunk-static split over 8 threads would hand to
-    // worker 0, so without stealing the schedule serializes them:
-    // 4 × 80 ms = 320 ms on one worker. With stealing they spread across
-    // idle workers and the whole map finishes in ≈ one slow item. Sleeps
+    // worker 0, so such a split serializes them: 4 × 80 ms = 320 ms on one
+    // worker. Claimed one index at a time they spread across idle workers
+    // and the whole map finishes in ≈ one slow item. Sleeps
     // (not spins) keep the assertion independent of CPU speed; the bound is
     // generous — 2.5× the ideal — to absorb CI scheduling noise while
     // staying far below the serialized 320 ms.
@@ -135,8 +136,8 @@ fn slow_cell_does_not_serialize_the_schedule() {
     assert_eq!(out, items, "results must stay in input order");
     assert!(
         elapsed < Duration::from_millis(200),
-        "slow cells serialized the sweep: {elapsed:?} (work-stealing should \
-         finish in ~80-160 ms; chunk-static takes ≥ 320 ms)"
+        "slow cells serialized the sweep: {elapsed:?} (per-index claiming \
+         should finish in ~80-160 ms; chunk-static takes ≥ 320 ms)"
     );
 }
 
