@@ -4,14 +4,15 @@
 //! opening-target argmins over `(f − B)⁺ + d(m, r)`. This experiment
 //! measures the engine that answers them with the block-pruned argmin
 //! (`omfl_core::index::OpeningTargetIndex`, a bucketed lower-bound prune
-//! list) over the blocked distance-row cache (`omfl_metric::blocked`) on
-//! the large-metric catalog families. Every timed run is cross-checked
-//! against the linear-scan oracle `NaivePd`: it must reproduce the
-//! oracle's total cost bit for bit.
+//! list) over the graph's stored distance rows or the blocked
+//! distance-row cache (`omfl_metric::blocked`) on the large-metric catalog
+//! families. Every timed run is cross-checked against the linear-scan
+//! oracle `NaivePd`: it must reproduce the oracle's total cost bit for bit.
 //!
 //! Reported per family: |M|, requests, construct + serve ms per run, the
 //! share of opening-target blocks the prune skipped, and the blocked
-//! row-cache hit rate (dense-backend cells show "-").
+//! row-cache hit rate (cells whose metric lends its stored rows, like the
+//! graph family, never read the cache and show "-").
 //!
 //! The measurement protocol is [`crate::perfjson::pd_timing`] — the same
 //! harness that produces the gated large cells of `BENCH_pd.json`.

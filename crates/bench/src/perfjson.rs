@@ -391,7 +391,8 @@ pub struct PdTiming {
     /// and machine-portable (the shard partition is a pure function of the
     /// block count, never of the worker pool).
     pub block_skip_rate: f64,
-    /// Blocked row-cache hit rate (`None` on the dense backend).
+    /// Blocked row-cache hit rate; `None` when the cache served no reads
+    /// (a metric that lends its stored rows, such as a graph closure).
     pub row_hit_rate: Option<f64>,
 }
 
@@ -438,7 +439,8 @@ pub fn pd_timing(
         block_skip_rate = skipped as f64 / (skipped + scanned).max(1) as f64;
         row_hit_rate = engine
             .distance_cache_stats()
-            .map(|(h, m, _)| h as f64 / (h + m).max(1) as f64);
+            .filter(|&(h, m, _)| h + m > 0)
+            .map(|(h, m, _)| h as f64 / (h + m) as f64);
     }
     Ok(PdTiming {
         family: family.name,

@@ -38,6 +38,10 @@ impl Metric for SharedMetric {
         self.0.distance(a, b)
     }
 
+    fn row(&self, q: PointId) -> Option<&[f64]> {
+        self.0.row(q)
+    }
+
     fn fill_row(&self, q: PointId, out: &mut [f64]) {
         self.0.fill_row(q, out)
     }

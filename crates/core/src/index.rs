@@ -888,12 +888,12 @@ pub const HUGE_BLOCK: usize = 64;
 /// * **Partial rows with coverage-bounded openings.** The engine fills
 ///   only the scan cover of each arrival's distance row, reads opening
 ///   and cap-shrink distances block by block, and reinvests bids through
-///   the sharded screened freeze walk. Below it a full row fill is one
-///   bulk [`omfl_metric::Metric::fill_row`] that the row cache keeps for
-///   later arrivals, and the serial candidate-list freeze walk over it is
-///   already cheap; from it up the `O(|M|)` fill itself dominates serve
-///   time. `tests/tests/partial_rows.rs` pins engines to both paths and
-///   serves one engine unforced at exactly this size.
+///   the sharded screened freeze walk. Below it a full row is the metric's
+///   stored row or one bulk [`omfl_metric::Metric::fill_row`] that the row
+///   cache keeps for later arrivals, and the serial candidate-list freeze
+///   walk over it is already cheap; from it up the `O(|M|)` fill itself
+///   dominates serve time. `tests/tests/partial_rows.rs` pins engines to
+///   both paths and serves one engine unforced at exactly this size.
 /// * **64-point kd blocks.** A layout with kd ball ingest switches from
 ///   [`TARGET_BLOCK`] to [`HUGE_BLOCK`] points per block.
 pub const HUGE_METRIC_MIN_POINTS: usize = 65536;

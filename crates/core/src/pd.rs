@@ -63,10 +63,13 @@
 //!   touched. A pass whose surviving blocks are wide falls back to one
 //!   bulk row fill ([`crate::index::WIDE_COVERAGE_SHARE`]).
 //!
-//! Distances come from a dense `|M|²` matrix up to [`DENSE_DISTANCE_CAP`]
-//! points, and from a fixed-budget blocked row LRU
-//! ([`omfl_metric::blocked::BlockedRowCache`]) beyond it, so large metrics
-//! keep cached-row locality instead of paying a metric call per distance.
+//! Full distance rows are read in place when the metric stores its closure
+//! ([`omfl_metric::Metric::row`]: graphs, dense matrices). For every other
+//! metric they come from a fixed-budget blocked row LRU
+//! ([`omfl_metric::blocked::BlockedRowCache`]), filled once per cold row by
+//! one bulk `fill_row`, so repeated anchors keep cached-row locality
+//! instead of paying a metric call per distance. Single distances read an
+//! entry of a cached row, or call the metric.
 //! On the partial-row path the per-block distances come from the target
 //! index's layout instead, without touching the row cache: each arrival
 //! and each opening pass reads `d(rep_b, ·)` for every block in one
@@ -77,7 +80,8 @@
 //! and gap guards) these are contiguous SIMD folds over coordinates
 //! stored in layout order, bit-identical to the metric's own calls;
 //! otherwise they are those calls. Only the arrival's predicted scan
-//! cover and the wide-coverage fallback fill rows.
+//! cover and the wide-coverage fallback fill rows; the fallback reads a
+//! stored row in place.
 //!
 //! All structures reproduce the retired linear scans **bit for bit**: cache
 //! updates use the same `distance(query, location)` call and strict-`<`
@@ -152,9 +156,10 @@ pub struct PdOmflp<'a> {
     f_small: Vec<f64>,
     /// Cached `f^{S}_m`.
     f_full: Vec<f64>,
-    /// Distance substrate: dense matrix or blocked row LRU — every read is
-    /// bit-identical to calling the metric.
-    dist: DistanceBackend,
+    /// Row LRU for metrics without stored rows ([`distance_row`]); stays
+    /// empty when the metric lends its rows. Every read is bit-identical
+    /// to calling the metric.
+    row_cache: BlockedRowCache,
     /// Scratch for the full-row path's block-narrowed freeze candidate
     /// ids (see [`OpeningTargetIndex::budget_move_candidates`]); the
     /// partial-row path shards the freeze walk inside the index instead.
@@ -195,45 +200,27 @@ pub struct PdOmflp<'a> {
     dual_sum: f64,
 }
 
-/// Where `d(p, q)` reads come from. Both variants produce the verbatim
-/// `Instance::distance` results — they differ only in cost model:
-///
-/// * `Dense` — the full `|M|²` matrix (row `q` at `q·|M|`, contiguous in
-///   `p`), affordable up to [`DENSE_DISTANCE_CAP`] points;
-/// * `Blocked` — a fixed-budget LRU of metric rows
-///   ([`omfl_metric::blocked`]), the large-metric regime.
-enum DistanceBackend {
-    Dense(Vec<f64>),
-    Blocked(BlockedRowCache),
-}
-
-impl DistanceBackend {
-    /// A single `d(p, q)`. Cheap for `Dense`/cached `Blocked` rows; falls
-    /// back to the metric call otherwise (bit-identical by contract).
-    #[inline]
-    fn point(&self, inst: &Instance, p: PointId, q: PointId) -> f64 {
-        match self {
-            DistanceBackend::Dense(d) => d[q.index() * inst.num_points() + p.index()],
-            DistanceBackend::Blocked(c) => match c.cached_row(q.0) {
-                Some(row) => row[p.index()],
-                None => inst.distance(p, q),
-            },
-        }
+/// A single `d(p, q)`: an entry of `q`'s cached full row, or the metric
+/// call (bit-identical by the `fill_row` contract).
+#[inline]
+fn point_distance(cache: &BlockedRowCache, inst: &Instance, p: PointId, q: PointId) -> f64 {
+    match cache.cached_row(q.0) {
+        Some(row) => row[p.index()],
+        None => inst.distance(p, q),
     }
 }
 
-/// Borrows the distance row `d(·, q)` without copying: a slice into the
-/// dense matrix or the blocked cache. Values are the verbatim metric
-/// results either way.
+/// Borrows the full distance row `d(·, q)`: the metric's stored row when
+/// it keeps its closure, else the cache's row, filled on a miss. Values
+/// are the verbatim metric results either way.
 ///
 /// A free function rather than a method so callers can keep disjoint
 /// borrows of the other engine fields (bid rows, target index) alive while
 /// holding the row.
-fn backend_row<'r>(dist: &'r mut DistanceBackend, inst: &Instance, q: PointId) -> &'r [f64] {
-    let m = inst.num_points();
-    match dist {
-        DistanceBackend::Dense(d) => &d[q.index() * m..(q.index() + 1) * m],
-        DistanceBackend::Blocked(c) => c.row_with(q.0, |buf| inst.fill_row(q, buf)),
+fn distance_row<'r>(cache: &'r mut BlockedRowCache, inst: &'r Instance, q: PointId) -> &'r [f64] {
+    match inst.metric().row(q) {
+        Some(row) => row,
+        None => cache.row_with(q.0, |buf| inst.fill_row(q, buf)),
     }
 }
 
@@ -242,13 +229,13 @@ fn backend_row<'r>(dist: &'r mut DistanceBackend, inst: &Instance, q: PointId) -
 /// `rep_d` with `q`'s representative distances and `blocks` with every
 /// block whose certified lower bound on `d(·, q)` passes `keep(b, dlb)`.
 /// When those blocks are wide ([`wide_coverage`]) it returns `q`'s full
-/// row instead — one bulk fill through the cache — for a contiguous walk;
-/// otherwise the caller reads each kept block's member distances
+/// row instead ([`distance_row`]) for a contiguous walk; otherwise the
+/// caller reads each kept block's member distances
 /// ([`SpatialLayout::member_distances`]) and no row is materialized.
 fn covered_blocks<'r>(
     cache: &'r mut BlockedRowCache,
     layout: &SpatialLayout,
-    inst: &Instance,
+    inst: &'r Instance,
     q: PointId,
     rep_d: &mut Vec<f64>,
     blocks: &mut Vec<u32>,
@@ -256,8 +243,7 @@ fn covered_blocks<'r>(
 ) -> Option<&'r [f64]> {
     layout.rep_distances(inst, q, rep_d);
     layout.blocks_where(rep_d, keep, blocks);
-    wide_coverage(blocks.len(), layout.nblocks())
-        .then(|| cache.row_with(q.0, |buf| inst.fill_row(q, buf)))
+    wide_coverage(blocks.len(), layout.nblocks()).then(|| distance_row(cache, inst, q))
 }
 
 /// The cap-shrink subtraction at one location after a cap fell from `old`
@@ -328,21 +314,14 @@ struct ServeScratch {
     fids: Vec<FacilityId>,
 }
 
-/// Metrics up to this many points get a dense per-pair distance cache in
-/// [`PdOmflp`] (`|M|² · 8` bytes — 8 MiB at the cap). Beyond it,
-/// [`PdOmflp::new`] switches to the blocked row cache
-/// ([`omfl_metric::blocked::BlockedRowCache`], budget
-/// [`omfl_metric::blocked::DEFAULT_ROW_CACHE_BYTES`]), which keeps row
-/// locality for metrics up to ~100k points.
-pub const DENSE_DISTANCE_CAP: usize = 1024;
-
 impl<'a> PdOmflp<'a> {
     /// Creates the algorithm over an instance, with the incremental t3/t4
-    /// opening-target index and the blocked distance cache engaged.
+    /// opening-target index and the blocked distance-row cache (budget
+    /// [`omfl_metric::blocked::DEFAULT_ROW_CACHE_BYTES`]) engaged.
     /// Precomputes the per-location small and large facility costs
     /// (`O(|M|·|S|)` memory — the same order as the bid matrix the analysis
-    /// requires) and, for metrics up to [`DENSE_DISTANCE_CAP`] points, the
-    /// dense distance cache.
+    /// requires). No distance is computed up front: rows are read from the
+    /// metric's stored closure or filled on first use.
     pub fn new(inst: &'a Instance) -> Self {
         let (f_small, f_full) = Self::facility_costs(inst);
         let targets = OpeningTargetIndex::for_instance(inst, &f_small, &f_full);
@@ -378,30 +357,6 @@ impl<'a> PdOmflp<'a> {
             None
         });
         self.targets.set_scan_shard_blocks(shard_blocks);
-    }
-
-    fn dense_matrix(inst: &Instance) -> Vec<f64> {
-        let m = inst.num_points();
-        let mut dmat = vec![0.0; m * m];
-        for (q, row) in dmat.chunks_exact_mut(m).enumerate() {
-            // The bulk primitive is bit-identical to the per-call loop by
-            // the fill_row contract, and metrics with a real override
-            // (dense copies, graph rows, Euclidean column streams) fill a
-            // row at memory speed.
-            inst.fill_row(PointId(q as u32), row);
-        }
-        dmat
-    }
-
-    /// The distance backend: the dense matrix up to [`DENSE_DISTANCE_CAP`]
-    /// points, the blocked row cache beyond.
-    fn cached_backend(inst: &Instance) -> DistanceBackend {
-        let m = inst.num_points();
-        if m <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
-        }
     }
 
     /// The cached facility costs `(f^{e}_m, f^{S}_m)`: commodity-major
@@ -452,7 +407,7 @@ impl<'a> PdOmflp<'a> {
             b_large: vec![0.0; m],
             f_small,
             f_full,
-            dist: Self::cached_backend(inst),
+            row_cache: BlockedRowCache::with_default_budget(m),
             moved_scratch: Vec::new(),
             cover_scratch: Vec::new(),
             rep_scratch: Vec::new(),
@@ -473,10 +428,9 @@ impl<'a> PdOmflp<'a> {
     /// over the blocks whose lower bound undercuts their largest cached
     /// distance (the bounded refresh). Values are identical either way.
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
-        if self.partial_rows_active() {
-            let DistanceBackend::Blocked(c) = &mut self.dist else {
-                unreachable!("partial_rows_active checked the backend")
-            };
+        let bounded = self.partial_rows_active();
+        let c = &mut self.row_cache;
+        if bounded {
             let maxima = self.index.block_maxima(e);
             let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
             let keep = |b, dlb| dlb < maxima[b];
@@ -488,7 +442,7 @@ impl<'a> PdOmflp<'a> {
             }
             return;
         }
-        let row = backend_row(&mut self.dist, self.inst, at);
+        let row = distance_row(c, self.inst, at);
         match e {
             Some(e) => self.index.note_small_opening_with_row(row, e, fid),
             None => self.index.note_large_opening_with_row(row, fid),
@@ -567,35 +521,28 @@ impl<'a> PdOmflp<'a> {
         self.past_index.stats()
     }
 
-    /// `(hits, misses, evictions)` of the blocked distance-row cache;
-    /// `None` for the dense backend.
+    /// `(hits, misses, evictions)` of the blocked distance-row cache. Always
+    /// `Some`: every engine keeps the cache. It reads `(0, 0, 0)` when the
+    /// metric lends its stored rows, which never pass through it.
     pub fn distance_cache_stats(&self) -> Option<(u64, u64, u64)> {
-        match &self.dist {
-            DistanceBackend::Blocked(c) => Some(c.stats()),
-            _ => None,
-        }
+        Some(self.row_cache.stats())
     }
 
     /// Coverage-fallback promotions of the blocked row cache: partial rows
     /// a full-row consumer forced up to a full fill — on the partial-row
     /// path, an opening pass whose surviving blocks were wide (see
-    /// [`crate::index::WIDE_COVERAGE_SHARE`]). `None` for the dense
-    /// backend.
+    /// [`crate::index::WIDE_COVERAGE_SHARE`]). Always `Some`, like
+    /// [`Self::distance_cache_stats`].
     pub fn row_fallback_promotions(&self) -> Option<u64> {
-        match &self.dist {
-            DistanceBackend::Blocked(c) => Some(c.fallback_promotions()),
-            _ => None,
-        }
+        Some(self.row_cache.fallback_promotions())
     }
 
     /// Whether arrivals are served through kd-bounded partial row fills and
-    /// the sharded freeze walk: blocked backend + radius-bounded layout and
-    /// at least [`HUGE_METRIC_MIN_POINTS`] points (below that a bulk full
-    /// fill is faster than pointwise coverage fills).
+    /// the sharded freeze walk: a radius-bounded layout and at least
+    /// [`HUGE_METRIC_MIN_POINTS`] points (below that a bulk full fill is
+    /// faster than pointwise coverage fills).
     pub fn partial_rows_active(&self) -> bool {
-        self.inst.num_points() >= self.partial_rows_min
-            && matches!(self.dist, DistanceBackend::Blocked(_))
-            && self.targets.partial_rows_supported()
+        self.inst.num_points() >= self.partial_rows_min && self.targets.partial_rows_supported()
     }
 
     /// Test/bench hook: overrides the [`HUGE_METRIC_MIN_POINTS`] floor so
@@ -636,7 +583,7 @@ impl<'a> PdOmflp<'a> {
         self.touched[e.index()].clear();
         for (pi, slot) in self.past_index.small_shrink_candidates(self.inst, e, at) {
             let pr = &mut self.past[pi as usize];
-            let dj = self.dist.point(self.inst, at, pr.location);
+            let dj = point_distance(&self.row_cache, self.inst, at, pr.location);
             let old = pr.caps[slot as usize];
             if dj < old {
                 shrank = true;
@@ -678,7 +625,7 @@ impl<'a> PdOmflp<'a> {
         let mut families = Vec::new();
         for pi in self.past_index.large_shrink_candidates(self.inst, at) {
             let pr = &mut self.past[pi as usize];
-            let dj = self.dist.point(self.inst, at, pr.location);
+            let dj = point_distance(&self.row_cache, self.inst, at, pr.location);
             families.clear();
             // Large-facility cap.
             if dj < pr.cap_total {
@@ -742,16 +689,14 @@ impl<'a> PdOmflp<'a> {
     fn shrink_rows(&mut self, loc: PointId, dj: f64, families: &[(usize, f64)]) {
         let bounded = self.partial_rows_active();
         let (b_small, b_large) = (&mut self.b_small, &mut self.b_large);
+        let c = &mut self.row_cache;
         if !bounded {
-            let drow = backend_row(&mut self.dist, self.inst, loc);
+            let drow = distance_row(c, self.inst, loc);
             for &(f, old) in families {
                 shrink_bids(bid_row(b_small, b_large, f), drow, old, dj);
             }
             return;
         }
-        let DistanceBackend::Blocked(c) = &mut self.dist else {
-            unreachable!("partial_rows_active checked the backend")
-        };
         let layout = self.targets.layout();
         let reach = families.iter().fold(0.0f64, |r, &(_, old)| r.max(old));
         let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
@@ -828,19 +773,17 @@ impl<'a> PdOmflp<'a> {
     ///
     /// On the partial-row serve path ([`Self::partial_rows_active`]) the
     /// walk is [`OpeningTargetIndex::freeze_reinvest`]: sharded over the
-    /// worker pool, fed the backend's row when a full one is already
-    /// materialized and the metric's certified f32 screening brackets
-    /// otherwise — bit-identical updates either way, and a partial row
-    /// stays partial. Below the threshold the serial
+    /// worker pool, fed a full row when one is at hand (the metric's stored
+    /// row, or a fully cached one) and the metric's certified f32 screening
+    /// brackets otherwise — bit-identical updates either way, and a partial
+    /// row stays partial. Below the threshold the serial
     /// [`OpeningTargetIndex::budget_move_candidates`] candidate-list walk
     /// over a full row stays faster.
     fn freeze_bids(&mut self, loc: PointId, members: &[CommodityId], caps: &[f64], cap_total: f64) {
         let m = self.inst.num_points();
         if self.partial_rows_active() {
-            let full_row: Option<&[f64]> = match &self.dist {
-                DistanceBackend::Dense(d) => Some(&d[loc.index() * m..(loc.index() + 1) * m]),
-                DistanceBackend::Blocked(c) => c.cached_row(loc.0),
-            };
+            let stored = self.inst.metric().row(loc);
+            let full_row = stored.or_else(|| self.row_cache.cached_row(loc.0));
             self.targets.freeze_reinvest(
                 self.inst,
                 loc,
@@ -855,7 +798,7 @@ impl<'a> PdOmflp<'a> {
             );
             return;
         }
-        let dist_row = backend_row(&mut self.dist, self.inst, loc);
+        let dist_row = distance_row(&mut self.row_cache, self.inst, loc);
         let (b_small, b_large, t) = (&mut self.b_small, &mut self.b_large, &mut self.targets);
         let (f_small, f_full) = (&self.f_small, &self.f_full);
         let moved = &mut self.moved_scratch;
@@ -941,22 +884,19 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             }
         }
 
-        // Distance row d(m, r), borrowed zero-copy from the backend and
-        // reused everywhere this arrival.
+        // Distance row d(m, r), borrowed zero-copy from the metric or the
+        // row cache and reused everywhere this arrival.
         let inst = self.inst;
         // Radius-bounded index over the blocked cache: fill only the
         // entries this arrival's scans can read. The block bounds come
         // from one representative pass of the layout, which predicts the
         // scan cover; the row is filled over that cover alone — the pruned
-        // scans then see verbatim backend values everywhere they look, so
+        // scans then see verbatim metric values everywhere they look, so
         // targets, stats and all downstream state are bit-identical to a
         // full fill. Openings later read distances over the blocks they can
         // change; only a wide pass promotes a partial row through the
         // cache's coverage fallback.
         let dist_row: &[f64] = if self.partial_rows_active() {
-            let DistanceBackend::Blocked(c) = &mut self.dist else {
-                unreachable!("partial_rows_active checked the backend")
-            };
             let t = &mut self.targets;
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
@@ -964,9 +904,10 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             t.prepare_query_at(Some(loc), &self.rep_scratch);
             let cover = &mut self.cover_scratch;
             t.query_scan_cover(&scratch.members, cover);
+            let c = &mut self.row_cache;
             c.partial_row_with(loc.0, cover, |p| inst.distance(PointId(p), loc))
         } else {
-            let row = backend_row(&mut self.dist, inst, loc);
+            let row = distance_row(&mut self.row_cache, inst, loc);
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
             self.targets.prepare_query_row(Some(loc), row);

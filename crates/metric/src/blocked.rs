@@ -1,12 +1,14 @@
 //! Blocked distance caching: a fixed-budget LRU over whole metric rows.
 //!
-//! A dense `|M|²` distance matrix is the fastest substrate for the hot
-//! per-arrival row reads the engines do, but it stops being affordable
-//! around a few thousand points (8 MiB at 1024, 2 GiB at 16384, 80 GiB at
-//! 100k). [`BlockedRowCache`] keeps the *row* locality of the dense matrix
-//! under a fixed memory budget: distance rows (`d(·, q)` for one anchor
-//! point `q`, contiguous in the other point) are materialized on first use
-//! via [`crate::Metric::fill_row`] and recycled least-recently-used when the
+//! Metrics that store their closure (graphs, dense matrices) lend their
+//! rows in place through [`crate::Metric::row`]; nothing here is needed for
+//! them. The others compute each distance — Euclidean norms, line gaps,
+//! tree paths — and a full `|M|²` matrix of them stops being affordable
+//! around a few thousand points (2 GiB at 16384, 80 GiB at 100k).
+//! [`BlockedRowCache`] keeps the *row* locality of such a matrix under a
+//! fixed memory budget: distance rows (`d(·, q)` for one anchor point `q`,
+//! contiguous in the other point) are materialized on first use via
+//! [`crate::Metric::fill_row`] and recycled least-recently-used when the
 //! budget is exhausted.
 //!
 //! Request streams with any locality — hotspots, bursts, drifting modes, the

@@ -24,8 +24,11 @@ impl DenseMetric {
     }
 
     /// Builds without the O(n³) triangle check; still validates shape,
-    /// finiteness, non-negativity, symmetry and zero diagonal.
-    pub fn new_unchecked(matrix: Vec<f64>, n: usize) -> Result<Self, MetricError> {
+    /// finiteness, non-negativity, symmetry and zero diagonal. Every `−0.0`
+    /// entry becomes `+0.0`, so the `==` symmetry check leaves the matrix
+    /// bitwise symmetric and row `q` ([`Metric::row`]) is bitwise column
+    /// `q`.
+    pub fn new_unchecked(mut matrix: Vec<f64>, n: usize) -> Result<Self, MetricError> {
         if n == 0 {
             return Err(MetricError::Empty);
         }
@@ -36,8 +39,11 @@ impl DenseMetric {
                 n * n
             )));
         }
-        for (i, &v) in matrix.iter().enumerate() {
-            check_finite_nonneg(v, &format!("d[{},{}]", i / n, i % n))?;
+        for (i, v) in matrix.iter_mut().enumerate() {
+            check_finite_nonneg(*v, &format!("d[{},{}]", i / n, i % n))?;
+            if *v == 0.0 {
+                *v = 0.0;
+            }
         }
         let m = Self { d: matrix, n };
         for a in 0..n {
@@ -119,14 +125,10 @@ impl Metric for DenseMetric {
         self.d[a.index() * self.n + b.index()]
     }
 
-    fn fill_row(&self, q: PointId, out: &mut [f64]) {
-        // Strided gather d[p][q], not a copy of row q: `new_unchecked`
-        // matrices are not guaranteed symmetric, and the contract is
-        // bit-identity with the per-call loop.
-        let (n, qi) = (self.n, q.index());
-        for (p, slot) in out.iter_mut().enumerate() {
-            *slot = self.d[p * n + qi];
-        }
+    fn row(&self, q: PointId) -> Option<&[f64]> {
+        // Every constructor checks exact symmetry, so row q is column q.
+        let start = q.index() * self.n;
+        Some(&self.d[start..start + self.n])
     }
 }
 
@@ -154,6 +156,19 @@ mod tests {
     fn asymmetry_rejected() {
         let err = DenseMetric::new_unchecked(vec![0.0, 1.0, 2.0, 0.0], 2).unwrap_err();
         assert!(matches!(err, MetricError::AxiomViolation(_)));
+    }
+
+    #[test]
+    fn signed_zeros_are_normalized_so_rows_are_columns() {
+        // `-0.0 == +0.0`, so the symmetry check accepts this matrix; the
+        // stored row 1 must still read `d(0, 1)`'s bits at index 0.
+        let m = DenseMetric::new_unchecked(vec![0.0, 0.0, -0.0, 0.0], 2).unwrap();
+        let d01 = m.distance(PointId(0), PointId(1)).to_bits();
+        assert_eq!(m.row(PointId(1)).unwrap()[0].to_bits(), d01);
+        assert_eq!(m.distance(PointId(1), PointId(0)).to_bits(), d01);
+        let mut filled = [f64::NAN; 2];
+        m.fill_row(PointId(1), &mut filled);
+        assert_eq!(filled[0].to_bits(), d01);
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl GraphMetric {
     /// over the lower one. The result is still a shortest-path metric to
     /// the same accuracy, is bitwise symmetric — `d(a, b) == d(b, a)`
     /// exactly — and makes a distance *row* equal a distance *column*, so
-    /// [`Metric::fill_row`] can hand out contiguous memory instead of a
+    /// [`Metric::row`] can lend contiguous memory instead of a
     /// cache-hostile strided gather.
     pub fn new(graph: &Graph) -> Result<Self, MetricError> {
         let n = graph.node_count();
@@ -253,12 +253,11 @@ impl Metric for GraphMetric {
         self.apsp[a.index() * self.n + b.index()]
     }
 
-    fn fill_row(&self, q: PointId, out: &mut [f64]) {
+    fn row(&self, q: PointId) -> Option<&[f64]> {
         // The closure is exactly symmetric by construction, so the
-        // contiguous row q IS the column q — a straight copy is
-        // bit-identical to the per-call loop.
+        // contiguous row q IS the column q.
         let start = q.index() * self.n;
-        out.copy_from_slice(&self.apsp[start..start + out.len()]);
+        Some(&self.apsp[start..start + self.n])
     }
 
     fn coherent_order(&self) -> Option<Vec<u32>> {

@@ -134,18 +134,38 @@ pub trait Metric: Send + Sync {
     /// Distance between two points. Panics if either index is out of range.
     fn distance(&self, a: PointId, b: PointId) -> f64;
 
+    /// The stored distance row `d(·, q)` of a metric that holds its full
+    /// closure, or `None` (the default) for one that computes distances.
+    ///
+    /// When `Some`, the slice has [`Metric::len`] entries and
+    /// `row[p] == distance(PointId(p), q)` **bit for bit**, so consumers
+    /// read it in place instead of copying it into a row cache.
+    /// `GraphMetric` and `DenseMetric` lend their matrix rows, which their
+    /// constructors make bitwise symmetric. Wrappers must forward it.
+    /// May panic if `q` is out of range.
+    fn row(&self, _q: PointId) -> Option<&[f64]> {
+        None
+    }
+
     /// Fills `out[p] = distance(PointId(p), q)` for `p` in `0..out.len()`.
     ///
     /// This is the bulk primitive behind row caches
     /// ([`blocked::BlockedRowCache`]) and the engines' per-arrival distance
-    /// rows. Implementations may override it with a faster gather (e.g. a
-    /// slice walk over a stored matrix) but must produce **bit-identical**
-    /// values to the per-call loop — callers rely on cached rows being
-    /// indistinguishable from calling [`Metric::distance`]. Panics if
-    /// `out.len() > self.len()` or `q` is out of range.
+    /// rows. The default copies [`Metric::row`] when the metric stores one
+    /// and calls [`Metric::distance`] per point otherwise. Implementations
+    /// may override it with a faster loop nest but must produce
+    /// **bit-identical** values to the per-call loop — callers rely on
+    /// cached rows being indistinguishable from calling
+    /// [`Metric::distance`]. Panics if `out.len() > self.len()` or `q` is
+    /// out of range.
     fn fill_row(&self, q: PointId, out: &mut [f64]) {
-        for (p, slot) in out.iter_mut().enumerate() {
-            *slot = self.distance(PointId(p as u32), q);
+        match self.row(q) {
+            Some(row) => out.copy_from_slice(&row[..out.len()]),
+            None => {
+                for (p, slot) in out.iter_mut().enumerate() {
+                    *slot = self.distance(PointId(p as u32), q);
+                }
+            }
         }
     }
 
@@ -256,8 +276,12 @@ impl Metric for Box<dyn Metric> {
         self.as_ref().distance(a, b)
     }
 
+    fn row(&self, q: PointId) -> Option<&[f64]> {
+        self.as_ref().row(q)
+    }
+
     fn fill_row(&self, q: PointId, out: &mut [f64]) {
-        // Forward so a concrete override (dense/graph slice gathers) is one
+        // Forward so a concrete override (Euclidean column streams) is one
         // virtual call per row, not one per entry.
         self.as_ref().fill_row(q, out)
     }

@@ -150,8 +150,8 @@ fn indexed_pd_matches_naive_on_long_streams_with_openings() {
 #[test]
 fn indexed_pd_matches_naive_beyond_the_dense_distance_cap_shape() {
     // A skinny profile (more points than the families usually get) checks
-    // the row-slice arithmetic near the profile edges; the dense-cache
-    // fallback itself is value-identical by construction.
+    // the row-slice arithmetic near the profile edges; stored and cached
+    // rows are value-identical to metric calls by construction.
     let profile = CatalogProfile {
         points: 40,
         services: 4,

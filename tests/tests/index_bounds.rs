@@ -20,8 +20,8 @@
 //! On top of the bound curves, this suite locksteps the relabeled,
 //! radius-bounded opening-target prune bitwise at every arrival against
 //! verbatim full scans over the oracle's bids, across the whole catalog
-//! (including the cold-query adversary, and past the dense distance cap
-//! on both the full-row and the partial-row path), and drives *random*
+//! (including the cold-query adversary, and at 1280–2560 points on both
+//! the full-row and the partial-row path), and drives *random*
 //! relabelings through whole engine runs — the index's block layout must
 //! never leak into engine-visible state.
 
@@ -126,8 +126,7 @@ fn assert_targets_lockstep(sc: &Scenario, mut engine: PdOmflp<'_>, label: &str) 
 
 #[test]
 fn incremental_targets_equal_fresh_scans_at_every_arrival() {
-    // Every catalog family — including the large-metric ones, which at this
-    // profile cross DENSE_DISTANCE_CAP and run the blocked row cache.
+    // Every catalog family — including the large-metric ones.
     let mut total_skipped = 0;
     for fam in registry() {
         let sc = fam.build(&profile(), 29).expect(fam.name);
@@ -149,9 +148,9 @@ fn incremental_targets_equal_fresh_scans_at_every_arrival() {
 #[test]
 fn incremental_targets_lockstep_beyond_the_dense_cap() {
     // Push the large families — including the cold-query adversary whose
-    // ids are scattered against spatial structure — past DENSE_DISTANCE_CAP
-    // (1280–2560 points) so the lockstep covers the blocked-row-cache
-    // backend and the relabeled radius-bounded prune together. Each runs
+    // ids are scattered against spatial structure — to 1280–2560 points so
+    // the lockstep covers the blocked row cache (Euclidean families), stored
+    // graph rows and the relabeled radius-bounded prune together. Each runs
     // twice: on the full-row path, and with partial rows forced on, where
     // the scans read only the predicted scan cover of each arrival's row
     // (debug builds poison every uncovered entry with NaN).
@@ -166,10 +165,6 @@ fn incremental_targets_lockstep_beyond_the_dense_cap() {
         "cold-scatter-large",
     ] {
         let sc = by_name(name).unwrap().build(&profile, 5).expect(name);
-        assert!(
-            sc.instance().num_points() > omfl_core::pd::DENSE_DISTANCE_CAP,
-            "{name}: profile failed to cross the dense cap"
-        );
         let inst = sc.instance();
         let (skipped, _) = assert_targets_lockstep(&sc, PdOmflp::new(inst), name);
         assert!(
@@ -191,7 +186,7 @@ fn incremental_targets_lockstep_beyond_the_dense_cap() {
 #[test]
 fn cold_query_family_is_pruned_by_radius_bounds_alone() {
     let profile = CatalogProfile {
-        points: 48, // × 32 scale → 1536 points, past the dense cap
+        points: 48, // × 32 scale → 1536 points
         services: 8,
         requests: 256,
     };

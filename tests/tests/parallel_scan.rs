@@ -54,11 +54,11 @@ fn assert_engine_lockstep(
 
 #[test]
 fn sharded_scans_are_bit_identical_at_every_thread_count() {
-    // The large Euclidean family crosses the dense distance cap and spans
-    // 80+ blocks, so small shard sizes genuinely fan each arrival out over
-    // many shards. Every (threads, shard_blocks) cell must match the stock
-    // engine exactly — and, per shard size, report identical statistics at
-    // every thread count (the pool cannot even change what was *attempted*).
+    // The large Euclidean family spans 80+ blocks, so small shard sizes
+    // genuinely fan each arrival out over many shards. Every (threads,
+    // shard_blocks) cell must match the stock engine exactly — and, per
+    // shard size, report identical statistics at every thread count (the
+    // pool cannot even change what was *attempted*).
     let profile = CatalogProfile {
         points: 40, // × 32 scale → 1280 points
         services: 8,

@@ -55,8 +55,8 @@ fn assert_serve_lockstep(sc: &Scenario, mut tuned: PdOmflp<'_>, label: &str) {
 
 #[test]
 fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
-    // euclid-grid-large at points=40 → |M| = 2560: past the dense cap, so
-    // the stock engine runs the blocked backend over the radius-bounded
+    // euclid-grid-large at points=40 → |M| = 2560, with the threshold
+    // forced to 0: the engine fills its row cache over the radius-bounded
     // layout — partial rows and the sharded screened freeze are live. It
     // must replay the oracle identically at every pool size (the freeze
     // walk shares the scan pool, so the extremes exercise it too).
@@ -75,7 +75,7 @@ fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
         tuned.set_partial_row_threshold(0);
         assert!(
             tuned.partial_rows_active(),
-            "blocked backend + bounded layout must enable partial rows"
+            "a bounded layout must enable partial rows"
         );
         tuned.configure_parallel_scans(threads, 16);
         assert_serve_lockstep(&sc, tuned, &format!("partial t={threads}"));
@@ -94,7 +94,7 @@ fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
     // promotes the partial row an arrival there left. Lockstep must hold,
     // and the fallback counter must be observable.
     let profile = CatalogProfile {
-        points: 40, // × 32 scale → 1280 points, past the dense cap
+        points: 40, // × 32 scale → 1280 points
         services: 8,
         requests: 120,
     };
@@ -122,10 +122,8 @@ fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
         reference.solution().total_cost().to_bits(),
         "cold-scatter: costs diverged"
     );
-    let promotions = tuned
-        .row_fallback_promotions()
-        .expect("blocked backend exposes the fallback counter");
-    let (hits, misses, _) = tuned.distance_cache_stats().expect("blocked stats");
+    let promotions = tuned.row_fallback_promotions().expect("always Some");
+    let (hits, misses, _) = tuned.distance_cache_stats().expect("always Some");
     assert!(
         hits + misses > 0,
         "the partial-row path must have touched the cache"
@@ -267,8 +265,8 @@ fn partial_rows_engage_unforced_at_the_size_threshold() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random (large family, seed, threads, shard size) cells past the
-    /// dense cap: the partial-row engine must be indistinguishable from
+    /// Random (large family, seed, threads, shard size) cells of 1056–2756
+    /// points: the partial-row engine must be indistinguishable from
     /// the oracle. Thread counts beyond the machine's cores are
     /// deliberate — oversubscription must not be observable either.
     #[test]
@@ -288,7 +286,7 @@ proptest! {
         let inst = sc.instance();
         let mut tuned = PdOmflp::new(inst);
         tuned.set_partial_row_threshold(0);
-        prop_assert!(tuned.partial_rows_active(), "{name} must cross the dense cap");
+        prop_assert!(tuned.partial_rows_active(), "{name} must run partial rows");
         tuned.configure_parallel_scans(threads, shard_blocks);
         let label = format!("{name} t={threads} sb={shard_blocks}");
         assert_serve_lockstep(&sc, tuned, &label);
