@@ -778,11 +778,11 @@ impl PastIndex {
 /// The primal-dual process moves budgets in two directions with very
 /// different frequencies (paper §3):
 ///
-/// * **Bumps** (every freeze): `B` grows, keys *fall*. The engine calls
-///   [`Self::note_small_bump`] / [`Self::note_large_bump`] with the new
-///   distance-free key for exactly the locations that moved —
-///   `blockmin = min(blockmin, new)`, `O(1)` per moved budget, and the
-///   invariant is restored immediately.
+/// * **Bumps** (every freeze): `B` grows, keys *fall*. The freeze walk
+///   ([`Self::freeze_reinvest`]) raises the bids and min-folds the new
+///   distance-free key of exactly the locations that moved into their
+///   block bound — `blockmin = min(blockmin, new)`, `O(1)` per moved
+///   budget, and the invariant is restored immediately.
 /// * **Shrinks** (only when a facility opens, rare): `B` falls, keys
 ///   *rise*. A stale-low `blockmin` stays a valid lower bound — pruning
 ///   merely gets weaker, never wrong — so correctness needs no action at
@@ -818,7 +818,8 @@ pub struct OpeningTargetIndex {
     /// hook [`Self::set_scan_shard_blocks`] overrides it).
     shard_blocks: usize,
     /// Original id of the prepared query point, when the caller knows it
-    /// (unlocks kd range narrowing in [`Self::budget_move_candidates`]).
+    /// (debug builds check that [`Self::freeze_reinvest`] walks the
+    /// arrival the bounds were prepared for).
     query_point: Option<PointId>,
     /// Reusable per-query buffer for the distance-aware block bounds
     /// (avoids an allocation per argmin).
@@ -878,22 +879,24 @@ pub const HUGE_BLOCK: usize = 64;
 /// side of it serves every arrival bit-identically:
 ///
 /// * **Pool-sharded t3/t4 scans.** [`crate::pd::PdOmflp::new`] installs
-///   the sharded-scan worker pool (when [`omfl_par::default_threads`]
-///   reports more than one thread). Below it the per-arrival scans are
-///   far too short for fan-out to pay; from it up each argmin spans
-///   thousands of blocks and the shard sweeps parallelize cleanly. The
-///   pool changes nothing observable, statistics included (the shard
-///   partition is a pure function of the block count; see
-///   [`SCAN_SHARD_BLOCKS`]).
+///   the sharded-scan worker pool, which the freeze walk shares (when
+///   [`omfl_par::default_threads`] reports more than one thread). Below it
+///   the per-arrival scans are far too short for fan-out to pay; from it
+///   up each argmin spans thousands of blocks and the shard sweeps
+///   parallelize cleanly. The pool changes nothing observable, statistics
+///   included (the shard partition is a pure function of the block count;
+///   see [`SCAN_SHARD_BLOCKS`]).
 /// * **Partial rows with coverage-bounded openings.** The engine fills
 ///   only the scan cover of each arrival's distance row, reads opening
-///   and cap-shrink distances block by block, and reinvests bids through
-///   the sharded screened freeze walk. Below it a full row is the metric's
-///   stored row or one bulk [`omfl_metric::Metric::fill_row`] that the row
-///   cache keeps for later arrivals, and the serial candidate-list freeze
-///   walk over it is already cheap; from it up the `O(|M|)` fill itself
-///   dominates serve time. `tests/tests/partial_rows.rs` pins engines to
-///   both paths and serves one engine unforced at exactly this size.
+///   and cap-shrink distances block by block, and lets the freeze walk
+///   ([`OpeningTargetIndex::freeze_reinvest`]) screen its distances
+///   through the metric's certified f32 brackets unless a full row is at
+///   hand. Below it a full row is the metric's stored row or one bulk
+///   [`omfl_metric::Metric::fill_row`] that the row cache keeps for later
+///   arrivals, and the same freeze walk reads it; from it up the `O(|M|)`
+///   fill itself dominates serve time. `tests/tests/partial_rows.rs` pins
+///   engines to both paths and serves one engine unforced at exactly this
+///   size.
 /// * **64-point kd blocks.** A layout with kd ball ingest switches from
 ///   [`TARGET_BLOCK`] to [`HUGE_BLOCK`] points per block.
 pub const HUGE_METRIC_MIN_POINTS: usize = 65536;
@@ -953,11 +956,6 @@ pub(crate) struct SpatialLayout {
     radius: Vec<f64>,
     /// Smallest original id in the block (exact-tie skip certificate).
     min_id: Vec<u32>,
-    /// kd-tree over the metric's coordinate embedding, when it offers one
-    /// ([`omfl_metric::Metric::kd_coords`]). Used for the ball ingest and,
-    /// when the embedding is isometric, as a second pruning structure for
-    /// the freeze walk's candidate range queries.
-    kd: Option<KdTree>,
     /// Axes of the coordinate copies below: the embedding's dimension when
     /// it is isometric (`KdCoords::isometric` — the licence for computing
     /// distances from coordinates, not just partitioning by them), 0
@@ -986,7 +984,6 @@ impl SpatialLayout {
             rep: (0..nblocks).map(|b| (b * TARGET_BLOCK) as u32).collect(),
             radius: vec![f64::INFINITY; nblocks],
             min_id: (0..nblocks).map(|b| (b * TARGET_BLOCK) as u32).collect(),
-            kd: None,
             dim: 0,
             cols: Vec::new(),
             rep_cols: Vec::new(),
@@ -1254,7 +1251,6 @@ impl SpatialLayout {
             rep,
             radius,
             min_id,
-            kd,
             dim,
             cols,
             rep_cols,
@@ -1607,9 +1603,9 @@ impl OpeningTargetIndex {
         Arc::clone(&self.layout)
     }
 
-    /// Installs (or removes) the worker pool behind the sharded scans.
-    /// Purely an execution choice: results and skip/scan statistics are
-    /// bit-identical with any pool, including none.
+    /// Installs (or removes) the worker pool behind the sharded scans and
+    /// the freeze walk. Purely an execution choice: results and skip/scan
+    /// statistics are bit-identical with any pool, including none.
     pub fn set_scan_pool(&mut self, pool: Option<Arc<TaskPool>>) {
         self.pool = pool;
     }
@@ -1686,12 +1682,11 @@ impl OpeningTargetIndex {
     /// representative pass of the layout): computes the per-block distance
     /// lower bounds `max(0, d(rep_b, r) − radius_b − slack)` and upper
     /// bounds once, to be shared by every [`Self::small_target`] /
-    /// [`Self::large_target`] / [`Self::budget_move_candidates`] call and
-    /// the freeze walk of the arrival. Must be called whenever the query
-    /// changes (debug builds check the query rows against it); the bounds
-    /// are pure functions of the values. The query's original point id,
-    /// when supplied, unlocks kd range narrowing in
-    /// [`Self::budget_move_candidates`].
+    /// [`Self::large_target`] call and the freeze walk
+    /// ([`Self::freeze_reinvest`]) of the arrival. Must be called whenever
+    /// the query changes (debug builds check the query rows against it);
+    /// the bounds are pure functions of the values. The freeze walk needs
+    /// the query's original point id `at`; the argmins do not.
     pub fn prepare_query_at(&mut self, at: Option<PointId>, rep_d: &[f64]) {
         debug_assert_eq!(rep_d.len(), self.nblocks, "one distance per block");
         self.query_point = at;
@@ -1711,40 +1706,6 @@ impl OpeningTargetIndex {
         {
             self.query_reps.clear();
             self.query_reps.extend_from_slice(rep_d);
-        }
-    }
-
-    /// Original ids whose distance to the prepared query row *could* be
-    /// below `cap` — an exact superset of `{p : dist_row[p] < cap}`. The
-    /// caller still applies its own `d < cap` test per candidate, so the
-    /// filter only has to be sound, never tight; and the engine's
-    /// reinvestment updates are per-point min-folds, so any candidate
-    /// *order* is equivalent (the relabeling proptests drive this).
-    ///
-    /// Two filters, picked by what the layout knows:
-    ///
-    /// * **kd range query** (isometric embedding + known query point): the
-    ///   tree's distances are bit-identical to the metric's, so every
-    ///   point with `d < cap` lies within the slack-inflated radius — a
-    ///   near-exact candidate set instead of whole blocks.
-    /// * **block filter** (otherwise): drop every block whose certified
-    ///   distance lower bound is at least `cap` (such a block cannot
-    ///   contain a location with `d < cap`).
-    pub fn budget_move_candidates(&self, _dist_row: &[f64], cap: f64, out: &mut Vec<u32>) {
-        #[cfg(debug_assertions)]
-        self.assert_prepared(_dist_row);
-        out.clear();
-        if self.layout.isometric() {
-            if let (Some(kd), Some(at)) = (self.layout.kd.as_ref(), self.query_point) {
-                let r = cap * (1.0 + RADIUS_BOUND_SLACK);
-                kd.range(kd.point(at.0), r, out);
-                return;
-            }
-        }
-        for (bi, &dlb) in self.dlb.iter().enumerate() {
-            if dlb < cap {
-                out.extend_from_slice(self.layout.members(bi));
-            }
         }
     }
 
@@ -1819,7 +1780,7 @@ impl OpeningTargetIndex {
     /// over the worker pool with the same pure-function-of-`nblocks`
     /// partition as the t3/t4 scans.
     ///
-    /// Bit-identical to the serial walk at any thread count because every
+    /// Bit-identical at any thread count, none included, because every
     /// write is keyed by block membership: a point lives in exactly one
     /// block and a block in exactly one shard, so each `b_small[e·m + p]` /
     /// `b_large[p]` slot takes its single `+= (cap − d)` from one shard,
@@ -1827,14 +1788,16 @@ impl OpeningTargetIndex {
     /// (min-folds commute — the fold is order-free). The update set is
     /// exactly `{p : d(p, r) < cap}` however it is narrowed.
     ///
-    /// Distances come from `full_row` when the caller has one (verbatim
-    /// backend values); otherwise each block is screened once through the
-    /// metric's certified f32 brackets ([`omfl_metric::Metric::screen_distances`])
-    /// — a survivor (bracket low end under some cap) gets one exact
-    /// `d(p, r)` confirmation, reused across every cap of the request. A
-    /// certified `lo ≥ cap` skip is exact: it implies `d ≥ cap`, and the
-    /// walk adds nothing at `d ≥ cap`. Blocks whose prepared distance
-    /// lower bound already meets every cap are skipped whole.
+    /// Each visited block first gets a lower bound `lo ≤ d(p, r)` per
+    /// member. With a `full_row` from the caller (verbatim backend values)
+    /// the bound is the exact distance. Otherwise the block is screened
+    /// once through the metric's certified f32 brackets
+    /// ([`omfl_metric::Metric::screen_distances`]), and a survivor (bound
+    /// under some cap) gets one exact `d(p, r)` confirmation, reused across
+    /// every cap of the request. A `lo ≥ cap` skip is exact: it implies
+    /// `d ≥ cap`, and the walk adds nothing at `d ≥ cap`. Blocks whose
+    /// prepared distance lower bound already meets every cap are skipped
+    /// whole.
     #[allow(clippy::too_many_arguments)]
     pub fn freeze_reinvest(
         &mut self,
@@ -1865,7 +1828,7 @@ impl OpeningTargetIndex {
         let layout = &self.layout;
         let dlb: &[f64] = &self.dlb;
         let metric = inst.metric();
-        assert!(layout.block <= HUGE_BLOCK, "screen buffers are block-sized");
+        assert!(layout.block <= HUGE_BLOCK, "block-sized buffers and masks");
         let bs_w = ScatterWriter::new(b_small);
         let bl_w = ScatterWriter::new(b_large);
         let ss_w = ScatterWriter::new(&mut self.small);
@@ -1873,10 +1836,11 @@ impl OpeningTargetIndex {
         let body = |s: usize| {
             let lo_b = s * shard_blocks;
             let hi_b = (lo_b + shard_blocks).min(nblocks);
+            // Per member of the current block: a certified lower bound on
+            // `d(p, r)`, and the exact distance, computed lazily once and
+            // reused across every cap of the request (NaN = not yet).
             let mut lo = [0.0f64; HUGE_BLOCK];
             let mut hi = [0.0f64; HUGE_BLOCK];
-            // Exact distances, computed lazily once per surviving point
-            // and reused across every cap of the request (NaN = not yet).
             let mut dex = [f64::NAN; HUGE_BLOCK];
             for (bi, &dlb_bi) in dlb.iter().enumerate().take(hi_b).skip(lo_b) {
                 if dlb_bi >= max_cap {
@@ -1884,31 +1848,46 @@ impl OpeningTargetIndex {
                 }
                 let mems = layout.members(bi);
                 let n = mems.len();
-                let screened = full_row.is_none()
-                    && metric.screen_distances(loc, mems, &mut lo[..n], &mut hi[..n]);
-                for d in dex[..n].iter_mut() {
-                    *d = f64::NAN;
-                }
-                let dist_at = |j: usize, dex: &mut [f64; HUGE_BLOCK]| -> f64 {
-                    match full_row {
-                        Some(row) => row[mems[j] as usize],
-                        None => {
-                            if dex[j].is_nan() {
-                                dex[j] = inst.distance(PointId(mems[j]), loc);
-                            }
-                            dex[j]
+                match full_row {
+                    // A full row makes the bound exact.
+                    Some(row) => {
+                        for ((l, d), &p) in lo.iter_mut().zip(dex.iter_mut()).zip(mems) {
+                            *d = row[p as usize];
+                            *l = *d;
                         }
                     }
+                    None => {
+                        dex[..n].fill(f64::NAN);
+                        if !metric.screen_distances(loc, mems, &mut lo[..n], &mut hi[..n]) {
+                            lo[..n].fill(0.0);
+                        }
+                    }
+                }
+                // The members whose lower bound lies under `cap`, one bit
+                // each: a branch-free pass, since few members pass.
+                let under = |cap: f64| -> u64 {
+                    let mut mask = 0u64;
+                    for (j, &l) in lo[..n].iter().enumerate() {
+                        mask |= u64::from(l < cap) << j;
+                    }
+                    mask
+                };
+                let mut exact = |j: usize| -> f64 {
+                    if dex[j].is_nan() {
+                        dex[j] = inst.distance(PointId(mems[j]), loc);
+                    }
+                    dex[j]
                 };
                 for (&e, &cap) in members.iter().zip(caps) {
                     if cap <= 0.0 || dlb_bi >= cap {
                         continue;
                     }
-                    for (j, &p) in mems.iter().enumerate() {
-                        if screened && lo[j] >= cap {
-                            continue;
-                        }
-                        let d = dist_at(j, &mut dex);
+                    let mut mask = under(cap);
+                    while mask != 0 {
+                        let j = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        let p = mems[j];
+                        let d = exact(j);
                         if d < cap {
                             let pi = e.index() * m + p as usize;
                             // Safety: slot `e·m + p` / bound `e·nblocks +
@@ -1925,11 +1904,12 @@ impl OpeningTargetIndex {
                     }
                 }
                 if cap_total > 0.0 && dlb_bi < cap_total {
-                    for (j, &p) in mems.iter().enumerate() {
-                        if screened && lo[j] >= cap_total {
-                            continue;
-                        }
-                        let d = dist_at(j, &mut dex);
+                    let mut mask = under(cap_total);
+                    while mask != 0 {
+                        let j = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        let p = mems[j];
+                        let d = exact(j);
                         if d < cap_total {
                             let pi = p as usize;
                             // Safety: same block-ownership argument.
@@ -2204,26 +2184,6 @@ impl OpeningTargetIndex {
             *scanned += sc;
         }
         (best, PointId(if best_id == u32::MAX { 0 } else { best_id }))
-    }
-
-    /// `B[p][e]` grew (a freeze reinvested a bid there): the key fell to
-    /// `key` — lower the block bound to match, `O(1)`.
-    #[inline]
-    pub fn note_small_bump(&mut self, e: CommodityId, p: PointId, key: f64) {
-        let idx =
-            e.index() * self.nblocks + self.layout.pos[p.index()] as usize / self.layout.block;
-        if key < self.small[idx] {
-            self.small[idx] = key;
-        }
-    }
-
-    /// `B̂[p]` grew: the t4 key fell to `key`.
-    #[inline]
-    pub fn note_large_bump(&mut self, p: PointId, key: f64) {
-        let idx = self.layout.pos[p.index()] as usize / self.layout.block;
-        if key < self.large[idx] {
-            self.large[idx] = key;
-        }
     }
 
     /// Recomputes `e`'s block bounds from the current rows. Called after a
@@ -2747,6 +2707,21 @@ mod tests {
         x
     }
 
+    /// A bid at `p` grew, so its key fell to `key`: min-folds the key into
+    /// its block bound (commodity `e`'s row, or the t4 row for `None`),
+    /// the bound update [`OpeningTargetIndex::freeze_reinvest`] makes for
+    /// every bid it raises.
+    fn fold_bumped_key(idx: &mut OpeningTargetIndex, e: Option<CommodityId>, p: usize, key: f64) {
+        let bi = idx.layout.pos[p] as usize / idx.layout.block;
+        let bound = match e {
+            Some(e) => &mut idx.small[e.index() * idx.nblocks + bi],
+            None => &mut idx.large[bi],
+        };
+        if key < *bound {
+            *bound = key;
+        }
+    }
+
     #[test]
     fn pruned_scan_matches_full_scan_under_pd_style_dynamics() {
         // Random bumps (budget increases, O(1) bound maintenance), rare
@@ -2795,9 +2770,9 @@ mod tests {
             } else {
                 let inc = 0.25 * ((xorshift(&mut st) % 8) as f64);
                 b_row[p] += inc;
-                idx.note_small_bump(e, PointId(p as u32), (f_row[p] - b_row[p]).max(0.0));
+                fold_bumped_key(&mut idx, Some(e), p, (f_row[p] - b_row[p]).max(0.0));
                 b_large[p] += inc;
-                idx.note_large_bump(PointId(p as u32), (f_full[p] - b_large[p]).max(0.0));
+                fold_bumped_key(&mut idx, None, p, (f_full[p] - b_large[p]).max(0.0));
             }
         }
         let (skipped, scanned) = idx.stats();
@@ -2819,7 +2794,7 @@ mod tests {
         // rebuild call — the bound is now stale low).
         let hot = m - TARGET_BLOCK / 2;
         b_row[hot] = 3.75;
-        idx.note_small_bump(e, PointId(hot as u32), (f_small[hot] - b_row[hot]).max(0.0));
+        fold_bumped_key(&mut idx, Some(e), hot, (f_small[hot] - b_row[hot]).max(0.0));
         b_row[hot] = 0.0;
         let dist_row: Vec<f64> = (0..m).map(|p| p as f64 * 0.01).collect();
         idx.prepare_query(&dist_row);
@@ -2900,9 +2875,9 @@ mod tests {
             } else {
                 let inc = 0.25 * ((xorshift(&mut st) % 8) as f64);
                 b_row[p] += inc;
-                idx.note_small_bump(e, PointId(p as u32), (f_row[p] - b_row[p]).max(0.0));
+                fold_bumped_key(&mut idx, Some(e), p, (f_row[p] - b_row[p]).max(0.0));
                 b_large[p] += inc;
-                idx.note_large_bump(PointId(p as u32), (f_full[p] - b_large[p]).max(0.0));
+                fold_bumped_key(&mut idx, None, p, (f_full[p] - b_large[p]).max(0.0));
             }
         }
         let (skipped, scanned) = idx.stats();

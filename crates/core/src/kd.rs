@@ -1,21 +1,16 @@
 //! A deterministic kd-tree over a metric's coordinate embedding.
 //!
 //! Built from [`omfl_metric::KdCoords`], this serves the opening-target
-//! index twice:
-//!
-//! 1. **Ball ingest** — true nearest-neighbor balls for the block layout.
-//!    The windowed grouping it replaces (`BALL_WINDOW`) could only pick
-//!    ball members from the next 256 points of the coherent order, so a
-//!    seed whose real neighbors sat beyond the window got a needlessly fat
-//!    covering radius. [`KdTree::nearest_alive`] finds the exact `k`
-//!    nearest *unassigned* points under a total `(distance, seed-rank)`
-//!    order, so the ingest result is deterministic — a pure function of
-//!    the coordinates and the seed order, independent of traversal.
-//! 2. **Cold-query pruning** — [`KdTree::range`] enumerates every point
-//!    within a radius, which narrows the freeze walk's candidate set far
-//!    below whole blocks when caps are local. (Engine-safe because the
-//!    caller exact-tests every candidate; see
-//!    `OpeningTargetIndex::budget_move_candidates`.)
+//! index's **ball ingest** only: true nearest-neighbor balls for the block
+//! layout. The windowed grouping it replaces (`BALL_WINDOW`) could only
+//! pick ball members from the next 256 points of the coherent order, so a
+//! seed whose real neighbors sat beyond the window got a needlessly fat
+//! covering radius. [`KdTree::nearest_alive`] finds the exact `k` nearest
+//! *unassigned* points under a total `(distance, seed-rank)` order, so the
+//! ingest result is deterministic — a pure function of the coordinates and
+//! the seed order, independent of traversal. The tree lives only while
+//! `SpatialLayout::from_order` builds the layout: once the balls are
+//! grouped and the layout has copied its coordinates, it is dropped.
 //!
 //! Distances here are the ascending-axis L2 fold over the embedding — the
 //! exact fold `EuclideanMetric::distance` performs, so for `isometric`
@@ -29,7 +24,7 @@ const LEAF: usize = 16;
 
 const NO_NODE: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     /// `idx[lo..hi]` are the points under this node.
     lo: u32,
@@ -41,7 +36,7 @@ struct Node {
 }
 
 /// See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct KdTree {
     dim: usize,
     /// Row-major embedding, `n * dim`.
@@ -256,33 +251,6 @@ impl KdTree {
         self.knn_node(first, q, k, rank, out);
         self.knn_node(second, q, k, rank, out);
     }
-
-    /// Appends every point with `dist(q, p) ≤ r` to `out`, in a
-    /// deterministic (left-to-right traversal) order. Subtrees are pruned
-    /// only when the box bound strictly exceeds `r`.
-    pub(crate) fn range(&self, q: &[f64], r: f64, out: &mut Vec<u32>) {
-        if self.nodes.is_empty() {
-            return;
-        }
-        self.range_node(0, q, r, out);
-    }
-
-    fn range_node(&self, node: u32, q: &[f64], r: f64, out: &mut Vec<u32>) {
-        let meta = &self.nodes[node as usize];
-        if self.box_dist(node, q) > r {
-            return;
-        }
-        if meta.left == NO_NODE {
-            for &p in &self.idx[meta.lo as usize..meta.hi as usize] {
-                if self.dist(q, p) <= r {
-                    out.push(p);
-                }
-            }
-            return;
-        }
-        self.range_node(meta.left, q, r, out);
-        self.range_node(meta.right, q, r, out);
-    }
 }
 
 #[cfg(test)]
@@ -349,45 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn range_query_is_exhaustive_and_sound() {
-        let dim = 2;
-        let coords = cloud(300, dim, 9);
-        let tree = KdTree::build(coords.clone(), dim);
-        for probe in [0u32, 17, 151, 299] {
-            let q = tree.point(probe).to_vec();
-            for r in [0.0, 3.0, 17.5, 1.0e4] {
-                let mut got = Vec::new();
-                tree.range(&q, r, &mut got);
-                let mut sorted = got.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(sorted.len(), got.len(), "no duplicates");
-                for p in 0..300u32 {
-                    let d = {
-                        let mut acc = 0.0;
-                        for axis in 0..dim {
-                            let dd = q[axis] - coords[p as usize * dim + axis];
-                            acc += dd * dd;
-                        }
-                        acc.sqrt()
-                    };
-                    assert_eq!(
-                        sorted.binary_search(&p).is_ok(),
-                        d <= r,
-                        "probe {probe}, r {r}, point {p}, d {d}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn build_handles_duplicates_and_tiny_inputs() {
         // All-coincident points must still split (ids break ties).
         let coords = vec![1.0; 40 * 2];
         let tree = KdTree::build(coords, 2);
+        let rank = vec![0u32; 40];
         let mut got = Vec::new();
-        tree.range(&[1.0, 1.0], 0.0, &mut got);
+        tree.nearest_alive(&[1.0, 1.0], 40, &rank, &mut got);
         assert_eq!(got.len(), 40);
         let one = KdTree::build(vec![3.5], 1);
         let rank = vec![0u32];

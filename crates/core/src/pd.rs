@@ -160,10 +160,6 @@ pub struct PdOmflp<'a> {
     /// empty when the metric lends its rows. Every read is bit-identical
     /// to calling the metric.
     row_cache: BlockedRowCache,
-    /// Scratch for the full-row path's block-narrowed freeze candidate
-    /// ids (see [`OpeningTargetIndex::budget_move_candidates`]); the
-    /// partial-row path shards the freeze walk inside the index instead.
-    moved_scratch: Vec<u32>,
     /// Scratch for the partial-row coverage ids (the predicted scan cover;
     /// see [`OpeningTargetIndex::query_scan_cover`]).
     cover_scratch: Vec<u32>,
@@ -345,11 +341,11 @@ impl<'a> PdOmflp<'a> {
         Ok(Self::with_parts(inst, f_small, f_full, targets))
     }
 
-    /// Test/bench hook: forces the sharded-scan worker pool (`threads ≤ 1`
-    /// removes it) and the blocks-per-shard granularity, regardless of
-    /// instance size. Answers are bit-identical under every configuration;
-    /// shard size also changes which skips are *attempted* (the stats),
-    /// the pool never changes anything observable.
+    /// Test/bench hook: forces the worker pool of the sharded scans and
+    /// freeze walk (`threads ≤ 1` removes it) and the blocks-per-shard
+    /// granularity, regardless of instance size. Answers are bit-identical
+    /// under every configuration; shard size also changes which skips are
+    /// *attempted* (the stats), the pool never changes anything observable.
     pub fn configure_parallel_scans(&mut self, threads: usize, shard_blocks: usize) {
         self.targets.set_scan_pool(if threads > 1 {
             Some(Arc::new(TaskPool::new(threads)))
@@ -408,7 +404,6 @@ impl<'a> PdOmflp<'a> {
             f_small,
             f_full,
             row_cache: BlockedRowCache::with_default_budget(m),
-            moved_scratch: Vec::new(),
             cover_scratch: Vec::new(),
             rep_scratch: Vec::new(),
             blocks_scratch: Vec::new(),
@@ -537,10 +532,11 @@ impl<'a> PdOmflp<'a> {
         Some(self.row_cache.fallback_promotions())
     }
 
-    /// Whether arrivals are served through kd-bounded partial row fills and
-    /// the sharded freeze walk: a radius-bounded layout and at least
-    /// [`HUGE_METRIC_MIN_POINTS`] points (below that a bulk full fill is
-    /// faster than pointwise coverage fills).
+    /// Whether arrivals are served through kd-bounded partial row fills,
+    /// with the freeze walk reading screened distances instead of a full
+    /// row: a radius-bounded layout and at least [`HUGE_METRIC_MIN_POINTS`]
+    /// points (below that a bulk full fill is faster than pointwise
+    /// coverage fills).
     pub fn partial_rows_active(&self) -> bool {
         self.inst.num_points() >= self.partial_rows_min && self.targets.partial_rows_supported()
     }
@@ -771,65 +767,33 @@ impl<'a> PdOmflp<'a> {
     /// The bid-reinvestment additions of [`Self::freeze`], split out so the
     /// distance row is borrowed only when some cap is positive.
     ///
-    /// On the partial-row serve path ([`Self::partial_rows_active`]) the
-    /// walk is [`OpeningTargetIndex::freeze_reinvest`]: sharded over the
-    /// worker pool, fed a full row when one is at hand (the metric's stored
-    /// row, or a fully cached one) and the metric's certified f32 screening
-    /// brackets otherwise — bit-identical updates either way, and a partial
-    /// row stays partial. Below the threshold the serial
-    /// [`OpeningTargetIndex::budget_move_candidates`] candidate-list walk
-    /// over a full row stays faster.
+    /// One walk at every size, [`OpeningTargetIndex::freeze_reinvest`]:
+    /// sharded over the worker pool when one is installed, and bit-identical
+    /// whatever feeds it its distances. Below the partial-row threshold
+    /// ([`Self::partial_rows_active`]) it reads the arrival's full row,
+    /// re-borrowed from the metric or the row cache. On the partial-row
+    /// path it reads a full row only when one is at hand (the metric's
+    /// stored row, or a fully cached one) and the metric's certified f32
+    /// screening brackets otherwise, so a partial row stays partial.
     fn freeze_bids(&mut self, loc: PointId, members: &[CommodityId], caps: &[f64], cap_total: f64) {
-        let m = self.inst.num_points();
-        if self.partial_rows_active() {
+        let full_row = if self.partial_rows_active() {
             let stored = self.inst.metric().row(loc);
-            let full_row = stored.or_else(|| self.row_cache.cached_row(loc.0));
-            self.targets.freeze_reinvest(
-                self.inst,
-                loc,
-                full_row,
-                members,
-                caps,
-                cap_total,
-                &mut self.b_small,
-                &mut self.b_large,
-                &self.f_small,
-                &self.f_full,
-            );
-            return;
-        }
-        let dist_row = distance_row(&mut self.row_cache, self.inst, loc);
-        let (b_small, b_large, t) = (&mut self.b_small, &mut self.b_large, &mut self.targets);
-        let (f_small, f_full) = (&self.f_small, &self.f_full);
-        let moved = &mut self.moved_scratch;
-        for (&e, &cap) in members.iter().zip(caps) {
-            if cap > 0.0 {
-                let row = &mut b_small[e.index() * m..(e.index() + 1) * m];
-                let f_row = &f_small[e.index() * m..(e.index() + 1) * m];
-                t.budget_move_candidates(dist_row, cap, moved);
-                for &p in moved.iter() {
-                    let p = p as usize;
-                    let d = dist_row[p];
-                    if d < cap {
-                        let b = &mut row[p];
-                        *b += cap - d;
-                        t.note_small_bump(e, PointId(p as u32), (f_row[p] - *b).max(0.0));
-                    }
-                }
-            }
-        }
-        if cap_total > 0.0 {
-            t.budget_move_candidates(dist_row, cap_total, moved);
-            for &p in moved.iter() {
-                let p = p as usize;
-                let d = dist_row[p];
-                if d < cap_total {
-                    let b = &mut b_large[p];
-                    *b += cap_total - d;
-                    t.note_large_bump(PointId(p as u32), (f_full[p] - *b).max(0.0));
-                }
-            }
-        }
+            stored.or_else(|| self.row_cache.cached_row(loc.0))
+        } else {
+            Some(distance_row(&mut self.row_cache, self.inst, loc))
+        };
+        self.targets.freeze_reinvest(
+            self.inst,
+            loc,
+            full_row,
+            members,
+            caps,
+            cap_total,
+            &mut self.b_small,
+            &mut self.b_large,
+            &self.f_small,
+            &self.f_full,
+        );
     }
 }
 

@@ -70,7 +70,7 @@ impl LatencyHistogram {
         let rank = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 // The top bucket is saturated: `record` clamps every sample
                 // with 63+ significant bits into it, so the only honest
@@ -164,6 +164,16 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.count(), u64::MAX, "count pins at the ceiling");
         assert_eq!(b.p50_ns(), 128, "quantiles stay sane at saturation");
+        // Two buckets at 2^63 each: the quantile's running sum must pin
+        // too, not overflow past the top sample's bucket.
+        let mut two = LatencyHistogram::new();
+        two.record(100);
+        two.record(1_000_000);
+        for _ in 0..63 {
+            let snap = two.clone();
+            two.merge(&snap);
+        }
+        assert_eq!(two.quantile_ns(1.0), 1 << 20, "the slowest sample's bucket");
     }
 
     #[test]

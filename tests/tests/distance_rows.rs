@@ -1,13 +1,16 @@
 //! The distance-row contract and the PD engine's use of it.
 //!
 //! Every `Metric` impl must fill rows bit for bit like its per-call
-//! `distance`, and a metric that stores its closure lends its rows through
-//! `Metric::row` with the same bits. The wrappers the program routes
-//! metrics through (`Box<dyn Metric>` in every `Instance`, `SharedMetric`
-//! in every scenario) must forward both: a wrapper that drops `row` would
-//! silently send the engine back to copying the closure into its row
-//! cache, which no outcome test can see. The second test pins that engine
-//! wiring through the cache counters.
+//! `distance`, a metric that stores its closure lends its rows through
+//! `Metric::row` with the same bits, and a metric that screens
+//! (`Metric::screen_distances`) brackets every distance it screens. The
+//! wrappers the program routes metrics through (`Box<dyn Metric>` in every
+//! `Instance`, `SharedMetric` in every scenario) must forward all three: a
+//! wrapper that drops `row` would silently send the engine back to copying
+//! the closure into its row cache, and one that drops screening would send
+//! the partial-row freeze walk to an exact distance call per point. No
+//! outcome test can see either. The second test pins the row wiring
+//! through the cache counters.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::heavy::SharedMetric;
@@ -101,15 +104,28 @@ fn bits(row: &[f64]) -> Vec<u64> {
     row.iter().map(|d| d.to_bits()).collect()
 }
 
+/// What a metric offers beyond per-call `distance`.
+struct Offers {
+    /// Whether it lends stored rows (never anchor-dependent).
+    lends: bool,
+    /// Per anchor, whether `screen_distances` screened the whole space.
+    screens: Vec<bool>,
+}
+
 /// Checks `fill_row` (whole and prefix rows) and, when it is `Some`,
-/// `row` against per-call `distance` bit for bit at every anchor. Returns
-/// whether `m` lends stored rows, which must not depend on the anchor.
-fn check_rows<M: Metric + ?Sized>(m: &M, label: &str) -> bool {
+/// `row` against per-call `distance` bit for bit at every anchor, and
+/// every screened bracket `0 ≤ lo ≤ distance ≤ hi`. Returns what `m`
+/// offers; whether it lends stored rows must not depend on the anchor.
+fn check_rows<M: Metric + ?Sized>(m: &M, label: &str) -> Offers {
     let n = m.len();
     let mut filled = vec![f64::NAN; n];
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let (mut lo, mut hi) = (vec![f64::NAN; n], vec![f64::NAN; n]);
     let mut lends = None;
+    let mut screens = Vec::with_capacity(n);
     for q in m.points() {
-        let exact: Vec<u64> = m.points().map(|p| m.distance(p, q).to_bits()).collect();
+        let dists: Vec<f64> = m.points().map(|p| m.distance(p, q)).collect();
+        let exact = bits(&dists);
         m.fill_row(q, &mut filled);
         assert_eq!(bits(&filled), exact, "{label}: fill_row({q})");
         m.fill_row(q, &mut filled[..n / 3]);
@@ -124,34 +140,68 @@ fn check_rows<M: Metric + ?Sized>(m: &M, label: &str) -> bool {
         }
         let first = *lends.get_or_insert(row.is_some());
         assert_eq!(row.is_some(), first, "{label}: row({q}) changed kind");
+        let screened = m.screen_distances(q, &ids, &mut lo, &mut hi);
+        if screened {
+            for (p, &d) in dists.iter().enumerate() {
+                let (l, h) = (lo[p], hi[p]);
+                assert!(
+                    0.0 <= l && l <= d && d <= h,
+                    "{label}: screen({q}) brackets [{l}, {h}] miss d({p}) = {d}"
+                );
+            }
+        }
+        screens.push(screened);
     }
-    lends.expect("non-empty metric")
+    Offers {
+        lends: lends.expect("non-empty metric"),
+        screens,
+    }
 }
 
 #[test]
 fn rows_are_verbatim_and_wrappers_forward_them() {
     type Build = fn(&mut StdRng) -> Box<dyn Metric>;
-    let metrics: [(&str, Build, bool); 7] = [
-        ("line", line, false),
-        ("tree", tree, false),
-        ("graph", graph, true),
-        ("euclidean-l1", |r| euclidean(r, Norm::L1), false),
-        ("euclidean-l2", |r| euclidean(r, Norm::L2), false),
-        ("euclidean-linf", |r| euclidean(r, Norm::LInf), false),
-        ("dense", dense, true),
+    // (name, build, stores rows, screens)
+    let metrics: [(&str, Build, bool, bool); 7] = [
+        ("line", line, false, false),
+        ("tree", tree, false, false),
+        ("graph", graph, true, false),
+        ("euclidean-l1", |r| euclidean(r, Norm::L1), false, true),
+        ("euclidean-l2", |r| euclidean(r, Norm::L2), false, true),
+        ("euclidean-linf", |r| euclidean(r, Norm::LInf), false, true),
+        ("dense", dense, true, false),
     ];
     for seed in [1u64, 2, 3] {
-        for (name, build, stores) in metrics {
+        for (name, build, stores, screens) in metrics {
             let make = || build(&mut StdRng::seed_from_u64(seed));
             let label = format!("{name} seed {seed}");
             let boxed = make();
-            let lends = check_rows(boxed.as_ref(), &label);
+            let bare = check_rows(boxed.as_ref(), &label);
+            let lends = bare.lends;
             assert_eq!(lends, stores, "{label}: stored rows");
+            assert!(
+                bare.screens.iter().all(|&s| s == screens),
+                "{label}: screening"
+            );
             let via_box = check_rows(&boxed, &format!("{label} in Box"));
-            assert_eq!(via_box, lends, "{label}: Box<dyn Metric> must forward row");
+            assert_eq!(
+                via_box.lends, lends,
+                "{label}: Box<dyn Metric> must forward row"
+            );
+            assert_eq!(
+                via_box.screens, bare.screens,
+                "{label}: Box<dyn Metric> must forward screen_distances"
+            );
             let shared = SharedMetric(Arc::from(make()));
             let via_shared = check_rows(&shared, &format!("{label} in SharedMetric"));
-            assert_eq!(via_shared, lends, "{label}: SharedMetric must forward row");
+            assert_eq!(
+                via_shared.lends, lends,
+                "{label}: SharedMetric must forward row"
+            );
+            assert_eq!(
+                via_shared.screens, bare.screens,
+                "{label}: SharedMetric must forward screen_distances"
+            );
         }
     }
 }

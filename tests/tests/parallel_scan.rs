@@ -1,19 +1,24 @@
 //! Pool-invisibility and ingest-soundness locksteps for the sharded
-//! within-arrival block scans and the ball ingest behind the block layout.
+//! within-arrival block scans, the sharded freeze walk, and the ball
+//! ingest behind the block layout.
 //!
 //! The worker pool behind the per-arrival t3/t4 scans is an *execution*
 //! choice, never an *algorithmic* one: the shard partition is a pure
 //! function of the block count (`SCAN_SHARD_BLOCKS`), each shard reports
 //! an achieved lexicographic `(value, location)` best, and the merge
-//! re-imposes the sequential tie order. So the engine must be bit-for-bit
-//! indistinguishable — per-arrival outcomes, dual sums, total costs, and
-//! even the skip/scan statistics — at 1, 2, 7, or 16 threads, and under
-//! any blocks-per-shard granularity. These tests pin that down across the
-//! workload catalog, alongside the structural invariants both ball-ingest
-//! paths (kd nearest-neighbor balls for metrics with coordinates, windowed
-//! balls for the rest) must satisfy: the block partition is a permutation,
-//! each block's covering radius is sound, and the recorded min-id matches
-//! the members.
+//! re-imposes the sequential tie order. The same pool and partition shard
+//! the freeze walk (`OpeningTargetIndex::freeze_reinvest`) at every size,
+//! each shard owning its blocks' bid slots and bounds outright; these
+//! engines run below the partial-row threshold, so they also check that
+//! the pool cannot change what the walk reinvests from a full row. So the
+//! engine must be bit-for-bit indistinguishable — per-arrival outcomes,
+//! dual sums, total costs, and even the skip/scan statistics — at 1, 2, 7,
+//! or 16 threads, and under any blocks-per-shard granularity. These tests
+//! pin that down across the workload catalog, alongside the structural
+//! invariants both ball-ingest paths (kd nearest-neighbor balls for
+//! metrics with coordinates, windowed balls for the rest) must satisfy:
+//! the block partition is a permutation, each block's covering radius is
+//! sound, and the recorded min-id matches the members.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::index::OpeningTargetIndex;

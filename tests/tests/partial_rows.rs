@@ -7,9 +7,9 @@
 //! fills a full `|M|`-entry distance row per arrival — it fills only the
 //! coverage set `OpeningTargetIndex::query_scan_cover` predicts from the
 //! per-block bounds of one representative pass, its openings read
-//! distances block by block from the layout, and it reinvests the freeze
-//! caps through a sharded walk that screens each block with certified f32
-//! brackets before confirming survivors exactly. All are *execution*
+//! distances block by block from the layout, and the freeze walk (the
+//! same at every size) screens each block with certified f32 brackets
+//! before confirming survivors exactly. All are *execution*
 //! choices, never algorithmic ones: every covered entry and every layout
 //! distance is the verbatim metric value, the predicted cover is a
 //! superset of what the pruned scans can read, the freeze update set is

@@ -15,7 +15,7 @@ use omfl_serve::{ServeConfig, ServeError, ServeReport, Server};
 use omfl_sim::{build_scenario, run_engine, ArrivalSource, Engine, SimConfig};
 use omfl_workload::Scenario;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// A small fleet of distinct tenant scenarios (different seeds and sizes).
 fn tenant_fleet(n: usize) -> Vec<Scenario> {
@@ -124,14 +124,15 @@ fn snapshots_read_consistently_and_idle_tenant_stays_default() {
         .map(|t| server.snapshot_handle(t).expect("tenant not poisoned"))
         .collect();
     let stop = Arc::new(AtomicBool::new(false));
+    let ready = Arc::new(Barrier::new(2));
 
     let (report, _telemetry) = std::thread::scope(|scope| {
         let reader = {
             let handles = handles.clone();
             let stop = Arc::clone(&stop);
+            let ready = Arc::clone(&ready);
             scope.spawn(move || {
-                let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                let read_all = || {
                     for h in &handles {
                         let snap = h.read();
                         // Internal consistency: a published snapshot is one
@@ -140,12 +141,20 @@ fn snapshots_read_consistently_and_idle_tenant_stays_default() {
                         assert!(snap.construction_cost >= 0.0);
                         assert!(snap.connection_cost >= 0.0);
                         assert!(snap.arrivals > 0 || snap.total_cost() == 0.0);
-                        reads += 1;
                     }
+                    handles.len() as u64
+                };
+                // One whole pass before serving starts, so the reads never
+                // depend on when this thread is first scheduled.
+                let mut reads = read_all();
+                ready.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    reads += read_all();
                 }
                 reads
             })
         };
+        ready.wait();
         let out = server
             .serve(&source, &ServeConfig::default(), &pool)
             .expect("serve succeeds");
