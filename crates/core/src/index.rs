@@ -41,6 +41,7 @@ use crate::CoreError;
 use omfl_commodity::CommodityId;
 use omfl_metric::{simd, PointId};
 use omfl_par::{ScatterWriter, ShardWriter, TaskPool};
+use std::ops::Range;
 use std::sync::Arc;
 
 const NO_FACILITY: u32 = u32::MAX;
@@ -875,7 +876,7 @@ pub const TARGET_BLOCK: usize = 16;
 pub const HUGE_BLOCK: usize = 64;
 
 /// The size policy: the point count from which a metric counts as huge.
-/// It drives three decisions, all purely performance crossovers — either
+/// It drives four decisions, all purely performance crossovers — either
 /// side of it serves every arrival bit-identically:
 ///
 /// * **Pool-sharded t3/t4 scans.** [`crate::pd::PdOmflp::new`] installs
@@ -899,6 +900,11 @@ pub const HUGE_BLOCK: usize = 64;
 ///   size.
 /// * **64-point kd blocks.** A layout with kd ball ingest switches from
 ///   [`TARGET_BLOCK`] to [`HUGE_BLOCK`] points per block.
+/// * **Parallel block summaries.** The layout computes its blocks'
+///   medoids, covering radii and minimum ids in shards of blocks on
+///   [`omfl_par::default_threads`] threads. Each block's summary depends
+///   on its members alone and lands in its own slot, so the layout is the
+///   same at every thread count.
 pub const HUGE_METRIC_MIN_POINTS: usize = 65536;
 
 /// Blocks per shard of the sharded argmin scan (see
@@ -1128,7 +1134,9 @@ impl SpatialLayout {
     /// pass narrowed first: a candidate whose screened eccentricity lower
     /// bound exceeds some candidate's upper bound can be neither the
     /// winner nor an earlier tie of the winner, so pruning it cannot
-    /// change the first-wins outcome.
+    /// change the first-wins outcome. From [`HUGE_METRIC_MIN_POINTS`] up
+    /// the summaries run in parallel shards of blocks
+    /// ([`Self::summarize_blocks`]).
     ///
     /// `seed_order` must be a permutation of the point ids: callers
     /// validate caller-supplied orders ([`check_relabeling`]); a metric's
@@ -1162,78 +1170,25 @@ impl SpatialLayout {
         }
         let identity = order.iter().enumerate().all(|(i, &p)| i as u32 == p);
         let nblocks = points.div_ceil(block);
+        // A block's summary depends on its members alone and lands in its
+        // own slot, so the layout is the same at every thread count.
+        let threads = if points >= HUGE_METRIC_MIN_POINTS {
+            omfl_par::default_threads()
+        } else {
+            1
+        };
+        let shards: Vec<usize> = (0..nblocks).step_by(SUMMARY_SHARD_BLOCKS).collect();
+        let summaries = omfl_par::parallel_map(&shards, threads, |_, &first| {
+            let blocks = first..(first + SUMMARY_SHARD_BLOCKS).min(nblocks);
+            Self::summarize_blocks(inst, &order, block, blocks)
+        });
         let mut rep = Vec::with_capacity(nblocks);
         let mut radius = Vec::with_capacity(nblocks);
         let mut min_id = Vec::with_capacity(nblocks);
-        let mut lo = vec![0.0f64; block];
-        let mut hi = vec![0.0f64; block];
-        let mut maxlo = vec![0.0f64; block];
-        let mut maxhi = vec![0.0f64; block];
-        for bi in 0..nblocks {
-            let start = bi * block;
-            let end = (start + block).min(points);
-            let members = &order[start..end];
-            let n = members.len();
-            let mut best_rep = members[0];
-            let mut best_rad = f64::INFINITY;
-            // Screened path: certified brackets on every pairwise distance
-            // give per-candidate eccentricity brackets `maxlo ≤ far(c) ≤
-            // maxhi`. Candidates with `maxlo > min_c maxhi` satisfy
-            // `far(c) > min far` strictly, so dropping them preserves both
-            // the minimum and the first-wins tie among the survivors.
-            let screened = n > 2 && {
-                let mut ok = true;
-                for (ci, &c) in members.iter().enumerate() {
-                    if !metric.screen_distances(PointId(c), members, &mut lo[..n], &mut hi[..n]) {
-                        ok = false;
-                        break;
-                    }
-                    let (mut ml, mut mh) = (0.0f64, 0.0f64);
-                    for i in 0..n {
-                        ml = ml.max(lo[i]);
-                        mh = mh.max(hi[i]);
-                    }
-                    maxlo[ci] = ml;
-                    maxhi[ci] = mh;
-                }
-                ok
-            };
-            if screened {
-                let min_hi = maxhi[..n].iter().copied().fold(f64::INFINITY, f64::min);
-                for (ci, &c) in members.iter().enumerate() {
-                    if maxlo[ci] > min_hi {
-                        continue;
-                    }
-                    let mut far = 0.0f64;
-                    for &m in members {
-                        let d = inst.distance(PointId(m), PointId(c));
-                        if d > far {
-                            far = d;
-                        }
-                    }
-                    if far < best_rad {
-                        best_rad = far;
-                        best_rep = c;
-                    }
-                }
-            } else {
-                for &c in members {
-                    let mut far = 0.0f64;
-                    for &m in members {
-                        let d = inst.distance(PointId(m), PointId(c));
-                        if d > far {
-                            far = d;
-                        }
-                    }
-                    if far < best_rad {
-                        best_rad = far;
-                        best_rep = c;
-                    }
-                }
-            }
-            rep.push(best_rep);
-            radius.push(best_rad);
-            min_id.push(members.iter().copied().min().expect("non-empty block"));
+        for (r, rad, id) in summaries.into_iter().flatten() {
+            rep.push(r);
+            radius.push(rad);
+            min_id.push(id);
         }
         let (cols, rep_cols) = match &kd {
             Some(tree) if dim > 0 => (
@@ -1255,6 +1210,68 @@ impl SpatialLayout {
             cols,
             rep_cols,
         }
+    }
+
+    /// `(medoid, covering radius, minimum id)` of each block in `blocks`,
+    /// whose members are the runs of `block` positions of `order` (see
+    /// [`Self::from_order`] for the medoid rule and the screening).
+    fn summarize_blocks(
+        inst: &Instance,
+        order: &[u32],
+        block: usize,
+        blocks: Range<usize>,
+    ) -> Vec<(u32, f64, u32)> {
+        let metric = inst.metric();
+        let mut lo = vec![0.0f64; block];
+        let mut hi = vec![0.0f64; block];
+        let mut maxlo = vec![0.0f64; block];
+        let mut maxhi = vec![0.0f64; block];
+        let mut out = Vec::with_capacity(blocks.len());
+        for bi in blocks {
+            let start = bi * block;
+            let members = &order[start..(start + block).min(order.len())];
+            let n = members.len();
+            // Screened path: certified brackets on every pairwise distance
+            // give per-candidate eccentricity brackets `maxlo ≤ far(c) ≤
+            // maxhi`. Candidates with `maxlo > min_c maxhi` satisfy
+            // `far(c) > min far` strictly, so dropping them preserves both
+            // the minimum and the first-wins tie among the survivors.
+            let screened = n > 2
+                && members.iter().enumerate().all(|(ci, &c)| {
+                    if !metric.screen_distances(PointId(c), members, &mut lo[..n], &mut hi[..n]) {
+                        return false;
+                    }
+                    maxlo[ci] = lo[..n].iter().fold(0.0f64, |m, &d| m.max(d));
+                    maxhi[ci] = hi[..n].iter().fold(0.0f64, |m, &d| m.max(d));
+                    true
+                });
+            let min_hi = if screened {
+                maxhi[..n].iter().copied().fold(f64::INFINITY, f64::min)
+            } else {
+                f64::INFINITY
+            };
+            let mut best_rep = members[0];
+            let mut best_rad = f64::INFINITY;
+            for (ci, &c) in members.iter().enumerate() {
+                if screened && maxlo[ci] > min_hi {
+                    continue;
+                }
+                let mut far = 0.0f64;
+                for &m in members {
+                    let d = inst.distance(PointId(m), PointId(c));
+                    if d > far {
+                        far = d;
+                    }
+                }
+                if far < best_rad {
+                    best_rad = far;
+                    best_rep = c;
+                }
+            }
+            let min_id = members.iter().copied().min().expect("non-empty block");
+            out.push((best_rep, best_rad, min_id));
+        }
+        out
     }
 
     /// The kd ball partition: exact nearest-unassigned-neighbor balls over
@@ -1350,6 +1367,13 @@ impl SpatialLayout {
         out
     }
 }
+
+/// Blocks per task of [`SpatialLayout::from_order`]'s summary pass (on
+/// many threads from [`HUGE_METRIC_MIN_POINTS`] up). Blocks differ in how
+/// many medoid candidates survive screening, so tasks are kept small for
+/// the pool, which claims one at a time, to even the threads' loads out;
+/// each still amortizes its four scratch rows over 64 blocks.
+const SUMMARY_SHARD_BLOCKS: usize = 64;
 
 /// How far ahead of a block seed the ball partition looks for members (in
 /// unassigned points of the seed order). Wide enough that the coherent

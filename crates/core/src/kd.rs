@@ -12,6 +12,17 @@
 //! `SpatialLayout::from_order` builds the layout: once the balls are
 //! grouped and the layout has copied its coordinates, it is dropped.
 //!
+//! Each internal node splits its points at the median of its widest
+//! bounding-box axis under the total order `(coordinate, point id)`. The
+//! median is found by selection, not by sorting the node, so a level costs
+//! linear time and the build `O(n log n)`. Because ids break every tie, the
+//! split is the one a full sort would make: each node's point set, range
+//! and box, and so every leaf's membership, are pure functions of the
+//! coordinates. Only the order of the points inside a leaf is left to the
+//! selection, and no result reads it: [`KdTree::nearest_alive`] returns the
+//! top-k under `(distance, seed-rank)`, a total order because seed ranks
+//! are distinct, whatever order it meets the points in.
+//!
 //! Distances here are the ascending-axis L2 fold over the embedding — the
 //! exact fold `EuclideanMetric::distance` performs, so for `isometric`
 //! embeddings the tree's distances are bit-identical to the metric's.
@@ -55,9 +66,11 @@ pub(crate) struct KdTree {
 }
 
 impl KdTree {
-    /// Builds the tree. `coords` is row-major with `dim` axes per point.
-    /// Deterministic: splits sort by `(coordinate, point id)`, the split
-    /// axis is the widest bounding-box extent (lowest axis on ties).
+    /// Builds the tree in `O(n log n)`. `coords` is row-major with `dim`
+    /// axes per point. Deterministic: the split axis is the widest
+    /// bounding-box extent (lowest axis on ties), and the left child takes
+    /// the `⌊len/2⌋` smallest points under `(coordinate, point id)`,
+    /// selected rather than sorted (see the module docs).
     pub(crate) fn build(coords: Vec<f64>, dim: usize) -> Self {
         assert!(dim > 0 && !coords.is_empty() && coords.len().is_multiple_of(dim));
         let n = coords.len() / dim;
@@ -141,13 +154,13 @@ impl KdTree {
             }
             let dim = self.dim;
             let coords = &self.coords;
-            self.idx[lo..hi].sort_unstable_by(|&a, &b| {
+            let mid = lo + (hi - lo) / 2;
+            self.idx[lo..hi].select_nth_unstable_by(mid - lo, |&a, &b| {
                 coords[a as usize * dim + axis]
                     .partial_cmp(&coords[b as usize * dim + axis])
                     .expect("finite coordinates")
                     .then(a.cmp(&b))
             });
-            let mid = lo + (hi - lo) / 2;
             let left = self.split_range(lo, mid, node);
             let right = self.split_range(mid, hi, node);
             self.nodes[node as usize].left = left;
@@ -313,6 +326,84 @@ mod tests {
                     tree.deactivate(p);
                 }
             }
+        }
+    }
+
+    /// Pins the partition a full sort of every node produces: each box is
+    /// the exact bounding box of its node's points, and each internal node
+    /// splits on its widest box extent (lowest axis on ties), handing the
+    /// `⌊len/2⌋` smallest points under `(coordinate, id)` to its left
+    /// child. Ids make that order total, so these facts fix every node's
+    /// point set, whatever the build leaves inside the leaves.
+    #[test]
+    fn every_split_takes_the_median_of_the_widest_axis() {
+        let mut clouds = Vec::new();
+        for dim in 1..=3usize {
+            clouds.push((dim, cloud(700, dim, 40 + dim as u64)));
+            // Rounded onto a coarse lattice, many points coincide.
+            let coarse = cloud(333, dim, 50 + dim as u64)
+                .into_iter()
+                .map(|c| (c / 10.0).round())
+                .collect();
+            clouds.push((dim, coarse));
+        }
+        clouds.push((2, vec![2.5; 2 * 90]));
+        for (dim, coords) in clouds {
+            let n = coords.len() / dim;
+            let tree = KdTree::build(coords.clone(), dim);
+            let mut seen = vec![false; n];
+            for (node, meta) in tree.nodes.iter().enumerate() {
+                let (lo, hi) = (meta.lo as usize, meta.hi as usize);
+                let pts = &tree.idx[lo..hi];
+                let bbox = &tree.bbox[node * 2 * dim..(node + 1) * 2 * dim];
+                for axis in 0..dim {
+                    let values = pts.iter().map(|&p| coords[p as usize * dim + axis]);
+                    let low = values.clone().fold(f64::INFINITY, f64::min);
+                    let high = values.fold(f64::NEG_INFINITY, f64::max);
+                    assert_eq!((bbox[axis], bbox[dim + axis]), (low, high), "node {node}");
+                }
+                if meta.left == NO_NODE {
+                    assert!(pts.len() <= LEAF, "node {node}");
+                    for &p in pts {
+                        assert!(!seen[p as usize], "point {p} in two leaves");
+                        seen[p as usize] = true;
+                        assert_eq!(tree.leaf_of[p as usize], node as u32);
+                    }
+                    continue;
+                }
+                assert!(pts.len() > LEAF, "node {node}");
+                let extent = |a: usize| bbox[dim + a] - bbox[a];
+                let axis = (0..dim).fold(0, |w, a| if extent(a) > extent(w) { a } else { w });
+                let key = |p: u32| (coords[p as usize * dim + axis], p);
+                let mid = lo + pts.len() / 2;
+                let (left, right) = (
+                    &tree.nodes[meta.left as usize],
+                    &tree.nodes[meta.right as usize],
+                );
+                assert_eq!(
+                    (left.lo as usize, left.hi as usize),
+                    (lo, mid),
+                    "node {node}"
+                );
+                assert_eq!(
+                    (right.lo as usize, right.hi as usize),
+                    (mid, hi),
+                    "node {node}"
+                );
+                assert_eq!((left.parent, right.parent), (node as u32, node as u32));
+                let by_key = |a: &u32, b: &u32| key(*a).partial_cmp(&key(*b)).unwrap();
+                let mut sorted = pts.to_vec();
+                sorted.sort_by(by_key);
+                let mut got_left = tree.idx[lo..mid].to_vec();
+                got_left.sort_by(by_key);
+                assert_eq!(got_left, sorted[..mid - lo], "node {node}");
+                let last_left = key(sorted[mid - lo - 1]);
+                assert!(
+                    tree.idx[mid..hi].iter().all(|&p| key(p) > last_left),
+                    "node {node}: a right-child point precedes a left-child point"
+                );
+            }
+            assert!(seen.iter().all(|&s| s), "every point sits in a leaf");
         }
     }
 

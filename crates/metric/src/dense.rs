@@ -40,7 +40,7 @@ impl DenseMetric {
             )));
         }
         for (i, v) in matrix.iter_mut().enumerate() {
-            check_finite_nonneg(*v, &format!("d[{},{}]", i / n, i % n))?;
+            check_finite_nonneg(*v, format_args!("d[{},{}]", i / n, i % n))?;
             if *v == 0.0 {
                 *v = 0.0;
             }
@@ -103,7 +103,7 @@ impl DenseMetric {
 
     /// The uniform metric: every pair of distinct points at distance `gap`.
     pub fn uniform(n: usize, gap: f64) -> Result<Self, MetricError> {
-        check_finite_nonneg(gap, "gap")?;
+        check_finite_nonneg(gap, format_args!("gap"))?;
         if n == 0 {
             return Err(MetricError::Empty);
         }

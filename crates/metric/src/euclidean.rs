@@ -71,7 +71,7 @@ impl EuclideanMetric {
                 )));
             }
             for (j, &c) in row.iter().enumerate() {
-                check_finite(c, &format!("point[{i}][{j}]"))?;
+                check_finite(c, format_args!("point[{i}][{j}]"))?;
                 coords.push(c);
             }
         }

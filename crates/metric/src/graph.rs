@@ -40,7 +40,7 @@ impl Graph {
             if u == v {
                 return Err(MetricError::Malformed(format!("self-loop at node {u}")));
             }
-            check_finite_nonneg(w, &format!("weight({u},{v})"))?;
+            check_finite_nonneg(w, format_args!("weight({u},{v})"))?;
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }

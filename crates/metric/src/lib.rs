@@ -326,8 +326,11 @@ impl Iterator for PointIter {
 
 impl ExactSizeIterator for PointIter {}
 
-/// Checks that `v` is a finite, non-negative coordinate/weight.
-pub(crate) fn check_finite_nonneg(v: f64, what: &str) -> Result<(), MetricError> {
+/// Checks that `v` is a finite, non-negative coordinate/weight. `what`
+/// names the value in the error message (`format_args!("d[{a},{b}]")`);
+/// it is formatted only when the check fails, so a constructor that checks
+/// every entry of a large input pays no string formatting for it.
+pub(crate) fn check_finite_nonneg(v: f64, what: fmt::Arguments<'_>) -> Result<(), MetricError> {
     if !v.is_finite() {
         return Err(MetricError::InvalidValue(format!(
             "{what} = {v} is not finite"
@@ -341,8 +344,10 @@ pub(crate) fn check_finite_nonneg(v: f64, what: &str) -> Result<(), MetricError>
     Ok(())
 }
 
-/// Checks that `v` is a finite coordinate (may be negative, e.g. line positions).
-pub(crate) fn check_finite(v: f64, what: &str) -> Result<(), MetricError> {
+/// Checks that `v` is a finite coordinate (may be negative, e.g. line
+/// positions). `what` is formatted only on failure, as in
+/// [`check_finite_nonneg`].
+pub(crate) fn check_finite(v: f64, what: fmt::Arguments<'_>) -> Result<(), MetricError> {
     if !v.is_finite() {
         return Err(MetricError::InvalidValue(format!(
             "{what} = {v} is not finite"
@@ -399,5 +404,54 @@ mod tests {
         assert_eq!(PointId(7).to_string(), "p7");
         let e = MetricError::PointOutOfRange { point: 9, len: 3 };
         assert!(e.to_string().contains("out of range"));
+    }
+
+    /// The validation labels are formatted only when a check fails; these
+    /// pin the text each constructor reports for a bad value.
+    #[test]
+    fn invalid_values_are_reported_by_name() {
+        use crate::dense::DenseMetric;
+        use crate::euclidean::{EuclideanMetric, Norm};
+        use crate::graph::Graph;
+        use crate::tree::TreeMetric;
+        fn text<T: fmt::Debug>(r: Result<T, MetricError>) -> String {
+            r.unwrap_err().to_string()
+        }
+        let mut rows = vec![vec![0.0, 1.0]; 5];
+        rows[3][1] = f64::NAN;
+        assert_eq!(
+            text(EuclideanMetric::new(&rows, Norm::L2)),
+            "invalid numeric value: point[3][1] = NaN is not finite"
+        );
+        assert_eq!(
+            text(LineMetric::new(vec![0.0, 1.0, f64::INFINITY])),
+            "invalid numeric value: position[2] = inf is not finite"
+        );
+        assert_eq!(
+            text(LineMetric::uniform(4, f64::NAN)),
+            "invalid numeric value: span = NaN is not finite"
+        );
+        assert_eq!(
+            text(Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, -1.0)])),
+            "invalid numeric value: weight(1,2) = -1 is negative"
+        );
+        assert_eq!(
+            text(TreeMetric::new(&[
+                None,
+                Some((0, 1.0)),
+                Some((1, f64::NEG_INFINITY))
+            ])),
+            "invalid numeric value: weight(2) = -inf is not finite"
+        );
+        let mut d = vec![0.0; 9];
+        d[5] = -2.5;
+        assert_eq!(
+            text(DenseMetric::new_unchecked(d, 3)),
+            "invalid numeric value: d[1,2] = -2.5 is negative"
+        );
+        assert_eq!(
+            text(DenseMetric::uniform(3, f64::NAN)),
+            "invalid numeric value: gap = NaN is not finite"
+        );
     }
 }

@@ -21,7 +21,7 @@ impl LineMetric {
             return Err(MetricError::Empty);
         }
         for (i, &x) in positions.iter().enumerate() {
-            check_finite(x, &format!("position[{i}]"))?;
+            check_finite(x, format_args!("position[{i}]"))?;
         }
         let mut by_position: Vec<u32> = (0..positions.len() as u32).collect();
         by_position.sort_by(|&a, &b| {
@@ -41,7 +41,7 @@ impl LineMetric {
         if n == 0 {
             return Err(MetricError::Empty);
         }
-        check_finite(span, "span")?;
+        check_finite(span, format_args!("span"))?;
         if span < 0.0 {
             return Err(MetricError::InvalidValue(format!(
                 "span = {span} is negative"

@@ -46,7 +46,7 @@ impl TreeMetric {
                             "node {v} is its own parent"
                         )));
                     }
-                    check_finite_nonneg(*w, &format!("weight({v})"))?;
+                    check_finite_nonneg(*w, format_args!("weight({v})"))?;
                 }
             }
         }

@@ -137,6 +137,11 @@ pub fn scattered_clustered_plane<R: Rng>(
 
 /// Samples request locations: `n` point ids, either uniform over the space
 /// or biased toward `hotspots` (Zipf over a random permutation of points).
+///
+/// The Zipf branch evaluates one `powf` per point, into a weight table
+/// that the normaliser and every draw's inverse-CDF walk then read: each
+/// draw subtracts the weights in rank order from a uniform fraction of
+/// their sum until it reaches zero.
 pub fn sample_locations<R: Rng>(
     num_points: usize,
     n: usize,
@@ -154,14 +159,15 @@ pub fn sample_locations<R: Rng>(
         let j = rng.gen_range(0..=i);
         perm.swap(i, j);
     }
-    let z: f64 = (1..=num_points)
+    let weight: Vec<f64> = (1..=num_points)
         .map(|i| (i as f64).powf(-hotspot_alpha))
-        .sum();
+        .collect();
+    let z: f64 = weight.iter().sum();
     (0..n)
         .map(|_| {
             let mut u = rng.gen::<f64>() * z;
-            for (i, &p) in perm.iter().enumerate() {
-                u -= ((i + 1) as f64).powf(-hotspot_alpha);
+            for (&w, &p) in weight.iter().zip(&perm) {
+                u -= w;
                 if u <= 0.0 {
                     return p;
                 }
@@ -184,6 +190,9 @@ pub fn sample_locations_drift<R: Rng>(
     width: f64,
     rng: &mut R,
 ) -> Vec<u32> {
+    if n == 0 {
+        return Vec::new();
+    }
     let top = (num_points - 1) as f64;
     (0..n)
         .map(|i| {
@@ -281,6 +290,73 @@ mod tests {
             head < 35.0 && tail > 65.0,
             "drift not visible: head mean {head}, tail mean {tail}"
         );
+    }
+
+    #[test]
+    fn drift_and_zipf_over_no_points_and_no_requests_are_empty() {
+        let mut rng = StdRng::seed_from_u64(8);
+        assert!(sample_locations_drift(0, 0, 0.1, &mut rng).is_empty());
+        assert!(sample_locations(0, 0, 0.0, &mut rng).is_empty());
+        assert!(sample_locations(0, 0, 1.0, &mut rng).is_empty());
+    }
+
+    /// The Zipf branch of [`sample_locations`] as it was before the weight
+    /// table: one `powf` per visited rank of every draw.
+    fn zipf_per_draw_powf<R: Rng>(
+        num_points: usize,
+        n: usize,
+        alpha: f64,
+        rng: &mut R,
+    ) -> Vec<u32> {
+        let mut perm: Vec<u32> = (0..num_points as u32).collect();
+        for i in (1..perm.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            perm.swap(i, j);
+        }
+        let z: f64 = (1..=num_points).map(|i| (i as f64).powf(-alpha)).sum();
+        (0..n)
+            .map(|_| {
+                let mut u = rng.gen::<f64>() * z;
+                for (i, &p) in perm.iter().enumerate() {
+                    u -= ((i + 1) as f64).powf(-alpha);
+                    if u <= 0.0 {
+                        return p;
+                    }
+                }
+                perm[num_points - 1]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zipf_sampler_matches_the_per_draw_powf_walk() {
+        for alpha in [0.3, 0.5, 1.0, 1.1, 2.0] {
+            for (num_points, draws) in [
+                (0, 0),
+                (7, 0),
+                (1, 500),
+                (2, 500),
+                (7, 500),
+                (100, 500),
+                (4096, 500),
+                (16384, 500),
+            ] {
+                for seed in 0..20u64 {
+                    let mut got_rng = StdRng::seed_from_u64(seed);
+                    let mut want_rng = StdRng::seed_from_u64(seed);
+                    let got = sample_locations(num_points, draws, alpha, &mut got_rng);
+                    let want = zipf_per_draw_powf(num_points, draws, alpha, &mut want_rng);
+                    let case =
+                        format!("alpha {alpha}, {num_points} points, {draws} draws, seed {seed}");
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(
+                        got_rng.gen::<u64>(),
+                        want_rng.gen::<u64>(),
+                        "RNG state, {case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
