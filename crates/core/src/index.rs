@@ -336,46 +336,54 @@ impl FacilityIndex {
 /// `(location, commodity)` bucket we keep the member list plus an upper
 /// bound on the members' caps. A whole bucket is skipped in `O(1)` when
 /// `d(new facility, location)` is at least the bound, turning the
-/// per-opening walk from `O(history)` into `O(|M| + actually-shrinking)`.
+/// per-opening walk from `O(history)` into `O(locations with requests +
+/// actually-shrinking)`.
+///
+/// Only locations holding past requests have state: a location opens a
+/// *slot* on its first [`Self::push_request`], and every per-location and
+/// per-`(location, commodity)` field is stored by slot, in first-touch
+/// order. Memory is one zeroed `u32` per point (pages of untouched
+/// locations are never written) plus `O(touched locations · |S|)`.
 ///
 /// Bounds are allowed to go stale *high* (a skipped shrink elsewhere never
 /// lowers them); they are never stale low, so skipping is always sound.
 #[derive(Debug, Clone, Default)]
 pub struct PastIndex {
-    points: usize,
     services: usize,
-    /// Members demanding `e` located at `ℓ`, flat `e·|M| + ℓ`
-    /// (commodity-major: the candidate filter walks every `ℓ` for one `e`),
-    /// in `(past index, slot)` push order (ascending — freeze appends).
+    /// Per location: `0` before its first request, else `1 + slot`.
+    slot_of: Vec<u32>,
+    /// The location of each slot.
+    slot_loc: Vec<u32>,
+    /// Requests at the slot's location demanding `e`, flat `slot·|S| + e`,
+    /// as `(past index, position in the request's demand list)` in push
+    /// order (ascending — freeze appends).
     by_loc_e: Vec<Vec<(u32, u16)>>,
-    /// Upper bound on `caps[slot]` over the matching bucket.
+    /// Upper bound on the members' `e` caps over the matching bucket.
     max_cap_e: Vec<f64>,
-    /// Past-request indices located at `ℓ`, ascending.
+    /// Past-request indices at the slot's location, ascending.
     by_loc: Vec<Vec<u32>>,
-    /// Upper bound on `max(cap_total, caps[..])` over requests at `ℓ`.
+    /// Upper bound on `max(cap_total, caps[..])` over requests at the slot.
     max_cap_any: Vec<f64>,
     /// Block layout shared with the engine's [`OpeningTargetIndex`] (when
     /// one is active): lets the shrink walks skip whole blocks whose
     /// distance lower bound already exceeds every cap bound inside.
     layout: Option<Arc<SpatialLayout>>,
-    /// Per block: locations in the block holding any past entries
-    /// (first-touch append order; the bucket-level decisions below are
-    /// order-independent, and the output is sorted).
+    /// Per block: the slots of its locations (first-touch append order;
+    /// the bucket-level decisions below are order-independent, and the
+    /// output is sorted).
     block_locs: Vec<Vec<u32>>,
-    /// Whether a location already sits in its block's `block_locs` list.
-    loc_listed: Vec<bool>,
     /// Per-block upper bound on `max_cap_e` over the block's buckets, flat
     /// `e·nblocks + b`. Monotone-up on push; recomputed exactly for blocks
     /// the shrink walk clamps. Never stale low, so skipping is sound.
     block_cap_e: Vec<f64>,
     /// Per-block upper bound on `max_cap_any`.
     block_cap_any: Vec<f64>,
-    /// Upper bound on `cap_total` alone over requests at `ℓ` — the
+    /// Upper bound on `cap_total` alone over requests at the slot — the
     /// component of `max_cap_any` that only *large* openings shrink, kept
     /// separately so the cross-family clamp passes can recompute
     /// `max_cap_any` from parts without engine data.
     max_cap_total: Vec<f64>,
-    /// Commodities with a non-empty bucket at `ℓ` (first-touch order):
+    /// Commodities with a non-empty bucket at the slot (first-touch order):
     /// lets a large opening clamp every per-commodity bound at a visited
     /// location without scanning the full service universe.
     commodities_at: Vec<Vec<u32>>,
@@ -390,21 +398,9 @@ impl PastIndex {
     /// An empty past-request index over `points × services`.
     pub fn new(points: usize, services: usize) -> Self {
         Self {
-            points,
             services,
-            by_loc_e: vec![Vec::new(); points * services],
-            max_cap_e: vec![0.0; points * services],
-            by_loc: vec![Vec::new(); points],
-            max_cap_any: vec![0.0; points],
-            layout: None,
-            block_locs: Vec::new(),
-            loc_listed: Vec::new(),
-            block_cap_e: Vec::new(),
-            block_cap_any: Vec::new(),
-            max_cap_total: vec![0.0; points],
-            commodities_at: vec![Vec::new(); points],
-            blocks_skipped: 0,
-            blocks_scanned: 0,
+            slot_of: vec![0; points],
+            ..Self::default()
         }
     }
 
@@ -423,19 +419,18 @@ impl PastIndex {
     /// a layout — only the number of distance evaluations changes.
     pub(crate) fn attach_layout(&mut self, layout: Arc<SpatialLayout>) {
         debug_assert!(
-            self.by_loc.iter().all(Vec::is_empty),
+            self.slot_loc.is_empty(),
             "attach_layout must precede the first push_request"
         );
         let nblocks = layout.nblocks();
         self.block_locs = vec![Vec::new(); nblocks];
-        self.loc_listed = vec![false; self.points];
         self.block_cap_e = vec![0.0; self.services * nblocks];
         self.block_cap_any = vec![0.0; nblocks];
         self.layout = Some(layout);
     }
 
-    /// Registers a freshly frozen request: its location, per-slot
-    /// commodities and caps, and the total cap.
+    /// Registers a freshly frozen request: its location, its commodities
+    /// and their caps, and the total cap.
     pub fn push_request(
         &mut self,
         pi: u32,
@@ -449,17 +444,33 @@ impl PastIndex {
             .layout
             .as_ref()
             .map(|lay| lay.pos[l] as usize / lay.block);
+        if self.slot_of[l] == 0 {
+            // The location's first request opens its slot.
+            let n = self.slot_loc.len();
+            self.slot_of[l] = n as u32 + 1;
+            self.slot_loc.push(l as u32);
+            self.by_loc_e.resize_with((n + 1) * self.services, Vec::new);
+            self.max_cap_e.resize((n + 1) * self.services, 0.0);
+            self.by_loc.push(Vec::new());
+            self.max_cap_any.push(0.0);
+            self.max_cap_total.push(0.0);
+            self.commodities_at.push(Vec::new());
+            if let Some(b) = block {
+                self.block_locs[b].push(n as u32);
+            }
+        }
+        let slot = self.slot_of[l] as usize - 1;
         let nblocks = self.block_cap_any.len();
-        if cap_total > self.max_cap_total[l] {
-            self.max_cap_total[l] = cap_total;
+        if cap_total > self.max_cap_total[slot] {
+            self.max_cap_total[slot] = cap_total;
         }
         let mut any = cap_total;
-        for (slot, (&e, &cap)) in commodities.iter().zip(caps).enumerate() {
-            let idx = e.index() * self.points + l;
+        for (k, (&e, &cap)) in commodities.iter().zip(caps).enumerate() {
+            let idx = slot * self.services + e.index();
             if self.by_loc_e[idx].is_empty() {
-                self.commodities_at[l].push(e.index() as u32);
+                self.commodities_at[slot].push(e.index() as u32);
             }
-            self.by_loc_e[idx].push((pi, slot as u16));
+            self.by_loc_e[idx].push((pi, k as u16));
             if cap > self.max_cap_e[idx] {
                 self.max_cap_e[idx] = cap;
             }
@@ -473,27 +484,24 @@ impl PastIndex {
                 any = cap;
             }
         }
-        self.by_loc[l].push(pi);
-        if any > self.max_cap_any[l] {
-            self.max_cap_any[l] = any;
+        self.by_loc[slot].push(pi);
+        if any > self.max_cap_any[slot] {
+            self.max_cap_any[slot] = any;
         }
         if let Some(b) = block {
-            if !self.loc_listed[l] {
-                self.loc_listed[l] = true;
-                self.block_locs[b].push(l as u32);
-            }
             if any > self.block_cap_any[b] {
                 self.block_cap_any[b] = any;
             }
         }
     }
 
-    /// Candidate `(past index, slot)` members whose commodity-`e` cap *may*
-    /// shrink when a small facility for `e` opens at `at` — every member at
-    /// a location whose cap bound exceeds `d(at, location)`. Returned sorted
-    /// ascending, i.e. the exact order the linear history walk would visit
-    /// them in. Buckets that qualify have their bound clamped to the new
-    /// distance (all surviving caps are at most that).
+    /// Candidate `(past index, demand position)` members whose
+    /// commodity-`e` cap *may* shrink when a small facility for `e` opens
+    /// at `at` — every member at a location whose cap bound exceeds
+    /// `d(at, location)`. Returned sorted ascending, i.e. the exact order
+    /// the linear history walk would visit them in. Buckets that qualify
+    /// have their bound clamped to the new distance (all surviving caps
+    /// are at most that).
     ///
     /// With an attached layout the walk goes block by block: a block whose
     /// certified distance lower bound (`d(at, rep) − radius`, slack
@@ -517,11 +525,11 @@ impl PastIndex {
         e: CommodityId,
         at: PointId,
     ) -> Vec<(u32, u16)> {
-        let base = e.index() * self.points;
+        let (s, e) = (self.services, e.index());
         let mut out = Vec::new();
         if let Some(layout) = self.layout.clone() {
             let nblocks = self.block_cap_any.len();
-            let cap_base = e.index() * nblocks;
+            let cap_base = e * nblocks;
             for b in 0..nblocks {
                 let bcap = self.block_cap_e[cap_base + b];
                 if bcap <= 0.0 || self.block_locs[b].is_empty() {
@@ -537,30 +545,30 @@ impl PastIndex {
                 let mut touched = false;
                 let mut any_touched = false;
                 for i in 0..self.block_locs[b].len() {
-                    let l = self.block_locs[b][i];
-                    let idx = base + l as usize;
+                    let slot = self.block_locs[b][i] as usize;
+                    let idx = slot * s + e;
                     if self.by_loc_e[idx].is_empty() {
                         continue;
                     }
-                    let dj = inst.distance(at, PointId(l));
+                    let dj = inst.distance(at, PointId(self.slot_loc[slot]));
                     if dj < self.max_cap_e[idx] {
                         out.extend_from_slice(&self.by_loc_e[idx]);
                         self.max_cap_e[idx] = dj;
                         touched = true;
-                        any_touched |= self.retighten_any(l as usize);
+                        any_touched |= self.retighten_any(slot);
                     }
                 }
                 if touched {
                     let mut cap = 0.0f64;
-                    for &l in &self.block_locs[b] {
-                        cap = cap.max(self.max_cap_e[base + l as usize]);
+                    for &slot in &self.block_locs[b] {
+                        cap = cap.max(self.max_cap_e[slot as usize * s + e]);
                     }
                     self.block_cap_e[cap_base + b] = cap;
                 }
                 if any_touched {
                     let mut cap = 0.0f64;
-                    for &l in &self.block_locs[b] {
-                        cap = cap.max(self.max_cap_any[l as usize]);
+                    for &slot in &self.block_locs[b] {
+                        cap = cap.max(self.max_cap_any[slot as usize]);
                     }
                     self.block_cap_any[b] = cap;
                 }
@@ -568,35 +576,35 @@ impl PastIndex {
             out.sort_unstable();
             return out;
         }
-        for l in 0..self.by_loc.len() {
-            let idx = base + l;
+        for slot in 0..self.slot_loc.len() {
+            let idx = slot * s + e;
             if self.by_loc_e[idx].is_empty() {
                 continue;
             }
-            let dj = inst.distance(at, PointId(l as u32));
+            let dj = inst.distance(at, PointId(self.slot_loc[slot]));
             if dj < self.max_cap_e[idx] {
                 out.extend_from_slice(&self.by_loc_e[idx]);
                 self.max_cap_e[idx] = dj;
-                self.retighten_any(l);
+                self.retighten_any(slot);
             }
         }
         out.sort_unstable();
         out
     }
 
-    /// Recomputes the location's any-cap bound from its parts after a
+    /// Recomputes the slot's any-cap bound from its parts after a
     /// per-commodity bound clamped. `max(max_cap_total, per-commodity
     /// bounds at ℓ)` dominates every member's `max(cap_total, caps[..])`,
     /// so the result is a sound upper bound; it is applied only when it
     /// tightens (the stored bound may already be lower from a large-walk
     /// clamp). Returns whether the stored bound changed.
-    fn retighten_any(&mut self, l: usize) -> bool {
-        let mut any = self.max_cap_total[l];
-        for &e2 in &self.commodities_at[l] {
-            any = any.max(self.max_cap_e[e2 as usize * self.points + l]);
+    fn retighten_any(&mut self, slot: usize) -> bool {
+        let mut any = self.max_cap_total[slot];
+        for &e2 in &self.commodities_at[slot] {
+            any = any.max(self.max_cap_e[slot * self.services + e2 as usize]);
         }
-        if any < self.max_cap_any[l] {
-            self.max_cap_any[l] = any;
+        if any < self.max_cap_any[slot] {
+            self.max_cap_any[slot] = any;
             true
         } else {
             false
@@ -616,6 +624,7 @@ impl PastIndex {
     /// from going permanently stale-high on shrink-heavy streams. Touched
     /// blocks get the affected `block_cap_e` rows recomputed exactly.
     pub fn large_shrink_candidates(&mut self, inst: &Instance, at: PointId) -> Vec<u32> {
+        let s = self.services;
         let mut out = Vec::new();
         let mut touched_e: Vec<u32> = Vec::new();
         if let Some(layout) = self.layout.clone() {
@@ -635,69 +644,60 @@ impl PastIndex {
                 let mut touched = false;
                 touched_e.clear();
                 for i in 0..self.block_locs[b].len() {
-                    let l = self.block_locs[b][i];
-                    let li = l as usize;
-                    if self.by_loc[li].is_empty() {
-                        continue;
-                    }
-                    let dj = inst.distance(at, PointId(l));
-                    if dj < self.max_cap_any[li] {
-                        out.extend_from_slice(&self.by_loc[li]);
-                        self.max_cap_any[li] = dj;
+                    let slot = self.block_locs[b][i] as usize;
+                    let dj = inst.distance(at, PointId(self.slot_loc[slot]));
+                    if dj < self.max_cap_any[slot] {
+                        out.extend_from_slice(&self.by_loc[slot]);
+                        self.max_cap_any[slot] = dj;
                         touched = true;
-                        self.clamp_location_bounds(li, dj, Some(&mut touched_e));
+                        self.clamp_location_bounds(slot, dj, Some(&mut touched_e));
                     }
                 }
                 if touched {
                     let mut cap = 0.0f64;
-                    for &l in &self.block_locs[b] {
-                        cap = cap.max(self.max_cap_any[l as usize]);
+                    for &slot in &self.block_locs[b] {
+                        cap = cap.max(self.max_cap_any[slot as usize]);
                     }
                     self.block_cap_any[b] = cap;
                 }
                 touched_e.sort_unstable();
                 touched_e.dedup();
                 for &e in &touched_e {
-                    let cap_base = e as usize * nblocks;
-                    let base = e as usize * self.points;
                     let mut cap = 0.0f64;
-                    for &l in &self.block_locs[b] {
-                        cap = cap.max(self.max_cap_e[base + l as usize]);
+                    for &slot in &self.block_locs[b] {
+                        cap = cap.max(self.max_cap_e[slot as usize * s + e as usize]);
                     }
-                    self.block_cap_e[cap_base + b] = cap;
+                    self.block_cap_e[e as usize * nblocks + b] = cap;
                 }
             }
             out.sort_unstable();
             return out;
         }
-        for l in 0..self.by_loc.len() {
-            if self.by_loc[l].is_empty() {
-                continue;
-            }
-            let dj = inst.distance(at, PointId(l as u32));
-            if dj < self.max_cap_any[l] {
-                out.extend_from_slice(&self.by_loc[l]);
-                self.max_cap_any[l] = dj;
-                self.clamp_location_bounds(l, dj, None);
+        for slot in 0..self.slot_loc.len() {
+            let dj = inst.distance(at, PointId(self.slot_loc[slot]));
+            if dj < self.max_cap_any[slot] {
+                out.extend_from_slice(&self.by_loc[slot]);
+                self.max_cap_any[slot] = dj;
+                self.clamp_location_bounds(slot, dj, None);
             }
         }
         out.sort_unstable();
         out
     }
 
-    /// Clamps `max_cap_total` and every per-commodity bound at `ℓ` to `dj`
-    /// after a large opening qualified the location: once the caller's
+    /// Clamps `max_cap_total` and every per-commodity bound at the slot to
+    /// `dj` after a large opening qualified its location: once the caller's
     /// shrink pass completes, no cap of any family there exceeds `dj`.
     /// Commodities whose bound actually tightened are appended to
     /// `touched_e` (when collecting for a block-row recompute).
-    fn clamp_location_bounds(&mut self, l: usize, dj: f64, touched_e: Option<&mut Vec<u32>>) {
-        if dj < self.max_cap_total[l] {
-            self.max_cap_total[l] = dj;
+    fn clamp_location_bounds(&mut self, slot: usize, dj: f64, touched_e: Option<&mut Vec<u32>>) {
+        if dj < self.max_cap_total[slot] {
+            self.max_cap_total[slot] = dj;
         }
         let mut sink = touched_e;
-        for i in 0..self.commodities_at[l].len() {
-            let e = self.commodities_at[l][i];
-            let idx = e as usize * self.points + l;
+        for i in 0..self.commodities_at[slot].len() {
+            let e = self.commodities_at[slot][i];
+            let idx = slot * self.services + e as usize;
             if dj < self.max_cap_e[idx] {
                 self.max_cap_e[idx] = dj;
                 if let Some(sink) = sink.as_deref_mut() {
@@ -2596,38 +2596,104 @@ mod tests {
         // A layout-attached PastIndex must return exactly the same shrink
         // candidates — and clamp exactly the same bucket bounds — as the
         // plain bucket walk, under an adversarial interleaving of pushes
-        // and (mutating) shrink queries over a shuffled relabeling.
-        let (m, s) = (96usize, 2usize);
-        let positions: Vec<f64> = (0..m).map(|p| (p as f64 * 7.3) % 50.0).collect();
-        let inst = inst(positions, s as u16);
+        // and (mutating) shrink queries over a shuffled relabeling. The
+        // dense case pushes at every location; the sparse one pushes at
+        // 40 of 4096, so most blocks hold no slot.
+        for (m, span, sites) in [(96usize, 50.0, 96usize), (4096, 2000.0, 40)] {
+            let s = 2usize;
+            let positions: Vec<f64> = (0..m).map(|p| (p as f64 * 7.3) % span).collect();
+            let inst = inst(positions, s as u16);
+            let f_small = vec![1.0; m * s];
+            let f_full = vec![3.0; m];
+            let mut st = 0xFEEDu64;
+            let mut order: Vec<u32> = (0..m as u32).collect();
+            for i in (1..m).rev() {
+                let j = (xorshift(&mut st) % (i as u64 + 1)) as usize;
+                order.swap(i, j);
+            }
+            let idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, order).unwrap();
+            let mut pruned = PastIndex::new(m, s);
+            pruned.attach_layout(idx.layout_handle());
+            let mut plain = PastIndex::new(m, s);
+            let e = CommodityId(1);
+            for step in 0..400usize {
+                let at = PointId((xorshift(&mut st) % m as u64) as u32);
+                if step % 3 != 2 {
+                    let cap = 0.5 + ((xorshift(&mut st) % 16) as f64) * 0.5;
+                    let caps = [cap, cap * 0.75];
+                    let demands = [CommodityId(0), e];
+                    let site = PointId((at.index() % sites * m / sites) as u32);
+                    pruned.push_request(step as u32, site, &demands, &caps, cap);
+                    plain.push_request(step as u32, site, &demands, &caps, cap);
+                } else {
+                    let got = pruned.small_shrink_candidates(&inst, e, at);
+                    let want = plain.small_shrink_candidates(&inst, e, at);
+                    assert_eq!(got, want, "{m}: small candidates diverged at step {step}");
+                    let got = pruned.large_shrink_candidates(&inst, at);
+                    let want = plain.large_shrink_candidates(&inst, at);
+                    assert_eq!(got, want, "{m}: large candidates diverged at step {step}");
+                }
+            }
+            assert_eq!(pruned.slot_loc, plain.slot_loc);
+            assert_eq!(pruned.max_cap_e, plain.max_cap_e);
+            assert_eq!(pruned.max_cap_any, plain.max_cap_any);
+            assert_eq!(pruned.max_cap_total, plain.max_cap_total);
+            let (skipped, scanned) = pruned.stats();
+            assert!(
+                scanned > 0 && skipped > 0,
+                "{m}: {skipped} skipped, {scanned} scanned"
+            );
+            let listed = pruned.block_locs.iter().filter(|b| !b.is_empty()).count();
+            if sites < m {
+                assert!(
+                    pruned.slot_loc.len() <= sites && listed * 4 < pruned.block_locs.len(),
+                    "{m}: {listed} of {} blocks hold a slot",
+                    pruned.block_locs.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn past_index_opens_slots_only_at_touched_locations() {
+        // A million-point index holds nothing but its zeroed slot table
+        // until the first request arrives.
+        let big = PastIndex::new(1 << 20, 8);
+        assert_eq!(big.slot_of.len(), 1 << 20);
+        assert!(big.slot_loc.is_empty() && big.by_loc.is_empty());
+        assert!(big.by_loc_e.is_empty() && big.max_cap_e.is_empty());
+        assert!(big.max_cap_any.is_empty() && big.max_cap_total.is_empty());
+        assert!(big.commodities_at.is_empty() && big.block_locs.is_empty());
+
+        // Pushes at three distinct locations — one of them twice, one
+        // request demanding two commodities — open three slots in
+        // first-touch order, each with |S| buckets.
+        let (m, s) = (64usize, 3usize);
+        let inst = inst((0..m).map(|p| p as f64).collect(), s as u16);
         let f_small = vec![1.0; m * s];
         let f_full = vec![3.0; m];
-        let mut st = 0xFEEDu64;
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        for i in (1..m).rev() {
-            let j = (xorshift(&mut st) % (i as u64 + 1)) as usize;
-            order.swap(i, j);
+        let layout = OpeningTargetIndex::for_instance(&inst, &f_small, &f_full).layout_handle();
+        let mut past = PastIndex::new(m, s);
+        past.attach_layout(Arc::clone(&layout));
+        let (e0, e1, e2) = (CommodityId(0), CommodityId(1), CommodityId(2));
+        past.push_request(0, PointId(40), &[e0], &[1.0], 1.0);
+        past.push_request(1, PointId(7), &[e1, e2], &[1.0, 2.0], 2.0);
+        past.push_request(2, PointId(40), &[e2], &[0.5], 0.5);
+        past.push_request(3, PointId(13), &[e0], &[3.0], 3.0);
+        assert_eq!(past.slot_loc, vec![40, 7, 13]);
+        assert_eq!((past.by_loc_e.len(), past.max_cap_e.len()), (3 * s, 3 * s));
+        assert_eq!(past.by_loc, vec![vec![0, 2], vec![1], vec![3]]);
+        assert_eq!(past.commodities_at, vec![vec![0, 2], vec![1, 2], vec![0]]);
+        assert_eq!(past.by_loc_e[s + 2], vec![(1, 1)]);
+        for (l, &tag) in past.slot_of.iter().enumerate() {
+            let want = past.slot_loc.iter().position(|&p| p as usize == l);
+            assert_eq!(tag.checked_sub(1).map(|t| t as usize), want, "location {l}");
         }
-        let idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, order).unwrap();
-        let mut pruned = PastIndex::new(m, s);
-        pruned.attach_layout(idx.layout_handle());
-        let mut plain = PastIndex::new(m, s);
-        let e = CommodityId(1);
-        for step in 0..400usize {
-            let at = PointId((xorshift(&mut st) % m as u64) as u32);
-            if step % 3 != 2 {
-                let cap = 0.5 + ((xorshift(&mut st) % 16) as f64) * 0.5;
-                let caps = [cap, cap * 0.75];
-                let demands = [CommodityId(0), e];
-                pruned.push_request(step as u32, at, &demands, &caps, cap);
-                plain.push_request(step as u32, at, &demands, &caps, cap);
-            } else {
-                let got = pruned.small_shrink_candidates(&inst, e, at);
-                let want = plain.small_shrink_candidates(&inst, e, at);
-                assert_eq!(got, want, "small candidates diverged at step {step}");
-                let got = pruned.large_shrink_candidates(&inst, at);
-                let want = plain.large_shrink_candidates(&inst, at);
-                assert_eq!(got, want, "large candidates diverged at step {step}");
+        for (slot, &l) in past.slot_loc.iter().enumerate() {
+            let home = layout.pos[l as usize] as usize / layout.block;
+            for (b, list) in past.block_locs.iter().enumerate() {
+                let n = list.iter().filter(|&&x| x as usize == slot).count();
+                assert_eq!(n, usize::from(b == home), "slot {slot} in block {b}");
             }
         }
     }

@@ -50,8 +50,15 @@ pub struct EuclideanMetric {
 /// axis, generously covered at 1e-12.
 const SCREEN_REL_SLACK: f64 = 1e-12;
 
+/// Largest coordinate magnitude accepted, `f32::MAX / 2`: every f32
+/// coordinate difference of the screen, its brackets and every f64
+/// distance then stay finite.
+const MAX_COORD: f64 = f32::MAX as f64 / 2.0;
+
 impl EuclideanMetric {
     /// Builds a metric from per-point coordinate rows (all of length `dim`).
+    /// Rejects a coordinate that is not finite or exceeds `f32::MAX / 2` in
+    /// magnitude.
     pub fn new(points: &[Vec<f64>], norm: Norm) -> Result<Self, MetricError> {
         if points.is_empty() {
             return Err(MetricError::Empty);
@@ -72,6 +79,11 @@ impl EuclideanMetric {
             }
             for (j, &c) in row.iter().enumerate() {
                 check_finite(c, format_args!("point[{i}][{j}]"))?;
+                if c.abs() > MAX_COORD {
+                    return Err(MetricError::InvalidValue(format!(
+                        "point[{i}][{j}] = {c:e} exceeds f32::MAX / 2 in magnitude"
+                    )));
+                }
                 coords.push(c);
             }
         }
@@ -385,6 +397,34 @@ mod tests {
         let m = EuclideanMetric::plane(&[(0.0, 0.0), (3.0, 4.0)]).unwrap();
         assert_eq!(m.len(), 2);
         assert!((m.distance(PointId(0), PointId(1)) - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rejects_coordinates_beyond_the_screen_range() {
+        let err = EuclideanMetric::plane(&[(0.0, 0.0), (1e200, 1e200)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid numeric value: point[1][0] = 1e200 exceeds f32::MAX / 2 in magnitude"
+        );
+        let err = EuclideanMetric::plane(&[(3e38, 0.0), (-3e38, 0.0)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid numeric value: point[0][0] = 3e38 exceeds f32::MAX / 2 in magnitude"
+        );
+        // At the limit itself, distances and screen brackets stay finite
+        // and the brackets still contain the exact distance.
+        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
+            let m = EuclideanMetric::new(
+                &[vec![MAX_COORD, -MAX_COORD], vec![-MAX_COORD, MAX_COORD]],
+                norm,
+            )
+            .unwrap();
+            let d = m.distance(PointId(0), PointId(1));
+            let (mut lo, mut hi) = ([0.0], [0.0]);
+            assert!(m.screen_distances(PointId(0), &[1], &mut lo, &mut hi));
+            let ok = hi[0].is_finite() && lo[0] <= d && d <= hi[0];
+            assert!(ok, "{norm:?}: {d} in [{lo:?}, {hi:?}]");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the metric is the shortest-path closure, computed once at construction
 //! via Dijkstra from every node (binary heap, CSR adjacency).
 
-use crate::{check_finite_nonneg, Metric, MetricError, PointId};
+use crate::{check_finite, check_finite_nonneg, Metric, MetricError, PointId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -88,6 +88,23 @@ impl Graph {
             .zip(self.weights[lo..hi].iter().copied())
     }
 
+    /// The smallest node with no path from node 0, if any: one traversal
+    /// of the edges, so path sums (which may overflow) play no part.
+    fn first_unreachable(&self) -> Option<u32> {
+        let mut reached = vec![false; self.n];
+        reached[0] = true;
+        let mut stack = vec![0u32];
+        while let Some(u) = stack.pop() {
+            for (v, _) in self.neighbors(u) {
+                if !reached[v as usize] {
+                    reached[v as usize] = true;
+                    stack.push(v);
+                }
+            }
+        }
+        reached.iter().position(|&r| !r).map(|t| t as u32)
+    }
+
     /// Single-source shortest paths (Dijkstra). `f64::INFINITY` marks
     /// unreachable nodes.
     pub fn dijkstra(&self, source: u32) -> Vec<f64> {
@@ -153,7 +170,11 @@ pub struct GraphMetric {
 }
 
 impl GraphMetric {
-    /// Computes the metric closure of `graph`. Fails if disconnected.
+    /// Computes the metric closure of `graph`. Fails with
+    /// [`MetricError::Disconnected`] (from node 0 to the smallest node it
+    /// cannot reach) if the graph is disconnected, and with
+    /// [`MetricError::InvalidValue`] (the first pair in row order) if a
+    /// shortest-path sum overflows to infinity.
     ///
     /// The closure is **exactly symmetrized**: per-source Dijkstra sums can
     /// disagree between directions in the last ulp (float addition is not
@@ -165,18 +186,17 @@ impl GraphMetric {
     /// cache-hostile strided gather.
     pub fn new(graph: &Graph) -> Result<Self, MetricError> {
         let n = graph.node_count();
+        if let Some(to) = graph.first_unreachable() {
+            return Err(MetricError::Disconnected { from: 0, to });
+        }
         let mut apsp = vec![0.0; n * n];
-        for s in 0..n as u32 {
-            let dist = graph.dijkstra(s);
-            for (t, &d) in dist.iter().enumerate() {
-                if !d.is_finite() {
-                    return Err(MetricError::Disconnected {
-                        from: s,
-                        to: t as u32,
-                    });
-                }
-                apsp[s as usize * n + t] = d;
+        for s in 0..n {
+            let dist = graph.dijkstra(s as u32);
+            // The upper triangle is what the symmetrized closure keeps.
+            for (t, &d) in dist.iter().enumerate().skip(s + 1) {
+                check_finite(d, format_args!("distance({s},{t})"))?;
             }
+            apsp[s * n..(s + 1) * n].copy_from_slice(&dist);
         }
         for s in 0..n {
             for t in (s + 1)..n {
@@ -293,8 +313,32 @@ mod tests {
 
     #[test]
     fn disconnected_graph_rejected() {
+        // The error names node 0 and the smallest node it cannot reach.
         let err = GraphMetric::from_edges(3, &[(0, 1, 1.0)]).unwrap_err();
-        assert!(matches!(err, MetricError::Disconnected { .. }));
+        assert_eq!(err, MetricError::Disconnected { from: 0, to: 2 });
+        let err = GraphMetric::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "graph is disconnected: no path from 0 to 2"
+        );
+        let err = GraphMetric::from_edges(3, &[(1, 2, 1.0)]).unwrap_err();
+        assert_eq!(err, MetricError::Disconnected { from: 0, to: 1 });
+    }
+
+    #[test]
+    fn overflowing_path_sums_are_not_reported_as_disconnection() {
+        // Both graphs are connected; their closures hold a path sum that
+        // overflows to infinity.
+        let err = GraphMetric::star(2, 1e308).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid numeric value: distance(1,2) = inf is not finite"
+        );
+        let err = GraphMetric::from_edges(3, &[(0, 1, 1e308), (1, 2, 1e308)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid numeric value: distance(0,2) = inf is not finite"
+        );
     }
 
     #[test]

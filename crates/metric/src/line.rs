@@ -15,7 +15,9 @@ pub struct LineMetric {
 }
 
 impl LineMetric {
-    /// Builds a line metric from point positions (any order, duplicates allowed).
+    /// Builds a line metric from point positions (any order, duplicates
+    /// allowed). Rejects a non-finite position, and positions whose span
+    /// `max − min` overflows, which would make some distance infinite.
     pub fn new(positions: Vec<f64>) -> Result<Self, MetricError> {
         if positions.is_empty() {
             return Err(MetricError::Empty);
@@ -30,6 +32,12 @@ impl LineMetric {
                 .expect("positions are finite")
                 .then(a.cmp(&b))
         });
+        // Every distance rounds to at most the span.
+        let (lo, hi) = (by_position[0], by_position[by_position.len() - 1]);
+        check_finite(
+            positions[hi as usize] - positions[lo as usize],
+            format_args!("position[{hi}] − position[{lo}]"),
+        )?;
         Ok(Self {
             positions,
             by_position,
@@ -155,6 +163,17 @@ mod tests {
             LineMetric::new(vec![f64::INFINITY]),
             Err(MetricError::InvalidValue(_))
         ));
+    }
+
+    #[test]
+    fn rejects_positions_whose_distance_overflows() {
+        let err = LineMetric::new(vec![-1e308, 1e308]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid numeric value: position[1] − position[0] = inf is not finite"
+        );
+        let m = LineMetric::new(vec![-8e307, 8e307]).unwrap();
+        assert!(m.distance(PointId(0), PointId(1)).is_finite());
     }
 
     #[test]

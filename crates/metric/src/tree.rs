@@ -6,7 +6,7 @@
 //! binary-lifting LCA over root distances, without materializing the O(n²)
 //! matrix.
 
-use crate::{check_finite_nonneg, Metric, MetricError, PointId};
+use crate::{check_finite, check_finite_nonneg, Metric, MetricError, PointId};
 
 /// A rooted weighted tree with distances `d(a,b) = depth(a) + depth(b) −
 /// 2·depth(lca(a,b))`.
@@ -23,7 +23,9 @@ pub struct TreeMetric {
 
 impl TreeMetric {
     /// Builds from `parents[v] = Some((parent, weight))` for every non-root
-    /// node; exactly one node must be the root (`None`).
+    /// node; exactly one node must be the root (`None`). Rejects weights
+    /// whose root distances reach a depth `D` with `2·D` not finite, which
+    /// would make some distance infinite.
     pub fn new(parents: &[Option<(u32, f64)>]) -> Result<Self, MetricError> {
         let n = parents.len();
         if n == 0 {
@@ -83,6 +85,12 @@ impl TreeMetric {
                 "tree is disconnected (some nodes unreachable from the root)".into(),
             ));
         }
+        // Every `depth(a) + depth(b)` term rounds to at most twice the
+        // largest depth.
+        let deepest = (0..n)
+            .max_by(|&a, &b| depth_w[a].total_cmp(&depth_w[b]))
+            .unwrap_or(0);
+        check_finite(2.0 * depth_w[deepest], format_args!("2·depth({deepest})"))?;
 
         // Binary lifting table.
         let max_depth = depth_hops.iter().copied().max().unwrap_or(0);
@@ -243,6 +251,17 @@ mod tests {
             TreeMetric::new(&[None, Some((2, 1.0)), Some((1, 1.0))]),
             Err(MetricError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn rejects_depths_whose_distances_overflow() {
+        let err = TreeMetric::new(&[None, Some((0, 1e308)), Some((0, 1e308))]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid numeric value: 2·depth(2) = inf is not finite"
+        );
+        let m = TreeMetric::new(&[None, Some((0, 8e307)), Some((0, 8e307))]).unwrap();
+        assert!(m.distance(PointId(1), PointId(2)).is_finite());
     }
 
     #[test]
