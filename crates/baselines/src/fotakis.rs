@@ -35,6 +35,8 @@ pub struct FotakisOfl<'a> {
     /// Nearest-open-facility cache; every facility here is full-universe
     /// (`|S| = 1`), so only the large side of the index is used.
     index: FacilityIndex,
+    /// The opening location's distance row, reused across openings.
+    row: Vec<f64>,
     /// Frozen duals `a_j` in arrival order, with request locations.
     duals: Vec<(PointId, f64)>,
 }
@@ -52,6 +54,7 @@ impl<'a> FotakisOfl<'a> {
             inst,
             sol: Solution::new(),
             index: FacilityIndex::for_instance(inst),
+            row: vec![0.0; inst.num_points()],
             duals: Vec::new(),
         })
     }
@@ -115,7 +118,8 @@ impl OnlineAlgorithm for FotakisOfl<'_> {
                 open_at,
                 CommoditySet::full(self.inst.universe()),
             );
-            self.index.note_large_opening(self.inst, open_at, fid);
+            self.inst.fill_row(open_at, &mut self.row);
+            self.index.note_opening(None, &self.row, fid);
             opened.push(fid);
             (fid, t_open)
         };

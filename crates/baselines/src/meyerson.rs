@@ -31,6 +31,8 @@ pub struct MeyersonOfl<'a, R: Rng = StdRng> {
     /// Nearest-open-facility cache (all facilities are full-universe here,
     /// so only the large side is used).
     index: FacilityIndex,
+    /// The opening location's distance row, reused across openings.
+    row: Vec<f64>,
 }
 
 impl<'a> MeyersonOfl<'a, StdRng> {
@@ -71,6 +73,7 @@ impl<'a, R: Rng> MeyersonOfl<'a, R> {
             sol: Solution::new(),
             classes,
             index: FacilityIndex::for_instance(inst),
+            row: vec![0.0; inst.num_points()],
         })
     }
 
@@ -82,7 +85,8 @@ impl<'a, R: Rng> MeyersonOfl<'a, R> {
         let fid = self
             .sol
             .open_facility(self.inst, at, CommoditySet::full(self.inst.universe()));
-        self.index.note_large_opening(self.inst, at, fid);
+        self.inst.fill_row(at, &mut self.row);
+        self.index.note_opening(None, &self.row, fid);
         opened.push(fid);
     }
 }

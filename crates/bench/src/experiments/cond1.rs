@@ -7,13 +7,14 @@
 //! Condition 1 for configurations larger than √|S|, so it is not sound here;
 //! ratios are reported against the greedy upper bound only.
 
-use crate::runner::{run_cost, Alg};
+use crate::runner::run_cost;
 use crate::table::{fmt, Table};
 use omfl_commodity::cost::CostModel;
 use omfl_commodity::CommodityId;
 use omfl_core::algorithm::run_online;
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::heavy::{detect_heavy, HeavyExclusion, HeavyInstances};
+use omfl_sim::Engine;
 use omfl_workload::composite::uniform_line;
 use omfl_workload::demand::DemandModel;
 
@@ -68,8 +69,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         )
         .expect("scenario");
         let cond1_ok = omfl_commodity::props::condition1_exact(&cost, 0).is_ok();
-        let pd = run_cost(&sc, Alg::Pd);
-        let dc = run_cost(&sc, Alg::PerCommodityPd);
+        let pd = run_cost(&sc, Engine::Pd);
+        let dc = run_cost(&sc, Engine::PerCommodity);
         // Heavy-exclusion wrapper with auto-detected heavy set.
         let heavy: Vec<CommodityId> = detect_heavy(sc.instance(), 4.0);
         let excl = if heavy.is_empty() {

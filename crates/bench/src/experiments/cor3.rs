@@ -3,9 +3,10 @@
 //! reported against the OPT bracket (dual + serve-alone lower bound,
 //! greedy/local-search upper bound).
 
-use crate::runner::{bracket, run_cost, Alg};
+use crate::runner::{bracket, run_cost};
 use crate::table::{fmt, Table};
 use omfl_core::bounds::log_over_loglog;
+use omfl_sim::Engine;
 use omfl_workload::adversarial::dyadic_line;
 
 /// Runs the experiment.
@@ -27,8 +28,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         let sc = dyadic_line(lv, 16.0, 4, 2, 7).expect("scenario");
         let n = sc.len();
         let b = bracket(&sc);
-        let pd = run_cost(&sc, Alg::Pd);
-        let rn = run_cost(&sc, Alg::Rand(5));
+        let pd = run_cost(&sc, Engine::Pd);
+        let rn = run_cost(&sc, Engine::Rand { seed: 5 });
         t.row(&[
             lv.to_string(),
             n.to_string(),

@@ -8,9 +8,10 @@
 //! `k = √|S|`. PD tracks the cheaper regime on both sides — exactly the
 //! small/large switch the paper designs.
 
-use crate::runner::{run_cost, Alg};
+use crate::runner::run_cost;
 use crate::table::{fmt, Table};
 use omfl_commodity::cost::CostModel;
+use omfl_sim::Engine;
 use omfl_workload::composite::uniform_line;
 use omfl_workload::demand::DemandModel;
 
@@ -44,10 +45,10 @@ pub fn run(quick: bool) -> Vec<Table> {
             307,
         )
         .expect("scenario");
-        let pd = run_cost(&sc, Alg::Pd);
-        let rn = run_cost(&sc, Alg::Rand(3));
-        let dc = run_cost(&sc, Alg::PerCommodityPd);
-        let al = run_cost(&sc, Alg::AllLargeDet);
+        let pd = run_cost(&sc, Engine::Pd);
+        let rn = run_cost(&sc, Engine::Rand { seed: 3 });
+        let dc = run_cost(&sc, Engine::PerCommodity);
+        let al = run_cost(&sc, Engine::AllLarge);
         t.row(&[
             k.to_string(),
             fmt(pd),

@@ -1,4 +1,5 @@
-//! One module per experiment; ids and scope are indexed in DESIGN.md §2.
+//! One module per experiment; `experiments -- --list` indexes their ids and
+//! scope (see README, "The experiment harness").
 
 pub mod catalog;
 pub mod cond1;

@@ -5,10 +5,11 @@
 //! competitive ratio grows by at most a factor 2 when `|S|` is polynomial
 //! in n.
 
-use crate::runner::{run_cost, Alg};
+use crate::runner::run_cost;
 use crate::table::{fmt, Table};
 use omfl_commodity::cost::CostModel;
 use omfl_core::transform::{split_into_singletons, split_len};
+use omfl_sim::Engine;
 use omfl_workload::composite::uniform_line;
 use omfl_workload::demand::DemandModel;
 
@@ -46,10 +47,10 @@ pub fn run(quick: bool) -> Vec<Table> {
         let split = split_into_singletons(&sc.requests);
         let nn = split_len(&sc.requests);
         let sc_split = sc.with_requests(split).expect("split scenario");
-        let pd_j = run_cost(&sc, Alg::Pd);
-        let pd_s = run_cost(&sc_split, Alg::Pd);
-        let rn_j = run_cost(&sc, Alg::Rand(5));
-        let rn_s = run_cost(&sc_split, Alg::Rand(5));
+        let pd_j = run_cost(&sc, Engine::Pd);
+        let pd_s = run_cost(&sc_split, Engine::Pd);
+        let rn_j = run_cost(&sc, Engine::Rand { seed: 5 });
+        let rn_s = run_cost(&sc_split, Engine::Rand { seed: 5 });
         t.row(&[
             n.to_string(),
             nn.to_string(),

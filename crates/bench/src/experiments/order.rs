@@ -3,9 +3,10 @@
 //! request multiset in adversarial (coarse-to-fine) and random order and
 //! compare RAND-OMFLP and PD-OMFLP costs.
 
-use crate::runner::{run_cost, Alg};
+use crate::runner::run_cost;
 use crate::table::{fmt, Table};
 use omfl_par::{parallel_map, seed_for, summarize};
+use omfl_sim::Engine;
 use omfl_workload::adversarial::dyadic_line;
 use omfl_workload::arrival::Arrival;
 
@@ -32,7 +33,8 @@ pub fn run(quick: bool) -> Vec<Table> {
                 .apply(&sc.requests),
             };
             let sc2 = sc.with_requests(reqs).expect("reorder");
-            run_cost(&sc2, Alg::Rand(seed_for(11, tr)))
+            let seed = seed_for(11, tr);
+            run_cost(&sc2, Engine::Rand { seed })
         });
         let rand = summarize(&rand_costs);
         let pd_cost = {
@@ -41,7 +43,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 Some(()) => Arrival::RandomOrder { seed: 1 }.apply(&sc.requests),
             };
             let sc2 = sc.with_requests(reqs).expect("reorder");
-            run_cost(&sc2, Alg::Pd)
+            run_cost(&sc2, Engine::Pd)
         };
         t.row(&[
             label.to_string(),

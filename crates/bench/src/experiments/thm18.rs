@@ -6,10 +6,11 @@
 //! at `x = 1`, constant at the endpoints); the upper curve additionally
 //! carries the worst-case `log n` over all metric instances.
 
-use crate::runner::{ratio_summary, Alg};
+use crate::runner::ratio_summary;
 use crate::table::{fmt, Table};
 use omfl_core::bounds::{class_c_lower, class_c_upper};
 use omfl_par::default_threads;
+use omfl_sim::Engine;
 use omfl_workload::adversarial::class_c_gadget;
 
 /// Runs the experiment.
@@ -32,9 +33,9 @@ pub fn run(quick: bool) -> Vec<Table> {
         let opt_val = (sqrt_s as f64).powf(x / 2.0);
         let make = |seed: u64| class_c_gadget(s, x, sqrt_s, seed).expect("gadget");
         let opt = move |_: &_| opt_val;
-        let pd = ratio_summary(trials, 31, threads, make, |_| Alg::Pd, opt);
-        let rn = ratio_summary(trials, 37, threads, make, Alg::Rand, opt);
-        let dc = ratio_summary(trials, 41, threads, make, |_| Alg::PerCommodityPd, opt);
+        let pd = ratio_summary(trials, 31, threads, make, |_| Engine::Pd, opt);
+        let rn = ratio_summary(trials, 37, threads, make, |seed| Engine::Rand { seed }, opt);
+        let dc = ratio_summary(trials, 41, threads, make, |_| Engine::PerCommodity, opt);
         t.row(&[
             fmt(x),
             fmt(class_c_upper(s as usize, x)),

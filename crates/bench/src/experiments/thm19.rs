@@ -2,13 +2,17 @@
 //! head-to-head with PD-OMFLP (the paper argues RAND "is much more
 //! efficient to implement"; we measure wall-clock per request).
 
-use crate::runner::{bracket, run_cost, run_timed, Alg};
+use crate::runner::{bracket, run_cost, run_timed};
 use crate::table::{fmt, Table};
 use omfl_commodity::cost::CostModel;
 use omfl_core::bounds::{pd_upper, rand_upper};
 use omfl_par::{parallel_map, seed_for, summarize};
+use omfl_sim::Engine;
 use omfl_workload::composite::uniform_line;
 use omfl_workload::demand::DemandModel;
+
+/// Timed runs per engine in the efficiency table, which reports the fastest.
+const TIMING_RUNS: usize = 5;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -47,7 +51,12 @@ pub fn run(quick: bool) -> Vec<Table> {
             let b = bracket(&sc);
             let seeds: Vec<u64> = (0..trials as u64).collect();
             let costs = parallel_map(&seeds, threads, |_, &t| {
-                run_cost(&sc, Alg::Rand(seed_for(23, t)))
+                run_cost(
+                    &sc,
+                    Engine::Rand {
+                        seed: seed_for(23, t),
+                    },
+                )
             });
             let sum = summarize(&costs);
             t.row(&[
@@ -91,8 +100,17 @@ pub fn run(quick: bool) -> Vec<Table> {
                 107,
             )
             .expect("scenario");
-            let (pd_cost, pd_t) = run_timed(&sc, Alg::Pd);
-            let (rn_cost, rn_t) = run_timed(&sc, Alg::Rand(9));
+            // One wall-clock sample per engine swings by tens of percent
+            // under load, so each engine reads its fastest of a few runs,
+            // alternating the two (the costs repeat exactly).
+            let (mut pd_t, mut rn_t) = (f64::INFINITY, f64::INFINITY);
+            let (mut pd_cost, mut rn_cost) = (0.0, 0.0);
+            for _ in 0..TIMING_RUNS {
+                let (cost, secs) = run_timed(&sc, Engine::Pd);
+                (pd_cost, pd_t) = (cost, pd_t.min(secs));
+                let (cost, secs) = run_timed(&sc, Engine::Rand { seed: 9 });
+                (rn_cost, rn_t) = (cost, rn_t.min(secs));
+            }
             t.row(&[
                 n.to_string(),
                 fmt(pd_t * 1e6 / n as f64),
@@ -102,6 +120,9 @@ pub fn run(quick: bool) -> Vec<Table> {
                 fmt(rn_cost),
             ]);
         }
+        t.note(format!(
+            "µs/req: each engine's fastest of {TIMING_RUNS} runs, alternating PD and RAND"
+        ));
         t.note("paper §4: 'Randomization has the advantage that the decision process is highly efficient'");
         t.note(format!(
             "PD bound shape at n=256: {} vs RAND {}",

@@ -7,9 +7,10 @@
 //! decomposition stays at √|S|·OPT — the separation that motivates the
 //! paper's small/large facility design.
 
-use crate::runner::{ratio_summary, Alg};
+use crate::runner::ratio_summary;
 use crate::table::{fmt, Table};
 use omfl_par::default_threads;
+use omfl_sim::Engine;
 use omfl_workload::adversarial::{theorem2_gadget, theorem2_opt, Theorem2Phase};
 
 /// Runs the experiment.
@@ -31,10 +32,10 @@ pub fn run(quick: bool) -> Vec<Table> {
         for &s in sizes {
             let make = |seed: u64| theorem2_gadget(s, phase, seed).expect("gadget");
             let opt = move |_: &_| theorem2_opt(s, phase);
-            let pd = ratio_summary(trials, 11, threads, make, |_| Alg::Pd, opt);
-            let rand = ratio_summary(trials, 13, threads, make, Alg::Rand, opt);
-            let dec = ratio_summary(trials, 17, threads, make, |_| Alg::PerCommodityPd, opt);
-            let all = ratio_summary(trials, 19, threads, make, |_| Alg::AllLargeDet, opt);
+            let pd = ratio_summary(trials, 11, threads, make, |_| Engine::Pd, opt);
+            let rand = ratio_summary(trials, 13, threads, make, |seed| Engine::Rand { seed }, opt);
+            let dec = ratio_summary(trials, 17, threads, make, |_| Engine::PerCommodity, opt);
+            let all = ratio_summary(trials, 19, threads, make, |_| Engine::AllLarge, opt);
             t.row(&[
                 s.to_string(),
                 fmt((s as f64).sqrt()),
@@ -70,8 +71,8 @@ mod tests {
         let make =
             |seed: u64| theorem2_gadget(16, Theorem2Phase::SPrimeThenAll, seed).expect("gadget");
         let opt = |_: &_| theorem2_opt(16, Theorem2Phase::SPrimeThenAll);
-        let pd = ratio_summary(trials, 1, 2, make, |_| Alg::Pd, opt);
-        let dec = ratio_summary(trials, 1, 2, make, |_| Alg::PerCommodityPd, opt);
+        let pd = ratio_summary(trials, 1, 2, make, |_| Engine::Pd, opt);
+        let dec = ratio_summary(trials, 1, 2, make, |_| Engine::PerCommodity, opt);
         assert!(
             pd.mean < dec.mean,
             "PD ({}) must beat never-predict ({}) once prediction pays",

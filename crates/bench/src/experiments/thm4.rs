@@ -1,10 +1,11 @@
 //! `thm4-pd` — measured PD-OMFLP competitive ratios as `n` and `|S|` grow,
 //! against the Theorem 4 shape `√|S| · ln n`.
 
-use crate::runner::{bracket, run_cost, Alg};
+use crate::runner::{bracket, run_cost};
 use crate::table::{fmt, Table};
 use omfl_commodity::cost::CostModel;
 use omfl_core::bounds::pd_upper;
+use omfl_sim::Engine;
 use omfl_workload::composite::uniform_line;
 use omfl_workload::demand::DemandModel;
 
@@ -42,7 +43,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             )
             .expect("scenario");
             let b = bracket(&sc);
-            let pd = run_cost(&sc, Alg::Pd);
+            let pd = run_cost(&sc, Engine::Pd);
             t.row(&[
                 n.to_string(),
                 fmt(pd_upper(s as usize, n)),
@@ -87,7 +88,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             )
             .expect("scenario");
             let b = bracket(&sc);
-            let pd = run_cost(&sc, Alg::Pd);
+            let pd = run_cost(&sc, Engine::Pd);
             t.row(&[
                 s.to_string(),
                 fmt(pd_upper(s as usize, n)),

@@ -1,8 +1,9 @@
 //! Experiment harness regenerating every figure and theorem of the paper.
 //!
 //! `cargo run -p omfl-bench --release --bin experiments -- --list` prints the
-//! registry; each experiment id matches a row of DESIGN.md §2 and produces
-//! one or more aligned tables (and CSV files under `results/`).
+//! registry (README, "The experiment harness", shows how to run it); each
+//! experiment id produces one or more aligned tables (and CSV files under
+//! `results/`).
 
 pub mod experiments;
 pub mod perfjson;
@@ -13,7 +14,7 @@ use table::Table;
 
 /// A registered experiment.
 pub struct Experiment {
-    /// Stable id (matches DESIGN.md §2).
+    /// Stable id (as `experiments -- --list` prints it).
     pub id: &'static str,
     /// What paper artifact it regenerates.
     pub title: &'static str,

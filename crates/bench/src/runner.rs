@@ -1,121 +1,51 @@
 //! Shared measurement machinery: run algorithms over scenarios, estimate
 //! expectations over trials, and bracket OPT.
 
-use omfl_baselines::all_large::{AllLarge, AllLargeParts};
 use omfl_baselines::offline::{
     serve_alone_lower_bound, DualLowerBound, ExactArm, GreedyOffline, LocalSearch, OptBracket,
 };
-use omfl_baselines::per_commodity::{PerCommodity, PerCommodityParts};
-use omfl_core::algorithm::{run_online, OnlineAlgorithm};
-use omfl_core::pd::PdOmflp;
-use omfl_core::randalg::RandOmflp;
+use omfl_core::algorithm::run_online_verified;
 use omfl_par::{parallel_map, seed_for, summarize, Summary};
+use omfl_sim::{with_engine, Engine};
 use omfl_workload::Scenario;
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Which algorithm to run over a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Alg {
-    /// PD-OMFLP (deterministic).
-    Pd,
-    /// RAND-OMFLP with a seed.
-    Rand(u64),
-    /// Per-commodity decomposition with deterministic PD engines.
-    PerCommodityPd,
-    /// Per-commodity decomposition with Meyerson engines.
-    PerCommodityMeyerson(u64),
-    /// Always-predict baseline (Fotakis engine on the collapsed instance).
-    AllLargeDet,
-}
-
-impl Alg {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Alg::Pd => "pd",
-            Alg::Rand(_) => "rand",
-            Alg::PerCommodityPd => "per-com",
-            Alg::PerCommodityMeyerson(_) => "per-com-mey",
-            Alg::AllLargeDet => "all-large",
-        }
-    }
-}
-
-/// Runs one algorithm over a scenario, verifying feasibility; returns the
+/// Runs one engine over a scenario, verifying feasibility; returns the
 /// total cost. Panics on infeasibility — a broken run must never silently
 /// enter a results table.
-pub fn run_cost(scenario: &Scenario, alg: Alg) -> f64 {
-    let inst = scenario.instance();
-    let cost = match alg {
-        Alg::Pd => {
-            let mut a = PdOmflp::new(inst);
-            let c = run_online(&mut a, &scenario.requests).expect("serve");
-            a.solution().verify(inst).expect("feasible");
-            c
-        }
-        Alg::Rand(seed) => {
-            let mut a = RandOmflp::new(inst, seed);
-            let c = run_online(&mut a, &scenario.requests).expect("serve");
-            a.solution().verify(inst).expect("feasible");
-            c
-        }
-        Alg::PerCommodityPd => {
-            let parts =
-                PerCommodityParts::build(Arc::clone(&scenario.metric), scenario.cost.clone())
-                    .expect("parts");
-            let mut a = PerCommodity::new_pd(&parts);
-            let c = run_online(&mut a, &scenario.requests).expect("serve");
-            a.solution().verify(&parts.original).expect("feasible");
-            c
-        }
-        Alg::PerCommodityMeyerson(seed) => {
-            let parts =
-                PerCommodityParts::build(Arc::clone(&scenario.metric), scenario.cost.clone())
-                    .expect("parts");
-            let mut a = PerCommodity::new_meyerson(&parts, seed).expect("engines");
-            let c = run_online(&mut a, &scenario.requests).expect("serve");
-            a.solution().verify(&parts.original).expect("feasible");
-            c
-        }
-        Alg::AllLargeDet => {
-            let parts = AllLargeParts::build(Arc::clone(&scenario.metric), scenario.cost.clone())
-                .expect("parts");
-            let mut a = AllLarge::new_fotakis(&parts).expect("engine");
-            let c = run_online(&mut a, &scenario.requests).expect("serve");
-            a.solution().verify(&parts.original).expect("feasible");
-            c
-        }
-    };
-    cost
+pub fn run_cost(scenario: &Scenario, engine: Engine) -> f64 {
+    with_engine(scenario, engine, |a| {
+        run_online_verified(a, scenario.instance(), &scenario.requests)
+    })
+    .expect("feasible run")
 }
 
 /// Wall-clock of one full run (seconds) together with the cost.
-pub fn run_timed(scenario: &Scenario, alg: Alg) -> (f64, f64) {
+pub fn run_timed(scenario: &Scenario, engine: Engine) -> (f64, f64) {
     let t0 = Instant::now();
-    let cost = run_cost(scenario, alg);
+    let cost = run_cost(scenario, engine);
     (cost, t0.elapsed().as_secs_f64())
 }
 
 /// Monte-Carlo estimate over `trials` scenario seeds: `make(seed)` builds
-/// the (possibly random) scenario, `alg(seed)` selects the algorithm for
+/// the (possibly random) scenario, `engine(seed)` selects the engine for
 /// that trial. Trials run in parallel with deterministic per-trial seeds.
 pub fn trial_summary<F, G>(
     trials: usize,
     base_seed: u64,
     threads: usize,
     make: F,
-    alg: G,
+    engine: G,
 ) -> Summary
 where
     F: Fn(u64) -> Scenario + Sync,
-    G: Fn(u64) -> Alg + Sync,
+    G: Fn(u64) -> Engine + Sync,
 {
     let idx: Vec<u64> = (0..trials as u64).collect();
     let costs = parallel_map(&idx, threads, |_, &t| {
         let seed = seed_for(base_seed, t);
         let sc = make(seed);
-        run_cost(&sc, alg(seed))
+        run_cost(&sc, engine(seed))
     });
     summarize(&costs)
 }
@@ -127,12 +57,12 @@ pub fn ratio_summary<F, G, H>(
     base_seed: u64,
     threads: usize,
     make: F,
-    alg: G,
+    engine: G,
     opt: H,
 ) -> Summary
 where
     F: Fn(u64) -> Scenario + Sync,
-    G: Fn(u64) -> Alg + Sync,
+    G: Fn(u64) -> Engine + Sync,
     H: Fn(&Scenario) -> f64 + Sync,
 {
     let idx: Vec<u64> = (0..trials as u64).collect();
@@ -141,7 +71,7 @@ where
         let sc = make(seed);
         let o = opt(&sc);
         assert!(o > 0.0, "OPT reference must be positive");
-        run_cost(&sc, alg(seed)) / o
+        run_cost(&sc, engine(seed)) / o
     });
     summarize(&ratios)
 }
@@ -193,15 +123,9 @@ mod tests {
     #[test]
     fn run_cost_all_algorithms() {
         let sc = scenario(1);
-        for alg in [
-            Alg::Pd,
-            Alg::Rand(3),
-            Alg::PerCommodityPd,
-            Alg::PerCommodityMeyerson(3),
-            Alg::AllLargeDet,
-        ] {
-            let c = run_cost(&sc, alg);
-            assert!(c > 0.0, "{}", alg.name());
+        for engine in Engine::all(3) {
+            let c = run_cost(&sc, engine);
+            assert!(c > 0.0, "{}", engine.name());
         }
     }
 
@@ -211,7 +135,7 @@ mod tests {
         let b = bracket(&sc);
         assert!(b.lower > 0.0);
         assert!(b.lower <= b.upper + 1e-9);
-        let pd = run_cost(&sc, Alg::Pd);
+        let pd = run_cost(&sc, Engine::Pd);
         // The online cost must be at least the lower bound on OPT (it is a
         // feasible solution), sanity-checking the whole pipeline.
         assert!(pd >= b.lower - 1e-9);
@@ -219,15 +143,16 @@ mod tests {
 
     #[test]
     fn trial_summary_deterministic() {
-        let a = trial_summary(4, 7, 2, scenario, Alg::Rand);
-        let b = trial_summary(4, 7, 4, scenario, Alg::Rand);
+        let rand = |seed| Engine::Rand { seed };
+        let a = trial_summary(4, 7, 2, scenario, rand);
+        let b = trial_summary(4, 7, 4, scenario, rand);
         assert_eq!(a, b, "thread count must not change results");
     }
 
     #[test]
     fn run_timed_returns_positive_duration() {
         let sc = scenario(3);
-        let (c, t) = run_timed(&sc, Alg::Pd);
+        let (c, t) = run_timed(&sc, Engine::Pd);
         assert!(c > 0.0);
         assert!(t >= 0.0);
     }

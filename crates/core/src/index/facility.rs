@@ -31,15 +31,16 @@ pub struct FacilityIndex {
     large_f: Vec<u32>,
     /// Openings folded in so far (for diagnostics and refresh-boundary tests).
     openings: usize,
-    /// Block layout shared with the engine's [`OpeningTargetIndex`] (when
-    /// one is active): lets [`Self::note_opening_in_blocks`] skip every
-    /// block an opening provably cannot reach.
+    /// Block layout shared with the PD engine's
+    /// [`OpeningTargetIndex`](super::OpeningTargetIndex) on its partial-row
+    /// path: lets [`Self::note_opening_in_blocks`] skip every block an
+    /// opening provably cannot reach.
     layout: Option<Arc<SpatialLayout>>,
     /// Per-block upper bound on the cached distances, flat `e·nblocks + b`
-    /// for the small caches and `|S|·nblocks + b` for the large one.
-    /// Starts at `∞`; only the bounded refresh lowers it, recomputing
-    /// exactly the blocks it visits — caches only fall, so the bound is
-    /// never stale low.
+    /// for the small caches and `|S|·nblocks + b` for the large one; empty
+    /// without a layout. Starts at `∞`; each refresh recomputes exactly the
+    /// blocks it visits — caches only fall, so the bound is never stale
+    /// low.
     block_max: Vec<f64>,
 }
 
@@ -59,17 +60,17 @@ impl FacilityIndex {
         }
     }
 
-    /// Adopts the opening-target index's block layout for the bounded
-    /// refresh, as [`PastIndex::attach_layout`] does for the shrink walks.
-    /// The per-block maxima start at `∞`, so the first opening of each
-    /// cache visits every block.
-    pub(crate) fn attach_layout(&mut self, layout: Arc<SpatialLayout>) {
-        self.block_max = vec![f64::INFINITY; (self.services + 1) * layout.nblocks()];
-        self.layout = Some(layout);
+    /// Installs (or removes) the block layout the bounded refresh walks.
+    /// Fresh per-block maxima start at `∞`, so installing at any time is
+    /// sound: the next opening of each cache visits every block.
+    pub(crate) fn set_layout(&mut self, layout: Option<Arc<SpatialLayout>>) {
+        let nblocks = layout.as_ref().map_or(0, |l| l.nblocks());
+        self.block_max = vec![f64::INFINITY; (self.services + 1) * nblocks];
+        self.layout = layout;
     }
 
     /// Range of the maxima row of the cache an opening of `e` (small) or
-    /// `None` (large) refreshes; empty without an attached layout.
+    /// `None` (large) refreshes; empty without a layout.
     fn maxima_range(&self, e: Option<CommodityId>) -> std::ops::Range<usize> {
         let nblocks = self.layout.as_ref().map_or(0, |l| l.nblocks());
         let row = e.map_or(self.services, |e| e.index());
@@ -77,23 +78,19 @@ impl FacilityIndex {
     }
 
     /// The per-block maxima of the cache an opening of `e` (small) or
-    /// `None` (large) refreshes; empty without an attached layout.
+    /// `None` (large) refreshes; empty without a layout.
     pub(crate) fn block_maxima(&self, e: Option<CommodityId>) -> &[f64] {
         &self.block_max[self.maxima_range(e)]
     }
 
     /// The cache an opening of `e` (small) or `None` (large) refreshes,
-    /// with its per-block maxima and the attached layout.
+    /// with its per-block maxima and the layout, if one is installed.
     #[allow(clippy::type_complexity)]
     fn refresh_parts(
         &mut self,
         e: Option<CommodityId>,
-    ) -> (&mut [f64], &mut [u32], &mut [f64], &SpatialLayout) {
+    ) -> (&mut [f64], &mut [u32], &mut [f64], Option<&SpatialLayout>) {
         let range = self.maxima_range(e);
-        let layout = self
-            .layout
-            .as_deref()
-            .expect("bounded refresh needs a layout");
         let (cache_d, cache_f) = match e {
             Some(e) => {
                 let base = e.index() * self.points;
@@ -104,17 +101,63 @@ impl FacilityIndex {
             }
             None => (&mut self.large_d[..], &mut self.large_f[..]),
         };
-        (cache_d, cache_f, &mut self.block_max[range], layout)
+        (
+            cache_d,
+            cache_f,
+            &mut self.block_max[range],
+            self.layout.as_deref(),
+        )
+    }
+
+    /// Folds an opening at `at` (small for `e`, or large for `None`) into
+    /// the cache from its full distance row `row[p] = d(p, at)`, which
+    /// must hold the verbatim metric values (e.g. from
+    /// [`Instance::fill_row`]): the strict-`<` update over every point, in
+    /// opening order. With a layout installed it also recomputes every
+    /// block maximum through the layout's positions.
+    pub fn note_opening(&mut self, e: Option<CommodityId>, row: &[f64], fid: FacilityId) {
+        assert_eq!(row.len(), self.points, "one distance per point");
+        let (cache_d, cache_f, maxima, layout) = self.refresh_parts(e);
+        let cache = cache_d.iter_mut().zip(cache_f.iter_mut()).zip(row);
+        match layout {
+            None => {
+                for ((sd, sf), &d) in cache {
+                    if d < *sd {
+                        *sd = d;
+                        *sf = fid.0;
+                    }
+                }
+            }
+            Some(layout) => {
+                // Block sizes are powers of two: a shift, not a division,
+                // per point of the whole row.
+                debug_assert!(layout.block.is_power_of_two());
+                let shift = layout.block.trailing_zeros();
+                maxima.fill(0.0);
+                for (((sd, sf), &d), &pos) in cache.zip(&layout.pos) {
+                    if d < *sd {
+                        *sd = d;
+                        *sf = fid.0;
+                    }
+                    let b = (pos >> shift) as usize;
+                    if *sd > maxima[b] {
+                        maxima[b] = *sd;
+                    }
+                }
+            }
+        }
+        self.openings += 1;
     }
 
     /// The bounded refresh: folds an opening at `at` (small for `e`, or
-    /// large for `None`) into the cache over `blocks` only, with the same
-    /// strict-`<` update as [`Self::note_small_opening_with_row`], then
-    /// recomputes those blocks' maxima exactly. `blocks` must hold every
-    /// block whose certified lower bound on `d(·, at)` is below its
-    /// maximum: a skipped block has `d(p, at) ≥ max ≥ cached[p]` for every
-    /// member, so the update could not fire there. Each block's distances
-    /// come from one [`SpatialLayout::member_distances`] pass.
+    /// large for `None`) into the cache over `blocks` of the installed
+    /// layout only, with the same strict-`<` update as
+    /// [`Self::note_opening`], then recomputes those blocks' maxima
+    /// exactly. `blocks` must hold every block whose certified lower bound
+    /// on `d(·, at)` is below its maximum: a skipped block has
+    /// `d(p, at) ≥ max ≥ cached[p]` for every member, so the update could
+    /// not fire there. Each block's distances come from one
+    /// [`SpatialLayout::member_distances`] pass.
     pub(crate) fn note_opening_in_blocks(
         &mut self,
         inst: &Instance,
@@ -124,6 +167,7 @@ impl FacilityIndex {
         fid: FacilityId,
     ) {
         let (cache_d, cache_f, maxima, layout) = self.refresh_parts(e);
+        let layout = layout.expect("bounded refresh needs a layout");
         let mut buf = [0.0; HUGE_BLOCK];
         for &b in blocks {
             let b = b as usize;
@@ -144,35 +188,6 @@ impl FacilityIndex {
         self.openings += 1;
     }
 
-    /// The wide-coverage fallback of [`Self::note_opening_in_blocks`]: the
-    /// full row `row[p] = d(p, at)` walked contiguously, every maximum
-    /// recomputed through the layout's positions.
-    pub(crate) fn note_opening_full_row(
-        &mut self,
-        e: Option<CommodityId>,
-        row: &[f64],
-        fid: FacilityId,
-    ) {
-        let (cache_d, cache_f, maxima, layout) = self.refresh_parts(e);
-        // Block sizes are powers of two: a shift, not a division, per
-        // point of the whole row.
-        debug_assert!(layout.block.is_power_of_two());
-        let shift = layout.block.trailing_zeros();
-        maxima.fill(0.0);
-        let cache = cache_d.iter_mut().zip(cache_f.iter_mut());
-        for (((sd, sf), &d), &pos) in cache.zip(row).zip(&layout.pos) {
-            if d < *sd {
-                *sd = d;
-                *sf = fid.0;
-            }
-            let b = (pos >> shift) as usize;
-            if *sd > maxima[b] {
-                maxima[b] = *sd;
-            }
-        }
-        self.openings += 1;
-    }
-
     /// An empty index sized for an instance.
     pub fn for_instance(inst: &Instance) -> Self {
         Self::new(inst.num_points(), inst.num_commodities())
@@ -181,71 +196,6 @@ impl FacilityIndex {
     /// Number of openings folded into the caches so far.
     pub fn openings(&self) -> usize {
         self.openings
-    }
-
-    /// Folds a newly opened *small* facility for `e` at `at` into the cache:
-    /// `O(|M|)` distance evaluations, once per opening.
-    pub fn note_small_opening(
-        &mut self,
-        inst: &Instance,
-        e: CommodityId,
-        at: PointId,
-        fid: FacilityId,
-    ) {
-        let base = e.index() * self.points;
-        for p in 0..self.points {
-            // Same argument order as the scan it replaces: d(query, location).
-            let d = inst.distance(PointId(p as u32), at);
-            let idx = base + p;
-            if d < self.small_d[idx] {
-                self.small_d[idx] = d;
-                self.small_f[idx] = fid.0;
-            }
-        }
-        self.openings += 1;
-    }
-
-    /// Folds a newly opened *large* facility at `at` into the cache.
-    pub fn note_large_opening(&mut self, inst: &Instance, at: PointId, fid: FacilityId) {
-        for p in 0..self.points {
-            let d = inst.distance(PointId(p as u32), at);
-            if d < self.large_d[p] {
-                self.large_d[p] = d;
-                self.large_f[p] = fid.0;
-            }
-        }
-        self.openings += 1;
-    }
-
-    /// [`Self::note_small_opening`] with the opening location's distance
-    /// row supplied by the caller (`row[p] = d(p, at)`, e.g. from a
-    /// [`omfl_metric::blocked::BlockedRowCache`]). The row values must be
-    /// the verbatim metric results — then this is bit-identical to the
-    /// per-call variant, minus the `O(|M|)` pointer-chasing.
-    pub fn note_small_opening_with_row(&mut self, row: &[f64], e: CommodityId, fid: FacilityId) {
-        let base = e.index() * self.points;
-        let (d_row, f_row) = (
-            &mut self.small_d[base..base + row.len()],
-            &mut self.small_f[base..base + row.len()],
-        );
-        for ((sd, sf), &d) in d_row.iter_mut().zip(f_row.iter_mut()).zip(row) {
-            if d < *sd {
-                *sd = d;
-                *sf = fid.0;
-            }
-        }
-        self.openings += 1;
-    }
-
-    /// [`Self::note_large_opening`] with a caller-supplied distance row.
-    pub fn note_large_opening_with_row(&mut self, row: &[f64], fid: FacilityId) {
-        for (p, &d) in row.iter().enumerate() {
-            if d < self.large_d[p] {
-                self.large_d[p] = d;
-                self.large_f[p] = fid.0;
-            }
-        }
-        self.openings += 1;
     }
 
     /// Nearest open facility offering `e` (small-for-`e` or large), `O(1)`.
@@ -274,18 +224,6 @@ impl FacilityIndex {
             None
         } else {
             Some((FacilityId(self.large_f[from.index()]), d))
-        }
-    }
-
-    /// Nearest open small facility offering `e` (larges excluded), `O(1)`.
-    #[inline]
-    pub fn nearest_small(&self, e: CommodityId, from: PointId) -> Option<(FacilityId, f64)> {
-        let idx = e.index() * self.points + from.index();
-        let d = self.small_d[idx];
-        if d.is_infinite() {
-            None
-        } else {
-            Some((FacilityId(self.small_f[idx]), d))
         }
     }
 }

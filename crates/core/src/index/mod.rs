@@ -11,10 +11,10 @@
 //! [`FacilityIndex`] inverts the maintenance: facilities open rarely, so on
 //! each opening we refresh a per-point cache of `(nearest facility,
 //! distance)` once and every subsequent query is `O(1)`. The refresh is
-//! `O(|M|)` over a full distance row; with the engine's block layout
-//! attached it visits only the blocks whose certified distance lower bound
-//! undercuts their largest cached distance — an opening can only lower
-//! caches near the new facility.
+//! `O(|M|)` over a full distance row; on the PD engine's partial-row path,
+//! with the block layout installed, it visits only the blocks whose
+//! certified distance lower bound undercuts their largest cached distance —
+//! an opening can only lower caches near the new facility.
 //!
 //! # Bit-identical tie-breaking (the index invariant)
 //!
@@ -27,8 +27,9 @@
 //!   smaller distance, so within each class the earliest-opened minimum wins;
 //! * small and large caches are kept separate and combined at query time
 //!   with `small wins ties`, mirroring the smalls-then-larges scan order;
-//! * cached distances are produced by the *same* `distance(query, location)`
-//!   call the scan would make, so the floats are identical, not just close.
+//! * cached distances are the *same* `distance(query, location)` values the
+//!   scan would compute (a row from `Metric::fill_row` holds them verbatim),
+//!   so the floats are identical, not just close.
 //!
 //! The differential suite (`tests/tests/differential.rs`) pins this down by
 //! comparing the indexed PD against the retained linear-scan reference
@@ -206,13 +207,27 @@ mod tests {
         best
     }
 
+    /// Folds an opening at `at` into `idx` through its full distance row.
+    fn note_opening(
+        idx: &mut FacilityIndex,
+        inst: &Instance,
+        e: Option<CommodityId>,
+        at: PointId,
+        fid: FacilityId,
+    ) {
+        let mut row = vec![0.0; inst.num_points()];
+        inst.fill_row(at, &mut row);
+        idx.note_opening(e, &row, fid);
+    }
+
     #[test]
     fn empty_index_answers_none() {
         let inst = inst(vec![0.0, 1.0], 3);
         let idx = FacilityIndex::for_instance(&inst);
         assert!(idx.nearest_offering(CommodityId(0), PointId(0)).is_none());
         assert!(idx.nearest_large(PointId(1)).is_none());
-        assert!(idx.nearest_small(CommodityId(2), PointId(0)).is_none());
+        // The small cache of commodity 2 at point 0: flat `e·|M| + p`.
+        assert!(idx.small_d[2 * 2].is_infinite());
         assert_eq!(idx.openings(), 0);
     }
 
@@ -238,10 +253,10 @@ mod tests {
             };
             let fid = sol.open_facility(&inst, PointId(p), config);
             if large {
-                idx.note_large_opening(&inst, PointId(p), fid);
+                note_opening(&mut idx, &inst, None, PointId(p), fid);
                 larges.push(fid);
             } else {
-                idx.note_small_opening(&inst, e, PointId(p), fid);
+                note_opening(&mut idx, &inst, Some(e), PointId(p), fid);
                 smalls.push(fid);
             }
             for q in 0..inst.num_points() as u32 {
@@ -263,14 +278,14 @@ mod tests {
         let mut sol = Solution::new();
         let mut idx = FacilityIndex::for_instance(&inst);
         let fid = sol.open_facility(&inst, PointId(1), CommoditySet::full(inst.universe()));
-        idx.note_large_opening(&inst, PointId(1), fid);
+        note_opening(&mut idx, &inst, None, PointId(1), fid);
         for e in 0..4u16 {
             let (f, d) = idx.nearest_offering(CommodityId(e), PointId(0)).unwrap();
             assert_eq!(f, fid);
             assert_eq!(d, 5.0);
         }
         assert_eq!(idx.nearest_large(PointId(1)).unwrap().1, 0.0);
-        assert!(idx.nearest_small(CommodityId(0), PointId(0)).is_none());
+        assert!(idx.small_d[0].is_infinite(), "no small facility opened");
     }
 
     /// A point cloud that stresses the coordinate fold: negative,
@@ -369,7 +384,7 @@ mod tests {
         if full {
             let mut row = vec![0.0; inst.num_points()];
             inst.fill_row(at, &mut row);
-            idx.note_opening_full_row(e, &row, fid);
+            idx.note_opening(e, &row, fid);
         } else {
             idx.note_opening_in_blocks(inst, e, at, &blocks, fid);
         }
@@ -405,7 +420,7 @@ mod tests {
         let (mut narrow, mut wide) = (0, 0);
         for layout in layouts {
             let mut bounded = FacilityIndex::new(m, s);
-            bounded.attach_layout(Arc::clone(&layout));
+            bounded.set_layout(Some(Arc::clone(&layout)));
             let mut reference = FacilityIndex::new(m, s);
             for k in 0..160u32 {
                 let at = PointId((xorshift(&mut st) % m as u64) as u32);
@@ -417,10 +432,7 @@ mod tests {
                 let full_row: Vec<f64> = (0..m as u32)
                     .map(|p| inst.distance(PointId(p), at))
                     .collect();
-                match e {
-                    Some(e) => reference.note_small_opening_with_row(&full_row, e, fid),
-                    None => reference.note_large_opening_with_row(&full_row, fid),
-                }
+                reference.note_opening(e, &full_row, fid);
                 if bounded_opening(&mut bounded, &layout, &inst, e, at, fid) {
                     wide += 1;
                 } else {
@@ -467,7 +479,7 @@ mod tests {
     #[test]
     fn past_index_buckets_skip_and_sort() {
         let inst = inst(vec![0.0, 10.0, 20.0], 2);
-        let mut past = PastIndex::new(3, 2);
+        let mut past = PastIndex::new(Arc::new(SpatialLayout::identity(3)), 2);
         let e = CommodityId(0);
         // Requests at points 0 and 2 with caps 4.0; request 1 interleaved at
         // point 2 so candidate order must be re-sorted.
@@ -495,9 +507,9 @@ mod tests {
 
     #[test]
     fn past_index_block_pruning_matches_plain_walk() {
-        // A layout-attached PastIndex must return exactly the same shrink
+        // A block-pruned PastIndex must return exactly the same shrink
         // candidates — and clamp exactly the same bucket bounds — as the
-        // plain bucket walk, under an adversarial interleaving of pushes
+        // plain walk over every slot, under an adversarial interleaving of pushes
         // and (mutating) shrink queries over a shuffled relabeling. The
         // dense case pushes at every location; the sparse one pushes at
         // 40 of 4096, so most blocks hold no slot.
@@ -514,9 +526,8 @@ mod tests {
                 order.swap(i, j);
             }
             let idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, order).unwrap();
-            let mut pruned = PastIndex::new(m, s);
-            pruned.attach_layout(idx.layout_handle());
-            let mut plain = PastIndex::new(m, s);
+            let mut pruned = PastIndex::new(idx.layout_handle(), s);
+            let mut plain = PastIndex::new(Arc::new(SpatialLayout::identity(m)), s);
             let e = CommodityId(1);
             for step in 0..400usize {
                 let at = PointId((xorshift(&mut st) % m as u64) as u32);
@@ -529,10 +540,10 @@ mod tests {
                     plain.push_request(step as u32, site, &demands, &caps, cap);
                 } else {
                     let got = pruned.small_shrink_candidates(&inst, e, at);
-                    let want = plain.small_shrink_candidates(&inst, e, at);
+                    let want = plain.plain_small_shrink_candidates(&inst, e, at);
                     assert_eq!(got, want, "{m}: small candidates diverged at step {step}");
                     let got = pruned.large_shrink_candidates(&inst, at);
-                    let want = plain.large_shrink_candidates(&inst, at);
+                    let want = plain.plain_large_shrink_candidates(&inst, at);
                     assert_eq!(got, want, "{m}: large candidates diverged at step {step}");
                 }
             }
@@ -559,13 +570,14 @@ mod tests {
     #[test]
     fn past_index_opens_slots_only_at_touched_locations() {
         // A million-point index holds nothing but its zeroed slot table
-        // until the first request arrives.
-        let big = PastIndex::new(1 << 20, 8);
+        // and per-block bounds until the first request arrives.
+        let big = PastIndex::new(Arc::new(SpatialLayout::identity(1 << 20)), 8);
         assert_eq!(big.slot_of.len(), 1 << 20);
         assert!(big.slot_loc.is_empty() && big.by_loc.is_empty());
         assert!(big.by_loc_e.is_empty() && big.max_cap_e.is_empty());
         assert!(big.max_cap_any.is_empty() && big.max_cap_total.is_empty());
-        assert!(big.commodities_at.is_empty() && big.block_locs.is_empty());
+        assert!(big.commodities_at.is_empty());
+        assert!(big.block_locs.iter().all(Vec::is_empty));
 
         // Pushes at three distinct locations — one of them twice, one
         // request demanding two commodities — open three slots in
@@ -575,8 +587,7 @@ mod tests {
         let f_small = vec![1.0; m * s];
         let f_full = vec![3.0; m];
         let layout = OpeningTargetIndex::for_instance(&inst, &f_small, &f_full).layout_handle();
-        let mut past = PastIndex::new(m, s);
-        past.attach_layout(Arc::clone(&layout));
+        let mut past = PastIndex::new(Arc::clone(&layout), s);
         let (e0, e1, e2) = (CommodityId(0), CommodityId(1), CommodityId(2));
         past.push_request(0, PointId(40), &[e0], &[1.0], 1.0);
         past.push_request(1, PointId(7), &[e1, e2], &[1.0, 2.0], 2.0);
@@ -626,8 +637,7 @@ mod tests {
         let f_full = vec![3.0; m];
         let idx = OpeningTargetIndex::with_order(&inst, &f_small, &f_full, (0..m as u32).collect())
             .unwrap();
-        let mut past = PastIndex::new(m, s);
-        past.attach_layout(idx.layout_handle());
+        let mut past = PastIndex::new(idx.layout_handle(), s);
         let e = CommodityId(0);
         for p in 0..96u32 {
             past.push_request(p, PointId(p), &[e], &[8.0], 8.0);
@@ -737,7 +747,7 @@ mod tests {
             for (p, d) in dist_row.iter_mut().enumerate() {
                 *d = ((p.abs_diff(anchor)) % 7) as f64 * 0.5;
             }
-            idx.prepare_query(&dist_row);
+            idx.prepare_query_row(None, &dist_row);
             let got = idx.small_target(e, f_row, &b_row, &dist_row);
             let want = scan_argmin(f_row, &b_row, &dist_row);
             assert_eq!(
@@ -789,7 +799,7 @@ mod tests {
         fold_bumped_key(&mut idx, Some(e), hot, (f_small[hot] - b_row[hot]).max(0.0));
         b_row[hot] = 0.0;
         let dist_row: Vec<f64> = (0..m).map(|p| p as f64 * 0.01).collect();
-        idx.prepare_query(&dist_row);
+        idx.prepare_query_row(None, &dist_row);
         let got = idx.small_target(e, &f_small, &b_row, &dist_row);
         let want = scan_argmin(&f_small, &b_row, &dist_row);
         assert_eq!((got.0.to_bits(), got.1 .0), (want.0.to_bits(), want.1));
@@ -843,7 +853,7 @@ mod tests {
             for (p, d) in dist_row.iter_mut().enumerate() {
                 *d = inst.distance(PointId(p as u32), anchor);
             }
-            idx.prepare_query(&dist_row);
+            idx.prepare_query_row(None, &dist_row);
             let got = idx.small_target(e, f_row, &b_row, &dist_row);
             let want = scan_argmin(f_row, &b_row, &dist_row);
             assert_eq!(
@@ -909,7 +919,7 @@ mod tests {
         for (p, d) in dist_row.iter_mut().enumerate() {
             *d = inst.distance(PointId(p as u32), PointId(0));
         }
-        idx.prepare_query(&dist_row);
+        idx.prepare_query_row(None, &dist_row);
         let e = CommodityId(0);
         let got = idx.small_target(e, &f_small, &b, &dist_row);
         let want = scan_argmin(&f_small, &b, &dist_row);
@@ -962,8 +972,8 @@ mod tests {
                 for (p, d) in dist_row.iter_mut().enumerate() {
                     *d = inst.distance(PointId(p as u32), PointId(anchor));
                 }
-                idx.prepare_query(&dist_row);
-                base.prepare_query(&dist_row);
+                idx.prepare_query_row(None, &dist_row);
+                base.prepare_query_row(None, &dist_row);
                 for e in 0..s as u16 {
                     let e = CommodityId(e);
                     let f_row = &f_small[e.index() * m..(e.index() + 1) * m];
@@ -991,7 +1001,7 @@ mod tests {
         let b = vec![0.0; m];
         let dist = vec![0.0; m];
         let mut idx = OpeningTargetIndex::new(m, 1, &f_small, &f_full);
-        idx.prepare_query(&dist);
+        idx.prepare_query_row(None, &dist);
         let (v, p) = idx.small_target(CommodityId(0), &f_small, &b, &dist);
         assert_eq!((v, p), (1.0, PointId(0)));
         let (skipped, scanned) = idx.stats();

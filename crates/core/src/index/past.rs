@@ -22,11 +22,12 @@ use std::sync::Arc;
 /// *slot* on its first [`Self::push_request`], and every per-location and
 /// per-`(location, commodity)` field is stored by slot, in first-touch
 /// order. Memory is one zeroed `u32` per point (pages of untouched
-/// locations are never written) plus `O(touched locations · |S|)`.
+/// locations are never written), `O(blocks · |S|)` block bounds, plus
+/// `O(touched locations · |S|)`.
 ///
 /// Bounds are allowed to go stale *high* (a skipped shrink elsewhere never
 /// lowers them); they are never stale low, so skipping is always sound.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PastIndex {
     services: usize,
     /// Per location: `0` before its first request, else `1 + slot`.
@@ -43,10 +44,11 @@ pub struct PastIndex {
     pub(super) by_loc: Vec<Vec<u32>>,
     /// Upper bound on `max(cap_total, caps[..])` over requests at the slot.
     pub(super) max_cap_any: Vec<f64>,
-    /// Block layout shared with the engine's [`OpeningTargetIndex`] (when
-    /// one is active): lets the shrink walks skip whole blocks whose
-    /// distance lower bound already exceeds every cap bound inside.
-    layout: Option<Arc<SpatialLayout>>,
+    /// Block layout shared with the engine's
+    /// [`OpeningTargetIndex`](super::OpeningTargetIndex): lets the shrink
+    /// walks skip whole blocks whose distance lower bound already exceeds
+    /// every cap bound inside.
+    layout: Arc<SpatialLayout>,
     /// Per block: the slots of its locations (first-touch append order;
     /// the bucket-level decisions below are order-independent, and the
     /// output is sorted).
@@ -74,38 +76,37 @@ pub struct PastIndex {
 }
 
 impl PastIndex {
-    /// An empty past-request index over `points × services`.
-    pub fn new(points: usize, services: usize) -> Self {
+    /// An empty past-request index over the layout's points and
+    /// `services` commodities. The shrink walks skip whole blocks of the
+    /// layout by the same radius bounds the argmin scans use; which layout
+    /// it is changes only the number of distance evaluations, never a
+    /// candidate list (content *and* order).
+    pub(crate) fn new(layout: Arc<SpatialLayout>, services: usize) -> Self {
+        let nblocks = layout.nblocks();
         Self {
             services,
-            slot_of: vec![0; points],
-            ..Self::default()
+            slot_of: vec![0; layout.perm.len()],
+            slot_loc: Vec::new(),
+            by_loc_e: Vec::new(),
+            max_cap_e: Vec::new(),
+            by_loc: Vec::new(),
+            max_cap_any: Vec::new(),
+            layout,
+            block_locs: vec![Vec::new(); nblocks],
+            block_cap_e: vec![0.0; services * nblocks],
+            block_cap_any: vec![0.0; nblocks],
+            max_cap_total: Vec::new(),
+            commodities_at: Vec::new(),
+            blocks_skipped: 0,
+            blocks_scanned: 0,
         }
     }
 
     /// `(blocks skipped, blocks scanned)` by the layout-pruned shrink walks
     /// since construction. Pure observability — the counters never feed
-    /// back into candidate selection. Both stay 0 without an attached
-    /// layout.
+    /// back into candidate selection.
     pub fn stats(&self) -> (u64, u64) {
         (self.blocks_skipped, self.blocks_scanned)
-    }
-
-    /// Adopts the opening-target index's block layout so the shrink walks
-    /// can skip whole blocks by the same radius bounds the argmin scans
-    /// use. Must be installed before the first [`Self::push_request`]; the
-    /// candidate lists (content *and* order) are identical with or without
-    /// a layout — only the number of distance evaluations changes.
-    pub(crate) fn attach_layout(&mut self, layout: Arc<SpatialLayout>) {
-        debug_assert!(
-            self.slot_loc.is_empty(),
-            "attach_layout must precede the first push_request"
-        );
-        let nblocks = layout.nblocks();
-        self.block_locs = vec![Vec::new(); nblocks];
-        self.block_cap_e = vec![0.0; self.services * nblocks];
-        self.block_cap_any = vec![0.0; nblocks];
-        self.layout = Some(layout);
     }
 
     /// Registers a freshly frozen request: its location, its commodities
@@ -119,10 +120,7 @@ impl PastIndex {
         cap_total: f64,
     ) {
         let l = loc.index();
-        let block = self
-            .layout
-            .as_ref()
-            .map(|lay| lay.pos[l] as usize / lay.block);
+        let b = self.layout.pos[l] as usize / self.layout.block;
         if self.slot_of[l] == 0 {
             // The location's first request opens its slot.
             let n = self.slot_loc.len();
@@ -134,9 +132,7 @@ impl PastIndex {
             self.max_cap_any.push(0.0);
             self.max_cap_total.push(0.0);
             self.commodities_at.push(Vec::new());
-            if let Some(b) = block {
-                self.block_locs[b].push(n as u32);
-            }
+            self.block_locs[b].push(n as u32);
         }
         let slot = self.slot_of[l] as usize - 1;
         let nblocks = self.block_cap_any.len();
@@ -153,11 +149,9 @@ impl PastIndex {
             if cap > self.max_cap_e[idx] {
                 self.max_cap_e[idx] = cap;
             }
-            if let Some(b) = block {
-                let bidx = e.index() * nblocks + b;
-                if cap > self.block_cap_e[bidx] {
-                    self.block_cap_e[bidx] = cap;
-                }
+            let bidx = e.index() * nblocks + b;
+            if cap > self.block_cap_e[bidx] {
+                self.block_cap_e[bidx] = cap;
             }
             if cap > any {
                 any = cap;
@@ -167,10 +161,8 @@ impl PastIndex {
         if any > self.max_cap_any[slot] {
             self.max_cap_any[slot] = any;
         }
-        if let Some(b) = block {
-            if any > self.block_cap_any[b] {
-                self.block_cap_any[b] = any;
-            }
+        if any > self.block_cap_any[b] {
+            self.block_cap_any[b] = any;
         }
     }
 
@@ -182,7 +174,7 @@ impl PastIndex {
     /// have their bound clamped to the new distance (all surviving caps
     /// are at most that).
     ///
-    /// With an attached layout the walk goes block by block: a block whose
+    /// The walk goes block by block over the layout: a block whose
     /// certified distance lower bound (`d(at, rep) − radius`, slack
     /// included) is at least its cap bound cannot contain a qualifying
     /// bucket — `d(at, ℓ) ≥ dlb ≥ block cap ≥ bucket cap` for every `ℓ`
@@ -206,65 +198,50 @@ impl PastIndex {
     ) -> Vec<(u32, u16)> {
         let (s, e) = (self.services, e.index());
         let mut out = Vec::new();
-        if let Some(layout) = self.layout.clone() {
-            let nblocks = self.block_cap_any.len();
-            let cap_base = e * nblocks;
-            for b in 0..nblocks {
-                let bcap = self.block_cap_e[cap_base + b];
-                if bcap <= 0.0 || self.block_locs[b].is_empty() {
-                    self.blocks_skipped += 1;
-                    continue;
-                }
-                let d_rep = inst.distance(at, PointId(layout.rep[b]));
-                if dist_lower_bound(d_rep, layout.radius[b]) >= bcap {
-                    self.blocks_skipped += 1;
-                    continue;
-                }
-                self.blocks_scanned += 1;
-                let mut touched = false;
-                let mut any_touched = false;
-                for i in 0..self.block_locs[b].len() {
-                    let slot = self.block_locs[b][i] as usize;
-                    let idx = slot * s + e;
-                    if self.by_loc_e[idx].is_empty() {
-                        continue;
-                    }
-                    let dj = inst.distance(at, PointId(self.slot_loc[slot]));
-                    if dj < self.max_cap_e[idx] {
-                        out.extend_from_slice(&self.by_loc_e[idx]);
-                        self.max_cap_e[idx] = dj;
-                        touched = true;
-                        any_touched |= self.retighten_any(slot);
-                    }
-                }
-                if touched {
-                    let mut cap = 0.0f64;
-                    for &slot in &self.block_locs[b] {
-                        cap = cap.max(self.max_cap_e[slot as usize * s + e]);
-                    }
-                    self.block_cap_e[cap_base + b] = cap;
-                }
-                if any_touched {
-                    let mut cap = 0.0f64;
-                    for &slot in &self.block_locs[b] {
-                        cap = cap.max(self.max_cap_any[slot as usize]);
-                    }
-                    self.block_cap_any[b] = cap;
-                }
-            }
-            out.sort_unstable();
-            return out;
-        }
-        for slot in 0..self.slot_loc.len() {
-            let idx = slot * s + e;
-            if self.by_loc_e[idx].is_empty() {
+        let layout = Arc::clone(&self.layout);
+        let nblocks = self.block_cap_any.len();
+        let cap_base = e * nblocks;
+        for b in 0..nblocks {
+            let bcap = self.block_cap_e[cap_base + b];
+            if bcap <= 0.0 || self.block_locs[b].is_empty() {
+                self.blocks_skipped += 1;
                 continue;
             }
-            let dj = inst.distance(at, PointId(self.slot_loc[slot]));
-            if dj < self.max_cap_e[idx] {
-                out.extend_from_slice(&self.by_loc_e[idx]);
-                self.max_cap_e[idx] = dj;
-                self.retighten_any(slot);
+            let d_rep = inst.distance(at, PointId(layout.rep[b]));
+            if dist_lower_bound(d_rep, layout.radius[b]) >= bcap {
+                self.blocks_skipped += 1;
+                continue;
+            }
+            self.blocks_scanned += 1;
+            let mut touched = false;
+            let mut any_touched = false;
+            for i in 0..self.block_locs[b].len() {
+                let slot = self.block_locs[b][i] as usize;
+                let idx = slot * s + e;
+                if self.by_loc_e[idx].is_empty() {
+                    continue;
+                }
+                let dj = inst.distance(at, PointId(self.slot_loc[slot]));
+                if dj < self.max_cap_e[idx] {
+                    out.extend_from_slice(&self.by_loc_e[idx]);
+                    self.max_cap_e[idx] = dj;
+                    touched = true;
+                    any_touched |= self.retighten_any(slot);
+                }
+            }
+            if touched {
+                let mut cap = 0.0f64;
+                for &slot in &self.block_locs[b] {
+                    cap = cap.max(self.max_cap_e[slot as usize * s + e]);
+                }
+                self.block_cap_e[cap_base + b] = cap;
+            }
+            if any_touched {
+                let mut cap = 0.0f64;
+                for &slot in &self.block_locs[b] {
+                    cap = cap.max(self.max_cap_any[slot as usize]);
+                }
+                self.block_cap_any[b] = cap;
             }
         }
         out.sort_unstable();
@@ -306,58 +283,47 @@ impl PastIndex {
         let s = self.services;
         let mut out = Vec::new();
         let mut touched_e: Vec<u32> = Vec::new();
-        if let Some(layout) = self.layout.clone() {
-            let nblocks = self.block_cap_any.len();
-            for b in 0..nblocks {
-                let bcap = self.block_cap_any[b];
-                if bcap <= 0.0 || self.block_locs[b].is_empty() {
-                    self.blocks_skipped += 1;
-                    continue;
-                }
-                let d_rep = inst.distance(at, PointId(layout.rep[b]));
-                if dist_lower_bound(d_rep, layout.radius[b]) >= bcap {
-                    self.blocks_skipped += 1;
-                    continue;
-                }
-                self.blocks_scanned += 1;
-                let mut touched = false;
-                touched_e.clear();
-                for i in 0..self.block_locs[b].len() {
-                    let slot = self.block_locs[b][i] as usize;
-                    let dj = inst.distance(at, PointId(self.slot_loc[slot]));
-                    if dj < self.max_cap_any[slot] {
-                        out.extend_from_slice(&self.by_loc[slot]);
-                        self.max_cap_any[slot] = dj;
-                        touched = true;
-                        self.clamp_location_bounds(slot, dj, Some(&mut touched_e));
-                    }
-                }
-                if touched {
-                    let mut cap = 0.0f64;
-                    for &slot in &self.block_locs[b] {
-                        cap = cap.max(self.max_cap_any[slot as usize]);
-                    }
-                    self.block_cap_any[b] = cap;
-                }
-                touched_e.sort_unstable();
-                touched_e.dedup();
-                for &e in &touched_e {
-                    let mut cap = 0.0f64;
-                    for &slot in &self.block_locs[b] {
-                        cap = cap.max(self.max_cap_e[slot as usize * s + e as usize]);
-                    }
-                    self.block_cap_e[e as usize * nblocks + b] = cap;
+        let layout = Arc::clone(&self.layout);
+        let nblocks = self.block_cap_any.len();
+        for b in 0..nblocks {
+            let bcap = self.block_cap_any[b];
+            if bcap <= 0.0 || self.block_locs[b].is_empty() {
+                self.blocks_skipped += 1;
+                continue;
+            }
+            let d_rep = inst.distance(at, PointId(layout.rep[b]));
+            if dist_lower_bound(d_rep, layout.radius[b]) >= bcap {
+                self.blocks_skipped += 1;
+                continue;
+            }
+            self.blocks_scanned += 1;
+            let mut touched = false;
+            touched_e.clear();
+            for i in 0..self.block_locs[b].len() {
+                let slot = self.block_locs[b][i] as usize;
+                let dj = inst.distance(at, PointId(self.slot_loc[slot]));
+                if dj < self.max_cap_any[slot] {
+                    out.extend_from_slice(&self.by_loc[slot]);
+                    self.max_cap_any[slot] = dj;
+                    touched = true;
+                    self.clamp_location_bounds(slot, dj, &mut touched_e);
                 }
             }
-            out.sort_unstable();
-            return out;
-        }
-        for slot in 0..self.slot_loc.len() {
-            let dj = inst.distance(at, PointId(self.slot_loc[slot]));
-            if dj < self.max_cap_any[slot] {
-                out.extend_from_slice(&self.by_loc[slot]);
-                self.max_cap_any[slot] = dj;
-                self.clamp_location_bounds(slot, dj, None);
+            if touched {
+                let mut cap = 0.0f64;
+                for &slot in &self.block_locs[b] {
+                    cap = cap.max(self.max_cap_any[slot as usize]);
+                }
+                self.block_cap_any[b] = cap;
+            }
+            touched_e.sort_unstable();
+            touched_e.dedup();
+            for &e in &touched_e {
+                let mut cap = 0.0f64;
+                for &slot in &self.block_locs[b] {
+                    cap = cap.max(self.max_cap_e[slot as usize * s + e as usize]);
+                }
+                self.block_cap_e[e as usize * nblocks + b] = cap;
             }
         }
         out.sort_unstable();
@@ -368,21 +334,67 @@ impl PastIndex {
     /// `dj` after a large opening qualified its location: once the caller's
     /// shrink pass completes, no cap of any family there exceeds `dj`.
     /// Commodities whose bound actually tightened are appended to
-    /// `touched_e` (when collecting for a block-row recompute).
-    fn clamp_location_bounds(&mut self, slot: usize, dj: f64, touched_e: Option<&mut Vec<u32>>) {
+    /// `touched_e`, for the block-row recompute.
+    fn clamp_location_bounds(&mut self, slot: usize, dj: f64, touched_e: &mut Vec<u32>) {
         if dj < self.max_cap_total[slot] {
             self.max_cap_total[slot] = dj;
         }
-        let mut sink = touched_e;
         for i in 0..self.commodities_at[slot].len() {
             let e = self.commodities_at[slot][i];
             let idx = slot * self.services + e as usize;
             if dj < self.max_cap_e[idx] {
                 self.max_cap_e[idx] = dj;
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink.push(e);
-                }
+                touched_e.push(e);
             }
         }
+    }
+}
+
+/// The layout-free walks over every slot: the reference the block-pruned
+/// walks are checked against, candidates and bounds alike.
+#[cfg(test)]
+impl PastIndex {
+    /// [`Self::small_shrink_candidates`] without block skipping.
+    pub(super) fn plain_small_shrink_candidates(
+        &mut self,
+        inst: &Instance,
+        e: CommodityId,
+        at: PointId,
+    ) -> Vec<(u32, u16)> {
+        let (s, e) = (self.services, e.index());
+        let mut out = Vec::new();
+        for slot in 0..self.slot_loc.len() {
+            let idx = slot * s + e;
+            if self.by_loc_e[idx].is_empty() {
+                continue;
+            }
+            let dj = inst.distance(at, PointId(self.slot_loc[slot]));
+            if dj < self.max_cap_e[idx] {
+                out.extend_from_slice(&self.by_loc_e[idx]);
+                self.max_cap_e[idx] = dj;
+                self.retighten_any(slot);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// [`Self::large_shrink_candidates`] without block skipping.
+    pub(super) fn plain_large_shrink_candidates(
+        &mut self,
+        inst: &Instance,
+        at: PointId,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        for slot in 0..self.slot_loc.len() {
+            let dj = inst.distance(at, PointId(self.slot_loc[slot]));
+            if dj < self.max_cap_any[slot] {
+                out.extend_from_slice(&self.by_loc[slot]);
+                self.max_cap_any[slot] = dj;
+                self.clamp_location_bounds(slot, dj, &mut Vec::new());
+            }
+        }
+        out.sort_unstable();
+        out
     }
 }

@@ -127,7 +127,7 @@ pub struct OpeningTargetIndex {
     /// (avoids an allocation per argmin).
     bound_scratch: Vec<f64>,
     /// Per-block distance lower bounds for the *prepared* query row (see
-    /// [`Self::prepare_query`]): `dlb[b] ≤ min_{m ∈ b} d(m, r)`. Computed
+    /// [`Self::prepare_query_at`]): `dlb[b] ≤ min_{m ∈ b} d(m, r)`. Computed
     /// once per arrival and shared by every t3/t4 argmin and the freeze
     /// walk narrowing of that arrival.
     dlb: Vec<f64>,
@@ -140,8 +140,8 @@ pub struct OpeningTargetIndex {
     dub: Vec<f64>,
     /// Scratch for [`Self::query_scan_cover`]'s per-block marks.
     cover_marks: Vec<bool>,
-    /// Scratch for the representative distances [`Self::prepare_query`]
-    /// gathers from a full row.
+    /// Scratch for the representative distances
+    /// [`Self::prepare_query_row`] gathers from a full row.
     rep_scratch: Vec<f64>,
     /// The prepared representative distances (debug builds): catches
     /// callers querying with a distance row of another query point.
@@ -312,7 +312,8 @@ impl OpeningTargetIndex {
         }
     }
 
-    /// A shared handle to the block layout, for [`PastIndex::attach_layout`].
+    /// A shared handle to the block layout, for the engine's
+    /// [`PastIndex`](super::PastIndex) and facility-cache refresh.
     pub(crate) fn layout_handle(&self) -> Arc<SpatialLayout> {
         Arc::clone(&self.layout)
     }
@@ -364,25 +365,20 @@ impl OpeningTargetIndex {
         assert_eq!(
             self.query_reps.len(),
             self.nblocks,
-            "query before prepare_query"
+            "query before prepare_query_at"
         );
         for (&r, &d) in self.layout.rep.iter().zip(&self.query_reps) {
             let v = dist_row[r as usize];
             assert!(
                 v.is_nan() || v.to_bits() == d.to_bits(),
-                "query with a distance row that prepare_query never saw"
+                "query with a distance row that prepare_query_at never saw"
             );
         }
     }
 
     /// Installs the arrival's full distance row (`dist_row[p] = d(p, r)`):
     /// [`Self::prepare_query_at`] over the representative entries the row
-    /// holds, with no query point.
-    pub fn prepare_query(&mut self, dist_row: &[f64]) {
-        self.prepare_query_row(None, dist_row);
-    }
-
-    /// [`Self::prepare_query`] with the query point supplied.
+    /// holds, for the query point `at` when the caller knows it.
     pub(crate) fn prepare_query_row(&mut self, at: Option<PointId>, dist_row: &[f64]) {
         let mut reps = std::mem::take(&mut self.rep_scratch);
         reps.clear();

@@ -380,24 +380,22 @@ impl<'a> PdOmflp<'a> {
     ) -> Self {
         let m = inst.num_points();
         let s = inst.num_commodities();
-        let mut past_index = PastIndex::new(m, s);
-        let mut index = FacilityIndex::new(m, s);
-        // Share the target index's spatial layout with the shrink walk and
-        // the facility caches so both can skip whole blocks, and fan the
-        // per-arrival block scans out over a worker pool once they are
-        // long enough to amortize it. All are engine-invisible: results
-        // and skip/scan statistics stay bit-identical.
-        past_index.attach_layout(targets.layout_handle());
-        index.attach_layout(targets.layout_handle());
+        // Share the target index's spatial layout with the shrink walk (and,
+        // on the partial-row path, the facility caches) so both can skip
+        // whole blocks, and fan the per-arrival block scans out over a
+        // worker pool once they are long enough to amortize it. All are
+        // engine-invisible: results and skip/scan statistics stay
+        // bit-identical.
+        let past_index = PastIndex::new(targets.layout_handle(), s);
         let threads = omfl_par::default_threads();
         if m >= HUGE_METRIC_MIN_POINTS && threads > 1 {
             targets.set_scan_pool(Some(Arc::new(TaskPool::new(threads))));
         }
-        Self {
+        let mut engine = Self {
             inst,
             sol: Solution::new(),
             past: Vec::new(),
-            index,
+            index: FacilityIndex::new(m, s),
             past_index,
             b_small: vec![0.0; m * s],
             b_large: vec![0.0; m],
@@ -415,7 +413,9 @@ impl<'a> PdOmflp<'a> {
             last_targets_valid: false,
             scratch: ServeScratch::default(),
             dual_sum: 0.0,
-        }
+        };
+        engine.set_partial_row_threshold(HUGE_METRIC_MIN_POINTS);
+        engine
     }
 
     /// Folds a fresh opening into the facility index through a borrowed
@@ -430,7 +430,7 @@ impl<'a> PdOmflp<'a> {
             let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
             let keep = |b, dlb| dlb < maxima[b];
             match covered_blocks(c, self.targets.layout(), self.inst, at, rep_d, blocks, keep) {
-                Some(row) => self.index.note_opening_full_row(e, row, fid),
+                Some(row) => self.index.note_opening(e, row, fid),
                 None => self
                     .index
                     .note_opening_in_blocks(self.inst, e, at, blocks, fid),
@@ -438,10 +438,7 @@ impl<'a> PdOmflp<'a> {
             return;
         }
         let row = distance_row(c, self.inst, at);
-        match e {
-            Some(e) => self.index.note_small_opening_with_row(row, e, fid),
-            None => self.index.note_large_opening_with_row(row, fid),
-        }
+        self.index.note_opening(e, row, fid);
     }
 
     /// The instance the algorithm runs on.
@@ -547,6 +544,12 @@ impl<'a> PdOmflp<'a> {
     /// — the floor is purely a performance crossover.
     pub fn set_partial_row_threshold(&mut self, min_points: usize) {
         self.partial_rows_min = min_points;
+        // The facility caches keep block maxima exactly where the bounded
+        // refresh reads them, on the partial-row path.
+        let layout = self
+            .partial_rows_active()
+            .then(|| self.targets.layout_handle());
+        self.index.set_layout(layout);
     }
 
     /// Nearest open facility offering commodity `e` (small-for-`e` or large)

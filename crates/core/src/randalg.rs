@@ -35,7 +35,7 @@
 //! `min{X(r), Z(r)}` (open the arg-min small facilities when `X ≤ Z`,
 //! else the arg-min large facility). This adds at most `min{X, Z}` — the
 //! quantity the analysis already charges per request — so the expected cost
-//! changes by at most a constant factor. See DESIGN.md §4.
+//! changes by at most a constant factor.
 
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
 use crate::index::FacilityIndex;
@@ -109,6 +109,8 @@ pub struct RandOmflp<'a, R: Rng = StdRng> {
     /// Nearest-open-facility caches (see [`crate::index`]), refreshed once
     /// per opening instead of scanned per query.
     index: FacilityIndex,
+    /// The opening location's distance row, reused across openings.
+    row: Vec<f64>,
     fallback_opens: usize,
 }
 
@@ -144,6 +146,7 @@ impl<'a, R: Rng> RandOmflp<'a, R> {
             small_classes,
             large_classes,
             index: FacilityIndex::new(m, s),
+            row: vec![0.0; m],
             fallback_opens: 0,
         }
     }
@@ -202,7 +205,8 @@ impl<'a, R: Rng> RandOmflp<'a, R> {
         let config = CommoditySet::singleton(self.inst.universe(), e)
             .expect("commodity in instance universe");
         let fid = self.sol.open_facility(self.inst, at, config);
-        self.index.note_small_opening(self.inst, e, at, fid);
+        self.inst.fill_row(at, &mut self.row);
+        self.index.note_opening(Some(e), &self.row, fid);
         opened.push(fid);
     }
 
@@ -210,7 +214,8 @@ impl<'a, R: Rng> RandOmflp<'a, R> {
         let fid = self
             .sol
             .open_facility(self.inst, at, CommoditySet::full(self.inst.universe()));
-        self.index.note_large_opening(self.inst, at, fid);
+        self.inst.fill_row(at, &mut self.row);
+        self.index.note_opening(None, &self.row, fid);
         opened.push(fid);
     }
 }

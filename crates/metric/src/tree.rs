@@ -8,8 +8,8 @@
 
 use crate::{check_finite, check_finite_nonneg, Metric, MetricError, PointId};
 
-/// A rooted weighted tree with distances `d(a,b) = depth(a) + depth(b) −
-/// 2·depth(lca(a,b))`.
+/// A rooted weighted tree with distances `d(a,b) = (depth(a) − depth(l)) +
+/// (depth(b) − depth(l))`, `l = lca(a,b)`.
 #[derive(Debug, Clone)]
 pub struct TreeMetric {
     parent: Vec<Vec<u32>>, // parent[k][v] = 2^k-th ancestor of v
@@ -85,8 +85,7 @@ impl TreeMetric {
                 "tree is disconnected (some nodes unreachable from the root)".into(),
             ));
         }
-        // Every `depth(a) + depth(b)` term rounds to at most twice the
-        // largest depth.
+        // Every distance is at most twice the largest depth.
         let deepest = (0..n)
             .max_by(|&a, &b| depth_w[a].total_cmp(&depth_w[b]))
             .unwrap_or(0);
@@ -172,9 +171,13 @@ impl Metric for TreeMetric {
         self.n
     }
 
+    /// Each leg below the LCA is rounded relative to itself: a sum
+    /// `depth(a) + depth(b)` first would round at the scale of the depths,
+    /// which can exceed the distance by orders of magnitude and break the
+    /// triangle inequality that [`Metric::coherent_order`] promises.
     fn distance(&self, a: PointId, b: PointId) -> f64 {
-        let l = self.lca(a, b);
-        self.depth_w[a.index()] + self.depth_w[b.index()] - 2.0 * self.depth_w[l.index()]
+        let l = self.depth_w[self.lca(a, b).index()];
+        (self.depth_w[a.index()] - l) + (self.depth_w[b.index()] - l)
     }
 
     /// DFS preorder: a subtree occupies a contiguous run, so runs of the

@@ -23,17 +23,24 @@ use omfl_core::pd::PdOmflp;
 use omfl_core::request::Request;
 use omfl_core::CoreError;
 use omfl_metric::line::LineMetric;
+use omfl_metric::tree::TreeMetric;
 use omfl_metric::PointId;
 use omfl_workload::catalog::{registry, CatalogProfile, Family};
 use omfl_workload::Scenario;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Serves `scenario` with both engines, asserting bit-identical behavior at
 /// every arrival and over the whole frozen dual state at the end.
 fn assert_bit_identical(scenario: &Scenario, label: &str) {
+    assert_matches_naive(PdOmflp::new(scenario.instance()), scenario, label);
+}
+
+/// [`assert_bit_identical`] for an engine built by the caller.
+fn assert_matches_naive(mut fast: PdOmflp<'_>, scenario: &Scenario, label: &str) {
     let inst = scenario.instance();
-    let mut fast = PdOmflp::new(inst);
     let mut slow = NaivePd::new(inst);
 
     for (step, r) in scenario.requests.iter().enumerate() {
@@ -244,6 +251,101 @@ fn indexed_pd_matches_naive_under_tie_storms_and_budget_hammering() {
             let sc = fam.build(&profile, seed).expect(fam.name);
             assert_bit_identical(&sc, &format!("{} (seed {seed})", fam.name));
         }
+    }
+}
+
+/// `scenario` with its facility costs scaled per location by
+/// `1 + spread·U(0, 1)`.
+fn location_priced(scenario: &Scenario, spread: f64, seed: u64) -> Scenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let scales = (0..scenario.instance().num_points())
+        .map(|_| 1.0 + spread * rng.gen::<f64>())
+        .collect();
+    let cost = scenario
+        .cost
+        .clone()
+        .location_scaled(scales)
+        .expect("scales");
+    Scenario::new(
+        format!("{} priced ×{spread}", scenario.name),
+        Arc::clone(&scenario.metric),
+        cost,
+        scenario.requests.clone(),
+    )
+    .expect("priced scenario")
+}
+
+#[test]
+fn indexed_pd_matches_naive_under_location_dependent_costs() {
+    // The catalog prices facilities alike at every location. Here
+    // `f^e_m` and `f^S_m` differ per location, and both engines must
+    // still agree on the full-row path and on the partial-row path,
+    // whose relabeled blocks, block bounds and partial rows all read them.
+    let profile = CatalogProfile {
+        points: 96,
+        services: 6,
+        requests: 160,
+    };
+    for fam in registry() {
+        for seed in [3u64, 31, 313] {
+            let base = fam.build(&profile, seed).expect(fam.name);
+            for spread in [0.5, 4.0] {
+                let sc = location_priced(&base, spread, seed);
+                for partial in [false, true] {
+                    let mut pd = PdOmflp::new(sc.instance());
+                    if partial {
+                        pd.set_partial_row_threshold(0);
+                    }
+                    let label = format!("{} (seed {seed}, partial rows {partial})", sc.name);
+                    assert_matches_naive(pd, &sc, &label);
+                }
+            }
+        }
+    }
+}
+
+/// A hub at depth `2^26` whose 30–99 leaves hang a fraction of an ulp to
+/// three ulps below it, priced per location: the tree's stored depths
+/// differ in their last bits, where a distance computed as
+/// `depth(a) + depth(b) − 2·depth(lca)` breaks the triangle inequality the
+/// engine's block bounds rely on.
+fn ulp_tree(seed: u64) -> Scenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let hub = 2f64.powi(26);
+    let ulp = hub * f64::EPSILON;
+    let leaves = rng.gen_range(30..100);
+    let mut parents = vec![None, Some((0, hub))];
+    for _ in 0..leaves {
+        let k = [0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 1.0, 2.0, 3.0][rng.gen_range(0..9usize)];
+        parents.push(Some((1, k * ulp)));
+    }
+    let m = parents.len();
+    let metric = Arc::new(TreeMetric::new(&parents).expect("tree"));
+    let scales = (0..m)
+        .map(|_| [1.0, 1.5, 2.0, 2.5, 1e9][rng.gen_range(0..5usize)])
+        .collect();
+    let cost = CostModel::power(2, 1.0, 2.0 * ulp)
+        .location_scaled(scales)
+        .expect("scales");
+    let universe = cost.universe();
+    let requests = (0..30)
+        .map(|_| {
+            let at = PointId(rng.gen_range(0..m as u32));
+            let e = rng.gen_range(0..2u16);
+            Request::new(
+                at,
+                CommoditySet::from_ids(universe, &[e]).expect("commodity"),
+            )
+        })
+        .collect();
+    Scenario::new(format!("ulp-tree(seed {seed})"), metric, cost, requests).expect("ulp tree")
+}
+
+#[test]
+fn indexed_pd_matches_naive_on_trees_with_ulp_scale_edges() {
+    // About one seed in twenty diverged under the rounded-sum distance.
+    for seed in 0..200u64 {
+        assert_bit_identical(&ulp_tree(seed), &format!("ulp-tree (seed {seed})"));
     }
 }
 

@@ -3,17 +3,22 @@
 //! Every `Metric` impl must fill rows bit for bit like its per-call
 //! `distance`, a metric that stores its closure lends its rows through
 //! `Metric::row` with the same bits, and a metric that screens
-//! (`Metric::screen_distances`) brackets every distance it screens. The
-//! wrappers the program routes metrics through (`Box<dyn Metric>` in every
-//! `Instance`, `SharedMetric` in every scenario) must forward all three: a
-//! wrapper that drops `row` would silently send the engine back to copying
-//! the closure into its row cache, and one that drops screening would send
-//! the partial-row freeze walk to an exact distance call per point. No
-//! outcome test can see either. The second test pins the row wiring
-//! through the cache counters.
+//! (`Metric::screen_distances`) brackets every distance it screens. A
+//! metric that offers a `coherent_order` keeps triangle violations within
+//! the radius bounds' slack, and one whose `kd_coords` claim `isometric`
+//! computes exactly the ascending-axis L2 fold over them: the engine's
+//! block pruning and layout distance passes rest on both. The wrappers the
+//! program routes metrics through (`Box<dyn Metric>` in every `Instance`,
+//! `SharedMetric` in every scenario) must forward all of it: a wrapper
+//! that drops `row` would silently send the engine back to copying the
+//! closure into its row cache, and one that drops screening would send the
+//! partial-row freeze walk to an exact distance call per point. No outcome
+//! test can see either. The second test pins the row wiring through the
+//! cache counters.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::heavy::SharedMetric;
+use omfl_core::index::RADIUS_BOUND_SLACK;
 use omfl_core::pd::PdOmflp;
 use omfl_metric::dense::DenseMetric;
 use omfl_metric::euclidean::{EuclideanMetric, Norm};
@@ -110,12 +115,69 @@ struct Offers {
     lends: bool,
     /// Per anchor, whether `screen_distances` screened the whole space.
     screens: Vec<bool>,
+    /// Its `coherent_order`.
+    order: Option<Vec<u32>>,
+    /// Its `kd_coords`: coordinate bits, dimension, isometric claim.
+    kd: Option<(Vec<u64>, usize, bool)>,
+}
+
+/// Checks that a `coherent_order` is a permutation and that every triple
+/// keeps `d(b,c) ≥ d(a,c) − d(a,b) − RADIUS_BOUND_SLACK·(d(a,c) + d(a,b))`:
+/// the triangle inequality within the slack of the block radius bounds
+/// (`a` a block representative, `b` a member, `c` the query).
+fn check_order(m: &(impl Metric + ?Sized), order: &[u32], label: &str) {
+    let n = m.len();
+    let mut sorted = order.to_vec();
+    sorted.sort_unstable();
+    assert_eq!(
+        sorted,
+        (0..n as u32).collect::<Vec<_>>(),
+        "{label}: coherent_order is not a permutation"
+    );
+    let d: Vec<Vec<f64>> = m
+        .points()
+        .map(|a| m.points().map(|b| m.distance(a, b)).collect())
+        .collect();
+    for a in 0..n {
+        for b in 0..n {
+            for c in 0..n {
+                let (ab, ac, bc) = (d[a][b], d[a][c], d[b][c]);
+                assert!(
+                    bc >= ac - ab - RADIUS_BOUND_SLACK * (ac + ab),
+                    "{label}: d({b},{c}) = {bc} undercuts d({a},{c}) − d({a},{b}) = {ac} − {ab}"
+                );
+            }
+        }
+    }
+}
+
+/// Checks that isometric `kd_coords` give `distance` bit for bit through
+/// the ascending-axis L2 fold.
+fn check_embedding(m: &(impl Metric + ?Sized), coords: &[f64], dim: usize, label: &str) {
+    assert_eq!(coords.len(), m.len() * dim, "{label}: kd_coords rows");
+    for a in m.points() {
+        for b in m.points() {
+            let (ca, cb) = (&coords[a.index() * dim..], &coords[b.index() * dim..]);
+            let mut acc = 0.0f64;
+            for axis in 0..dim {
+                let diff = ca[axis] - cb[axis];
+                acc += diff * diff;
+            }
+            assert_eq!(
+                acc.sqrt().to_bits(),
+                m.distance(a, b).to_bits(),
+                "{label}: isometric kd_coords miss d({a}, {b})"
+            );
+        }
+    }
 }
 
 /// Checks `fill_row` (whole and prefix rows) and, when it is `Some`,
-/// `row` against per-call `distance` bit for bit at every anchor, and
-/// every screened bracket `0 ≤ lo ≤ distance ≤ hi`. Returns what `m`
-/// offers; whether it lends stored rows must not depend on the anchor.
+/// `row` against per-call `distance` bit for bit at every anchor, every
+/// screened bracket `0 ≤ lo ≤ distance ≤ hi`, a `coherent_order`
+/// ([`check_order`]) and isometric `kd_coords` ([`check_embedding`]).
+/// Returns what `m` offers; whether it lends stored rows must not depend
+/// on the anchor.
 fn check_rows<M: Metric + ?Sized>(m: &M, label: &str) -> Offers {
     let n = m.len();
     let mut filled = vec![f64::NAN; n];
@@ -152,27 +214,57 @@ fn check_rows<M: Metric + ?Sized>(m: &M, label: &str) -> Offers {
         }
         screens.push(screened);
     }
+    let order = m.coherent_order();
+    if let Some(order) = &order {
+        check_order(m, order, label);
+    }
+    let kd = m.kd_coords().map(|kd| {
+        if kd.isometric {
+            check_embedding(m, &kd.coords, kd.dim, label);
+        }
+        (bits(&kd.coords), kd.dim, kd.isometric)
+    });
     Offers {
         lends: lends.expect("non-empty metric"),
         screens,
+        order,
+        kd,
     }
 }
 
 #[test]
 fn rows_are_verbatim_and_wrappers_forward_them() {
     type Build = fn(&mut StdRng) -> Box<dyn Metric>;
-    // (name, build, stores rows, screens)
-    let metrics: [(&str, Build, bool, bool); 7] = [
-        ("line", line, false, false),
-        ("tree", tree, false, false),
-        ("graph", graph, true, false),
-        ("euclidean-l1", |r| euclidean(r, Norm::L1), false, true),
-        ("euclidean-l2", |r| euclidean(r, Norm::L2), false, true),
-        ("euclidean-linf", |r| euclidean(r, Norm::LInf), false, true),
-        ("dense", dense, true, false),
+    // (name, build, stores rows, screens, orders)
+    let metrics: [(&str, Build, bool, bool, bool); 7] = [
+        ("line", line, false, false, true),
+        ("tree", tree, false, false, true),
+        ("graph", graph, true, false, true),
+        (
+            "euclidean-l1",
+            |r| euclidean(r, Norm::L1),
+            false,
+            true,
+            true,
+        ),
+        (
+            "euclidean-l2",
+            |r| euclidean(r, Norm::L2),
+            false,
+            true,
+            true,
+        ),
+        (
+            "euclidean-linf",
+            |r| euclidean(r, Norm::LInf),
+            false,
+            true,
+            true,
+        ),
+        ("dense", dense, true, false, false),
     ];
     for seed in [1u64, 2, 3] {
-        for (name, build, stores, screens) in metrics {
+        for (name, build, stores, screens, orders) in metrics {
             let make = || build(&mut StdRng::seed_from_u64(seed));
             let label = format!("{name} seed {seed}");
             let boxed = make();
@@ -183,6 +275,7 @@ fn rows_are_verbatim_and_wrappers_forward_them() {
                 bare.screens.iter().all(|&s| s == screens),
                 "{label}: screening"
             );
+            assert_eq!(bare.order.is_some(), orders, "{label}: coherent_order");
             let via_box = check_rows(&boxed, &format!("{label} in Box"));
             assert_eq!(
                 via_box.lends, lends,
@@ -191,6 +284,14 @@ fn rows_are_verbatim_and_wrappers_forward_them() {
             assert_eq!(
                 via_box.screens, bare.screens,
                 "{label}: Box<dyn Metric> must forward screen_distances"
+            );
+            assert_eq!(
+                via_box.order, bare.order,
+                "{label}: Box<dyn Metric> must forward coherent_order"
+            );
+            assert_eq!(
+                via_box.kd, bare.kd,
+                "{label}: Box<dyn Metric> must forward kd_coords"
             );
             let shared = SharedMetric(Arc::from(make()));
             let via_shared = check_rows(&shared, &format!("{label} in SharedMetric"));
@@ -201,6 +302,14 @@ fn rows_are_verbatim_and_wrappers_forward_them() {
             assert_eq!(
                 via_shared.screens, bare.screens,
                 "{label}: SharedMetric must forward screen_distances"
+            );
+            assert_eq!(
+                via_shared.order, bare.order,
+                "{label}: SharedMetric must forward coherent_order"
+            );
+            assert_eq!(
+                via_shared.kd, bare.kd,
+                "{label}: SharedMetric must forward kd_coords"
             );
         }
     }
