@@ -11,6 +11,13 @@ const NO_FACILITY: u32 = u32::MAX;
 
 /// Per-point nearest-open-facility caches, maintained on facility openings.
 ///
+/// Every cache is stored by **slot**: a point's layout position when a
+/// block layout is installed (on the PD engine's partial-row path), its id
+/// otherwise. Each block's members then hold one contiguous run of slots,
+/// so the bounded refresh walks that run of the caches in the order the
+/// block's distances come. Ids become slots only in the lookups
+/// ([`Self::nearest_offering`], [`Self::nearest_large`]).
+///
 /// Memory is `O(|M|·|S|)` — the same order as the PD bid matrix the analysis
 /// already requires.
 #[derive(Debug, Clone)]
@@ -18,23 +25,25 @@ pub struct FacilityIndex {
     points: usize,
     /// `|S|`: the number of small caches.
     services: usize,
-    /// `d(F(e) ∩ smalls, p)`, flat `e·|M| + p` (commodity-major: opening
-    /// updates walk every `p` for one `e`, so this keeps them on contiguous
-    /// memory; queries are single lookups either way). `INFINITY` when
-    /// empty.
+    /// `d(F(e) ∩ smalls, p)`, flat `e·|M| + slot(p)` (commodity-major:
+    /// opening updates walk every slot for one `e`, so this keeps them on
+    /// contiguous memory; queries are single lookups either way).
+    /// `INFINITY` when empty.
     pub(super) small_d: Vec<f64>,
-    /// Matching facility ids, flat `e·|M| + p`; `NO_FACILITY` when empty.
+    /// Matching facility ids, flat `e·|M| + slot(p)`; `NO_FACILITY` when
+    /// empty.
     small_f: Vec<u32>,
-    /// `d(F̂, p)`; `INFINITY` when empty.
+    /// `d(F̂, p)` by slot; `INFINITY` when empty.
     pub(super) large_d: Vec<f64>,
-    /// Matching facility ids; `NO_FACILITY` when empty.
+    /// Matching facility ids by slot; `NO_FACILITY` when empty.
     large_f: Vec<u32>,
     /// Openings folded in so far (for diagnostics and refresh-boundary tests).
     openings: usize,
     /// Block layout shared with the PD engine's
     /// [`OpeningTargetIndex`](super::OpeningTargetIndex) on its partial-row
-    /// path: lets [`Self::note_opening_in_blocks`] skip every block an
-    /// opening provably cannot reach.
+    /// path: it orders the slots, and lets
+    /// [`Self::note_opening_in_blocks`] skip every block an opening
+    /// provably cannot reach.
     layout: Option<Arc<SpatialLayout>>,
     /// Per-block upper bound on the cached distances, flat `e·nblocks + b`
     /// for the small caches and `|S|·nblocks + b` for the large one; empty
@@ -61,9 +70,29 @@ impl FacilityIndex {
     }
 
     /// Installs (or removes) the block layout the bounded refresh walks.
-    /// Fresh per-block maxima start at `∞`, so installing at any time is
-    /// sound: the next opening of each cache visits every block.
+    /// Caches already holding openings move to the new slot order, so the
+    /// lookups answer exactly as before. Fresh per-block maxima start at
+    /// `∞`, so installing at any time is sound: the next opening of each
+    /// cache visits every block.
     pub(crate) fn set_layout(&mut self, layout: Option<Arc<SpatialLayout>>) {
+        if self.openings > 0 {
+            let (from, to) = (self.layout.as_deref(), layout.as_deref());
+            // `map[old slot] = new slot`.
+            let map: Vec<usize> = (0..self.points)
+                .map(|old| slot(to, from.map_or(old, |l| l.perm[old] as usize)))
+                .collect();
+            let (mut moved_d, mut moved_f) = (vec![0.0; self.points], vec![0; self.points]);
+            let caches = (0..self.services).map(|e| Some(CommodityId(e as u16)));
+            for e in caches.chain([None]) {
+                let (cache_d, cache_f, _, _) = self.refresh_parts(e);
+                for (old, &new) in map.iter().enumerate() {
+                    moved_d[new] = cache_d[old];
+                    moved_f[new] = cache_f[old];
+                }
+                cache_d.copy_from_slice(&moved_d);
+                cache_f.copy_from_slice(&moved_f);
+            }
+        }
         let nblocks = layout.as_ref().map_or(0, |l| l.nblocks());
         self.block_max = vec![f64::INFINITY; (self.services + 1) * nblocks];
         self.layout = layout;
@@ -110,40 +139,20 @@ impl FacilityIndex {
     }
 
     /// Folds an opening at `at` (small for `e`, or large for `None`) into
-    /// the cache from its full distance row `row[p] = d(p, at)`, which
-    /// must hold the verbatim metric values (e.g. from
-    /// [`Instance::fill_row`]): the strict-`<` update over every point, in
-    /// opening order. With a layout installed it also recomputes every
-    /// block maximum through the layout's positions.
+    /// the cache of a layout-free index from its full distance row
+    /// `row[p] = d(p, at)`, which must hold the verbatim metric values
+    /// (e.g. from [`Instance::fill_row`]): the strict-`<` update over every
+    /// point, in opening order. Slots are ids here, so the row and the
+    /// cache walk together; an index with a layout refreshes through
+    /// `note_opening_in_blocks` instead.
     pub fn note_opening(&mut self, e: Option<CommodityId>, row: &[f64], fid: FacilityId) {
         assert_eq!(row.len(), self.points, "one distance per point");
-        let (cache_d, cache_f, maxima, layout) = self.refresh_parts(e);
-        let cache = cache_d.iter_mut().zip(cache_f.iter_mut()).zip(row);
-        match layout {
-            None => {
-                for ((sd, sf), &d) in cache {
-                    if d < *sd {
-                        *sd = d;
-                        *sf = fid.0;
-                    }
-                }
-            }
-            Some(layout) => {
-                // Block sizes are powers of two: a shift, not a division,
-                // per point of the whole row.
-                debug_assert!(layout.block.is_power_of_two());
-                let shift = layout.block.trailing_zeros();
-                maxima.fill(0.0);
-                for (((sd, sf), &d), &pos) in cache.zip(&layout.pos) {
-                    if d < *sd {
-                        *sd = d;
-                        *sf = fid.0;
-                    }
-                    let b = (pos >> shift) as usize;
-                    if *sd > maxima[b] {
-                        maxima[b] = *sd;
-                    }
-                }
+        debug_assert!(self.layout.is_none(), "a full row is in id order");
+        let (cache_d, cache_f, _, _) = self.refresh_parts(e);
+        for ((sd, sf), &d) in cache_d.iter_mut().zip(cache_f.iter_mut()).zip(row) {
+            if d < *sd {
+                *sd = d;
+                *sf = fid.0;
             }
         }
         self.openings += 1;
@@ -152,12 +161,13 @@ impl FacilityIndex {
     /// The bounded refresh: folds an opening at `at` (small for `e`, or
     /// large for `None`) into the cache over `blocks` of the installed
     /// layout only, with the same strict-`<` update as
-    /// [`Self::note_opening`], then recomputes those blocks' maxima
-    /// exactly. `blocks` must hold every block whose certified lower bound
-    /// on `d(·, at)` is below its maximum: a skipped block has
+    /// [`Self::note_opening`], and recomputes those blocks' maxima in the
+    /// same pass. `blocks` must hold every block whose certified lower
+    /// bound on `d(·, at)` is below its maximum: a skipped block has
     /// `d(p, at) ≥ max ≥ cached[p]` for every member, so the update could
     /// not fire there. Each block's distances come from one
-    /// [`SpatialLayout::member_distances`] pass.
+    /// [`SpatialLayout::member_distances`] pass, in the order of the
+    /// block's contiguous slots.
     pub(crate) fn note_opening_in_blocks(
         &mut self,
         inst: &Instance,
@@ -172,15 +182,16 @@ impl FacilityIndex {
         for &b in blocks {
             let b = b as usize;
             let dists = layout.member_distances(inst, b, at, &mut buf);
+            let slots = layout.slots(b);
+            let run = cache_d[slots.clone()].iter_mut().zip(&mut cache_f[slots]);
             let mut max = 0.0f64;
-            for (&p, &d) in layout.members(b).iter().zip(dists) {
-                let p = p as usize;
-                if d < cache_d[p] {
-                    cache_d[p] = d;
-                    cache_f[p] = fid.0;
+            for ((sd, sf), &d) in run.zip(dists) {
+                if d < *sd {
+                    *sd = d;
+                    *sf = fid.0;
                 }
-                if cache_d[p] > max {
-                    max = cache_d[p];
+                if *sd > max {
+                    max = *sd;
                 }
             }
             maxima[b] = max;
@@ -204,26 +215,35 @@ impl FacilityIndex {
     /// scan order of the linear search this replaces.
     #[inline]
     pub fn nearest_offering(&self, e: CommodityId, from: PointId) -> Option<(FacilityId, f64)> {
-        let idx = e.index() * self.points + from.index();
-        let (sd, ld) = (self.small_d[idx], self.large_d[from.index()]);
+        let at = slot(self.layout.as_deref(), from.index());
+        let idx = e.index() * self.points + at;
+        let (sd, ld) = (self.small_d[idx], self.large_d[at]);
         if sd.is_infinite() && ld.is_infinite() {
             return None;
         }
         if sd <= ld {
             Some((FacilityId(self.small_f[idx]), sd))
         } else {
-            Some((FacilityId(self.large_f[from.index()]), ld))
+            Some((FacilityId(self.large_f[at]), ld))
         }
     }
 
     /// Nearest open *large* facility, `O(1)`.
     #[inline]
     pub fn nearest_large(&self, from: PointId) -> Option<(FacilityId, f64)> {
-        let d = self.large_d[from.index()];
+        let at = slot(self.layout.as_deref(), from.index());
+        let d = self.large_d[at];
         if d.is_infinite() {
             None
         } else {
-            Some((FacilityId(self.large_f[from.index()]), d))
+            Some((FacilityId(self.large_f[at]), d))
         }
     }
+}
+
+/// Point `p`'s cache slot under `layout`: its layout position, or its id
+/// without a layout.
+#[inline]
+fn slot(layout: Option<&SpatialLayout>, p: usize) -> usize {
+    layout.map_or(p, |l| l.pos[p] as usize)
 }

@@ -119,19 +119,18 @@ impl SpatialLayout {
         q: PointId,
         out: &'o mut [f64; HUGE_BLOCK],
     ) -> &'o [f64] {
-        let members = self.members(b);
-        let out = &mut out[..members.len()];
+        let slots = self.slots(b);
+        let out = &mut out[..slots.len()];
         if !self.isometric() {
-            for (slot, &p) in out.iter_mut().zip(members) {
-                *slot = inst.distance(PointId(p), q);
+            for (d, &p) in out.iter_mut().zip(&self.perm[slots]) {
+                *d = inst.distance(PointId(p), q);
             }
             return out;
         }
         out.fill(0.0);
         let n = self.perm.len();
-        let start = b * self.block;
         for axis in 0..self.dim {
-            let col = &self.cols[axis * n + start..axis * n + start + members.len()];
+            let col = &self.cols[axis * n + slots.start..axis * n + slots.end];
             simd::accumulate_squared(out, col, self.coord(q, axis));
         }
         simd::sqrt_in_place(out);
@@ -153,8 +152,14 @@ impl SpatialLayout {
     /// Original ids of block `b`'s members.
     #[inline]
     pub(crate) fn members(&self, b: usize) -> &[u32] {
+        &self.perm[self.slots(b)]
+    }
+
+    /// The layout positions of block `b`'s members: one contiguous run.
+    #[inline]
+    pub(crate) fn slots(&self, b: usize) -> Range<usize> {
         let start = b * self.block;
-        &self.perm[start..(start + self.block).min(self.perm.len())]
+        start..(start + self.block).min(self.perm.len())
     }
 
     /// The certified lower bound on `d(p, q)` over block `b`'s members,

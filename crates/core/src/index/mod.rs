@@ -12,9 +12,11 @@
 //! each opening we refresh a per-point cache of `(nearest facility,
 //! distance)` once and every subsequent query is `O(1)`. The refresh is
 //! `O(|M|)` over a full distance row; on the PD engine's partial-row path,
-//! with the block layout installed, it visits only the blocks whose
-//! certified distance lower bound undercuts their largest cached distance —
-//! an opening can only lower caches near the new facility.
+//! with the block layout installed, the caches are stored in layout order
+//! and the refresh visits only the blocks whose certified distance lower
+//! bound undercuts their largest cached distance (an opening can only
+//! lower caches near the new facility), each one a contiguous run of the
+//! caches.
 //!
 //! # Bit-identical tie-breaking (the index invariant)
 //!
@@ -146,25 +148,18 @@ fn dist_upper_bound(d_rep: f64, radius: f64) -> f64 {
     (d_rep + radius) * (1.0 + RADIUS_BOUND_SLACK)
 }
 
-/// Share of all blocks above which a coverage-bounded read of a point's
-/// distances — the opening location's facility-cache refresh, or a
-/// cap-shrink walk — gives up its block list for one bulk
+/// Share of all blocks above which a cap-shrink walk over a past
+/// location's distances gives up its block list for one bulk
 /// [`omfl_metric::Metric::fill_row`] and a contiguous walk of the whole
 /// row. A kept point costs its lane of a per-block distance pass (a
-/// pointwise call without an isometric embedding) plus a gathered walk
-/// step; the share was set to 0.2 on a 1M-point Euclidean grid when kept
-/// points still cost pointwise calls, and the break-even was not measured
-/// again for the per-block passes. Wide passes are mostly each commodity's
-/// first openings, while the cached nearest distances are still `∞`.
+/// pointwise call without an isometric embedding) plus a gathered step
+/// through the bid rows, which are stored by id; the share was set to 0.2
+/// on a 1M-point Euclidean grid when kept points still cost pointwise
+/// calls, and the break-even was not measured again for the per-block
+/// passes. The facility-cache refresh has no such fallback: its caches
+/// are stored in layout order, so a block pass over most blocks costs
+/// less than a row fill and a scattered walk.
 pub const WIDE_COVERAGE_SHARE: f64 = 0.2;
-
-/// Whether a pass whose surviving blocks number `blocks` out of `nblocks`
-/// takes the full-row fallback (see [`WIDE_COVERAGE_SHARE`]). Every
-/// coverage consumer decides through this one helper.
-#[inline]
-pub(crate) fn wide_coverage(blocks: usize, nblocks: usize) -> bool {
-    blocks as f64 > WIDE_COVERAGE_SHARE * nblocks as f64
-}
 
 #[cfg(test)]
 mod tests {
@@ -174,7 +169,7 @@ mod tests {
     use omfl_commodity::cost::CostModel;
     use omfl_commodity::{CommodityId, CommoditySet};
     use omfl_metric::line::LineMetric;
-    use omfl_metric::PointId;
+    use omfl_metric::{Metric, PointId};
     use std::sync::Arc;
 
     fn inst(positions: Vec<f64>, s: u16) -> Instance {
@@ -312,61 +307,104 @@ mod tests {
         pts
     }
 
+    /// The layout's representative pass and per-block pass against
+    /// `Instance::distance`, bit for bit, for every query point and every
+    /// block, with the SIMD kernels on and off. `isometric` is whether
+    /// the layout must read its distances from layout-ordered coordinates
+    /// (otherwise they are pointwise metric calls).
+    fn assert_layout_passes_exact(metric: Box<dyn Metric>, isometric: bool, label: &str) {
+        use omfl_metric::simd::set_simd_enabled;
+        let inst = Instance::new(metric, 2, CostModel::power(2, 1.0, 2.0)).unwrap();
+        let m = inst.num_points();
+        let (f_small, f_full) = (vec![1.0; 2 * m], vec![2.0; m]);
+        let layout = OpeningTargetIndex::for_instance(&inst, &f_small, &f_full).layout_handle();
+        assert_eq!(layout.isometric(), isometric, "{label}");
+        let mut rep_d = Vec::new();
+        let mut buf = [0.0; HUGE_BLOCK];
+        for simd in [true, false] {
+            set_simd_enabled(simd);
+            for q in (0..m as u32).map(PointId) {
+                layout.rep_distances(&inst, q, &mut rep_d);
+                assert_eq!(rep_d.len(), layout.nblocks());
+                for (b, &d) in rep_d.iter().enumerate() {
+                    let want = inst.distance(PointId(layout.rep[b]), q);
+                    assert_eq!(d.to_bits(), want.to_bits(), "{label}: rep {b}, {q:?}");
+                }
+                for b in 0..layout.nblocks() {
+                    let members = layout.members(b);
+                    let dists = layout.member_distances(&inst, b, q, &mut buf);
+                    assert_eq!(dists.len(), members.len());
+                    for (&p, &d) in members.iter().zip(dists) {
+                        let want = inst.distance(PointId(p), q);
+                        assert_eq!(d.to_bits(), want.to_bits(), "{label}: p{p}, {q:?}");
+                    }
+                }
+            }
+        }
+        set_simd_enabled(true);
+    }
+
     #[test]
     fn layout_distance_passes_equal_metric_distances_bitwise() {
-        // The representative pass and the per-block pass against
-        // `Instance::distance`, for every query point and every block:
-        // from the layout-ordered coordinates on L2 clouds (SIMD kernels
-        // on and off), pointwise on the kd-partitioned but non-isometric
-        // L1/L∞ clouds. 150 points make ten 16-point blocks, the last one
-        // short, so every kernel tail runs.
+        // The layout passes are the only distance source of the
+        // partial-row refresh and shrink walks, so every metric must pass:
+        // from the layout-ordered coordinates on L2 clouds (bare, behind
+        // `Box<dyn Metric>` and behind `SharedMetric`) and on lines inside
+        // their isometry guards, pointwise on the kd-partitioned but
+        // non-isometric L1/L∞ clouds, on lines past the magnitude and gap
+        // guards, and on trees and graphs. 150 points make ten 16-point
+        // blocks, the last one short, so every kernel tail runs.
+        use crate::heavy::SharedMetric;
         use omfl_metric::euclidean::{EuclideanMetric, Norm};
-        use omfl_metric::simd::set_simd_enabled;
-        let cases = [
+        use omfl_metric::graph::GraphMetric;
+        use omfl_metric::tree::TreeMetric;
+        let n = 150;
+        let cloud =
+            |dim: usize, norm| EuclideanMetric::new(&awkward_cloud(n, dim, dim as u64), norm);
+        for (dim, norm, isometric) in [
             (2, Norm::L2, true),
             (3, Norm::L2, true),
             (2, Norm::L1, false),
             (3, Norm::LInf, false),
-        ];
-        for (dim, norm, isometric) in cases {
-            let pts = awkward_cloud(150, dim, dim as u64);
-            let metric = EuclideanMetric::new(&pts, norm).unwrap();
-            let inst = Instance::new(Box::new(metric), 2, CostModel::power(2, 1.0, 2.0)).unwrap();
-            let m = inst.num_points();
-            let (f_small, f_full) = (vec![1.0; 2 * m], vec![2.0; m]);
-            let layout = OpeningTargetIndex::for_instance(&inst, &f_small, &f_full).layout_handle();
-            assert_eq!(layout.isometric(), isometric, "{norm:?} in {dim}-D");
-            let mut rep_d = Vec::new();
-            let mut buf = [0.0; HUGE_BLOCK];
-            for simd in [true, false] {
-                set_simd_enabled(simd);
-                for q in (0..m as u32).map(PointId) {
-                    layout.rep_distances(&inst, q, &mut rep_d);
-                    assert_eq!(rep_d.len(), layout.nblocks());
-                    for (b, &d) in rep_d.iter().enumerate() {
-                        let want = inst.distance(PointId(layout.rep[b]), q);
-                        assert_eq!(d.to_bits(), want.to_bits(), "{norm:?}: rep {b}, {q:?}");
-                    }
-                    for b in 0..layout.nblocks() {
-                        let members = layout.members(b);
-                        let dists = layout.member_distances(&inst, b, q, &mut buf);
-                        assert_eq!(dists.len(), members.len());
-                        for (&p, &d) in members.iter().zip(dists) {
-                            let want = inst.distance(PointId(p), q);
-                            assert_eq!(d.to_bits(), want.to_bits(), "{norm:?}: p{p}, {q:?}");
-                        }
-                    }
-                }
-            }
-            set_simd_enabled(true);
+        ] {
+            let metric = Box::new(cloud(dim, norm).unwrap());
+            assert_layout_passes_exact(metric, isometric, &format!("{norm:?} in {dim}-D"));
         }
+        let boxed: Box<dyn Metric> = Box::new(cloud(3, Norm::L2).unwrap());
+        assert_layout_passes_exact(Box::new(boxed), true, "L2 behind Box<dyn Metric>");
+        let shared = SharedMetric(Arc::new(cloud(3, Norm::L2).unwrap()));
+        assert_layout_passes_exact(Box::new(shared), true, "L2 behind SharedMetric");
+
+        // Line positions at the cloud's scale have gaps of at least 0.0137
+        // and magnitudes near 1e10; scaled up they pass 1e150, scaled down
+        // their gaps fall below 2^-511 and the squares go subnormal.
+        let positions = |scale: f64| -> Vec<f64> {
+            let pts = awkward_cloud(n, 1, 9);
+            pts.iter().map(|p| p[0] * scale).collect()
+        };
+        for (scale, isometric) in [(1.0, true), (1e142, false), (1e-160, false)] {
+            let metric = Box::new(LineMetric::new(positions(scale)).unwrap());
+            assert_layout_passes_exact(metric, isometric, &format!("line at scale {scale:e}"));
+        }
+
+        let mut st = 0x7EE5u64;
+        let mut weight = || 0.125 + (xorshift(&mut st) % 97) as f64 * 0.375;
+        let parents: Vec<Option<(u32, f64)>> = (0..n as u32)
+            .map(|v| (v > 0).then(|| ((v * 7 + 3) % v.max(1), weight())))
+            .collect();
+        let tree = Box::new(TreeMetric::new(&parents).unwrap());
+        assert_layout_passes_exact(tree, false, "tree");
+        let mut edges: Vec<(u32, u32, f64)> = (1..n as u32).map(|v| (v - 1, v, weight())).collect();
+        edges.extend((0..n as u32).map(|v| (v, (v * 37 + 11) % n as u32, weight())));
+        edges.retain(|&(a, b, _)| a != b);
+        let graph = Box::new(GraphMetric::from_edges(n, &edges).unwrap());
+        assert_layout_passes_exact(graph, false, "graph");
     }
 
     /// The engine's bounded refresh, replayed by hand: one representative
     /// pass picks the blocks whose lower bound undercuts their maximum,
-    /// whose member distances the refresh reads block by block — or the
-    /// full row when those blocks are wide. Returns whether the pass took
-    /// the full-row fallback.
+    /// whose member distances the refresh reads block by block, however
+    /// many there are. Returns the number of blocks the pass kept.
     fn bounded_opening(
         idx: &mut FacilityIndex,
         layout: &SpatialLayout,
@@ -374,21 +412,14 @@ mod tests {
         e: Option<CommodityId>,
         at: PointId,
         fid: FacilityId,
-    ) -> bool {
+    ) -> usize {
         let mut rep_d = Vec::new();
         layout.rep_distances(inst, at, &mut rep_d);
         let maxima = idx.block_maxima(e).to_vec();
         let mut blocks = Vec::new();
         layout.blocks_where(&rep_d, |b, dlb| dlb < maxima[b], &mut blocks);
-        let full = wide_coverage(blocks.len(), layout.nblocks());
-        if full {
-            let mut row = vec![0.0; inst.num_points()];
-            inst.fill_row(at, &mut row);
-            idx.note_opening(e, &row, fid);
-        } else {
-            idx.note_opening_in_blocks(inst, e, at, &blocks, fid);
-        }
-        full
+        idx.note_opening_in_blocks(inst, e, at, &blocks, fid);
+        blocks.len()
     }
 
     #[test]
@@ -396,8 +427,11 @@ mod tests {
         // Repeated locations and exact ties (a coarse line, every position
         // shared by several ids), shuffled and coherent relabelings, and a
         // random mix of small and large openings: after every opening the
-        // bounded index must answer every query exactly like the full-row
-        // one, and every block maximum must dominate its members' caches.
+        // bounded index, stored in layout order, must answer every query
+        // exactly like a layout-free one refreshed through full rows, and
+        // every block maximum must dominate its members' caches. The
+        // bounded passes include ones over every block (first openings,
+        // caches at ∞) and ones over few blocks.
         let (m, s) = (240usize, 3usize);
         let mut st = 0x5EEDu64;
         let positions: Vec<f64> = (0..m)
@@ -417,8 +451,9 @@ mod tests {
                 .unwrap()
                 .layout_handle(),
         ];
-        let (mut narrow, mut wide) = (0, 0);
+        let (mut every, mut few) = (0, 0);
         for layout in layouts {
+            let nblocks = layout.nblocks();
             let mut bounded = FacilityIndex::new(m, s);
             bounded.set_layout(Some(Arc::clone(&layout)));
             let mut reference = FacilityIndex::new(m, s);
@@ -429,14 +464,12 @@ mod tests {
                     c => Some(CommodityId((c % s as u64) as u16)),
                 };
                 let fid = FacilityId(k);
-                let full_row: Vec<f64> = (0..m as u32)
-                    .map(|p| inst.distance(PointId(p), at))
-                    .collect();
-                reference.note_opening(e, &full_row, fid);
-                if bounded_opening(&mut bounded, &layout, &inst, e, at, fid) {
-                    wide += 1;
-                } else {
-                    narrow += 1;
+                note_opening(&mut reference, &inst, e, at, fid);
+                let kept = bounded_opening(&mut bounded, &layout, &inst, e, at, fid);
+                if kept == nblocks {
+                    every += 1;
+                } else if kept * 5 <= nblocks {
+                    few += 1;
                 }
                 let bits = |r: Option<(FacilityId, f64)>| r.map(|(f, d)| (f, d.to_bits()));
                 for p in (0..m as u32).map(PointId) {
@@ -456,14 +489,14 @@ mod tests {
                 for row in (0..s as u16).map(|c| Some(CommodityId(c))).chain([None]) {
                     let maxima = bounded.block_maxima(row);
                     for (b, &max) in maxima.iter().enumerate() {
-                        for &p in layout.members(b) {
+                        for slot in layout.slots(b) {
                             let cached = match row {
-                                Some(c) => bounded.small_d[c.index() * m + p as usize],
-                                None => bounded.large_d[p as usize],
+                                Some(c) => bounded.small_d[c.index() * m + slot],
+                                None => bounded.large_d[slot],
                             };
                             assert!(
                                 max >= cached,
-                                "block {b} maximum {max} below cache {cached} at {p}"
+                                "block {b} maximum {max} below cache {cached} at slot {slot}"
                             );
                         }
                     }
@@ -471,8 +504,8 @@ mod tests {
             }
         }
         assert!(
-            narrow > 0 && wide > 0,
-            "{narrow} narrow, {wide} wide passes"
+            every > 0 && few > 0,
+            "{every} passes over every block, {few} over few"
         );
     }
 

@@ -109,6 +109,39 @@ impl Instance {
         self.cost.full_cost(m.index())
     }
 
+    /// Every `f^e_m` and `f^S_m`, evaluated once for an engine's race:
+    /// `f^e_m` lands at `small_at(m, e)` of the first vector (`|M|·|S|`
+    /// entries), `f^S_m` at `m` of the second. The third value is the
+    /// first of them, in location order, that is NaN, negative or
+    /// infinite, as a [`CoreError::BadInstance`] naming its location and
+    /// commodity (or "full"); its message is built only then.
+    pub(crate) fn facility_costs(
+        &self,
+        small_at: impl Fn(usize, usize) -> usize,
+    ) -> (Vec<f64>, Vec<f64>, Option<CoreError>) {
+        let (m, s) = (self.num_points(), self.num_commodities());
+        let mut f_small = vec![0.0; m * s];
+        let mut f_full = vec![0.0; m];
+        let mut bad = None;
+        let mut check = |f: f64, p: usize, e: Option<CommodityId>| {
+            if bad.is_none() && !(f.is_finite() && f >= 0.0) {
+                let config = e.map_or_else(|| "full".into(), |e| format!("commodity {}", e.0));
+                bad = Some(CoreError::BadInstance(format!(
+                    "facility cost at location {p} for {config} is {f}, not finite and non-negative"
+                )));
+            }
+            f
+        };
+        for p in 0..m {
+            for e in (0..s).map(|e| CommodityId(e as u16)) {
+                let f = self.small_cost(PointId(p as u32), e);
+                f_small[small_at(p, e.index())] = check(f, p, Some(e));
+            }
+            f_full[p] = check(self.large_cost(PointId(p as u32)), p, None);
+        }
+        (f_small, f_full, bad)
+    }
+
     /// Checks that a point id is in range.
     pub fn check_point(&self, p: PointId) -> Result<(), CoreError> {
         if p.index() >= self.num_points() {

@@ -52,6 +52,9 @@ pub struct NaivePd<'a> {
     dist_row: Vec<f64>,
     /// Running `Σ_r Σ_e a_{re}` for the Corollary 8 check.
     dual_sum: f64,
+    /// The first NaN, negative or infinite facility cost, which every
+    /// serve returns before it touches any state.
+    bad_cost: Option<CoreError>,
 }
 
 /// Per-member outcome inside one arrival.
@@ -64,18 +67,13 @@ enum MemberServe {
 }
 
 impl<'a> NaivePd<'a> {
-    /// Creates the reference algorithm over an instance.
+    /// Creates the reference algorithm over an instance. A NaN, negative
+    /// or infinite facility cost makes every serve fail with a
+    /// [`CoreError::BadInstance`] naming its location and commodity.
     pub fn new(inst: &'a Instance) -> Self {
         let m = inst.num_points();
         let s = inst.num_commodities();
-        let mut f_small = vec![0.0; m * s];
-        let mut f_full = vec![0.0; m];
-        for p in 0..m {
-            for e in 0..s {
-                f_small[p * s + e] = inst.small_cost(PointId(p as u32), CommodityId(e as u16));
-            }
-            f_full[p] = inst.large_cost(PointId(p as u32));
-        }
+        let (f_small, f_full, bad_cost) = inst.facility_costs(|p, e| p * s + e);
         Self {
             inst,
             sol: Solution::new(),
@@ -89,6 +87,7 @@ impl<'a> NaivePd<'a> {
             f_full,
             dist_row: vec![0.0; m],
             dual_sum: 0.0,
+            bad_cost,
         }
     }
 
@@ -257,6 +256,9 @@ fn tight(value: f64, target: f64) -> bool {
 
 impl OnlineAlgorithm for NaivePd<'_> {
     fn serve(&mut self, request: &Request) -> Result<ServeOutcome, CoreError> {
+        if let Some(bad) = &self.bad_cost {
+            return Err(bad.clone());
+        }
         request.validate(self.inst)?;
         let loc = request.location();
         let s = self.inst.num_commodities();

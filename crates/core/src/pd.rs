@@ -41,9 +41,10 @@
 //!   nearest-open-facility caches refreshed *once per opening* instead of
 //!   scanned per request (openings are rare; requests are not). The
 //!   refresh walks a full row below [`HUGE_METRIC_MIN_POINTS`]; from it
-//!   up, only the blocks whose certified distance lower bound undercuts
-//!   their largest cached distance, reading each block's member distances
-//!   in one pass;
+//!   up, the caches are stored in layout order and the refresh visits
+//!   only the blocks whose certified distance lower bound undercuts their
+//!   largest cached distance, reading each block's member distances in
+//!   one pass and updating its contiguous run of the caches;
 //! * the t3/t4 opening targets come from an [`OpeningTargetIndex`] — a
 //!   bucketed lower-bound prune list over the monotone distance-free keys
 //!   `(f − B)⁺`, with blocks laid over a spatially coherent relabeling and
@@ -80,8 +81,9 @@
 //! and gap guards) these are contiguous SIMD folds over coordinates
 //! stored in layout order, bit-identical to the metric's own calls;
 //! otherwise they are those calls. Only the arrival's predicted scan
-//! cover and the wide-coverage fallback fill rows; the fallback reads a
-//! stored row in place.
+//! cover and a wide cap-shrink pass's fallback fill rows (the fallback
+//! reads a stored row in place); the facility-cache refresh never does,
+//! however many blocks it keeps.
 //!
 //! All structures reproduce the retired linear scans **bit for bit**: cache
 //! updates use the same `distance(query, location)` call and strict-`<`
@@ -98,8 +100,8 @@
 
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
 use crate::index::{
-    wide_coverage, FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout, HUGE_BLOCK,
-    HUGE_METRIC_MIN_POINTS,
+    FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout, HUGE_BLOCK,
+    HUGE_METRIC_MIN_POINTS, WIDE_COVERAGE_SHARE,
 };
 use crate::instance::Instance;
 use crate::request::Request;
@@ -166,8 +168,8 @@ pub struct PdOmflp<'a> {
     /// Scratch for one point's representative distances on the
     /// partial-row path (see [`SpatialLayout::rep_distances`]).
     rep_scratch: Vec<f64>,
-    /// Scratch for the blocks a coverage-bounded opening pass keeps (see
-    /// [`covered_blocks`]).
+    /// Scratch for the blocks a coverage-bounded opening pass keeps: the
+    /// facility-cache refresh's, or a cap-shrink pass's ([`covered_blocks`]).
     blocks_scratch: Vec<u32>,
     /// Blocks each bid row's shrink walks touched during one opening, per
     /// commodity plus one trailing row for `B̂`: the partial-row path
@@ -194,6 +196,10 @@ pub struct PdOmflp<'a> {
     scratch: ServeScratch,
     /// Running `Σ_r Σ_e a_{re}` for the Corollary 8 check.
     dual_sum: f64,
+    /// The first cached facility cost the race cannot run on (NaN,
+    /// negative or infinite); [`OnlineAlgorithm::serve`] returns it before
+    /// it touches any state.
+    bad_cost: Option<CoreError>,
 }
 
 /// A single `d(p, q)`: an entry of `q`'s cached full row, or the metric
@@ -220,14 +226,15 @@ fn distance_row<'r>(cache: &'r mut BlockedRowCache, inst: &'r Instance, q: Point
     }
 }
 
-/// The blocks a coverage-bounded opening pass over `q`'s distances visits
-/// on the partial-row path: one representative pass of the layout fills
-/// `rep_d` with `q`'s representative distances and `blocks` with every
-/// block whose certified lower bound on `d(·, q)` passes `keep(b, dlb)`.
-/// When those blocks are wide ([`wide_coverage`]) it returns `q`'s full
-/// row instead ([`distance_row`]) for a contiguous walk; otherwise the
-/// caller reads each kept block's member distances
-/// ([`SpatialLayout::member_distances`]) and no row is materialized.
+/// The blocks a cap-shrink pass over `q`'s distances visits on the
+/// partial-row path: one representative pass of the layout fills `rep_d`
+/// with `q`'s representative distances and `blocks` with every block whose
+/// certified lower bound on `d(·, q)` passes `keep(b, dlb)`. When those
+/// blocks are more than [`WIDE_COVERAGE_SHARE`] of all blocks it returns
+/// `q`'s full row instead ([`distance_row`]) for a contiguous walk of the
+/// id-ordered bid rows; otherwise the caller reads each kept block's
+/// member distances ([`SpatialLayout::member_distances`]) and no row is
+/// materialized.
 fn covered_blocks<'r>(
     cache: &'r mut BlockedRowCache,
     layout: &SpatialLayout,
@@ -239,7 +246,8 @@ fn covered_blocks<'r>(
 ) -> Option<&'r [f64]> {
     layout.rep_distances(inst, q, rep_d);
     layout.blocks_where(rep_d, keep, blocks);
-    wide_coverage(blocks.len(), layout.nblocks()).then(|| distance_row(cache, inst, q))
+    let wide = blocks.len() as f64 > WIDE_COVERAGE_SHARE * layout.nblocks() as f64;
+    wide.then(|| distance_row(cache, inst, q))
 }
 
 /// The cap-shrink subtraction at one location after a cap fell from `old`
@@ -318,10 +326,15 @@ impl<'a> PdOmflp<'a> {
     /// (`O(|M|·|S|)` memory — the same order as the bid matrix the analysis
     /// requires). No distance is computed up front: rows are read from the
     /// metric's stored closure or filled on first use.
+    ///
+    /// A NaN, negative or infinite facility cost does not stop
+    /// construction: every [`OnlineAlgorithm::serve`] then returns it as a
+    /// [`CoreError::BadInstance`] naming its location and commodity.
     pub fn new(inst: &'a Instance) -> Self {
-        let (f_small, f_full) = Self::facility_costs(inst);
+        let m = inst.num_points();
+        let (f_small, f_full, bad_cost) = inst.facility_costs(|p, e| e * m + p);
         let targets = OpeningTargetIndex::for_instance(inst, &f_small, &f_full);
-        Self::with_parts(inst, f_small, f_full, targets)
+        Self::with_parts(inst, f_small, f_full, bad_cost, targets)
     }
 
     /// [`PdOmflp::new`] with the opening-target index laid over an
@@ -336,9 +349,10 @@ impl<'a> PdOmflp<'a> {
     /// [`CoreError::BadInstance`] when `order` is not a permutation of the
     /// instance's point ids (see [`OpeningTargetIndex::with_order`]).
     pub fn with_target_order(inst: &'a Instance, order: Vec<u32>) -> Result<Self, CoreError> {
-        let (f_small, f_full) = Self::facility_costs(inst);
+        let m = inst.num_points();
+        let (f_small, f_full, bad_cost) = inst.facility_costs(|p, e| e * m + p);
         let targets = OpeningTargetIndex::with_order(inst, &f_small, &f_full, order)?;
-        Ok(Self::with_parts(inst, f_small, f_full, targets))
+        Ok(Self::with_parts(inst, f_small, f_full, bad_cost, targets))
     }
 
     /// Test/bench hook: forces the worker pool of the sharded scans and
@@ -355,27 +369,12 @@ impl<'a> PdOmflp<'a> {
         self.targets.set_scan_shard_blocks(shard_blocks);
     }
 
-    /// The cached facility costs `(f^{e}_m, f^{S}_m)`: commodity-major
-    /// `e·|M| + m`, and per point.
-    fn facility_costs(inst: &Instance) -> (Vec<f64>, Vec<f64>) {
-        let m = inst.num_points();
-        let s = inst.num_commodities();
-        let mut f_small = vec![0.0; m * s];
-        let mut f_full = vec![0.0; m];
-        for p in 0..m {
-            for e in 0..s {
-                f_small[e * m + p] = inst.small_cost(PointId(p as u32), CommodityId(e as u16));
-            }
-            f_full[p] = inst.large_cost(PointId(p as u32));
-        }
-        (f_small, f_full)
-    }
-
     /// Assembles an engine around its opening-target index.
     fn with_parts(
         inst: &'a Instance,
         f_small: Vec<f64>,
         f_full: Vec<f64>,
+        bad_cost: Option<CoreError>,
         mut targets: OpeningTargetIndex,
     ) -> Self {
         let m = inst.num_points();
@@ -413,31 +412,31 @@ impl<'a> PdOmflp<'a> {
             last_targets_valid: false,
             scratch: ServeScratch::default(),
             dual_sum: 0.0,
+            bad_cost,
         };
         engine.set_partial_row_threshold(HUGE_METRIC_MIN_POINTS);
         engine
     }
 
-    /// Folds a fresh opening into the facility index through a borrowed
-    /// distance row. On the partial-row path the row of `at` is read only
-    /// over the blocks whose lower bound undercuts their largest cached
-    /// distance (the bounded refresh). Values are identical either way.
+    /// Folds a fresh opening into the facility index. Below the
+    /// partial-row threshold it walks `at`'s full distance row, borrowed
+    /// from the metric or the row cache. On the partial-row path one
+    /// representative pass picks the blocks whose lower bound on
+    /// `d(·, at)` undercuts their largest cached distance, and the bounded
+    /// refresh reads only those blocks, however many there are; no row is
+    /// filled. Values are identical either way.
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
-        let bounded = self.partial_rows_active();
-        let c = &mut self.row_cache;
-        if bounded {
-            let maxima = self.index.block_maxima(e);
+        if self.partial_rows_active() {
+            let layout = self.targets.layout();
             let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
-            let keep = |b, dlb| dlb < maxima[b];
-            match covered_blocks(c, self.targets.layout(), self.inst, at, rep_d, blocks, keep) {
-                Some(row) => self.index.note_opening(e, row, fid),
-                None => self
-                    .index
-                    .note_opening_in_blocks(self.inst, e, at, blocks, fid),
-            }
+            layout.rep_distances(self.inst, at, rep_d);
+            let maxima = self.index.block_maxima(e);
+            layout.blocks_where(rep_d, |b, dlb| dlb < maxima[b], blocks);
+            self.index
+                .note_opening_in_blocks(self.inst, e, at, blocks, fid);
             return;
         }
-        let row = distance_row(c, self.inst, at);
+        let row = distance_row(&mut self.row_cache, self.inst, at);
         self.index.note_opening(e, row, fid);
     }
 
@@ -522,8 +521,9 @@ impl<'a> PdOmflp<'a> {
 
     /// Coverage-fallback promotions of the blocked row cache: partial rows
     /// a full-row consumer forced up to a full fill — on the partial-row
-    /// path, an opening pass whose surviving blocks were wide (see
-    /// [`crate::index::WIDE_COVERAGE_SHARE`]). Always `Some`, like
+    /// path, a cap-shrink pass whose surviving blocks were wide (see
+    /// [`crate::index::WIDE_COVERAGE_SHARE`]); the facility-cache refresh
+    /// never fills a row. Always `Some`, like
     /// [`Self::distance_cache_stats`].
     pub fn row_fallback_promotions(&self) -> Option<u64> {
         Some(self.row_cache.fallback_promotions())
@@ -808,6 +808,9 @@ fn tight(value: f64, target: f64) -> bool {
 
 impl OnlineAlgorithm for PdOmflp<'_> {
     fn serve(&mut self, request: &Request) -> Result<ServeOutcome, CoreError> {
+        if let Some(bad) = &self.bad_cost {
+            return Err(bad.clone());
+        }
         request.validate(self.inst)?;
         let loc = request.location();
         let mpts = self.inst.num_points();
@@ -861,8 +864,8 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         // scans then see verbatim metric values everywhere they look, so
         // targets, stats and all downstream state are bit-identical to a
         // full fill. Openings later read distances over the blocks they can
-        // change; only a wide pass promotes a partial row through the
-        // cache's coverage fallback.
+        // change; only a wide cap-shrink pass promotes a partial row through
+        // the cache's coverage fallback.
         let dist_row: &[f64] = if self.partial_rows_active() {
             let t = &mut self.targets;
             // One pass of per-block distance bounds for this arrival,

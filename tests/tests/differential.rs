@@ -16,8 +16,9 @@
 //! tolerances.
 
 use omfl_commodity::cost::{CostModel, FacilityCostFn};
-use omfl_commodity::CommoditySet;
+use omfl_commodity::{CommoditySet, Universe};
 use omfl_core::algorithm::OnlineAlgorithm;
+use omfl_core::instance::Instance;
 use omfl_core::naive::NaivePd;
 use omfl_core::pd::PdOmflp;
 use omfl_core::request::Request;
@@ -275,31 +276,111 @@ fn location_priced(scenario: &Scenario, spread: f64, seed: u64) -> Scenario {
     .expect("priced scenario")
 }
 
-#[test]
-fn indexed_pd_matches_naive_under_location_dependent_costs() {
-    // The catalog prices facilities alike at every location. Here
-    // `f^e_m` and `f^S_m` differ per location, and both engines must
-    // still agree on the full-row path and on the partial-row path,
-    // whose relabeled blocks, block bounds and partial rows all read them.
+/// Every catalog family at one seed, priced per location at spreads 0.5
+/// and 4, on the full-row path and on the partial-row path. The catalog
+/// prices facilities alike at every location. Here `f^e_m` and `f^S_m`
+/// differ per location, and both engines must still agree on both paths,
+/// whose relabeled blocks, block bounds and partial rows all read them.
+/// One test per seed, so the harness runs the seeds' graph closures in
+/// parallel.
+fn assert_location_priced_families_match_naive(seed: u64) {
     let profile = CatalogProfile {
         points: 96,
         services: 6,
         requests: 160,
     };
     for fam in registry() {
-        for seed in [3u64, 31, 313] {
-            let base = fam.build(&profile, seed).expect(fam.name);
-            for spread in [0.5, 4.0] {
-                let sc = location_priced(&base, spread, seed);
-                for partial in [false, true] {
-                    let mut pd = PdOmflp::new(sc.instance());
-                    if partial {
-                        pd.set_partial_row_threshold(0);
-                    }
-                    let label = format!("{} (seed {seed}, partial rows {partial})", sc.name);
-                    assert_matches_naive(pd, &sc, &label);
+        let base = fam.build(&profile, seed).expect(fam.name);
+        for spread in [0.5, 4.0] {
+            let sc = location_priced(&base, spread, seed);
+            for partial in [false, true] {
+                let mut pd = PdOmflp::new(sc.instance());
+                if partial {
+                    pd.set_partial_row_threshold(0);
+                }
+                let label = format!("{} (seed {seed}, partial rows {partial})", sc.name);
+                assert_matches_naive(pd, &sc, &label);
+            }
+        }
+    }
+}
+
+#[test]
+fn indexed_pd_matches_naive_under_location_dependent_costs_seed_3() {
+    assert_location_priced_families_match_naive(3);
+}
+
+#[test]
+fn indexed_pd_matches_naive_under_location_dependent_costs_seed_31() {
+    assert_location_priced_families_match_naive(31);
+}
+
+#[test]
+fn indexed_pd_matches_naive_under_location_dependent_costs_seed_313() {
+    assert_location_priced_families_match_naive(313);
+}
+
+/// Unit costs per commodity, except at location `at`: every configuration
+/// there costs `bad`, or only the full set with `full_only`.
+struct PricedAt {
+    universe: Universe,
+    at: usize,
+    bad: f64,
+    full_only: bool,
+}
+
+impl FacilityCostFn for PricedAt {
+    fn universe(&self) -> Universe {
+        self.universe
+    }
+
+    fn cost(&self, location: usize, config: &CommoditySet) -> f64 {
+        let full = config.len() == self.universe.len();
+        if location == self.at && (full || !self.full_only) {
+            self.bad
+        } else {
+            config.len() as f64
+        }
+    }
+}
+
+#[test]
+fn both_engines_reject_nan_negative_and_infinite_facility_costs() {
+    // A 3-point line with |S| = 2, one location priced at an unusable
+    // value. Both engines still construct, and every serve returns the
+    // same typed error, naming the first bad cost, before any state moves.
+    let universe = Universe::new(2).unwrap();
+    for bad in [f64::NAN, -1.0, f64::INFINITY] {
+        for (at, full_only, names) in [
+            (1, false, "location 1 for commodity 0"),
+            (2, true, "location 2 for full"),
+        ] {
+            let cost = PricedAt {
+                universe,
+                at,
+                bad,
+                full_only,
+            };
+            let metric = Box::new(LineMetric::new(vec![0.0, 1.0, 3.0]).unwrap());
+            let inst = Instance::with_cost_fn(metric, Box::new(cost)).unwrap();
+            let label = format!("f = {bad} at {names}");
+            let requests: Vec<Request> = (0..3u32)
+                .map(|p| Request::new(PointId(p), CommoditySet::full(universe)))
+                .collect();
+            let mut fast = PdOmflp::new(&inst);
+            let mut slow = NaivePd::new(&inst);
+            for r in &requests {
+                for err in [fast.serve(r).unwrap_err(), slow.serve(r).unwrap_err()] {
+                    let CoreError::BadInstance(msg) = &err else {
+                        panic!("{label}: expected BadInstance, got {err:?}");
+                    };
+                    assert!(msg.contains(names), "{label}: {msg}");
+                    assert!(msg.contains(&format!("is {bad}")), "{label}: {msg}");
                 }
             }
+            assert_eq!(fast.solution().num_requests(), 0, "{label}");
+            assert_eq!(slow.solution().num_requests(), 0, "{label}");
+            assert!(fast.past_requests().is_empty() && slow.past_requests().is_empty());
         }
     }
 }

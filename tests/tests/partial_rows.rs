@@ -82,60 +82,139 @@ fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
     }
 }
 
+/// Serves `sc` on the partial-row engine and the oracle in lockstep and
+/// attributes the engine's row promotions: an arrival whose openings
+/// lowered no past cap ran no cap-shrink pass, so a promotion there could
+/// only come from the facility-cache refresh, which must fill no row.
+/// Returns `(promotions, opening arrivals without a shrink pass)`.
+fn promotions_outside_refreshes(sc: &Scenario, label: &str) -> (u64, usize) {
+    let inst = sc.instance();
+    let mut tuned = PdOmflp::new(inst);
+    tuned.set_partial_row_threshold(0);
+    assert!(tuned.partial_rows_active(), "{label}");
+    tuned.configure_parallel_scans(7, 2);
+    let mut reference = NaivePd::new(inst);
+    let caps = |pd: &PdOmflp<'_>| -> Vec<f64> {
+        let past = pd.past_requests().iter();
+        past.flat_map(|pr| pr.caps.iter().copied().chain([pr.cap_total]))
+            .collect()
+    };
+    let mut refresh_only = 0;
+    for (step, r) in sc.requests.iter().enumerate() {
+        let (before, promoted) = (caps(&tuned), tuned.row_fallback_promotions());
+        let a = tuned.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let b = reference
+            .serve(r)
+            .unwrap_or_else(|e| panic!("{label}: reference: {e}"));
+        assert_eq!(a, b, "{label}: outcome diverged at arrival {step}");
+        let shrank = before.iter().zip(caps(&tuned)).any(|(&old, new)| new < old);
+        if !a.opened.is_empty() && !shrank {
+            refresh_only += 1;
+            assert_eq!(
+                tuned.row_fallback_promotions(),
+                promoted,
+                "{label}: a facility-cache refresh promoted a row at arrival {step}"
+            );
+        }
+    }
+    assert_eq!(
+        tuned.solution().total_cost().to_bits(),
+        reference.solution().total_cost().to_bits(),
+        "{label}: costs diverged"
+    );
+    let (hits, misses, _) = tuned.distance_cache_stats().expect("always Some");
+    assert!(hits + misses > 0, "{label}: the cache was never touched");
+    (
+        tuned.row_fallback_promotions().expect("always Some"),
+        refresh_only,
+    )
+}
+
 #[test]
-fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
+fn cold_scatter_adversary_locksteps_and_only_shrink_passes_promote_rows() {
     // The id-scattered adversary defeats id-order pruning entirely, so its
     // coverage sets are the least block-aligned the catalog produces; its
-    // region-hopping queries also open facilities. Openings read distances
-    // only over the blocks they can change, without touching the row
-    // cache, but a pass whose surviving blocks are wide — each commodity's
-    // first openings, while the cached nearest distances are still ∞ —
-    // falls back to one bulk fill of the opening location's row, which
-    // promotes the partial row an arrival there left. Lockstep must hold,
-    // and the fallback counter must be observable.
-    let profile = CatalogProfile {
+    // region-hopping queries also open facilities. Every facility-cache
+    // refresh reads distances only over the blocks it can change, however
+    // many there are — each commodity's first openings, while the cached
+    // nearest distances are still ∞, keep every block — so no refresh
+    // fills or promotes a row. Lockstep must hold on both streams, with
+    // refresh-only openings on each. On the 529-point grid, past caps
+    // reach most blocks, so wide cap-shrink passes still fall back to a
+    // full fill of a past location's row, promoting the partial row its
+    // arrival left: the fallback counter must see them.
+    let cold = CatalogProfile {
         points: 40, // × 32 scale → 1280 points
         services: 8,
         requests: 120,
     };
     let sc = by_name("cold-scatter-large")
         .unwrap()
-        .build(&profile, 13)
+        .build(&cold, 13)
         .expect("cold-scatter-large");
-    let inst = sc.instance();
-    let mut tuned = PdOmflp::new(inst);
-    tuned.set_partial_row_threshold(0);
-    assert!(tuned.partial_rows_active());
-    tuned.configure_parallel_scans(7, 2);
-    let mut reference = NaivePd::new(inst);
-    for (step, r) in sc.requests.iter().enumerate() {
-        let a = tuned
-            .serve(r)
-            .unwrap_or_else(|e| panic!("cold-scatter: {e}"));
-        let b = reference
-            .serve(r)
-            .unwrap_or_else(|e| panic!("cold-scatter reference: {e}"));
-        assert_eq!(a, b, "cold-scatter: outcome diverged at arrival {step}");
-    }
-    assert_eq!(
-        tuned.solution().total_cost().to_bits(),
-        reference.solution().total_cost().to_bits(),
-        "cold-scatter: costs diverged"
-    );
-    let promotions = tuned.row_fallback_promotions().expect("always Some");
-    let (hits, misses, _) = tuned.distance_cache_stats().expect("always Some");
-    assert!(
-        hits + misses > 0,
-        "the partial-row path must have touched the cache"
-    );
-    // Every commodity's first opening is a wide-coverage pass, and with
-    // location-independent costs it opens at the arrival's own location,
-    // whose row the arrival left partial; the blocked-cache unit tests
-    // force the fallback directly — this assert pins the *engine* wiring.
+    let (_, refresh_only) = promotions_outside_refreshes(&sc, "cold-scatter");
+    assert!(refresh_only > 0, "no opening ran without a shrink pass");
+
+    let grid = CatalogProfile {
+        points: 8,
+        services: 8,
+        requests: 200,
+    };
+    let sc = by_name("euclid-grid-large")
+        .unwrap()
+        .build(&grid, 5)
+        .expect("euclid-grid-large");
+    let (promotions, refresh_only) = promotions_outside_refreshes(&sc, "grid");
+    assert!(refresh_only > 0, "no opening ran without a shrink pass");
     assert!(
         promotions > 0,
-        "wide-coverage openings must promote partial rows via the fallback"
+        "wide cap-shrink passes must promote partial rows via the fallback"
     );
+}
+
+#[test]
+fn threshold_toggles_mid_stream_stay_in_lockstep() {
+    // The partial-row threshold hook moves the facility caches between id
+    // order and layout order. Toggled both ways after openings have
+    // filled the caches, the engine must keep replaying the oracle bit
+    // for bit.
+    let profile = CatalogProfile {
+        points: 40,
+        services: 8,
+        requests: 150,
+    };
+    for name in ["euclid-grid-large", "cold-scatter-large"] {
+        let sc = by_name(name).unwrap().build(&profile, 11).expect(name);
+        let inst = sc.instance();
+        for (first, second) in [(0, usize::MAX), (usize::MAX, 0)] {
+            let label = format!("{name} toggled from {first}");
+            let mut tuned = PdOmflp::new(inst);
+            tuned.set_partial_row_threshold(first);
+            let mut reference = NaivePd::new(inst);
+            let n = sc.requests.len();
+            for (step, r) in sc.requests.iter().enumerate() {
+                if step == n / 3 || step == 2 * n / 3 {
+                    assert!(
+                        tuned.facility_index().openings() > 0,
+                        "{label}: toggled before any opening"
+                    );
+                    let next = if step == n / 3 { second } else { first };
+                    tuned.set_partial_row_threshold(next);
+                    assert_eq!(tuned.partial_rows_active(), next == 0, "{label}");
+                }
+                let a = tuned.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
+                let b = reference
+                    .serve(r)
+                    .unwrap_or_else(|e| panic!("{label}: reference: {e}"));
+                assert_eq!(a, b, "{label}: outcome diverged at arrival {step}");
+            }
+            assert_eq!(
+                tuned.dual_sum().to_bits(),
+                reference.dual_sum().to_bits(),
+                "{label}: dual sums diverged"
+            );
+        }
+    }
 }
 
 /// `sc`'s grid and stream over the same coordinates under another norm:
