@@ -74,7 +74,8 @@
 //! On the partial-row path the per-block distances come from the target
 //! index's layout instead, without touching the row cache: each arrival
 //! and each opening pass reads `d(rep_b, ·)` for every block in one
-//! representative pass, and an opening pass reads each kept block's
+//! representative pass (an opening at the arrival's location reuses the
+//! arrival's), and an opening pass reads each kept block's
 //! member distances in one pass more (`SpatialLayout::rep_distances` and
 //! `member_distances`). When the metric embeds isometrically
 //! (`KdCoords::isometric`: L2 Euclidean, and lines within their magnitude
@@ -168,6 +169,14 @@ pub struct PdOmflp<'a> {
     /// Scratch for one point's representative distances on the
     /// partial-row path (see [`SpatialLayout::rep_distances`]).
     rep_scratch: Vec<f64>,
+    /// The last partial-row arrival's representative distances, kept apart
+    /// from `rep_scratch` so that openings at its location reuse them.
+    /// They depend only on the location and the layout, which never
+    /// changes after construction, so the location tag keeps the reuse
+    /// exact.
+    arrival_rep: Vec<f64>,
+    /// The location `arrival_rep` belongs to.
+    arrival_rep_at: Option<PointId>,
     /// Scratch for the blocks a coverage-bounded opening pass keeps: the
     /// facility-cache refresh's, or a cap-shrink pass's ([`covered_blocks`]).
     blocks_scratch: Vec<u32>,
@@ -403,6 +412,8 @@ impl<'a> PdOmflp<'a> {
             row_cache: BlockedRowCache::with_default_budget(m),
             cover_scratch: Vec::new(),
             rep_scratch: Vec::new(),
+            arrival_rep: Vec::new(),
+            arrival_rep_at: None,
             blocks_scratch: Vec::new(),
             touched: vec![Vec::new(); s + 1],
             partial_rows_min: HUGE_METRIC_MIN_POINTS,
@@ -420,16 +431,20 @@ impl<'a> PdOmflp<'a> {
 
     /// Folds a fresh opening into the facility index. Below the
     /// partial-row threshold it walks `at`'s full distance row, borrowed
-    /// from the metric or the row cache. On the partial-row path one
-    /// representative pass picks the blocks whose lower bound on
+    /// from the metric or the row cache. On the partial-row path `at`'s
+    /// representative distances (the arrival's, when it opens there; else
+    /// one representative pass) pick the blocks whose lower bound on
     /// `d(·, at)` undercuts their largest cached distance, and the bounded
     /// refresh reads only those blocks, however many there are; no row is
     /// filled. Values are identical either way.
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
         if self.partial_rows_active() {
             let layout = self.targets.layout();
-            let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
-            layout.rep_distances(self.inst, at, rep_d);
+            let (mut rep_d, blocks) = (&self.arrival_rep, &mut self.blocks_scratch);
+            if self.arrival_rep_at != Some(at) {
+                layout.rep_distances(self.inst, at, &mut self.rep_scratch);
+                rep_d = &self.rep_scratch;
+            }
             let maxima = self.index.block_maxima(e);
             layout.blocks_where(rep_d, |b, dlb| dlb < maxima[b], blocks);
             self.index
@@ -870,8 +885,9 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             let t = &mut self.targets;
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
-            t.layout().rep_distances(inst, loc, &mut self.rep_scratch);
-            t.prepare_query_at(Some(loc), &self.rep_scratch);
+            t.layout().rep_distances(inst, loc, &mut self.arrival_rep);
+            self.arrival_rep_at = Some(loc);
+            t.prepare_query_at(Some(loc), &self.arrival_rep);
             let cover = &mut self.cover_scratch;
             t.query_scan_cover(&scratch.members, cover);
             let c = &mut self.row_cache;

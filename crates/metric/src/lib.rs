@@ -327,33 +327,44 @@ impl Iterator for PointIter {
 impl ExactSizeIterator for PointIter {}
 
 /// Checks that `v` is a finite, non-negative coordinate/weight. `what`
-/// names the value in the error message (`format_args!("d[{a},{b}]")`);
-/// it is formatted only when the check fails, so a constructor that checks
-/// every entry of a large input pays no string formatting for it.
+/// names the value in the error message (`format_args!("d[{a},{b}]")`).
+/// The check itself is inline compares; the message is built only when it
+/// fails, in the cold [`invalid_value`], so a constructor that checks
+/// every entry of a large input (a graph closure checks `n²/2` path sums)
+/// pays neither a call nor string formatting for it.
+#[inline]
 pub(crate) fn check_finite_nonneg(v: f64, what: fmt::Arguments<'_>) -> Result<(), MetricError> {
-    if !v.is_finite() {
-        return Err(MetricError::InvalidValue(format!(
-            "{what} = {v} is not finite"
-        )));
+    if v.is_finite() && v >= 0.0 {
+        Ok(())
+    } else {
+        Err(invalid_value(v, what))
     }
-    if v < 0.0 {
-        return Err(MetricError::InvalidValue(format!(
-            "{what} = {v} is negative"
-        )));
-    }
-    Ok(())
 }
 
 /// Checks that `v` is a finite coordinate (may be negative, e.g. line
-/// positions). `what` is formatted only on failure, as in
+/// positions). Inline, with the message built only on failure, as in
 /// [`check_finite_nonneg`].
+#[inline]
 pub(crate) fn check_finite(v: f64, what: fmt::Arguments<'_>) -> Result<(), MetricError> {
-    if !v.is_finite() {
-        return Err(MetricError::InvalidValue(format!(
-            "{what} = {v} is not finite"
-        )));
+    if v.is_finite() {
+        Ok(())
+    } else {
+        Err(invalid_value(v, what))
     }
-    Ok(())
+}
+
+/// The error for a value that failed [`check_finite`] or
+/// [`check_finite_nonneg`]: `"{what} = {v} is not finite"`, or
+/// `"… is negative"` for a finite `v`.
+#[cold]
+#[inline(never)]
+fn invalid_value(v: f64, what: fmt::Arguments<'_>) -> MetricError {
+    let why = if v.is_finite() {
+        "is negative"
+    } else {
+        "is not finite"
+    };
+    MetricError::InvalidValue(format!("{what} = {v} {why}"))
 }
 
 #[cfg(test)]
