@@ -162,6 +162,14 @@ impl SpatialLayout {
         start..(start + self.block).min(self.perm.len())
     }
 
+    /// The block holding original id `p`. Block sizes are powers of two,
+    /// so the division is a shift.
+    #[inline]
+    pub(crate) fn block_of(&self, p: usize) -> usize {
+        debug_assert!(self.block.is_power_of_two());
+        self.pos[p] as usize >> self.block.trailing_zeros()
+    }
+
     /// The certified lower bound on `d(p, q)` over block `b`'s members,
     /// from `q`'s representative distances ([`Self::rep_distances`]).
     #[inline]

@@ -45,6 +45,7 @@ mod targets;
 pub use facility::FacilityIndex;
 pub(crate) use layout::SpatialLayout;
 pub use past::PastIndex;
+pub(crate) use targets::mark_block;
 pub use targets::OpeningTargetIndex;
 
 /// Default locations per prune block of the [`OpeningTargetIndex`].
@@ -747,7 +748,7 @@ mod tests {
     /// the bound update [`OpeningTargetIndex::freeze_reinvest`] makes for
     /// every bid it raises.
     fn fold_bumped_key(idx: &mut OpeningTargetIndex, e: Option<CommodityId>, p: usize, key: f64) {
-        let bi = idx.layout.pos[p] as usize / idx.layout.block;
+        let bi = idx.layout.block_of(p);
         let bound = match e {
             Some(e) => &mut idx.small[e.index() * idx.nblocks + bi],
             None => &mut idx.large[bi],

@@ -120,7 +120,7 @@ impl PastIndex {
         cap_total: f64,
     ) {
         let l = loc.index();
-        let b = self.layout.pos[l] as usize / self.layout.block;
+        let b = self.layout.block_of(l);
         if self.slot_of[l] == 0 {
             // The location's first request opens its slot.
             let n = self.slot_loc.len();

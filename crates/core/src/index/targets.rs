@@ -88,14 +88,14 @@ use std::sync::Arc;
 /// * **Shrinks** (only when a facility opens, rare): `B` falls, keys
 ///   *rise*. A stale-low `blockmin` stays a valid lower bound — pruning
 ///   merely gets weaker, never wrong — so correctness needs no action at
-///   all. To keep the prune tight the engine rebuilds the affected rows
-///   after its cap-shrink pass: whole rows ([`Self::rebuild_small`] /
-///   [`Self::rebuild_large`], `O(|M|)`) on the full-row path, and only the
-///   blocks the shrink walks touched on the partial-row path
-///   (`rebuild_small_blocks` / `rebuild_large_blocks`). There every bound
-///   is always an exact block minimum — bumps min-fold exactly and each
-///   shrink rebuilds every block it touched — so an untouched block
-///   already holds what a full rebuild would write.
+///   all. To keep the prune tight the engine's cap-shrink pass marks the
+///   block of every location whose bid it lowered, and the pass ends by
+///   recomputing exactly those blocks (`rebuild_small_blocks` /
+///   `rebuild_large_blocks`), on both serve paths. So every bound is always
+///   an exact block minimum, at every size: bumps min-fold exactly and each
+///   shrink rebuilds every block that holds a lowered bid, so an untouched
+///   block already holds what a whole-row rebuild would write
+///   (`tests/tests/index_bounds.rs` checks this after every arrival).
 ///
 /// Memory: `(|S| + 1) · ⌈|M| / TARGET_BLOCK⌉` bound floats plus the
 /// permutation and per-block summaries — with the block size of
@@ -203,19 +203,29 @@ fn block_bounds(layout: &SpatialLayout, f_row: &[f64], b_row: &[f64], out: &mut 
     }
 }
 
-/// [`block_bounds`] for the listed blocks only (sorted and deduplicated in
-/// place), so the cost scales with the list.
+/// Adds block `b` to a touched-block set: one bit per block, so the set
+/// holds each block at most once.
+#[inline]
+pub(crate) fn mark_block(touched: &mut [u64], b: usize) {
+    touched[b / 64] |= 1 << (b % 64);
+}
+
+/// [`block_bounds`] for the blocks of the `touched` set only, which it
+/// empties, so the cost scales with the blocks marked.
 fn rebuild_blocks(
     layout: &SpatialLayout,
     f_row: &[f64],
     b_row: &[f64],
     out: &mut [f64],
-    blocks: &mut Vec<u32>,
+    touched: &mut [u64],
 ) {
-    blocks.sort_unstable();
-    blocks.dedup();
-    for &b in blocks.iter() {
-        out[b as usize] = block_min(layout, f_row, b_row, b as usize);
+    for (w, word) in touched.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            let b = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            out[b] = block_min(layout, f_row, b_row, b);
+        }
     }
 }
 
@@ -896,49 +906,41 @@ impl OpeningTargetIndex {
         (best, PointId(if best_id == u32::MAX { 0 } else { best_id }))
     }
 
-    /// Recomputes `e`'s block bounds from the current rows. Called after a
-    /// cap-shrink pass lowered budgets (keys rose): the stale bounds were
-    /// still sound, this restores tightness.
-    pub fn rebuild_small(&mut self, e: CommodityId, f_row: &[f64], b_row: &[f64]) {
-        block_bounds(
-            &self.layout,
-            f_row,
-            b_row,
-            &mut self.small[e.index() * self.nblocks..(e.index() + 1) * self.nblocks],
-        );
-    }
-
-    /// Recomputes the t4 block bounds (see [`Self::rebuild_small`]).
-    pub fn rebuild_large(&mut self, f_full: &[f64], b_large: &[f64]) {
-        block_bounds(&self.layout, f_full, b_large, &mut self.large);
-    }
-
-    /// [`Self::rebuild_small`] over the blocks a shrink pass touched
-    /// (deduplicated in place). Bit-identical to the full rebuild when
-    /// every other bound is already an exact block minimum — the partial-row
-    /// path's invariant: bumps min-fold exactly and each shrink rebuilds
-    /// every block it touched, so an untouched block holds what a full
-    /// rebuild would write.
+    /// Recomputes `e`'s bounds over the blocks of a cap-shrink pass's
+    /// `touched` set ([`mark_block`]) from the current rows, and empties
+    /// the set. The shrink lowered budgets (keys rose) in those blocks
+    /// alone, and every other bound is already an exact block minimum
+    /// (see the type docs), so the row ends as a whole-row rebuild would
+    /// leave it.
     pub(crate) fn rebuild_small_blocks(
         &mut self,
         e: CommodityId,
         f_row: &[f64],
         b_row: &[f64],
-        blocks: &mut Vec<u32>,
+        touched: &mut [u64],
     ) {
         let bounds = &mut self.small[e.index() * self.nblocks..(e.index() + 1) * self.nblocks];
-        rebuild_blocks(&self.layout, f_row, b_row, bounds, blocks);
+        rebuild_blocks(&self.layout, f_row, b_row, bounds, touched);
     }
 
-    /// [`Self::rebuild_large`] over the touched blocks (see
-    /// [`Self::rebuild_small_blocks`]).
+    /// [`Self::rebuild_small_blocks`] for the t4 bounds.
     pub(crate) fn rebuild_large_blocks(
         &mut self,
         f_full: &[f64],
         b_large: &[f64],
-        blocks: &mut Vec<u32>,
+        touched: &mut [u64],
     ) {
-        rebuild_blocks(&self.layout, f_full, b_large, &mut self.large, blocks);
+        rebuild_blocks(&self.layout, f_full, b_large, &mut self.large, touched);
+    }
+
+    /// The block bounds of commodity `e`'s row, or the t4 bounds for
+    /// `None`, in block order ([`Self::block_partition`]). Each is the
+    /// exact minimum of `(f − B)⁺` over its block between arrivals.
+    pub fn bounds(&self, e: Option<CommodityId>) -> &[f64] {
+        match e {
+            Some(e) => &self.small[e.index() * self.nblocks..(e.index() + 1) * self.nblocks],
+            None => &self.large,
+        }
     }
 
     /// The block layout, for the engine's coverage-bounded row reads.
@@ -949,5 +951,25 @@ impl OpeningTargetIndex {
     /// `(blocks pruned, blocks scanned)` across all queries so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.skipped, self.scanned)
+    }
+}
+
+/// The whole-row rebuilds: the reference the index tests drive the prune
+/// against. The engine rebuilds only the blocks its shrinks touched.
+#[cfg(test)]
+impl OpeningTargetIndex {
+    /// Recomputes all of `e`'s block bounds from the current rows.
+    pub(super) fn rebuild_small(&mut self, e: CommodityId, f_row: &[f64], b_row: &[f64]) {
+        block_bounds(
+            &self.layout,
+            f_row,
+            b_row,
+            &mut self.small[e.index() * self.nblocks..(e.index() + 1) * self.nblocks],
+        );
+    }
+
+    /// Recomputes all t4 block bounds (see [`Self::rebuild_small`]).
+    pub(super) fn rebuild_large(&mut self, f_full: &[f64], b_large: &[f64]) {
+        block_bounds(&self.layout, f_full, b_large, &mut self.large);
     }
 }

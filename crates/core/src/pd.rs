@@ -57,12 +57,15 @@
 //!   bid reinvestment to the blocks that can hold `d < cap`;
 //! * the cap-shrink passes after an opening consult a [`PastIndex`] —
 //!   past requests bucketed by location with per-bucket cap bounds — so the
-//!   walk is over locations, not over the whole request history. From
-//!   [`HUGE_METRIC_MIN_POINTS`] up each shrinking request's distances are
-//!   read only over the blocks whose lower bound is below its old cap, and
-//!   the bound rebuild that follows recomputes only the blocks those reads
-//!   touched. A pass whose surviving blocks are wide falls back to one
-//!   bulk row fill ([`crate::index::WIDE_COVERAGE_SHARE`]).
+//!   walk is over locations, not over the whole request history. Below
+//!   [`HUGE_METRIC_MIN_POINTS`] each shrinking request's full distance row
+//!   is walked in id order by one kernel that skips every chunk of entries
+//!   with no `d < old`; from it up the distances are read only over the
+//!   blocks whose lower bound is below the old cap, and a pass whose
+//!   surviving blocks are wide falls back to one bulk row fill and the same
+//!   kernel ([`crate::index::WIDE_COVERAGE_SHARE`]). At every size the
+//!   shrinks mark the blocks they lowered, and the bound rebuild that
+//!   follows recomputes only those.
 //!
 //! Full distance rows are read in place when the metric stores its closure
 //! ([`omfl_metric::Metric::row`]: graphs, dense matrices). For every other
@@ -101,7 +104,7 @@
 
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
 use crate::index::{
-    FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout, HUGE_BLOCK,
+    mark_block, FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout, HUGE_BLOCK,
     HUGE_METRIC_MIN_POINTS, WIDE_COVERAGE_SHARE,
 };
 use crate::instance::Instance;
@@ -180,10 +183,12 @@ pub struct PdOmflp<'a> {
     /// Scratch for the blocks a coverage-bounded opening pass keeps: the
     /// facility-cache refresh's, or a cap-shrink pass's ([`covered_blocks`]).
     blocks_scratch: Vec<u32>,
-    /// Blocks each bid row's shrink walks touched during one opening, per
-    /// commodity plus one trailing row for `B̂`: the partial-row path
-    /// rebuilds only these bounds.
-    touched: Vec<Vec<u32>>,
+    /// The blocks each bid row's shrink walks marked during one opening,
+    /// every block holding a lowered bid among them ([`Self::shrink_rows`]),
+    /// one bit per block ([`mark_block`]), per commodity plus one trailing
+    /// row for `B̂`: the bound rebuild recomputes exactly these blocks and
+    /// empties the sets.
+    touched: Vec<Vec<u64>>,
     /// Point-count floor for the partial-row serve path; defaults to
     /// [`HUGE_METRIC_MIN_POINTS`], overridable via
     /// [`PdOmflp::set_partial_row_threshold`] so lockstep suites can
@@ -270,12 +275,47 @@ fn shrink_bid(b: &mut f64, dpj: f64, old: f64, dj: f64) {
     }
 }
 
-/// [`shrink_bid`] over a whole bid row, `drow[p] = d(p, location)`.
-#[inline]
-fn shrink_bids(b_row: &mut [f64], drow: &[f64], old: f64, dj: f64) {
-    for (b, &dpj) in b_row.iter_mut().zip(drow) {
-        shrink_bid(b, dpj, old, dj);
+/// Row entries [`shrink_row`] tests with one branch-free compare, one bit
+/// of a `u64` mask each.
+const SHRINK_CHUNK: usize = 32;
+
+/// [`shrink_bid`] over a whole bid row in id order, `drow[p] = d(p, loc)`,
+/// marking the layout block of every entry it lowers in `touched` (see
+/// [`mark_block`]). Few entries have `d < old` (0.64% of those a
+/// `pd-4k-graph` pass compares), so each chunk of [`SHRINK_CHUNK`] entries
+/// gets one branch-free compare into a bit mask, and only the entries
+/// whose bits are set take the arithmetic; the row ends bit-identical to
+/// a plain walk.
+fn shrink_row(
+    b_row: &mut [f64],
+    drow: &[f64],
+    old: f64,
+    dj: f64,
+    layout: &SpatialLayout,
+    touched: &mut [u64],
+) {
+    let mut chunk = |start: usize, b: &mut [f64], d: &[f64; SHRINK_CHUNK]| {
+        let mut below = 0u64;
+        for (j, &dp) in d.iter().enumerate() {
+            below |= u64::from(dp < old) << j;
+        }
+        while below != 0 {
+            let j = below.trailing_zeros() as usize;
+            below &= below - 1;
+            shrink_bid(&mut b[j], d[j], old, dj);
+            mark_block(touched, layout.block_of(start + j));
+        }
+    };
+    let mut bs = b_row.chunks_exact_mut(SHRINK_CHUNK);
+    let mut ds = drow.chunks_exact(SHRINK_CHUNK);
+    for (c, (b, d)) in (&mut bs).zip(&mut ds).enumerate() {
+        chunk(c * SHRINK_CHUNK, b, d.try_into().expect("a whole chunk"));
     }
+    // The tail, padded with distances that no cap exceeds.
+    let tail = ds.remainder();
+    let mut d = [f64::INFINITY; SHRINK_CHUNK];
+    d[..tail.len()].copy_from_slice(tail);
+    chunk(drow.len() - tail.len(), bs.into_remainder(), &d);
 }
 
 /// Bid row `f` of a cap-shrink pass: commodity `f`'s `B` row, or `B̂` for
@@ -395,6 +435,7 @@ impl<'a> PdOmflp<'a> {
         // engine-invisible: results and skip/scan statistics stay
         // bit-identical.
         let past_index = PastIndex::new(targets.layout_handle(), s);
+        let touched_words = targets.layout().nblocks().div_ceil(64);
         let threads = omfl_par::default_threads();
         if m >= HUGE_METRIC_MIN_POINTS && threads > 1 {
             targets.set_scan_pool(Some(Arc::new(TaskPool::new(threads))));
@@ -415,7 +456,7 @@ impl<'a> PdOmflp<'a> {
             arrival_rep: Vec::new(),
             arrival_rep_at: None,
             blocks_scratch: Vec::new(),
-            touched: vec![Vec::new(); s + 1],
+            touched: vec![vec![0; touched_words]; s + 1],
             partial_rows_min: HUGE_METRIC_MIN_POINTS,
             targets,
             last_t3: Vec::new(),
@@ -496,6 +537,12 @@ impl<'a> PdOmflp<'a> {
     /// The facility index (for diagnostics and the refresh-boundary tests).
     pub fn facility_index(&self) -> &FacilityIndex {
         &self.index
+    }
+
+    /// The opening-target index, whose block bounds the exact-bound tests
+    /// check against [`Self::bids`] after every arrival.
+    pub fn opening_targets(&self) -> &OpeningTargetIndex {
+        &self.targets
     }
 
     /// The t3/t4 opening targets the last arrival raced against:
@@ -586,40 +633,29 @@ impl<'a> PdOmflp<'a> {
     /// ascending `(past index, slot)` order the full history walk used, so
     /// the `B` updates happen in the identical floating-point order.
     ///
-    /// On the partial-row path each past location's distances are read
-    /// only over the blocks whose lower bound is below the old cap
-    /// ([`Self::shrink_rows`]), and the rebuild recomputes only the blocks
-    /// those reads touched.
+    /// The shrinks mark the blocks whose bids they lowered
+    /// ([`Self::shrink_rows`]), and the rebuild recomputes only those
+    /// blocks.
     fn post_open_small(&mut self, e: CommodityId, at: PointId) {
         let m = self.inst.num_points();
-        let bounded = self.partial_rows_active();
-        let mut shrank = false;
-        self.touched[e.index()].clear();
         for (pi, slot) in self.past_index.small_shrink_candidates(self.inst, e, at) {
             let pr = &mut self.past[pi as usize];
             let dj = point_distance(&self.row_cache, self.inst, at, pr.location);
             let old = pr.caps[slot as usize];
             if dj < old {
-                shrank = true;
                 pr.caps[slot as usize] = dj;
                 let loc = pr.location;
                 self.shrink_rows(loc, dj, &[(e.index(), old)]);
             }
         }
-        // `B[·][e]` shrank: the block bounds went stale low (still sound);
-        // one rebuild per pass restores tight pruning.
-        if shrank {
-            let t = &mut self.targets;
-            let (f_row, b_row) = (
-                &self.f_small[e.index() * m..(e.index() + 1) * m],
-                &self.b_small[e.index() * m..(e.index() + 1) * m],
-            );
-            if bounded {
-                t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
-            } else {
-                t.rebuild_small(e, f_row, b_row);
-            }
-        }
+        // `B[·][e]` shrank in the marked blocks, whose bounds went stale
+        // low (still sound); rebuilding them restores exact minima.
+        let (f_row, b_row) = (
+            &self.f_small[e.index() * m..(e.index() + 1) * m],
+            &self.b_small[e.index() * m..(e.index() + 1) * m],
+        );
+        let touched = &mut self.touched[e.index()];
+        self.targets.rebuild_small_blocks(e, f_row, b_row, touched);
     }
 
     /// Applies cap shrinkage after a *large* facility opened at `at`:
@@ -630,12 +666,6 @@ impl<'a> PdOmflp<'a> {
     fn post_open_large(&mut self, at: PointId) {
         let m = self.inst.num_points();
         let s = self.inst.num_commodities();
-        let bounded = self.partial_rows_active();
-        let mut shrank_large = false;
-        let mut shrank_small: Vec<CommodityId> = Vec::new();
-        for touched in &mut self.touched {
-            touched.clear();
-        }
         let mut families = Vec::new();
         for pi in self.past_index.large_shrink_candidates(self.inst, at) {
             let pr = &mut self.past[pi as usize];
@@ -643,14 +673,12 @@ impl<'a> PdOmflp<'a> {
             families.clear();
             // Large-facility cap.
             if dj < pr.cap_total {
-                shrank_large = true;
                 families.push((s, pr.cap_total));
                 pr.cap_total = dj;
             }
             // Per-commodity caps (a large facility offers every commodity).
             for (&e, cap) in pr.commodities.iter().zip(pr.caps.iter_mut()) {
                 if dj < *cap {
-                    shrank_small.push(e);
                     families.push((e.index(), *cap));
                     *cap = dj;
                 }
@@ -660,69 +688,54 @@ impl<'a> PdOmflp<'a> {
                 self.shrink_rows(loc, dj, &families);
             }
         }
-        // Budgets shrank: stale-low block bounds stay sound, but one
-        // rebuild per affected row restores tight pruning — on the
-        // partial-row path, of the blocks the walks touched.
-        let t = &mut self.targets;
-        if shrank_large {
-            if bounded {
-                t.rebuild_large_blocks(&self.f_full, &self.b_large, &mut self.touched[s]);
-            } else {
-                t.rebuild_large(&self.f_full, &self.b_large);
-            }
-        }
-        shrank_small.sort_unstable();
-        shrank_small.dedup();
-        for e in shrank_small {
+        // Budgets shrank in the marked blocks: stale-low bounds stay sound,
+        // and rebuilding each row's marked blocks restores exact minima.
+        let (t, touched) = (&mut self.targets, &mut self.touched);
+        t.rebuild_large_blocks(&self.f_full, &self.b_large, &mut touched[s]);
+        for (e, touched) in touched[..s].iter_mut().enumerate() {
             let (f_row, b_row) = (
-                &self.f_small[e.index() * m..(e.index() + 1) * m],
-                &self.b_small[e.index() * m..(e.index() + 1) * m],
+                &self.f_small[e * m..(e + 1) * m],
+                &self.b_small[e * m..(e + 1) * m],
             );
-            if bounded {
-                t.rebuild_small_blocks(e, f_row, b_row, &mut self.touched[e.index()]);
-            } else {
-                t.rebuild_small(e, f_row, b_row);
-            }
+            t.rebuild_small_blocks(CommodityId(e as u16), f_row, b_row, touched);
         }
     }
 
     /// The cap-shrink subtractions of one past request at `loc` whose caps
     /// fell to `dj`: for each `(f, old)` of `families`, bid row `f` (a
     /// commodity's `B` row, or `B̂` at `f = |S|`) takes [`shrink_bid`] at
-    /// every location.
+    /// every location, and row `f`'s `touched` set gains the blocks whose
+    /// bids it lowered, for the bound rebuild.
     ///
-    /// On the partial-row path the pass visits only the blocks whose lower
-    /// bound on `d(·, loc)` is below the largest old cap
-    /// ([`covered_blocks`]) — no other block holds a `d < old` for any
-    /// family. Each kept block's member distances come from one layout
-    /// pass and feed every family whose own old cap clears the block's
-    /// bound, which logs the block in `touched` for the bound rebuild.
-    /// Every bid slot still takes one subtraction per family, so the rows
-    /// end bit-identical to per-family walks. A wide pass walks `loc`'s
-    /// full row instead.
+    /// Below the partial-row threshold each family is one [`shrink_row`]
+    /// walk over `loc`'s full row. On the partial-row path the pass visits
+    /// only the blocks whose lower bound on `d(·, loc)` is below the
+    /// largest old cap ([`covered_blocks`]) — no other block holds a
+    /// `d < old` for any family. Each kept block's member distances come
+    /// from one layout pass and feed every family whose own old cap clears
+    /// the block's bound, which marks the block. Every bid slot still takes
+    /// one subtraction per family, so the rows end bit-identical to
+    /// per-family walks. A wide pass takes the full-row walks instead.
     fn shrink_rows(&mut self, loc: PointId, dj: f64, families: &[(usize, f64)]) {
         let bounded = self.partial_rows_active();
         let (b_small, b_large) = (&mut self.b_small, &mut self.b_large);
-        let c = &mut self.row_cache;
-        if !bounded {
-            let drow = distance_row(c, self.inst, loc);
+        let (c, layout) = (&mut self.row_cache, self.targets.layout());
+        let drow = if bounded {
+            let reach = families.iter().fold(0.0f64, |r, &(_, old)| r.max(old));
+            let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
+            let keep = |_, dlb| dlb < reach;
+            covered_blocks(c, layout, self.inst, loc, rep_d, blocks, keep)
+        } else {
+            Some(distance_row(c, self.inst, loc))
+        };
+        if let Some(drow) = drow {
             for &(f, old) in families {
-                shrink_bids(bid_row(b_small, b_large, f), drow, old, dj);
+                let b_row = bid_row(b_small, b_large, f);
+                shrink_row(b_row, drow, old, dj, layout, &mut self.touched[f]);
             }
             return;
         }
-        let layout = self.targets.layout();
-        let reach = families.iter().fold(0.0f64, |r, &(_, old)| r.max(old));
-        let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
-        let keep = |_, dlb| dlb < reach;
-        if let Some(drow) = covered_blocks(c, layout, self.inst, loc, rep_d, blocks, keep) {
-            for &(f, old) in families {
-                shrink_bids(bid_row(b_small, b_large, f), drow, old, dj);
-                let below = |b: &&u32| layout.block_dlb(**b as usize, rep_d) < old;
-                self.touched[f].extend(blocks.iter().filter(below));
-            }
-            return;
-        }
+        let (rep_d, blocks) = (&self.rep_scratch, &self.blocks_scratch);
         let mut buf = [0.0; HUGE_BLOCK];
         for &b in blocks.iter() {
             let bi = b as usize;
@@ -734,7 +747,7 @@ impl<'a> PdOmflp<'a> {
                     for (&p, &d) in layout.members(bi).iter().zip(dists) {
                         shrink_bid(&mut row[p as usize], d, old, dj);
                     }
-                    self.touched[f].push(b);
+                    mark_block(&mut self.touched[f], bi);
                 }
             }
         }
@@ -1249,6 +1262,101 @@ mod tests {
         let lb = alg.scaled_dual_lower_bound();
         assert!(lb > 0.0);
         assert!(lb <= alg.solution().total_cost() + 1e-9);
+    }
+
+    /// The blocks a touched-block set holds, ascending.
+    fn marked_blocks(touched: &[u64]) -> Vec<usize> {
+        let bits = touched.len() * 64;
+        (0..bits)
+            .filter(|&b| touched[b / 64] >> (b % 64) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn shrink_kernel_matches_the_scalar_walk_and_marks_exactly_the_lowered_blocks() {
+        // Cap pairs `(old, dj)`, ordinary, huge, subnormal and down to 0.
+        let caps = [(3.0, 1.25), (1e300, 4e299), (2e-323, 5e-324), (1.0, 0.0)];
+        let mut st = 0x5EED_CAFEu64;
+        let mut next = move || {
+            st ^= st << 13;
+            st ^= st >> 7;
+            st ^= st << 17;
+            st
+        };
+        // Lengths around multiples of the chunk width and of the block size.
+        for n in [1usize, 5, 16, 31, 32, 33, 64, 71, 203] {
+            // Ids scattered along the line, so the layout's blocks are not
+            // runs of ids.
+            let positions = (0..n).map(|p| ((p * 37) % n) as f64).collect();
+            let inst = Instance::new(
+                Box::new(LineMetric::new(positions).unwrap()),
+                2,
+                CostModel::power(2, 1.0, 1.0),
+            )
+            .unwrap();
+            let zeros = vec![0.0; 2 * n];
+            let targets = OpeningTargetIndex::for_instance(&inst, &zeros, &zeros[..n]);
+            let layout = targets.layout();
+            if n > 16 {
+                assert!(
+                    (0..n).any(|p| layout.block_of(p) != p / 16),
+                    "n = {n}: the layout must not be the identity"
+                );
+            }
+            for (old, dj) in caps {
+                let specials = [
+                    old,
+                    dj,
+                    0.0,
+                    5e-324,
+                    f64::MIN_POSITIVE / 2.0,
+                    f64::from_bits(old.to_bits() - 1),
+                    f64::from_bits(old.to_bits() + 1),
+                    f64::from_bits(dj.to_bits() + 1),
+                    1e300,
+                    2.0 * old,
+                ];
+                let mut drow: Vec<f64> = (0..n)
+                    .map(|_| match next() % 4 {
+                        0 => specials[(next() % specials.len() as u64) as usize],
+                        _ => old * 2.0 * ((next() % 1000) as f64 / 1000.0),
+                    })
+                    .collect();
+                // The tail entry always lowers its bid, and the first block
+                // ties `old` everywhere, so it must stay unmarked.
+                drow[n - 1] = 0.0;
+                let first = layout.block_of(0);
+                if layout.members(first).iter().all(|&p| p as usize != n - 1) {
+                    for &p in layout.members(first) {
+                        drow[p as usize] = old;
+                    }
+                }
+                let bids = [0.0, -0.0, 5e-324, 1.0, 7.5, 1e300, 3.0e-310];
+                let b0: Vec<f64> = (0..n)
+                    .map(|_| bids[(next() % bids.len() as u64) as usize])
+                    .collect();
+                let mut want = b0.clone();
+                for (b, &d) in want.iter_mut().zip(&drow) {
+                    shrink_bid(b, d, old, dj);
+                }
+                let mut got = b0;
+                let mut touched = vec![0u64; layout.nblocks().div_ceil(64)];
+                shrink_row(&mut got, &drow, old, dj, layout, &mut touched);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n = {n}, caps ({old}, {dj})");
+                let mut lowered: Vec<usize> = (0..n)
+                    .filter(|&p| drow[p] < old)
+                    .map(|p| layout.block_of(p))
+                    .collect();
+                lowered.sort_unstable();
+                lowered.dedup();
+                assert_eq!(
+                    marked_blocks(&touched),
+                    lowered,
+                    "n = {n}, caps ({old}, {dj}): marked blocks"
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,18 +23,23 @@
 //! (including the cold-query adversary, and at 1280–2560 points on both
 //! the full-row and the partial-row path), and drives *random*
 //! relabelings through whole engine runs — the index's block layout must
-//! never leak into engine-visible state.
+//! never leak into engine-visible state. It also checks, after every
+//! arrival and on both paths, that every block bound is the exact minimum
+//! of its block's keys, which no engine outcome can show.
 
+use omfl_commodity::CommodityId;
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::index::OpeningTargetIndex;
 use omfl_core::instance::Instance;
 use omfl_core::naive::NaivePd;
 use omfl_core::pd::{OpeningTarget, PdOmflp};
 use omfl_core::{bounds, harmonic, CoreError};
+use omfl_metric::dense::DenseMetric;
 use omfl_metric::PointId;
 use omfl_workload::catalog::{by_name, registry, CatalogProfile};
 use omfl_workload::Scenario;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn profile() -> CatalogProfile {
     CatalogProfile {
@@ -177,6 +182,132 @@ fn incremental_targets_lockstep_beyond_the_dense_cap() {
         let label = format!("{name} (partial rows)");
         let (skipped, _) = assert_targets_lockstep(&sc, partial, &label);
         assert!(skipped > 0, "{label}: the prune never skipped a block");
+    }
+}
+
+/// Serves `sc` on `engine` and, after every arrival, checks every t3/t4
+/// block bound against the exact minimum of `(f − B)⁺` over its block,
+/// recomputed from the engine's own bids. A shrink that fails to mark a
+/// block it lowered leaves that bound stale low: still a sound lower
+/// bound, so outcomes stay bit-identical and only this check sees it.
+/// Returns the number of arrivals that opened a large facility.
+fn assert_bounds_exact(sc: &Scenario, mut engine: PdOmflp<'_>, label: &str) -> usize {
+    let inst = sc.instance();
+    let (m, s) = (inst.num_points(), inst.num_commodities());
+    let blocks = engine.opening_targets().block_partition();
+    let rows: Vec<Option<CommodityId>> = (0..s as u16)
+        .map(|e| Some(CommodityId(e)))
+        .chain([None])
+        .collect();
+    let mut large_openings = 0;
+    for (step, r) in sc.requests.iter().enumerate() {
+        let out = engine
+            .serve(r)
+            .unwrap_or_else(|e| panic!("{label}: engine: {e}"));
+        large_openings += usize::from(out.served_by_large && !out.opened.is_empty());
+        let (b_small, b_large) = engine.bids();
+        for &row in &rows {
+            let key = |p: u32| {
+                let p = PointId(p);
+                let (f, b) = match row {
+                    Some(e) => (inst.small_cost(p, e), b_small[e.index() * m + p.index()]),
+                    None => (inst.large_cost(p), b_large[p.index()]),
+                };
+                (f - b).max(0.0)
+            };
+            let bounds = engine.opening_targets().bounds(row);
+            for (bi, members) in blocks.iter().enumerate() {
+                let exact =
+                    members
+                        .iter()
+                        .map(|&p| key(p))
+                        .fold(f64::INFINITY, |a, v| if v < a { v } else { a });
+                assert_eq!(
+                    bounds[bi].to_bits(),
+                    exact.to_bits(),
+                    "{label}: row {row:?} block {bi} after arrival {step}: \
+                     bound {} vs exact minimum {exact}",
+                    bounds[bi]
+                );
+            }
+        }
+    }
+    large_openings
+}
+
+#[test]
+fn block_bounds_stay_exact_minima_after_every_arrival() {
+    let large = CatalogProfile {
+        points: 40,
+        services: 8,
+        requests: 120,
+    };
+    let build = |name: &str, profile: &CatalogProfile| {
+        by_name(name).unwrap().build(profile, 5).expect(name)
+    };
+    let graph = build("zipf-services-large", &large);
+    let grid = build("euclid-grid-large", &large);
+    // A line of a few hundred points, and the same clusters over a dense
+    // matrix, which offers no coherent order: the identity layout.
+    let line = build(
+        "thm2-mix",
+        &CatalogProfile {
+            points: 300,
+            services: 16,
+            requests: 150,
+        },
+    );
+    let clusters = build(
+        "euclid-clusters",
+        &CatalogProfile {
+            points: 120,
+            services: 9,
+            requests: 150,
+        },
+    );
+    let dense = DenseMetric::from_metric(clusters.metric.as_ref()).unwrap();
+    let dense = Scenario::new(
+        "euclid-clusters (dense)",
+        Arc::new(dense),
+        clusters.cost.clone(),
+        clusters.requests.clone(),
+    )
+    .unwrap();
+    let mut runs = Vec::new();
+    for (label, sc) in [
+        ("zipf-services-large", &graph),
+        ("euclid-grid-large", &grid),
+        ("thm2-mix", &line),
+        ("euclid-clusters (dense)", &dense),
+    ] {
+        let engine = PdOmflp::new(sc.instance());
+        assert!(!engine.partial_rows_active(), "{label}: full rows");
+        runs.push((format!("{label} (full rows)"), sc, engine));
+    }
+    assert!(
+        dense.instance().metric().coherent_order().is_none(),
+        "the dense metric must lay out the identity"
+    );
+    for (label, sc) in [
+        ("zipf-services-large", &graph),
+        ("euclid-grid-large", &grid),
+    ] {
+        let mut engine = PdOmflp::new(sc.instance());
+        engine.set_partial_row_threshold(0);
+        assert!(engine.partial_rows_active(), "{label}: partial rows");
+        runs.push((format!("{label} (partial rows)"), sc, engine));
+    }
+    // One arbitrary relabeling: ids reversed.
+    let order: Vec<u32> = (0..graph.instance().num_points() as u32).rev().collect();
+    let engine = PdOmflp::with_target_order(graph.instance(), order).unwrap();
+    runs.push((
+        "zipf-services-large (reversed order)".into(),
+        &graph,
+        engine,
+    ));
+    for (label, sc, engine) in runs {
+        let large_openings = assert_bounds_exact(sc, engine, &label);
+        assert!(large_openings > 0, "{label}: no large opening shrank B̂");
     }
 }
 
