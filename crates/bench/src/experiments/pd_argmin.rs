@@ -12,7 +12,9 @@
 //! Reported per family: |M|, requests, construct + serve ms per run, the
 //! share of opening-target blocks the prune skipped, and the blocked
 //! row-cache hit rate (cells whose metric lends its stored rows, like the
-//! graph family, never read the cache and show "-").
+//! graph family, never read the cache and show "-"; so do huge metrics,
+//! from `HUGE_METRIC_MIN_POINTS` up, which read no row cache except in a
+//! wide cap-shrink pass).
 //!
 //! The measurement protocol is [`crate::perfjson::pd_timing`] — the same
 //! harness that produces the gated large cells of `BENCH_pd.json`.

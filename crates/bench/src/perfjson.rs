@@ -281,9 +281,9 @@ pub fn pd_euclid_large_profile() -> CatalogProfile {
 
 /// The huge-metric PD profile: `euclid-grid-large` scales `points` by 64×,
 /// so this reaches |M| = 1048576 — the 1M-point target regime, where the
-/// engine fills only the kd-bounded coverage set the pruned scans can
-/// touch and walks the freeze reinvestment sharded and screened, so per
-/// arrival it does work proportional to the coverage, not to |M|.
+/// engine reads distances only over the blocks its pruned scans and
+/// openings visit and walks the freeze reinvestment sharded and screened,
+/// so per arrival it does work proportional to those blocks, not to |M|.
 /// Requests are kept moderate: the untimed `NaivePd` check still costs
 /// |requests| × |M| distance evaluations.
 pub fn pd_huge_profile() -> CatalogProfile {
@@ -391,8 +391,10 @@ pub struct PdTiming {
     /// and machine-portable (the shard partition is a pure function of the
     /// block count, never of the worker pool).
     pub block_skip_rate: f64,
-    /// Blocked row-cache hit rate; `None` when the cache served no reads
-    /// (a metric that lends its stored rows, such as a graph closure).
+    /// Blocked row-cache hit rate; `None` when the cache served no reads:
+    /// a metric that lends its stored rows, such as a graph closure, or a
+    /// huge metric (`HUGE_METRIC_MIN_POINTS` and up), which reads no row
+    /// cache except in a wide cap-shrink pass.
     pub row_hit_rate: Option<f64>,
 }
 

@@ -46,7 +46,7 @@ pub use facility::FacilityIndex;
 pub(crate) use layout::SpatialLayout;
 pub use past::PastIndex;
 pub(crate) use targets::mark_block;
-pub use targets::OpeningTargetIndex;
+pub use targets::{OpeningTargetIndex, QueryDistances};
 
 /// Default locations per prune block of the [`OpeningTargetIndex`].
 ///
@@ -83,17 +83,19 @@ pub const HUGE_BLOCK: usize = 64;
 ///   parallelize cleanly. The pool changes nothing observable, statistics
 ///   included (the shard partition is a pure function of the block count;
 ///   see [`SCAN_SHARD_BLOCKS`]).
-/// * **Partial rows with coverage-bounded openings.** The engine fills
-///   only the scan cover of each arrival's distance row, reads opening
-///   and cap-shrink distances block by block, and lets the freeze walk
+/// * **The partial-row path: block passes instead of rows.** The engine
+///   reads the t3/t4 argmins' distances ([`QueryDistances::Layout`]), the
+///   facility-cache refresh's and the cap shrinks' block by block from
+///   the layout, and lets the freeze walk
 ///   ([`OpeningTargetIndex::freeze_reinvest`]) screen its distances
 ///   through the metric's certified f32 brackets unless a full row is at
-///   hand. Below it a full row is the metric's stored row or one bulk
+///   hand; only a wide cap-shrink pass ([`WIDE_COVERAGE_SHARE`]) reads a
+///   row. Below it a full row is the metric's stored row or one bulk
 ///   [`omfl_metric::Metric::fill_row`] that the row cache keeps for later
-///   arrivals, and the same freeze walk reads it; from it up the `O(|M|)`
-///   fill itself dominates serve time. `tests/tests/partial_rows.rs` pins
-///   engines to both paths and serves one engine unforced at exactly this
-///   size.
+///   arrivals, and the argmins and the same freeze walk read it; from it
+///   up the `O(|M|)` fill itself dominates serve time.
+///   `tests/tests/partial_rows.rs` pins engines to both paths and serves
+///   one engine unforced at exactly this size.
 /// * **64-point kd blocks.** A layout with kd ball ingest switches from
 ///   [`TARGET_BLOCK`] to [`HUGE_BLOCK`] points per block.
 /// * **Parallel block summaries.** The layout computes its blocks'
@@ -137,16 +139,6 @@ fn dist_lower_bound(d_rep: f64, radius: f64) -> f64 {
         return 0.0;
     }
     (raw - RADIUS_BOUND_SLACK * (d_rep + radius)).max(0.0)
-}
-
-/// The certified *upper* bound on `d(m, r)` over the same block: the
-/// triangle bound `d(rep, r) + radius`, inflated by the relative slack so
-/// the same rounding argument that keeps [`dist_lower_bound`] sound keeps
-/// this one sound from above. `radius = ∞` yields ∞ — no information, the
-/// distance-free fallback.
-#[inline]
-fn dist_upper_bound(d_rep: f64, radius: f64) -> f64 {
-    (d_rep + radius) * (1.0 + RADIUS_BOUND_SLACK)
 }
 
 /// Share of all blocks above which a cap-shrink walk over a past
@@ -312,18 +304,46 @@ mod tests {
     /// `Instance::distance`, bit for bit, for every query point and every
     /// block, with the SIMD kernels on and off. `isometric` is whether
     /// the layout must read its distances from layout-ordered coordinates
-    /// (otherwise they are pointwise metric calls).
+    /// (otherwise they are pointwise metric calls). The t3/t4 argmins over
+    /// seeded costs and bids must then answer alike from the query's
+    /// `fill_row` row and from the layout passes, with equal statistics, on
+    /// one shard and on several, and equal the full scan.
     fn assert_layout_passes_exact(metric: Box<dyn Metric>, isometric: bool, label: &str) {
         use omfl_metric::simd::set_simd_enabled;
         let inst = Instance::new(metric, 2, CostModel::power(2, 1.0, 2.0)).unwrap();
         let m = inst.num_points();
-        let (f_small, f_full) = (vec![1.0; 2 * m], vec![2.0; m]);
-        let layout = OpeningTargetIndex::for_instance(&inst, &f_small, &f_full).layout_handle();
+        let mut st = 0xB1D5 ^ m as u64;
+        let mut draw = |scale: f64| scale * (xorshift(&mut st) % 8) as f64;
+        let f_small: Vec<f64> = (0..2 * m).map(|_| 1.0 + draw(0.25)).collect();
+        let f_full: Vec<f64> = (0..m).map(|_| 2.0 + draw(0.5)).collect();
+        let b_small: Vec<f64> = f_small.iter().map(|&f| f * draw(0.125)).collect();
+        let b_large: Vec<f64> = f_full.iter().map(|&f| f * draw(0.125)).collect();
+        let mut by_row = OpeningTargetIndex::for_instance(&inst, &f_small, &f_full);
+        let rows = |e: usize| (&f_small[e * m..(e + 1) * m], &b_small[e * m..(e + 1) * m]);
+        for e in 0..2 {
+            let (f_row, b_row) = rows(e);
+            by_row.rebuild_small(CommodityId(e as u16), f_row, b_row);
+        }
+        by_row.rebuild_large(&f_full, &b_large);
+        let mut by_layout = by_row.clone();
+        let layout = by_row.layout_handle();
         assert_eq!(layout.isometric(), isometric, "{label}");
         let mut rep_d = Vec::new();
+        let mut row = vec![0.0; m];
         let mut buf = [0.0; HUGE_BLOCK];
-        for simd in [true, false] {
+        let bits = |(v, p): (f64, PointId)| (v.to_bits(), p);
+        let scan = |f_row: &[f64], b_row: &[f64], row: &[f64]| {
+            let (v, p) = scan_argmin(f_row, b_row, row);
+            (v.to_bits(), PointId(p))
+        };
+        for (simd, shard_blocks) in [
+            (true, SCAN_SHARD_BLOCKS),
+            (false, SCAN_SHARD_BLOCKS),
+            (true, 3),
+        ] {
             set_simd_enabled(simd);
+            by_row.set_scan_shard_blocks(shard_blocks);
+            by_layout.set_scan_shard_blocks(shard_blocks);
             for q in (0..m as u32).map(PointId) {
                 layout.rep_distances(&inst, q, &mut rep_d);
                 assert_eq!(rep_d.len(), layout.nblocks());
@@ -340,15 +360,39 @@ mod tests {
                         assert_eq!(d.to_bits(), want.to_bits(), "{label}: p{p}, {q:?}");
                     }
                 }
+                inst.fill_row(q, &mut row);
+                by_row.prepare_query_row(Some(q), &row);
+                by_layout.prepare_query_at(Some(q), &rep_d);
+                let (from_row, from_layout) =
+                    (QueryDistances::Row(&row), QueryDistances::Layout(&inst, q));
+                for e in 0..2 {
+                    let (f_row, b_row) = rows(e);
+                    let e = CommodityId(e as u16);
+                    let want = bits(by_row.small_target(e, f_row, b_row, from_row));
+                    let got = bits(by_layout.small_target(e, f_row, b_row, from_layout));
+                    assert_eq!(got, want, "{label}: t3 {e:?} at {q:?}");
+                    assert_eq!(want, scan(f_row, b_row, &row), "{label}: t3 {e:?} at {q:?}");
+                }
+                let want = bits(by_row.large_target(&f_full, &b_large, from_row));
+                let got = bits(by_layout.large_target(&f_full, &b_large, from_layout));
+                assert_eq!(got, want, "{label}: t4 at {q:?}");
+                assert_eq!(want, scan(&f_full, &b_large, &row), "{label}: t4 at {q:?}");
+                assert_eq!(by_layout.stats(), by_row.stats(), "{label}: stats at {q:?}");
             }
         }
         set_simd_enabled(true);
+        let (skipped, scanned) = by_row.stats();
+        assert!(
+            skipped > 0 && scanned > 0,
+            "{label}: {skipped} skipped, {scanned} scanned"
+        );
     }
 
     #[test]
     fn layout_distance_passes_equal_metric_distances_bitwise() {
         // The layout passes are the only distance source of the
-        // partial-row refresh and shrink walks, so every metric must pass:
+        // partial-row argmins, refresh and shrink walks, so every metric
+        // must pass:
         // from the layout-ordered coordinates on L2 clouds (bare, behind
         // `Box<dyn Metric>` and behind `SharedMetric`) and on lines inside
         // their isometry guards, pointwise on the kd-partitioned but
@@ -782,14 +826,14 @@ mod tests {
                 *d = ((p.abs_diff(anchor)) % 7) as f64 * 0.5;
             }
             idx.prepare_query_row(None, &dist_row);
-            let got = idx.small_target(e, f_row, &b_row, &dist_row);
+            let got = idx.small_target(e, f_row, &b_row, QueryDistances::Row(&dist_row));
             let want = scan_argmin(f_row, &b_row, &dist_row);
             assert_eq!(
                 (got.0.to_bits(), got.1 .0),
                 (want.0.to_bits(), want.1),
                 "t3 diverged at step {step}"
             );
-            let got4 = idx.large_target(&f_full, &b_large, &dist_row);
+            let got4 = idx.large_target(&f_full, &b_large, QueryDistances::Row(&dist_row));
             let want4 = scan_argmin(&f_full, &b_large, &dist_row);
             assert_eq!(
                 (got4.0.to_bits(), got4.1 .0),
@@ -834,12 +878,12 @@ mod tests {
         b_row[hot] = 0.0;
         let dist_row: Vec<f64> = (0..m).map(|p| p as f64 * 0.01).collect();
         idx.prepare_query_row(None, &dist_row);
-        let got = idx.small_target(e, &f_small, &b_row, &dist_row);
+        let got = idx.small_target(e, &f_small, &b_row, QueryDistances::Row(&dist_row));
         let want = scan_argmin(&f_small, &b_row, &dist_row);
         assert_eq!((got.0.to_bits(), got.1 .0), (want.0.to_bits(), want.1));
         // A rebuild restores tightness and the answer stays exact.
         idx.rebuild_small(e, &f_small, &b_row);
-        let got = idx.small_target(e, &f_small, &b_row, &dist_row);
+        let got = idx.small_target(e, &f_small, &b_row, QueryDistances::Row(&dist_row));
         assert_eq!((got.0.to_bits(), got.1 .0), (want.0.to_bits(), want.1));
     }
 
@@ -888,14 +932,14 @@ mod tests {
                 *d = inst.distance(PointId(p as u32), anchor);
             }
             idx.prepare_query_row(None, &dist_row);
-            let got = idx.small_target(e, f_row, &b_row, &dist_row);
+            let got = idx.small_target(e, f_row, &b_row, QueryDistances::Row(&dist_row));
             let want = scan_argmin(f_row, &b_row, &dist_row);
             assert_eq!(
                 (got.0.to_bits(), got.1 .0),
                 (want.0.to_bits(), want.1),
                 "t3 diverged at step {step}"
             );
-            let got4 = idx.large_target(&f_full, &b_large, &dist_row);
+            let got4 = idx.large_target(&f_full, &b_large, QueryDistances::Row(&dist_row));
             let want4 = scan_argmin(&f_full, &b_large, &dist_row);
             assert_eq!(
                 (got4.0.to_bits(), got4.1 .0),
@@ -955,7 +999,7 @@ mod tests {
         }
         idx.prepare_query_row(None, &dist_row);
         let e = CommodityId(0);
-        let got = idx.small_target(e, &f_small, &b, &dist_row);
+        let got = idx.small_target(e, &f_small, &b, QueryDistances::Row(&dist_row));
         let want = scan_argmin(&f_small, &b, &dist_row);
         assert_eq!((got.0.to_bits(), got.1 .0), (want.0.to_bits(), want.1));
         assert_eq!(got.1, PointId(0), "the local key + zero distance wins");
@@ -1012,12 +1056,12 @@ mod tests {
                     let e = CommodityId(e);
                     let f_row = &f_small[e.index() * m..(e.index() + 1) * m];
                     let b_row = &b_small[e.index() * m..(e.index() + 1) * m];
-                    let got = idx.small_target(e, f_row, b_row, &dist_row);
-                    let want = base.small_target(e, f_row, b_row, &dist_row);
+                    let got = idx.small_target(e, f_row, b_row, QueryDistances::Row(&dist_row));
+                    let want = base.small_target(e, f_row, b_row, QueryDistances::Row(&dist_row));
                     assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
                 }
-                let got = idx.large_target(&f_full, &b_large, &dist_row);
-                let want = base.large_target(&f_full, &b_large, &dist_row);
+                let got = idx.large_target(&f_full, &b_large, QueryDistances::Row(&dist_row));
+                let want = base.large_target(&f_full, &b_large, QueryDistances::Row(&dist_row));
                 assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
             }
         }
@@ -1036,7 +1080,7 @@ mod tests {
         let dist = vec![0.0; m];
         let mut idx = OpeningTargetIndex::new(m, 1, &f_small, &f_full);
         idx.prepare_query_row(None, &dist);
-        let (v, p) = idx.small_target(CommodityId(0), &f_small, &b, &dist);
+        let (v, p) = idx.small_target(CommodityId(0), &f_small, &b, QueryDistances::Row(&dist));
         assert_eq!((v, p), (1.0, PointId(0)));
         let (skipped, scanned) = idx.stats();
         assert_eq!(scanned, 1, "only the first block needs scanning");

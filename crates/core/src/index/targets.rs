@@ -1,7 +1,7 @@
 //! Incremental t3/t4 opening targets over the block layout.
 
 use super::layout::check_relabeling;
-use super::{dist_lower_bound, dist_upper_bound, SpatialLayout, HUGE_BLOCK, SCAN_SHARD_BLOCKS};
+use super::{dist_lower_bound, SpatialLayout, HUGE_BLOCK, SCAN_SHARD_BLOCKS};
 use crate::instance::Instance;
 use crate::CoreError;
 use omfl_commodity::CommodityId;
@@ -54,7 +54,9 @@ use std::sync::Arc;
 /// every block once per query ([`Self::prepare_query_at`]): on the
 /// engine's partial-row path from one contiguous pass over the
 /// representatives' coordinates, otherwise read from the query's full
-/// distance row (representatives are real points). The spatial coherence of
+/// distance row (representatives are real points). The scans then read
+/// `d(m, r)` from the same source ([`QueryDistances`]): one layout pass
+/// per scanned block, or the full row. The spatial coherence of
 /// the relabeling is what keeps `radius_b` small enough for the bound to
 /// bite; correctness never depends on it. The `slack` term
 /// ([`RADIUS_BOUND_SLACK`](super::RADIUS_BOUND_SLACK), relative) budgets for metrics whose computed
@@ -123,23 +125,18 @@ pub struct OpeningTargetIndex {
     /// (debug builds check that [`Self::freeze_reinvest`] walks the
     /// arrival the bounds were prepared for).
     query_point: Option<PointId>,
-    /// Reusable per-query buffer for the distance-aware block bounds
-    /// (avoids an allocation per argmin).
+    /// Reusable per-query buffers of the argmins (avoid allocations per
+    /// call): the distance-aware block bounds, and with two or more
+    /// shards each shard's minimum-bound block and its
+    /// `(best, best id, skipped, scanned)`.
     bound_scratch: Vec<f64>,
+    shard_first: Vec<(f64, u32)>,
+    shard_best: Vec<(f64, u32, u64, u64)>,
     /// Per-block distance lower bounds for the *prepared* query row (see
     /// [`Self::prepare_query_at`]): `dlb[b] ≤ min_{m ∈ b} d(m, r)`. Computed
     /// once per arrival and shared by every t3/t4 argmin and the freeze
     /// walk narrowing of that arrival.
     dlb: Vec<f64>,
-    /// Per-block distance *upper* bounds for the prepared query row:
-    /// `dub[b] ≥ max_{m ∈ b} d(m, r)` (triangle bound through the block
-    /// medoid, slack-inflated like [`dist_lower_bound`]). Only
-    /// [`Self::query_scan_cover`] reads it — it caps the incumbent any
-    /// pruned scan of this arrival can reach, which is what makes the
-    /// partial-row coverage prediction sound.
-    dub: Vec<f64>,
-    /// Scratch for [`Self::query_scan_cover`]'s per-block marks.
-    cover_marks: Vec<bool>,
     /// Scratch for the representative distances
     /// [`Self::prepare_query_row`] gathers from a full row.
     rep_scratch: Vec<f64>,
@@ -151,6 +148,23 @@ pub struct OpeningTargetIndex {
     /// lockstep tests assert pruning actually engages).
     skipped: u64,
     scanned: u64,
+}
+
+/// Where the t3/t4 argmins of a prepared query read `d(m, r)`: both
+/// sources give the metric's values bit for bit, so the answers and the
+/// skip/scan statistics do not depend on the choice.
+#[derive(Clone, Copy)]
+pub enum QueryDistances<'a> {
+    /// The query's full distance row, `row[p] = d(p, r)` by original id:
+    /// the engine's source below
+    /// [`HUGE_METRIC_MIN_POINTS`](super::HUGE_METRIC_MIN_POINTS).
+    Row(&'a [f64]),
+    /// One pass of the layout over each scanned block's members from the
+    /// query point `r` (contiguous coordinate folds under an isometric
+    /// embedding, metric calls otherwise): the engine's source from
+    /// [`HUGE_METRIC_MIN_POINTS`](super::HUGE_METRIC_MIN_POINTS) up,
+    /// where no row is read.
+    Layout(&'a Instance, PointId),
 }
 
 /// `(f − b)⁺` — the distance-free part of an opening-target key.
@@ -311,9 +325,9 @@ impl OpeningTargetIndex {
             shard_blocks: SCAN_SHARD_BLOCKS,
             query_point: None,
             bound_scratch: Vec::with_capacity(nblocks),
+            shard_first: Vec::new(),
+            shard_best: Vec::new(),
             dlb: vec![0.0; nblocks],
-            dub: vec![f64::INFINITY; nblocks],
-            cover_marks: Vec::new(),
             rep_scratch: Vec::new(),
             #[cfg(debug_assertions)]
             query_reps: Vec::new(),
@@ -365,24 +379,31 @@ impl OpeningTargetIndex {
             .collect()
     }
 
-    /// Checks a query row against the prepared representative distances
-    /// (debug builds): every representative entry the row covers must hold
-    /// the prepared value. A partial row's uncovered entries are NaN in
-    /// debug builds and are skipped; the pruned scans' cover always holds
-    /// the representative of the first block they scan.
+    /// Checks a query's distances against the prepared query (debug
+    /// builds): a row must hold the prepared representative distances, and
+    /// a layout query must name the prepared point.
     #[cfg(debug_assertions)]
-    fn assert_prepared(&self, dist_row: &[f64]) {
+    fn assert_prepared(&self, dist: QueryDistances<'_>) {
         assert_eq!(
             self.query_reps.len(),
             self.nblocks,
             "query before prepare_query_at"
         );
-        for (&r, &d) in self.layout.rep.iter().zip(&self.query_reps) {
-            let v = dist_row[r as usize];
-            assert!(
-                v.is_nan() || v.to_bits() == d.to_bits(),
-                "query with a distance row that prepare_query_at never saw"
-            );
+        match dist {
+            QueryDistances::Row(row) => {
+                for (&r, &d) in self.layout.rep.iter().zip(&self.query_reps) {
+                    assert_eq!(
+                        row[r as usize].to_bits(),
+                        d.to_bits(),
+                        "query with a distance row that prepare_query_at never saw"
+                    );
+                }
+            }
+            QueryDistances::Layout(_, q) => assert_eq!(
+                self.query_point,
+                Some(q),
+                "layout query at a point prepare_query_at never saw"
+            ),
         }
     }
 
@@ -400,27 +421,24 @@ impl OpeningTargetIndex {
     /// Installs the arrival's query from its representative distances
     /// (`rep_d[b] = d(rep_b, r)`, block order, e.g. from one
     /// representative pass of the layout): computes the per-block distance
-    /// lower bounds `max(0, d(rep_b, r) − radius_b − slack)` and upper
-    /// bounds once, to be shared by every [`Self::small_target`] /
+    /// lower bounds `max(0, d(rep_b, r) − radius_b − slack)` once, to be
+    /// shared by every [`Self::small_target`] /
     /// [`Self::large_target`] call and the freeze walk
     /// ([`Self::freeze_reinvest`]) of the arrival. Must be called whenever
-    /// the query changes (debug builds check the query rows against it);
-    /// the bounds are pure functions of the values. The freeze walk needs
-    /// the query's original point id `at`; the argmins do not.
+    /// the query changes (debug builds check the argmins' distances
+    /// against it); the bounds are pure functions of the values. The
+    /// freeze walk and argmins reading [`QueryDistances::Layout`] need the
+    /// query's original point id `at`; argmins over a row do not.
     pub fn prepare_query_at(&mut self, at: Option<PointId>, rep_d: &[f64]) {
         debug_assert_eq!(rep_d.len(), self.nblocks, "one distance per block");
         self.query_point = at;
         self.dlb.clear();
-        self.dub.clear();
         if self.layout.bounded {
             let bounds = rep_d.iter().zip(&self.layout.radius);
             self.dlb
-                .extend(bounds.clone().map(|(&d, &r)| dist_lower_bound(d, r)));
-            self.dub
-                .extend(bounds.map(|(&d, &r)| dist_upper_bound(d, r)));
+                .extend(bounds.map(|(&d, &r)| dist_lower_bound(d, r)));
         } else {
             self.dlb.resize(self.nblocks, 0.0);
-            self.dub.resize(self.nblocks, f64::INFINITY);
         }
         #[cfg(debug_assertions)]
         {
@@ -429,70 +447,11 @@ impl OpeningTargetIndex {
         }
     }
 
-    /// Whether this index can drive a *partial* distance row: prepared
-    /// bounds plus [`Self::query_scan_cover`] predict every entry the
-    /// arrival's pruned scans can touch. Requires real radius summaries —
-    /// the no-metric fallback scans distance-free and may read anything.
+    /// Whether the layout carries real radius summaries, which the
+    /// engine's partial-row path needs to bound its block passes: the
+    /// no-metric fallback's distance bounds are inert.
     pub fn partial_rows_supported(&self) -> bool {
         self.layout.bounded
-    }
-
-    /// Predicts, from the prepared per-block bounds alone, every original
-    /// id whose distance entry the arrival's t3/t4 pruned scans could read
-    /// — the coverage a partial row needs so those scans are bit-identical
-    /// to running them over a full row.
-    ///
-    /// For each scan (one per member commodity, plus t4): the scan first
-    /// visits the minimum-bound block `first`, whose incumbent is at most
-    /// `v̂ = bounds[first] + dub[first]` (the block minimum's witness sits
-    /// within `dub[first]` of the query; float addition is monotonic, so
-    /// the computed incumbent never exceeds the computed `v̂`). Every later
-    /// block is scanned only while its bound is ≤ the current incumbent,
-    /// which only falls from the phase-B value — so
-    /// `{b : bounds[b] + dlb[b] ≤ v̂}` (which contains `first`) is a
-    /// superset of the scanned set at ANY shard partition and thread
-    /// count. The union of those supersets over all of the arrival's
-    /// scans, expanded to block members, is the returned cover.
-    ///
-    /// Sound because t3/t4 run once per arrival, before any bump or
-    /// rebuild moves the bounds (the engine's serve order); a cover
-    /// computed from the same bounds the scans will read cannot go stale
-    /// within the arrival. Consumers that outlive the arrival's scans
-    /// (openings, cap shrinks) bound their own reads from a representative
-    /// pass over the point they read instead.
-    pub fn query_scan_cover(&mut self, members: &[CommodityId], out: &mut Vec<u32>) {
-        out.clear();
-        let nblocks = self.nblocks;
-        let (small, large) = (&self.small, &self.large);
-        let (dlb, dub): (&[f64], &[f64]) = (&self.dlb, &self.dub);
-        let marks = &mut self.cover_marks;
-        marks.clear();
-        marks.resize(nblocks, false);
-        let mut mark_scan = |bounds: &[f64]| {
-            let (mut first_bound, mut first) = (f64::INFINITY, 0usize);
-            for bi in 0..nblocks {
-                let bound = bounds[bi] + dlb[bi];
-                if bound < first_bound {
-                    first_bound = bound;
-                    first = bi;
-                }
-            }
-            let vhat = bounds[first] + dub[first];
-            for bi in 0..nblocks {
-                if bounds[bi] + dlb[bi] <= vhat {
-                    marks[bi] = true;
-                }
-            }
-        };
-        for &e in members {
-            mark_scan(&small[e.index() * nblocks..(e.index() + 1) * nblocks]);
-        }
-        mark_scan(large);
-        for (bi, &marked) in marks.iter().enumerate() {
-            if marked {
-                out.extend_from_slice(self.layout.members(bi));
-            }
-        }
     }
 
     /// The freeze walk: reinvests a served request's caps into the bid
@@ -648,33 +607,18 @@ impl OpeningTargetIndex {
         run_shards(self.pool.as_deref(), nshards, &body);
     }
 
-    /// The t3 argmin for commodity `e` from the query whose distance row is
-    /// `dist_row` (`dist_row[p] = d(p, r)`, original ids): bit-identical to
-    /// the full strict-`<` scan, skipping blocks whose distance-aware bound
-    /// cannot improve the running best.
+    /// The t3 argmin for commodity `e` of the prepared query, reading
+    /// `d(m, r)` from `dist`: bit-identical to the full strict-`<` scan,
+    /// skipping blocks whose distance-aware bound cannot improve the
+    /// running best.
     pub fn small_target(
         &mut self,
         e: CommodityId,
         f_row: &[f64],
         b_row: &[f64],
-        dist_row: &[f64],
+        dist: QueryDistances<'_>,
     ) -> (f64, PointId) {
-        #[cfg(debug_assertions)]
-        self.assert_prepared(dist_row);
-        let bounds = &self.small[e.index() * self.nblocks..(e.index() + 1) * self.nblocks];
-        Self::pruned_scan(
-            &self.layout,
-            bounds,
-            &self.dlb,
-            f_row,
-            b_row,
-            dist_row,
-            &mut self.bound_scratch,
-            &mut self.skipped,
-            &mut self.scanned,
-            self.pool.as_deref(),
-            self.shard_blocks,
-        )
+        self.pruned_scan(Some(e), f_row, b_row, dist)
     }
 
     /// The t4 argmin (see [`Self::small_target`]).
@@ -682,73 +626,112 @@ impl OpeningTargetIndex {
         &mut self,
         f_full: &[f64],
         b_large: &[f64],
-        dist_row: &[f64],
+        dist: QueryDistances<'_>,
     ) -> (f64, PointId) {
-        #[cfg(debug_assertions)]
-        self.assert_prepared(dist_row);
-        Self::pruned_scan(
-            &self.layout,
-            &self.large,
-            &self.dlb,
-            f_full,
-            b_large,
-            dist_row,
-            &mut self.bound_scratch,
-            &mut self.skipped,
-            &mut self.scanned,
-            self.pool.as_deref(),
-            self.shard_blocks,
-        )
+        self.pruned_scan(None, f_full, b_large, dist)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The argmin over commodity `e`'s bounds, or the t4 bounds for `None`.
     fn pruned_scan(
-        layout: &SpatialLayout,
-        bounds: &[f64],
-        dlb: &[f64],
+        &mut self,
+        e: Option<CommodityId>,
         f_row: &[f64],
         b_row: &[f64],
-        dist_row: &[f64],
-        bound_scratch: &mut Vec<f64>,
-        skipped: &mut u64,
-        scanned: &mut u64,
-        pool: Option<&TaskPool>,
-        shard_blocks: usize,
+        dist: QueryDistances<'_>,
     ) -> (f64, PointId) {
+        #[cfg(debug_assertions)]
+        self.assert_prepared(dist);
+        let nblocks = self.nblocks;
+        let Self {
+            small,
+            large,
+            layout,
+            pool,
+            shard_blocks,
+            bound_scratch,
+            shard_first,
+            shard_best,
+            dlb,
+            skipped,
+            scanned,
+            ..
+        } = self;
+        let bounds: &[f64] = match e {
+            Some(e) => &small[e.index() * nblocks..(e.index() + 1) * nblocks],
+            None => large,
+        };
+        let (layout, dlb, pool, shard_blocks) =
+            (&**layout, &dlb[..], pool.as_deref(), *shard_blocks);
         let m = f_row.len();
         let block = layout.block;
         let mut best = f64::INFINITY;
         let mut best_id = u32::MAX;
+        // The block scan tracks the lexicographic (value, original id)
+        // minimum — exactly what the ascending-id strict-`<` full scan
+        // returns, computed with the identical float expression. A row is
+        // read in place; a layout query reads the block's member
+        // distances, in member order, through one pass into `buf`.
+        let scan_block =
+            |bi: usize, best: &mut f64, best_id: &mut u32, buf: &mut [f64; HUGE_BLOCK]| {
+                let start = bi * block;
+                let end = (start + block).min(m);
+                match dist {
+                    QueryDistances::Row(dist_row) if layout.identity => {
+                        // An identity ball partition (e.g. a sorted line): same
+                        // lexicographic tracking, no gather.
+                        for p in start..end {
+                            let v = opening_key(f_row[p], b_row[p]) + dist_row[p];
+                            if v < *best || (v == *best && (p as u32) < *best_id) {
+                                *best = v;
+                                *best_id = p as u32;
+                            }
+                        }
+                    }
+                    QueryDistances::Row(dist_row) => {
+                        for &p in &layout.perm[start..end] {
+                            let pi = p as usize;
+                            let v = opening_key(f_row[pi], b_row[pi]) + dist_row[pi];
+                            if v < *best || (v == *best && p < *best_id) {
+                                *best = v;
+                                *best_id = p;
+                            }
+                        }
+                    }
+                    QueryDistances::Layout(inst, q) => {
+                        let dists = layout.member_distances(inst, bi, q, buf);
+                        for (&p, &d) in layout.members(bi).iter().zip(dists) {
+                            let pi = p as usize;
+                            let v = opening_key(f_row[pi], b_row[pi]) + d;
+                            if v < *best || (v == *best && p < *best_id) {
+                                *best = v;
+                                *best_id = p;
+                            }
+                        }
+                    }
+                }
+            };
+        let mut buf = [0.0; HUGE_BLOCK];
         if !layout.bounded {
             // No-metric fallback (identity layout): distance bounds are
-            // inert and ids ascend across blocks, so the verbatim in-order
-            // strict-`<` scan with the distance-free skip is both the
-            // fastest and the exact one (a later equal value can never
-            // displace the incumbent).
+            // inert and ids ascend across blocks, so the in-order sweep
+            // with the distance-free skip is both the fastest and the
+            // exact one (a later equal value can never displace the
+            // incumbent, so the lexicographic tracking is the strict-`<`
+            // scan's).
             for (bi, &bound) in bounds.iter().enumerate() {
                 if bound > best || (bound == best && layout.min_id[bi] > best_id) {
                     *skipped += 1;
                     continue;
                 }
                 *scanned += 1;
-                let start = bi * block;
-                let end = (start + block).min(m);
-                for p in start..end {
-                    let v = opening_key(f_row[p], b_row[p]) + dist_row[p];
-                    if v < best {
-                        best = v;
-                        best_id = p as u32;
-                    }
-                }
+                scan_block(bi, &mut best, &mut best_id, &mut buf);
             }
             return (best, PointId(if best_id == u32::MAX { 0 } else { best_id }));
         }
 
-        // Radius-bounded layout. The block scan below tracks the
-        // lexicographic (value, original id) minimum — exactly what the
-        // ascending-id strict-`<` full scan returns, computed with the
-        // identical float expression — so blocks may be visited in ANY
-        // order, and the skip test stays conservative at every intermediate
+        // Radius-bounded layout. The block scan tracks the lexicographic
+        // minimum, so blocks may be visited in ANY order, and the skip
+        // test stays conservative at every intermediate
         // `best`. That freedom is worth a lot twice over: scanning the
         // minimum-bound block FIRST drops `best` to (almost always) the
         // true optimum immediately, and the remaining sweep can then be
@@ -758,31 +741,6 @@ impl OpeningTargetIndex {
         // best certifies out is sound because the local best is always an
         // *achieved* candidate: anything in the block is lex-≥ it, hence
         // lex-≥ the global minimum, which is therefore never lost.
-        let scan_block = |bi: usize, best: &mut f64, best_id: &mut u32| {
-            let start = bi * block;
-            let end = (start + block).min(m);
-            if layout.identity {
-                // An identity ball partition (e.g. a sorted line): same
-                // lexicographic tracking, no gather.
-                for p in start..end {
-                    let v = opening_key(f_row[p], b_row[p]) + dist_row[p];
-                    if v < *best || (v == *best && (p as u32) < *best_id) {
-                        *best = v;
-                        *best_id = p as u32;
-                    }
-                }
-            } else {
-                for &p in &layout.perm[start..end] {
-                    let pi = p as usize;
-                    let v = opening_key(f_row[pi], b_row[pi]) + dist_row[pi];
-                    if v < *best || (v == *best && p < *best_id) {
-                        *best = v;
-                        *best_id = p;
-                    }
-                }
-            }
-        };
-        let nblocks = bounds.len();
         let nshards = nblocks.div_ceil(shard_blocks);
         let query_bounds = bound_scratch;
         query_bounds.clear();
@@ -801,7 +759,7 @@ impl OpeningTargetIndex {
                 }
                 query_bounds.push(bound);
             }
-            scan_block(first, &mut best, &mut best_id);
+            scan_block(first, &mut best, &mut best_id, &mut buf);
             *scanned += 1;
             // Sweep the rest, skipping every block whose bound says it
             // cannot improve the incumbent. Every key in a block is ≥ its
@@ -818,7 +776,7 @@ impl OpeningTargetIndex {
                     continue;
                 }
                 *scanned += 1;
-                scan_block(bi, &mut best, &mut best_id);
+                scan_block(bi, &mut best, &mut best_id, &mut buf);
             }
             return (best, PointId(if best_id == u32::MAX { 0 } else { best_id }));
         }
@@ -830,10 +788,11 @@ impl OpeningTargetIndex {
         query_bounds.resize(nblocks, 0.0);
         // Phase A: materialize the per-block bounds and find each shard's
         // minimum-bound block (ties: lowest index).
-        let mut shard_first: Vec<(f64, u32)> = vec![(f64::INFINITY, u32::MAX); nshards];
+        shard_first.clear();
+        shard_first.resize(nshards, (f64::INFINITY, u32::MAX));
         {
             let qb = ShardWriter::new(query_bounds, shard_blocks);
-            let sf = ShardWriter::new(&mut shard_first, 1);
+            let sf = ShardWriter::new(shard_first, 1);
             let body = |s: usize| {
                 let lo = s * shard_blocks;
                 // Safety: shard `s` writes only its own chunks.
@@ -856,7 +815,7 @@ impl OpeningTargetIndex {
         // Ascending strict-`<` merge: the lowest-index block of the global
         // minimum bound, exactly as the sequential pass picks it.
         let (mut first_bound, mut first) = (f64::INFINITY, 0usize);
-        for &(fb, fi) in &shard_first {
+        for &(fb, fi) in shard_first.iter() {
             if fb < first_bound {
                 first_bound = fb;
                 first = fi as usize;
@@ -864,13 +823,14 @@ impl OpeningTargetIndex {
         }
         // Phase B: scan the global minimum-bound block — the incumbent
         // every shard seeds from.
-        scan_block(first, &mut best, &mut best_id);
+        scan_block(first, &mut best, &mut best_id, &mut buf);
         *scanned += 1;
         // Phase C: per-shard in-order sweeps with per-shard local bests
         // and counters.
-        let mut shard_best: Vec<(f64, u32, u64, u64)> = vec![(best, best_id, 0, 0); nshards];
+        shard_best.clear();
+        shard_best.resize(nshards, (best, best_id, 0, 0));
         {
-            let sb = ShardWriter::new(&mut shard_best, 1);
+            let sb = ShardWriter::new(shard_best, 1);
             let qb: &[f64] = query_bounds;
             let body = |s: usize| {
                 let lo = s * shard_blocks;
@@ -878,6 +838,7 @@ impl OpeningTargetIndex {
                 let mut b = best;
                 let mut bid = best_id;
                 let (mut sk, mut sc) = (0u64, 0u64);
+                let mut buf = [0.0; HUGE_BLOCK];
                 for (bi, &bound) in qb.iter().enumerate().take(hi).skip(lo) {
                     if bi == first {
                         continue;
@@ -887,7 +848,7 @@ impl OpeningTargetIndex {
                         continue;
                     }
                     sc += 1;
-                    scan_block(bi, &mut b, &mut bid);
+                    scan_block(bi, &mut b, &mut bid, &mut buf);
                 }
                 unsafe { sb.chunk(s)[0] = (b, bid, sk, sc) };
             };
@@ -895,7 +856,7 @@ impl OpeningTargetIndex {
         }
         // Phase D: lexicographic merge (each shard best is an achieved
         // candidate or the phase-B incumbent) plus the stats fold.
-        for &(v, id, sk, sc) in &shard_best {
+        for &(v, id, sk, sc) in shard_best.iter() {
             if v < best || (v == best && id < best_id) {
                 best = v;
                 best_id = id;

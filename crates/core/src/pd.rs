@@ -74,20 +74,19 @@
 //! one bulk `fill_row`, so repeated anchors keep cached-row locality
 //! instead of paying a metric call per distance. Single distances read an
 //! entry of a cached row, or call the metric.
-//! On the partial-row path the per-block distances come from the target
-//! index's layout instead, without touching the row cache: each arrival
-//! and each opening pass reads `d(rep_b, ·)` for every block in one
-//! representative pass (an opening at the arrival's location reuses the
-//! arrival's), and an opening pass reads each kept block's
-//! member distances in one pass more (`SpatialLayout::rep_distances` and
-//! `member_distances`). When the metric embeds isometrically
-//! (`KdCoords::isometric`: L2 Euclidean, and lines within their magnitude
-//! and gap guards) these are contiguous SIMD folds over coordinates
-//! stored in layout order, bit-identical to the metric's own calls;
-//! otherwise they are those calls. Only the arrival's predicted scan
-//! cover and a wide cap-shrink pass's fallback fill rows (the fallback
-//! reads a stored row in place); the facility-cache refresh never does,
-//! however many blocks it keeps.
+//! On the partial-row path the distances come from the target index's
+//! layout instead, without touching the row cache: each arrival and each
+//! opening pass reads `d(rep_b, ·)` for every block in one representative
+//! pass (an opening at the arrival's location reuses the arrival's), and
+//! the t3/t4 argmins and the opening passes read each block they visit
+//! through one pass over its members (`SpatialLayout::rep_distances` and
+//! `member_distances`; [`QueryDistances::Layout`]). When the metric
+//! embeds isometrically (`KdCoords::isometric`: L2 Euclidean, and lines
+//! within their magnitude and gap guards) these are contiguous SIMD folds
+//! over coordinates stored in layout order, bit-identical to the metric's
+//! own calls; otherwise they are those calls. Only a wide cap-shrink
+//! pass's fallback reads a row (a stored row in place, else one bulk fill
+//! into the row cache).
 //!
 //! All structures reproduce the retired linear scans **bit for bit**: cache
 //! updates use the same `distance(query, location)` call and strict-`<`
@@ -104,8 +103,8 @@
 
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
 use crate::index::{
-    mark_block, FacilityIndex, OpeningTargetIndex, PastIndex, SpatialLayout, HUGE_BLOCK,
-    HUGE_METRIC_MIN_POINTS, WIDE_COVERAGE_SHARE,
+    mark_block, FacilityIndex, OpeningTargetIndex, PastIndex, QueryDistances, SpatialLayout,
+    HUGE_BLOCK, HUGE_METRIC_MIN_POINTS, WIDE_COVERAGE_SHARE,
 };
 use crate::instance::Instance;
 use crate::request::Request;
@@ -166,9 +165,6 @@ pub struct PdOmflp<'a> {
     /// empty when the metric lends its rows. Every read is bit-identical
     /// to calling the metric.
     row_cache: BlockedRowCache,
-    /// Scratch for the partial-row coverage ids (the predicted scan cover;
-    /// see [`OpeningTargetIndex::query_scan_cover`]).
-    cover_scratch: Vec<u32>,
     /// Scratch for one point's representative distances on the
     /// partial-row path (see [`SpatialLayout::rep_distances`]).
     rep_scratch: Vec<f64>,
@@ -451,7 +447,6 @@ impl<'a> PdOmflp<'a> {
             f_small,
             f_full,
             row_cache: BlockedRowCache::with_default_budget(m),
-            cover_scratch: Vec::new(),
             rep_scratch: Vec::new(),
             arrival_rep: Vec::new(),
             arrival_rep_at: None,
@@ -576,26 +571,28 @@ impl<'a> PdOmflp<'a> {
 
     /// `(hits, misses, evictions)` of the blocked distance-row cache. Always
     /// `Some`: every engine keeps the cache. It reads `(0, 0, 0)` when the
-    /// metric lends its stored rows, which never pass through it.
+    /// metric lends its stored rows, which never pass through it. On the
+    /// partial-row path ([`Self::partial_rows_active`]) only a wide
+    /// cap-shrink pass ([`crate::index::WIDE_COVERAGE_SHARE`]) reads the
+    /// cache, so a huge metric without such passes reads `(0, 0, 0)` too.
     pub fn distance_cache_stats(&self) -> Option<(u64, u64, u64)> {
         Some(self.row_cache.stats())
     }
 
-    /// Coverage-fallback promotions of the blocked row cache: partial rows
-    /// a full-row consumer forced up to a full fill — on the partial-row
-    /// path, a cap-shrink pass whose surviving blocks were wide (see
-    /// [`crate::index::WIDE_COVERAGE_SHARE`]); the facility-cache refresh
-    /// never fills a row. Always `Some`, like
-    /// [`Self::distance_cache_stats`].
+    /// Rows of the blocked row cache that a full-row read found partially
+    /// filled: always `Some(0)`, since the cache fills whole rows only.
+    /// It stays because the benchmark's counter table reads it; ROADMAP
+    /// direction 1(a) retires it with the other per-structure accessors.
     pub fn row_fallback_promotions(&self) -> Option<u64> {
-        Some(self.row_cache.fallback_promotions())
+        Some(0)
     }
 
-    /// Whether arrivals are served through kd-bounded partial row fills,
-    /// with the freeze walk reading screened distances instead of a full
-    /// row: a radius-bounded layout and at least [`HUGE_METRIC_MIN_POINTS`]
-    /// points (below that a bulk full fill is faster than pointwise
-    /// coverage fills).
+    /// Whether arrivals are served on the partial-row path: the t3/t4
+    /// argmins, the openings and the cap shrinks read block passes of the
+    /// layout instead of rows, and the freeze walk screens its distances
+    /// unless a full row is at hand. Needs a radius-bounded layout and at
+    /// least [`HUGE_METRIC_MIN_POINTS`] points (below that a bulk full
+    /// fill is faster than the block passes).
     pub fn partial_rows_active(&self) -> bool {
         self.inst.num_points() >= self.partial_rows_min && self.targets.partial_rows_supported()
     }
@@ -804,8 +801,8 @@ impl<'a> PdOmflp<'a> {
     /// ([`Self::partial_rows_active`]) it reads the arrival's full row,
     /// re-borrowed from the metric or the row cache. On the partial-row
     /// path it reads a full row only when one is at hand (the metric's
-    /// stored row, or a fully cached one) and the metric's certified f32
-    /// screening brackets otherwise, so a partial row stays partial.
+    /// stored row, or one a wide cap-shrink pass cached) and the metric's
+    /// certified f32 screening brackets otherwise.
     fn freeze_bids(&mut self, loc: PointId, members: &[CommodityId], caps: &[f64], cap_total: f64) {
         let full_row = if self.partial_rows_active() {
             let stored = self.inst.metric().row(loc);
@@ -882,35 +879,28 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             }
         }
 
-        // Distance row d(m, r), borrowed zero-copy from the metric or the
-        // row cache and reused everywhere this arrival.
+        // The arrival's distances d(m, r) for the t3/t4 argmins. On the
+        // partial-row path one representative pass of the layout gives
+        // the per-block bounds, and the argmins read each block they scan
+        // through one layout pass, so no row is read. Otherwise the full
+        // row is borrowed zero-copy from the metric or the row cache. The
+        // values are the metric's either way, so targets, statistics and
+        // all downstream state are the same.
         let inst = self.inst;
-        // Radius-bounded index over the blocked cache: fill only the
-        // entries this arrival's scans can read. The block bounds come
-        // from one representative pass of the layout, which predicts the
-        // scan cover; the row is filled over that cover alone — the pruned
-        // scans then see verbatim metric values everywhere they look, so
-        // targets, stats and all downstream state are bit-identical to a
-        // full fill. Openings later read distances over the blocks they can
-        // change; only a wide cap-shrink pass promotes a partial row through
-        // the cache's coverage fallback.
-        let dist_row: &[f64] = if self.partial_rows_active() {
+        let dists = if self.partial_rows_active() {
             let t = &mut self.targets;
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
             t.layout().rep_distances(inst, loc, &mut self.arrival_rep);
             self.arrival_rep_at = Some(loc);
             t.prepare_query_at(Some(loc), &self.arrival_rep);
-            let cover = &mut self.cover_scratch;
-            t.query_scan_cover(&scratch.members, cover);
-            let c = &mut self.row_cache;
-            c.partial_row_with(loc.0, cover, |p| inst.distance(PointId(p), loc))
+            QueryDistances::Layout(inst, loc)
         } else {
             let row = distance_row(&mut self.row_cache, inst, loc);
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
             self.targets.prepare_query_row(Some(loc), row);
-            row
+            QueryDistances::Row(row)
         };
 
         // Per-commodity targets t1 (connect) / t3 (temp open) and joint
@@ -932,13 +922,13 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             }
             let f_row = &self.f_small[e.index() * mpts..(e.index() + 1) * mpts];
             let b_row = &self.b_small[e.index() * mpts..(e.index() + 1) * mpts];
-            let (best, best_m) = self.targets.small_target(e, f_row, b_row, dist_row);
+            let (best, best_m) = self.targets.small_target(e, f_row, b_row, dists);
             scratch.t3[i] = best;
             scratch.t3_loc[i] = best_m;
         }
         let (t4, t4_loc) = self
             .targets
-            .large_target(&self.f_full, &self.b_large, dist_row);
+            .large_target(&self.f_full, &self.b_large, dists);
         let (t2, t2_fac) = match self.index.nearest_large(loc) {
             Some((fid, d)) => (d, Some(fid)),
             None => (f64::INFINITY, None),

@@ -459,7 +459,7 @@ mod tests {
 
     /// Awkward coordinates (negative, irrational spacing, 3-D) across all
     /// three norms: the bulk fill must reproduce the per-call loop bit for
-    /// bit, including on partial rows.
+    /// bit, including into buffers shorter than a whole row.
     #[test]
     fn bulk_fill_row_is_bit_identical_to_per_call() {
         let mut pts = Vec::new();

@@ -42,9 +42,11 @@ use std::fmt;
 /// `distance` calls with no float divergence (up to the documented per-op
 /// rounding of any *different* fold they choose). One does: the PD
 /// engine's block layout, which keeps the coordinates in layout order and
-/// computes the representative and per-block distances of its partial-row
-/// path as contiguous [`simd::accumulate_squared`] /
-/// [`simd::sqrt_in_place`] passes — the same fold, lane by lane. L2 Euclidean metrics claim it;
+/// computes every distance of its huge-metric path (the representative
+/// and per-block distances of the t3/t4 argmins, the facility-cache
+/// refresh and the cap shrinks) as contiguous
+/// [`simd::accumulate_squared`] / [`simd::sqrt_in_place`] passes — the
+/// same fold, lane by lane. L2 Euclidean metrics claim it;
 /// line metrics claim it inside the guards of [`line::LineMetric`]'s
 /// embedding (no overflowing and no subnormal squares). When `isometric`
 /// is `false` the coordinates are only spatially correlated with the

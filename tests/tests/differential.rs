@@ -280,7 +280,7 @@ fn location_priced(scenario: &Scenario, spread: f64, seed: u64) -> Scenario {
 /// and 4, on the full-row path and on the partial-row path. The catalog
 /// prices facilities alike at every location. Here `f^e_m` and `f^S_m`
 /// differ per location, and both engines must still agree on both paths,
-/// whose relabeled blocks, block bounds and partial rows all read them.
+/// whose relabeled blocks, block bounds and block passes all read them.
 /// One test per seed, so the harness runs the seeds' graph closures in
 /// parallel.
 fn assert_location_priced_families_match_naive(seed: u64) {

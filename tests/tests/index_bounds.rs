@@ -156,9 +156,9 @@ fn incremental_targets_lockstep_beyond_the_dense_cap() {
     // ids are scattered against spatial structure — to 1280–2560 points so
     // the lockstep covers the blocked row cache (Euclidean families), stored
     // graph rows and the relabeled radius-bounded prune together. Each runs
-    // twice: on the full-row path, and with partial rows forced on, where
-    // the scans read only the predicted scan cover of each arrival's row
-    // (debug builds poison every uncovered entry with NaN).
+    // twice: on the full-row path, and with the partial-row path forced
+    // on, where the scans read each block they visit through one layout
+    // pass and no row.
     let profile = CatalogProfile {
         points: 40,
         services: 8,

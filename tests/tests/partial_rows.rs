@@ -1,24 +1,24 @@
-//! Locksteps for the partial-row serve path: kd-bounded partial row fills,
-//! coverage-bounded openings and the sharded, f32-screened freeze walk.
+//! Locksteps for the partial-row serve path: layout block passes in the
+//! t3/t4 argmins and the openings, and the sharded, f32-screened freeze
+//! walk.
 //!
 //! From `HUGE_METRIC_MIN_POINTS` up (forced on here via the
 //! `set_partial_row_threshold` hook so CI-sized metrics exercise it, and
-//! reached unforced by one 65,536-point lockstep) the engine no longer
-//! fills a full `|M|`-entry distance row per arrival — it fills only the
-//! coverage set `OpeningTargetIndex::query_scan_cover` predicts from the
-//! per-block bounds of one representative pass, its openings read
+//! reached unforced by one 65,536-point lockstep) the engine reads no
+//! `|M|`-entry distance row per arrival: one representative pass gives
+//! the per-block bounds, the t3/t4 argmins read each block they scan
+//! through one layout pass (`QueryDistances::Layout`), its openings read
 //! distances block by block from the layout, and the freeze walk (the
 //! same at every size) screens each block with certified f32 brackets
-//! before confirming survivors exactly. All are *execution*
-//! choices, never algorithmic ones: every covered entry and every layout
-//! distance is the verbatim metric value, the predicted cover is a
-//! superset of what the pruned scans can read, the freeze update set is
-//! exactly `{p : d < cap}` however it is narrowed, and the shard
-//! partition is a pure function of the block count. So the engine
-//! must be bit-for-bit indistinguishable — per-arrival outcomes, dual
-//! sums, total costs — from the linear-scan oracle `NaivePd` at 1, 2, 7,
-//! or 16 threads, on every family including the id-scattered adversary,
-//! and keep every pruning statistic of an engine pinned to full rows.
+//! before confirming survivors exactly. All are *execution* choices,
+//! never algorithmic ones: every layout distance is the verbatim metric
+//! value, the freeze update set is exactly `{p : d < cap}` however it is
+//! narrowed, and the shard partition is a pure function of the block
+//! count. So the engine must be bit-for-bit indistinguishable —
+//! per-arrival outcomes, dual sums, total costs — from the linear-scan
+//! oracle `NaivePd` at 1, 2, 7, or 16 threads, on every family including
+//! the id-scattered adversary, and keep every pruning statistic of an
+//! engine pinned to full rows.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::index::HUGE_METRIC_MIN_POINTS;
@@ -56,8 +56,8 @@ fn assert_serve_lockstep(sc: &Scenario, mut tuned: PdOmflp<'_>, label: &str) {
 #[test]
 fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
     // euclid-grid-large at points=40 → |M| = 2560, with the threshold
-    // forced to 0: the engine fills its row cache over the radius-bounded
-    // layout — partial rows and the sharded screened freeze are live. It
+    // forced to 0: the engine reads block passes of the radius-bounded
+    // layout and runs the sharded screened freeze. It
     // must replay the oracle identically at every pool size (the freeze
     // walk shares the scan pool, so the extremes exercise it too).
     let profile = CatalogProfile {
@@ -82,12 +82,13 @@ fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
     }
 }
 
-/// Serves `sc` on the partial-row engine and the oracle in lockstep and
-/// attributes the engine's row promotions: an arrival whose openings
-/// lowered no past cap ran no cap-shrink pass, so a promotion there could
-/// only come from the facility-cache refresh, which must fill no row.
-/// Returns `(promotions, opening arrivals without a shrink pass)`.
-fn promotions_outside_refreshes(sc: &Scenario, label: &str) -> (u64, usize) {
+/// Serves `sc` on the partial-row engine and the oracle in lockstep. The
+/// argmins and the facility-cache refresh read block passes, so an arrival
+/// that lowers no past cap runs no cap-shrink pass and must leave the row
+/// cache's counters where they were. No row is ever partial, so the
+/// promotion counter reads zero throughout. Returns the cache's final
+/// misses and the number of opening arrivals that lowered no cap.
+fn row_reads_outside_shrinks(sc: &Scenario, label: &str) -> (u64, usize) {
     let inst = sc.instance();
     let mut tuned = PdOmflp::new(inst);
     tuned.set_partial_row_threshold(0);
@@ -99,21 +100,22 @@ fn promotions_outside_refreshes(sc: &Scenario, label: &str) -> (u64, usize) {
         past.flat_map(|pr| pr.caps.iter().copied().chain([pr.cap_total]))
             .collect()
     };
-    let mut refresh_only = 0;
+    let mut quiet_openings = 0;
     for (step, r) in sc.requests.iter().enumerate() {
-        let (before, promoted) = (caps(&tuned), tuned.row_fallback_promotions());
+        let (before, stats) = (caps(&tuned), tuned.distance_cache_stats());
         let a = tuned.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
         let b = reference
             .serve(r)
             .unwrap_or_else(|e| panic!("{label}: reference: {e}"));
         assert_eq!(a, b, "{label}: outcome diverged at arrival {step}");
+        assert_eq!(tuned.row_fallback_promotions(), Some(0), "{label}");
         let shrank = before.iter().zip(caps(&tuned)).any(|(&old, new)| new < old);
-        if !a.opened.is_empty() && !shrank {
-            refresh_only += 1;
+        if !shrank {
+            quiet_openings += usize::from(!a.opened.is_empty());
             assert_eq!(
-                tuned.row_fallback_promotions(),
-                promoted,
-                "{label}: a facility-cache refresh promoted a row at arrival {step}"
+                tuned.distance_cache_stats(),
+                stats,
+                "{label}: arrival {step} lowered no cap but read the row cache"
             );
         }
     }
@@ -122,27 +124,24 @@ fn promotions_outside_refreshes(sc: &Scenario, label: &str) -> (u64, usize) {
         reference.solution().total_cost().to_bits(),
         "{label}: costs diverged"
     );
-    let (hits, misses, _) = tuned.distance_cache_stats().expect("always Some");
-    assert!(hits + misses > 0, "{label}: the cache was never touched");
-    (
-        tuned.row_fallback_promotions().expect("always Some"),
-        refresh_only,
-    )
+    let (_, misses, _) = tuned.distance_cache_stats().expect("always Some");
+    (misses, quiet_openings)
 }
 
 #[test]
-fn cold_scatter_adversary_locksteps_and_only_shrink_passes_promote_rows() {
+fn only_cap_shrink_passes_read_the_row_cache() {
     // The id-scattered adversary defeats id-order pruning entirely, so its
-    // coverage sets are the least block-aligned the catalog produces; its
-    // region-hopping queries also open facilities. Every facility-cache
-    // refresh reads distances only over the blocks it can change, however
-    // many there are — each commodity's first openings, while the cached
-    // nearest distances are still ∞, keep every block — so no refresh
-    // fills or promotes a row. Lockstep must hold on both streams, with
-    // refresh-only openings on each. On the 529-point grid, past caps
-    // reach most blocks, so wide cap-shrink passes still fall back to a
-    // full fill of a past location's row, promoting the partial row its
-    // arrival left: the fallback counter must see them.
+    // argmins scan the least block-aligned block sets the catalog
+    // produces; its region-hopping queries also open facilities. The
+    // argmins read block passes, and every facility-cache refresh reads
+    // distances only over the blocks it can change, however many there
+    // are — each commodity's first openings, while the cached nearest
+    // distances are still ∞, keep every block — so an arrival that lowers
+    // no past cap reads no row. Lockstep must hold on both streams, with
+    // such arrivals opening facilities on each. On the 529-point grid,
+    // past caps reach most blocks, so wide cap-shrink passes still fall
+    // back to a full fill of a past location's row: the cache must see
+    // those misses.
     let cold = CatalogProfile {
         points: 40, // × 32 scale → 1280 points
         services: 8,
@@ -152,8 +151,8 @@ fn cold_scatter_adversary_locksteps_and_only_shrink_passes_promote_rows() {
         .unwrap()
         .build(&cold, 13)
         .expect("cold-scatter-large");
-    let (_, refresh_only) = promotions_outside_refreshes(&sc, "cold-scatter");
-    assert!(refresh_only > 0, "no opening ran without a shrink pass");
+    let (_, quiet_openings) = row_reads_outside_shrinks(&sc, "cold-scatter");
+    assert!(quiet_openings > 0, "no opening ran without a shrink pass");
 
     let grid = CatalogProfile {
         points: 8,
@@ -164,12 +163,9 @@ fn cold_scatter_adversary_locksteps_and_only_shrink_passes_promote_rows() {
         .unwrap()
         .build(&grid, 5)
         .expect("euclid-grid-large");
-    let (promotions, refresh_only) = promotions_outside_refreshes(&sc, "grid");
-    assert!(refresh_only > 0, "no opening ran without a shrink pass");
-    assert!(
-        promotions > 0,
-        "wide cap-shrink passes must promote partial rows via the fallback"
-    );
+    let (misses, quiet_openings) = row_reads_outside_shrinks(&sc, "grid");
+    assert!(quiet_openings > 0, "no opening ran without a shrink pass");
+    assert!(misses > 0, "wide cap-shrink passes must fill rows");
 }
 
 #[test]
@@ -305,8 +301,8 @@ fn assert_stats_lockstep(sc: &Scenario, a: &mut PdOmflp<'_>, b: &mut PdOmflp<'_>
 fn partial_rows_engage_unforced_at_the_size_threshold() {
     // euclid-grid-large at points=1024 → |M| = 65,536 = HUGE_METRIC_MIN_POINTS:
     // the stock engine, with no threshold hook, builds the 64-point
-    // HUGE_BLOCK kd layout, serves through partial rows and the
-    // layout-ordered coordinate passes, and auto-engages its scan pool
+    // HUGE_BLOCK kd layout, serves through the layout-ordered coordinate
+    // passes, and auto-engages its scan pool
     // whenever OMFL_THREADS (or the machine) allows more than one thread.
     // It must replay the oracle bit for bit and keep every pruning
     // statistic of an engine pinned to full rows.
