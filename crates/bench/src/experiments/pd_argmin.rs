@@ -4,17 +4,13 @@
 //! opening-target argmins over `(f − B)⁺ + d(m, r)`. This experiment
 //! measures the engine that answers them with the block-pruned argmin
 //! (`omfl_core::index::OpeningTargetIndex`, a bucketed lower-bound prune
-//! list) over the graph's stored distance rows or the blocked
-//! distance-row cache (`omfl_metric::blocked`) on the large-metric catalog
+//! list) on the large-metric catalog families: over the graph's stored
+//! distance rows, and over the layout's block passes for the Euclidean
 //! families. Every timed run is cross-checked against the linear-scan
 //! oracle `NaivePd`: it must reproduce the oracle's total cost bit for bit.
 //!
-//! Reported per family: |M|, requests, construct + serve ms per run, the
-//! share of opening-target blocks the prune skipped, and the blocked
-//! row-cache hit rate (cells whose metric lends its stored rows, like the
-//! graph family, never read the cache and show "-"; so do huge metrics,
-//! from `HUGE_METRIC_MIN_POINTS` up, which read no row cache except in a
-//! wide cap-shrink pass).
+//! Reported per family: |M|, requests, construct + serve ms per run, and
+//! the share of opening-target blocks the prune skipped.
 //!
 //! The measurement protocol is [`crate::perfjson::pd_timing`] — the same
 //! harness that produces the gated large cells of `BENCH_pd.json`.
@@ -44,10 +40,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         .collect();
 
     let mut t = Table::new(
-        "PD opening targets: block-pruned argmin + blocked rows (checked against NaivePd)",
-        &[
-            "family", "|M|", "requests", "incr ms", "blk skip", "row hit",
-        ],
+        "PD opening targets: block-pruned argmin (checked against NaivePd)",
+        &["family", "|M|", "requests", "incr ms", "blk skip"],
     );
     for c in &cells {
         t.row(&[
@@ -56,8 +50,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             c.requests.to_string(),
             fmt(c.incremental.mean * 1e3),
             format!("{:.1}%", 100.0 * c.block_skip_rate),
-            c.row_hit_rate
-                .map_or_else(|| "-".to_string(), |r| format!("{:.1}%", 100.0 * r)),
         ]);
     }
     vec![t]

@@ -270,7 +270,7 @@ pub fn pd_large_profile() -> CatalogProfile {
 
 /// The Euclidean large-metric PD profile: `euclid-grid-large` scales
 /// `points` by 64×, so this reaches |M| = 16384 — past any dense matrix,
-/// where distance-aware pruning and the bulk `fill_row` carry serve.
+/// where distance-aware pruning and the layout's block passes carry serve.
 pub fn pd_euclid_large_profile() -> CatalogProfile {
     CatalogProfile {
         points: 256,
@@ -391,11 +391,6 @@ pub struct PdTiming {
     /// and machine-portable (the shard partition is a pure function of the
     /// block count, never of the worker pool).
     pub block_skip_rate: f64,
-    /// Blocked row-cache hit rate; `None` when the cache served no reads:
-    /// a metric that lends its stored rows, such as a graph closure, or a
-    /// huge metric (`HUGE_METRIC_MIN_POINTS` and up), which reads no row
-    /// cache except in a wide cap-shrink pass.
-    pub row_hit_rate: Option<f64>,
 }
 
 /// Times PD construct + serve (`PdOmflp::new`) on a catalog family.
@@ -403,7 +398,7 @@ pub struct PdTiming {
 /// One untimed `NaivePd` run comes first and doubles as the warm-up; every
 /// timed run must reproduce its total cost bit for bit — the harness
 /// refuses to report timings of an engine that diverged from the oracle.
-/// The skip and hit rates are the last timed run's.
+/// The skip rate is the last timed run's.
 pub fn pd_timing(
     family_name: &str,
     profile: &CatalogProfile,
@@ -423,7 +418,6 @@ pub fn pd_timing(
 
     let mut incremental = Vec::with_capacity(repeats);
     let mut block_skip_rate = 0.0;
-    let mut row_hit_rate = None;
     for _ in 0..repeats {
         let t0 = Instant::now();
         let mut engine = PdOmflp::new(inst);
@@ -439,10 +433,6 @@ pub fn pd_timing(
         );
         let (skipped, scanned) = engine.opening_target_stats().expect("target stats");
         block_skip_rate = skipped as f64 / (skipped + scanned).max(1) as f64;
-        row_hit_rate = engine
-            .distance_cache_stats()
-            .filter(|&(h, m, _)| h + m > 0)
-            .map(|(h, m, _)| h as f64 / (h + m) as f64);
     }
     Ok(PdTiming {
         family: family.name,
@@ -451,7 +441,6 @@ pub fn pd_timing(
         requests: scenario.len(),
         incremental: summarize(&incremental),
         block_skip_rate,
-        row_hit_rate,
     })
 }
 
@@ -1180,7 +1169,6 @@ mod tests {
             requests: nums[&format!("{cell}.requests")] as usize,
             incremental: summary_at(&nums, &format!("{cell}.incremental_secs")),
             block_skip_rate: nums[&format!("{cell}.block_skip_rate")],
-            row_hit_rate: None,
         };
         let small = PdBench {
             family: family("family"),

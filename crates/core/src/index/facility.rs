@@ -12,7 +12,7 @@ const NO_FACILITY: u32 = u32::MAX;
 /// Per-point nearest-open-facility caches, maintained on facility openings.
 ///
 /// Every cache is stored by **slot**: a point's layout position when a
-/// block layout is installed (on the PD engine's partial-row path), its id
+/// block layout is installed (on the PD engine's block-pass path), its id
 /// otherwise. Each block's members then hold one contiguous run of slots,
 /// so the bounded refresh walks that run of the caches in the order the
 /// block's distances come. Ids become slots only in the lookups
@@ -40,7 +40,7 @@ pub struct FacilityIndex {
     /// Openings folded in so far (for diagnostics and refresh-boundary tests).
     openings: usize,
     /// Block layout shared with the PD engine's
-    /// [`OpeningTargetIndex`](super::OpeningTargetIndex) on its partial-row
+    /// [`OpeningTargetIndex`](super::OpeningTargetIndex) on its block-pass
     /// path: it orders the slots, and lets
     /// [`Self::note_opening_in_blocks`] skip every block an opening
     /// provably cannot reach.
@@ -69,33 +69,16 @@ impl FacilityIndex {
         }
     }
 
-    /// Installs (or removes) the block layout the bounded refresh walks.
-    /// Caches already holding openings move to the new slot order, so the
-    /// lookups answer exactly as before. Fresh per-block maxima start at
-    /// `∞`, so installing at any time is sound: the next opening of each
-    /// cache visits every block.
-    pub(crate) fn set_layout(&mut self, layout: Option<Arc<SpatialLayout>>) {
-        if self.openings > 0 {
-            let (from, to) = (self.layout.as_deref(), layout.as_deref());
-            // `map[old slot] = new slot`.
-            let map: Vec<usize> = (0..self.points)
-                .map(|old| slot(to, from.map_or(old, |l| l.perm[old] as usize)))
-                .collect();
-            let (mut moved_d, mut moved_f) = (vec![0.0; self.points], vec![0; self.points]);
-            let caches = (0..self.services).map(|e| Some(CommodityId(e as u16)));
-            for e in caches.chain([None]) {
-                let (cache_d, cache_f, _, _) = self.refresh_parts(e);
-                for (old, &new) in map.iter().enumerate() {
-                    moved_d[new] = cache_d[old];
-                    moved_f[new] = cache_f[old];
-                }
-                cache_d.copy_from_slice(&moved_d);
-                cache_f.copy_from_slice(&moved_f);
-            }
+    /// An empty index over `points × services` whose caches are stored in
+    /// `layout`'s order and refreshed through the blocks it walks. Fresh
+    /// per-block maxima start at `∞`, so each cache's first opening visits
+    /// every block.
+    pub(crate) fn with_layout(points: usize, services: usize, layout: Arc<SpatialLayout>) -> Self {
+        Self {
+            block_max: vec![f64::INFINITY; (services + 1) * layout.nblocks()],
+            layout: Some(layout),
+            ..Self::new(points, services)
         }
-        let nblocks = layout.as_ref().map_or(0, |l| l.nblocks());
-        self.block_max = vec![f64::INFINITY; (self.services + 1) * nblocks];
-        self.layout = layout;
     }
 
     /// Range of the maxima row of the cache an opening of `e` (small) or

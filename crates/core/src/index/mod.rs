@@ -11,12 +11,12 @@
 //! [`FacilityIndex`] inverts the maintenance: facilities open rarely, so on
 //! each opening we refresh a per-point cache of `(nearest facility,
 //! distance)` once and every subsequent query is `O(1)`. The refresh is
-//! `O(|M|)` over a full distance row; on the PD engine's partial-row path,
-//! with the block layout installed, the caches are stored in layout order
-//! and the refresh visits only the blocks whose certified distance lower
-//! bound undercuts their largest cached distance (an opening can only
-//! lower caches near the new facility), each one a contiguous run of the
-//! caches.
+//! `O(|M|)` over a full distance row; on the PD engine's block-pass path
+//! (every metric that lends no stored rows), with the block layout
+//! installed, the caches are stored in layout order and the refresh visits
+//! only the blocks whose certified distance lower bound undercuts their
+//! largest cached distance (an opening can only lower caches near the new
+//! facility), each one a contiguous run of the caches.
 //!
 //! # Bit-identical tie-breaking (the index invariant)
 //!
@@ -72,7 +72,7 @@ pub const TARGET_BLOCK: usize = 16;
 pub const HUGE_BLOCK: usize = 64;
 
 /// The size policy: the point count from which a metric counts as huge.
-/// It drives four decisions, all purely performance crossovers — either
+/// It drives three decisions, all purely performance crossovers — either
 /// side of it serves every arrival bit-identically:
 ///
 /// * **Pool-sharded t3/t4 scans.** [`crate::pd::PdOmflp::new`] installs
@@ -83,19 +83,6 @@ pub const HUGE_BLOCK: usize = 64;
 ///   parallelize cleanly. The pool changes nothing observable, statistics
 ///   included (the shard partition is a pure function of the block count;
 ///   see [`SCAN_SHARD_BLOCKS`]).
-/// * **The partial-row path: block passes instead of rows.** The engine
-///   reads the t3/t4 argmins' distances ([`QueryDistances::Layout`]), the
-///   facility-cache refresh's and the cap shrinks' block by block from
-///   the layout, and lets the freeze walk
-///   ([`OpeningTargetIndex::freeze_reinvest`]) screen its distances
-///   through the metric's certified f32 brackets unless a full row is at
-///   hand; only a wide cap-shrink pass ([`WIDE_COVERAGE_SHARE`]) reads a
-///   row. Below it a full row is the metric's stored row or one bulk
-///   [`omfl_metric::Metric::fill_row`] that the row cache keeps for later
-///   arrivals, and the argmins and the same freeze walk read it; from it
-///   up the `O(|M|)` fill itself dominates serve time.
-///   `tests/tests/partial_rows.rs` pins engines to both paths and serves
-///   one engine unforced at exactly this size.
 /// * **64-point kd blocks.** A layout with kd ball ingest switches from
 ///   [`TARGET_BLOCK`] to [`HUGE_BLOCK`] points per block.
 /// * **Parallel block summaries.** The layout computes its blocks'
@@ -103,6 +90,11 @@ pub const HUGE_BLOCK: usize = 64;
 ///   [`omfl_par::default_threads`] threads. Each block's summary depends
 ///   on its members alone and lands in its own slot, so the layout is the
 ///   same at every thread count.
+///
+/// It does not choose where the engine's distances come from: that is
+/// the metric's stored rows when it lends them, and layout block passes
+/// otherwise, at every size ([`crate::pd::PdOmflp::partial_rows_active`]).
+/// `tests/tests/partial_rows.rs` serves one engine at exactly this size.
 pub const HUGE_METRIC_MIN_POINTS: usize = 65536;
 
 /// Blocks per shard of the sharded argmin scan (see
@@ -140,19 +132,6 @@ fn dist_lower_bound(d_rep: f64, radius: f64) -> f64 {
     }
     (raw - RADIUS_BOUND_SLACK * (d_rep + radius)).max(0.0)
 }
-
-/// Share of all blocks above which a cap-shrink walk over a past
-/// location's distances gives up its block list for one bulk
-/// [`omfl_metric::Metric::fill_row`] and a contiguous walk of the whole
-/// row. A kept point costs its lane of a per-block distance pass (a
-/// pointwise call without an isometric embedding) plus a gathered step
-/// through the bid rows, which are stored by id; the share was set to 0.2
-/// on a 1M-point Euclidean grid when kept points still cost pointwise
-/// calls, and the break-even was not measured again for the per-block
-/// passes. The facility-cache refresh has no such fallback: its caches
-/// are stored in layout order, so a block pass over most blocks costs
-/// less than a row fill and a scattered walk.
-pub const WIDE_COVERAGE_SHARE: f64 = 0.2;
 
 #[cfg(test)]
 mod tests {
@@ -391,7 +370,7 @@ mod tests {
     #[test]
     fn layout_distance_passes_equal_metric_distances_bitwise() {
         // The layout passes are the only distance source of the
-        // partial-row argmins, refresh and shrink walks, so every metric
+        // block-pass argmins, refresh and shrink walks, so every metric
         // must pass:
         // from the layout-ordered coordinates on L2 clouds (bare, behind
         // `Box<dyn Metric>` and behind `SharedMetric`) and on lines inside
@@ -499,8 +478,7 @@ mod tests {
         let (mut every, mut few) = (0, 0);
         for layout in layouts {
             let nblocks = layout.nblocks();
-            let mut bounded = FacilityIndex::new(m, s);
-            bounded.set_layout(Some(Arc::clone(&layout)));
+            let mut bounded = FacilityIndex::with_layout(m, s, Arc::clone(&layout));
             let mut reference = FacilityIndex::new(m, s);
             for k in 0..160u32 {
                 let at = PointId((xorshift(&mut st) % m as u64) as u32);

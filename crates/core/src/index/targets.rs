@@ -52,9 +52,10 @@ use std::sync::Arc;
 /// distance-free keys are tiny (the cold-query regime where the id-order
 /// index scanned 60–75% of blocks). The caller supplies `d(rep_b, r)` for
 /// every block once per query ([`Self::prepare_query_at`]): on the
-/// engine's partial-row path from one contiguous pass over the
-/// representatives' coordinates, otherwise read from the query's full
-/// distance row (representatives are real points). The scans then read
+/// engine's block-pass path from one representative pass of the layout
+/// (contiguous over the representatives' coordinates under an isometric
+/// embedding), on its row path read from the query's stored distance row
+/// (representatives are real points). The scans then read
 /// `d(m, r)` from the same source ([`QueryDistances`]): one layout pass
 /// per scanned block, or the full row. The spatial coherence of
 /// the relabeling is what keeps `radius_b` small enough for the bound to
@@ -156,14 +157,12 @@ pub struct OpeningTargetIndex {
 #[derive(Clone, Copy)]
 pub enum QueryDistances<'a> {
     /// The query's full distance row, `row[p] = d(p, r)` by original id:
-    /// the engine's source below
-    /// [`HUGE_METRIC_MIN_POINTS`](super::HUGE_METRIC_MIN_POINTS).
+    /// the engine's source when the metric lends its stored rows.
     Row(&'a [f64]),
     /// One pass of the layout over each scanned block's members from the
     /// query point `r` (contiguous coordinate folds under an isometric
-    /// embedding, metric calls otherwise): the engine's source from
-    /// [`HUGE_METRIC_MIN_POINTS`](super::HUGE_METRIC_MIN_POINTS) up,
-    /// where no row is read.
+    /// embedding, metric calls otherwise): the engine's source for every
+    /// other metric, at every size, where no row is read.
     Layout(&'a Instance, PointId),
 }
 
@@ -445,13 +444,6 @@ impl OpeningTargetIndex {
             self.query_reps.clear();
             self.query_reps.extend_from_slice(rep_d);
         }
-    }
-
-    /// Whether the layout carries real radius summaries, which the
-    /// engine's partial-row path needs to bound its block passes: the
-    /// no-metric fallback's distance bounds are inert.
-    pub fn partial_rows_supported(&self) -> bool {
-        self.layout.bounded
     }
 
     /// The freeze walk: reinvests a served request's caps into the bid
@@ -904,7 +896,7 @@ impl OpeningTargetIndex {
         }
     }
 
-    /// The block layout, for the engine's coverage-bounded row reads.
+    /// The block layout, for the engine's block passes and shrink kernel.
     pub(crate) fn layout(&self) -> &SpatialLayout {
         &self.layout
     }

@@ -39,12 +39,12 @@
 //!
 //! * `d(F(e), r)` / `d(F̂, r)` come from a [`FacilityIndex`] — per-point
 //!   nearest-open-facility caches refreshed *once per opening* instead of
-//!   scanned per request (openings are rare; requests are not). The
-//!   refresh walks a full row below [`HUGE_METRIC_MIN_POINTS`]; from it
-//!   up, the caches are stored in layout order and the refresh visits
-//!   only the blocks whose certified distance lower bound undercuts their
-//!   largest cached distance, reading each block's member distances in
-//!   one pass and updating its contiguous run of the caches;
+//!   scanned per request (openings are rare; requests are not). On the
+//!   row path the refresh walks the opening's stored row; on the
+//!   block-pass path the caches are stored in layout order and the
+//!   refresh visits only the blocks whose certified distance lower bound
+//!   undercuts their largest cached distance, reading each block's member
+//!   distances in one pass and updating its contiguous run of the caches;
 //! * the t3/t4 opening targets come from an [`OpeningTargetIndex`] — a
 //!   bucketed lower-bound prune list over the monotone distance-free keys
 //!   `(f − B)⁺`, with blocks laid over a spatially coherent relabeling and
@@ -57,36 +57,37 @@
 //!   bid reinvestment to the blocks that can hold `d < cap`;
 //! * the cap-shrink passes after an opening consult a [`PastIndex`] —
 //!   past requests bucketed by location with per-bucket cap bounds — so the
-//!   walk is over locations, not over the whole request history. Below
-//!   [`HUGE_METRIC_MIN_POINTS`] each shrinking request's full distance row
-//!   is walked in id order by one kernel that skips every chunk of entries
-//!   with no `d < old`; from it up the distances are read only over the
-//!   blocks whose lower bound is below the old cap, and a pass whose
-//!   surviving blocks are wide falls back to one bulk row fill and the same
-//!   kernel ([`crate::index::WIDE_COVERAGE_SHARE`]). At every size the
-//!   shrinks mark the blocks they lowered, and the bound rebuild that
-//!   follows recomputes only those.
+//!   walk is over locations, not over the whole request history. On the
+//!   row path each shrinking request's stored row is walked in id order
+//!   by one kernel that skips every chunk of entries with no `d < old`; on
+//!   the block-pass path the distances are read only over the blocks
+//!   whose lower bound is below the old cap, however many they are. On
+//!   both paths the shrinks mark every block they lowered, and the bound
+//!   rebuild that follows recomputes only the marked blocks.
 //!
-//! Full distance rows are read in place when the metric stores its closure
-//! ([`omfl_metric::Metric::row`]: graphs, dense matrices). For every other
-//! metric they come from a fixed-budget blocked row LRU
-//! ([`omfl_metric::blocked::BlockedRowCache`]), filled once per cold row by
-//! one bulk `fill_row`, so repeated anchors keep cached-row locality
-//! instead of paying a metric call per distance. Single distances read an
-//! entry of a cached row, or call the metric.
-//! On the partial-row path the distances come from the target index's
-//! layout instead, without touching the row cache: each arrival and each
+//! # Where the distances come from
+//!
+//! The engine picks its distance source once, at construction, from the
+//! metric. A metric that stores its closure lends its rows
+//! ([`omfl_metric::Metric::row`]: graphs, dense matrices), and the **row
+//! path** reads them in place: the t3/t4 argmins, the facility-cache
+//! refresh, the cap shrinks and the freeze walk each read the stored row
+//! of the point at hand. Every other metric takes the **block-pass path**,
+//! at every size, and no row is read or filled: each arrival and each
 //! opening pass reads `d(rep_b, ·)` for every block in one representative
-//! pass (an opening at the arrival's location reuses the arrival's), and
-//! the t3/t4 argmins and the opening passes read each block they visit
-//! through one pass over its members (`SpatialLayout::rep_distances` and
-//! `member_distances`; [`QueryDistances::Layout`]). When the metric
-//! embeds isometrically (`KdCoords::isometric`: L2 Euclidean, and lines
-//! within their magnitude and gap guards) these are contiguous SIMD folds
+//! pass (an opening at the arrival's location reuses the arrival's), the
+//! t3/t4 argmins, the refresh and the cap shrinks read each block they
+//! visit through one pass over its members (`SpatialLayout::rep_distances`
+//! and `member_distances`; [`QueryDistances::Layout`]), and the freeze
+//! walk screens its distances through the metric's certified f32 brackets
+//! and confirms survivors with exact calls. When the metric embeds
+//! isometrically (`KdCoords::isometric`: L2 Euclidean, and lines within
+//! their magnitude and gap guards) the passes are contiguous SIMD folds
 //! over coordinates stored in layout order, bit-identical to the metric's
-//! own calls; otherwise they are those calls. Only a wide cap-shrink
-//! pass's fallback reads a row (a stored row in place, else one bulk fill
-//! into the row cache).
+//! own calls; otherwise they are those calls. A metric with no coherent
+//! order gets the identity layout, whose distance bounds are all zero, so
+//! its passes prune by bid keys alone. Single distances, such as a cap
+//! shrink's `d(at, r)`, are metric calls on both paths.
 //!
 //! All structures reproduce the retired linear scans **bit for bit**: cache
 //! updates use the same `distance(query, location)` call and strict-`<`
@@ -104,14 +105,13 @@
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
 use crate::index::{
     mark_block, FacilityIndex, OpeningTargetIndex, PastIndex, QueryDistances, SpatialLayout,
-    HUGE_BLOCK, HUGE_METRIC_MIN_POINTS, WIDE_COVERAGE_SHARE,
+    HUGE_BLOCK, HUGE_METRIC_MIN_POINTS,
 };
 use crate::instance::Instance;
 use crate::request::Request;
 use crate::solution::{FacilityId, Solution};
 use crate::{harmonic, CoreError, EPS};
 use omfl_commodity::{CommodityId, CommoditySet};
-use omfl_metric::blocked::BlockedRowCache;
 use omfl_metric::PointId;
 use omfl_par::TaskPool;
 use std::sync::Arc;
@@ -161,14 +161,14 @@ pub struct PdOmflp<'a> {
     f_small: Vec<f64>,
     /// Cached `f^{S}_m`.
     f_full: Vec<f64>,
-    /// Row LRU for metrics without stored rows ([`distance_row`]); stays
-    /// empty when the metric lends its rows. Every read is bit-identical
-    /// to calling the metric.
-    row_cache: BlockedRowCache,
+    /// Whether the metric lends its stored rows ([`omfl_metric::Metric::row`]),
+    /// read once at construction: the row path when set, the block-pass
+    /// path otherwise (see the module docs).
+    stored_rows: bool,
     /// Scratch for one point's representative distances on the
-    /// partial-row path (see [`SpatialLayout::rep_distances`]).
+    /// block-pass path (see [`SpatialLayout::rep_distances`]).
     rep_scratch: Vec<f64>,
-    /// The last partial-row arrival's representative distances, kept apart
+    /// The last block-pass arrival's representative distances, kept apart
     /// from `rep_scratch` so that openings at its location reuse them.
     /// They depend only on the location and the layout, which never
     /// changes after construction, so the location tag keeps the reuse
@@ -177,7 +177,7 @@ pub struct PdOmflp<'a> {
     /// The location `arrival_rep` belongs to.
     arrival_rep_at: Option<PointId>,
     /// Scratch for the blocks a coverage-bounded opening pass keeps: the
-    /// facility-cache refresh's, or a cap-shrink pass's ([`covered_blocks`]).
+    /// facility-cache refresh's, or a cap-shrink pass's.
     blocks_scratch: Vec<u32>,
     /// The blocks each bid row's shrink walks marked during one opening,
     /// every block holding a lowered bid among them ([`Self::shrink_rows`]),
@@ -185,14 +185,9 @@ pub struct PdOmflp<'a> {
     /// row for `B̂`: the bound rebuild recomputes exactly these blocks and
     /// empties the sets.
     touched: Vec<Vec<u64>>,
-    /// Point-count floor for the partial-row serve path; defaults to
-    /// [`HUGE_METRIC_MIN_POINTS`], overridable via
-    /// [`PdOmflp::set_partial_row_threshold`] so lockstep suites can
-    /// engage the path on CI-sized metrics.
-    partial_rows_min: usize,
     /// Incremental t3/t4 maintenance. Its layout holds every point's
     /// coordinates in layout order when the metric embeds isometrically,
-    /// which is where the partial-row path's representative and block
+    /// which is where the block-pass path's representative and block
     /// distances come from.
     targets: OpeningTargetIndex,
     /// The t3 targets `(value, location)` of the last non-fast-path arrival.
@@ -212,52 +207,17 @@ pub struct PdOmflp<'a> {
     bad_cost: Option<CoreError>,
 }
 
-/// A single `d(p, q)`: an entry of `q`'s cached full row, or the metric
-/// call (bit-identical by the `fill_row` contract).
-#[inline]
-fn point_distance(cache: &BlockedRowCache, inst: &Instance, p: PointId, q: PointId) -> f64 {
-    match cache.cached_row(q.0) {
-        Some(row) => row[p.index()],
-        None => inst.distance(p, q),
-    }
-}
-
-/// Borrows the full distance row `d(·, q)`: the metric's stored row when
-/// it keeps its closure, else the cache's row, filled on a miss. Values
-/// are the verbatim metric results either way.
+/// The stored distance row `d(·, q)` of a metric that lends its rows,
+/// read in place. By [`omfl_metric::Metric::row`]'s all-or-none rule a
+/// metric that lent one row at construction lends every row.
 ///
 /// A free function rather than a method so callers can keep disjoint
 /// borrows of the other engine fields (bid rows, target index) alive while
 /// holding the row.
-fn distance_row<'r>(cache: &'r mut BlockedRowCache, inst: &'r Instance, q: PointId) -> &'r [f64] {
-    match inst.metric().row(q) {
-        Some(row) => row,
-        None => cache.row_with(q.0, |buf| inst.fill_row(q, buf)),
-    }
-}
-
-/// The blocks a cap-shrink pass over `q`'s distances visits on the
-/// partial-row path: one representative pass of the layout fills `rep_d`
-/// with `q`'s representative distances and `blocks` with every block whose
-/// certified lower bound on `d(·, q)` passes `keep(b, dlb)`. When those
-/// blocks are more than [`WIDE_COVERAGE_SHARE`] of all blocks it returns
-/// `q`'s full row instead ([`distance_row`]) for a contiguous walk of the
-/// id-ordered bid rows; otherwise the caller reads each kept block's
-/// member distances ([`SpatialLayout::member_distances`]) and no row is
-/// materialized.
-fn covered_blocks<'r>(
-    cache: &'r mut BlockedRowCache,
-    layout: &SpatialLayout,
-    inst: &'r Instance,
-    q: PointId,
-    rep_d: &mut Vec<f64>,
-    blocks: &mut Vec<u32>,
-    keep: impl FnMut(usize, f64) -> bool,
-) -> Option<&'r [f64]> {
-    layout.rep_distances(inst, q, rep_d);
-    layout.blocks_where(rep_d, keep, blocks);
-    let wide = blocks.len() as f64 > WIDE_COVERAGE_SHARE * layout.nblocks() as f64;
-    wide.then(|| distance_row(cache, inst, q))
+fn stored_row(inst: &Instance, q: PointId) -> &[f64] {
+    inst.metric()
+        .row(q)
+        .expect("a metric lends all its rows or none")
 }
 
 /// The cap-shrink subtraction at one location after a cap fell from `old`
@@ -365,12 +325,13 @@ struct ServeScratch {
 
 impl<'a> PdOmflp<'a> {
     /// Creates the algorithm over an instance, with the incremental t3/t4
-    /// opening-target index and the blocked distance-row cache (budget
-    /// [`omfl_metric::blocked::DEFAULT_ROW_CACHE_BYTES`]) engaged.
+    /// opening-target index engaged, and picks the distance source once:
+    /// the metric's stored rows when it lends them
+    /// ([`omfl_metric::Metric::row`]), layout block passes otherwise (see
+    /// the module docs and [`Self::partial_rows_active`]).
     /// Precomputes the per-location small and large facility costs
     /// (`O(|M|·|S|)` memory — the same order as the bid matrix the analysis
-    /// requires). No distance is computed up front: rows are read from the
-    /// metric's stored closure or filled on first use.
+    /// requires). No distance row is filled, now or later.
     ///
     /// A NaN, negative or infinite facility cost does not stop
     /// construction: every [`OnlineAlgorithm::serve`] then returns it as a
@@ -425,34 +386,41 @@ impl<'a> PdOmflp<'a> {
         let m = inst.num_points();
         let s = inst.num_commodities();
         // Share the target index's spatial layout with the shrink walk (and,
-        // on the partial-row path, the facility caches) so both can skip
+        // on the block-pass path, the facility caches) so both can skip
         // whole blocks, and fan the per-arrival block scans out over a
         // worker pool once they are long enough to amortize it. All are
         // engine-invisible: results and skip/scan statistics stay
         // bit-identical.
         let past_index = PastIndex::new(targets.layout_handle(), s);
+        let stored_rows = inst.metric().row(PointId(0)).is_some();
+        let index = if stored_rows {
+            FacilityIndex::new(m, s)
+        } else {
+            // The caches keep block maxima exactly where the bounded
+            // refresh reads them.
+            FacilityIndex::with_layout(m, s, targets.layout_handle())
+        };
         let touched_words = targets.layout().nblocks().div_ceil(64);
         let threads = omfl_par::default_threads();
         if m >= HUGE_METRIC_MIN_POINTS && threads > 1 {
             targets.set_scan_pool(Some(Arc::new(TaskPool::new(threads))));
         }
-        let mut engine = Self {
+        Self {
             inst,
             sol: Solution::new(),
             past: Vec::new(),
-            index: FacilityIndex::new(m, s),
+            index,
             past_index,
             b_small: vec![0.0; m * s],
             b_large: vec![0.0; m],
             f_small,
             f_full,
-            row_cache: BlockedRowCache::with_default_budget(m),
+            stored_rows,
             rep_scratch: Vec::new(),
             arrival_rep: Vec::new(),
             arrival_rep_at: None,
             blocks_scratch: Vec::new(),
             touched: vec![vec![0; touched_words]; s + 1],
-            partial_rows_min: HUGE_METRIC_MIN_POINTS,
             targets,
             last_t3: Vec::new(),
             last_t4: (f64::INFINITY, PointId(0)),
@@ -460,35 +428,31 @@ impl<'a> PdOmflp<'a> {
             scratch: ServeScratch::default(),
             dual_sum: 0.0,
             bad_cost,
-        };
-        engine.set_partial_row_threshold(HUGE_METRIC_MIN_POINTS);
-        engine
+        }
     }
 
-    /// Folds a fresh opening into the facility index. Below the
-    /// partial-row threshold it walks `at`'s full distance row, borrowed
-    /// from the metric or the row cache. On the partial-row path `at`'s
+    /// Folds a fresh opening into the facility index. On the row path it
+    /// walks `at`'s stored row. On the block-pass path `at`'s
     /// representative distances (the arrival's, when it opens there; else
     /// one representative pass) pick the blocks whose lower bound on
     /// `d(·, at)` undercuts their largest cached distance, and the bounded
-    /// refresh reads only those blocks, however many there are; no row is
-    /// filled. Values are identical either way.
+    /// refresh reads only those blocks, however many there are. Values are
+    /// identical either way.
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
-        if self.partial_rows_active() {
-            let layout = self.targets.layout();
-            let (mut rep_d, blocks) = (&self.arrival_rep, &mut self.blocks_scratch);
-            if self.arrival_rep_at != Some(at) {
-                layout.rep_distances(self.inst, at, &mut self.rep_scratch);
-                rep_d = &self.rep_scratch;
-            }
-            let maxima = self.index.block_maxima(e);
-            layout.blocks_where(rep_d, |b, dlb| dlb < maxima[b], blocks);
-            self.index
-                .note_opening_in_blocks(self.inst, e, at, blocks, fid);
+        if self.stored_rows {
+            self.index.note_opening(e, stored_row(self.inst, at), fid);
             return;
         }
-        let row = distance_row(&mut self.row_cache, self.inst, at);
-        self.index.note_opening(e, row, fid);
+        let layout = self.targets.layout();
+        let (mut rep_d, blocks) = (&self.arrival_rep, &mut self.blocks_scratch);
+        if self.arrival_rep_at != Some(at) {
+            layout.rep_distances(self.inst, at, &mut self.rep_scratch);
+            rep_d = &self.rep_scratch;
+        }
+        let maxima = self.index.block_maxima(e);
+        layout.blocks_where(rep_d, |b, dlb| dlb < maxima[b], blocks);
+        self.index
+            .note_opening_in_blocks(self.inst, e, at, blocks, fid);
     }
 
     /// The instance the algorithm runs on.
@@ -569,46 +533,28 @@ impl<'a> PdOmflp<'a> {
         self.past_index.stats()
     }
 
-    /// `(hits, misses, evictions)` of the blocked distance-row cache. Always
-    /// `Some`: every engine keeps the cache. It reads `(0, 0, 0)` when the
-    /// metric lends its stored rows, which never pass through it. On the
-    /// partial-row path ([`Self::partial_rows_active`]) only a wide
-    /// cap-shrink pass ([`crate::index::WIDE_COVERAGE_SHARE`]) reads the
-    /// cache, so a huge metric without such passes reads `(0, 0, 0)` too.
+    /// Always `None`: the engine keeps no row cache. It stays because the
+    /// benchmark's counter table reads it; ROADMAP direction 1(a) retires
+    /// it with the other per-structure accessors.
     pub fn distance_cache_stats(&self) -> Option<(u64, u64, u64)> {
-        Some(self.row_cache.stats())
+        None
     }
 
-    /// Rows of the blocked row cache that a full-row read found partially
-    /// filled: always `Some(0)`, since the cache fills whole rows only.
-    /// It stays because the benchmark's counter table reads it; ROADMAP
-    /// direction 1(a) retires it with the other per-structure accessors.
+    /// Always `None`: no row is ever filled, partially or whole. It stays
+    /// because the benchmark's counter table reads it; ROADMAP direction
+    /// 1(a) retires it with the other per-structure accessors.
     pub fn row_fallback_promotions(&self) -> Option<u64> {
-        Some(0)
+        None
     }
 
-    /// Whether arrivals are served on the partial-row path: the t3/t4
-    /// argmins, the openings and the cap shrinks read block passes of the
-    /// layout instead of rows, and the freeze walk screens its distances
-    /// unless a full row is at hand. Needs a radius-bounded layout and at
-    /// least [`HUGE_METRIC_MIN_POINTS`] points (below that a bulk full
-    /// fill is faster than the block passes).
+    /// Whether arrivals are served on the block-pass path, which the
+    /// engine takes whenever the metric lends no stored rows
+    /// ([`omfl_metric::Metric::row`]), at every size: the t3/t4 argmins,
+    /// the facility-cache refresh and the cap shrinks read block passes of
+    /// the layout, and the freeze walk screens its distances. Fixed at
+    /// construction.
     pub fn partial_rows_active(&self) -> bool {
-        self.inst.num_points() >= self.partial_rows_min && self.targets.partial_rows_supported()
-    }
-
-    /// Test/bench hook: overrides the [`HUGE_METRIC_MIN_POINTS`] floor so
-    /// lockstep suites can engage (or suppress) the partial-row serve path
-    /// on CI-sized metrics. Either side of the threshold is bit-identical
-    /// — the floor is purely a performance crossover.
-    pub fn set_partial_row_threshold(&mut self, min_points: usize) {
-        self.partial_rows_min = min_points;
-        // The facility caches keep block maxima exactly where the bounded
-        // refresh reads them, on the partial-row path.
-        let layout = self
-            .partial_rows_active()
-            .then(|| self.targets.layout_handle());
-        self.index.set_layout(layout);
+        !self.stored_rows
     }
 
     /// Nearest open facility offering commodity `e` (small-for-`e` or large)
@@ -637,7 +583,7 @@ impl<'a> PdOmflp<'a> {
         let m = self.inst.num_points();
         for (pi, slot) in self.past_index.small_shrink_candidates(self.inst, e, at) {
             let pr = &mut self.past[pi as usize];
-            let dj = point_distance(&self.row_cache, self.inst, at, pr.location);
+            let dj = self.inst.distance(at, pr.location);
             let old = pr.caps[slot as usize];
             if dj < old {
                 pr.caps[slot as usize] = dj;
@@ -666,7 +612,7 @@ impl<'a> PdOmflp<'a> {
         let mut families = Vec::new();
         for pi in self.past_index.large_shrink_candidates(self.inst, at) {
             let pr = &mut self.past[pi as usize];
-            let dj = point_distance(&self.row_cache, self.inst, at, pr.location);
+            let dj = self.inst.distance(at, pr.location);
             families.clear();
             // Large-facility cap.
             if dj < pr.cap_total {
@@ -701,38 +647,33 @@ impl<'a> PdOmflp<'a> {
     /// The cap-shrink subtractions of one past request at `loc` whose caps
     /// fell to `dj`: for each `(f, old)` of `families`, bid row `f` (a
     /// commodity's `B` row, or `B̂` at `f = |S|`) takes [`shrink_bid`] at
-    /// every location, and row `f`'s `touched` set gains the blocks whose
+    /// every location, and row `f`'s `touched` set gains every block whose
     /// bids it lowered, for the bound rebuild.
     ///
-    /// Below the partial-row threshold each family is one [`shrink_row`]
-    /// walk over `loc`'s full row. On the partial-row path the pass visits
-    /// only the blocks whose lower bound on `d(·, loc)` is below the
-    /// largest old cap ([`covered_blocks`]) — no other block holds a
-    /// `d < old` for any family. Each kept block's member distances come
-    /// from one layout pass and feed every family whose own old cap clears
-    /// the block's bound, which marks the block. Every bid slot still takes
-    /// one subtraction per family, so the rows end bit-identical to
-    /// per-family walks. A wide pass takes the full-row walks instead.
+    /// On the row path each family is one [`shrink_row`] walk over `loc`'s
+    /// stored row. On the block-pass path the pass visits only the blocks
+    /// whose lower bound on `d(·, loc)` is below the largest old cap,
+    /// however many they are — no other block holds a `d < old` for any
+    /// family. Each kept block's member distances come from one layout
+    /// pass and feed every family whose own old cap clears the block's
+    /// bound, which marks the block. Every bid slot still takes one
+    /// subtraction per family, so the rows end bit-identical to per-family
+    /// walks.
     fn shrink_rows(&mut self, loc: PointId, dj: f64, families: &[(usize, f64)]) {
-        let bounded = self.partial_rows_active();
         let (b_small, b_large) = (&mut self.b_small, &mut self.b_large);
-        let (c, layout) = (&mut self.row_cache, self.targets.layout());
-        let drow = if bounded {
-            let reach = families.iter().fold(0.0f64, |r, &(_, old)| r.max(old));
-            let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
-            let keep = |_, dlb| dlb < reach;
-            covered_blocks(c, layout, self.inst, loc, rep_d, blocks, keep)
-        } else {
-            Some(distance_row(c, self.inst, loc))
-        };
-        if let Some(drow) = drow {
+        let layout = self.targets.layout();
+        if self.stored_rows {
+            let drow = stored_row(self.inst, loc);
             for &(f, old) in families {
                 let b_row = bid_row(b_small, b_large, f);
                 shrink_row(b_row, drow, old, dj, layout, &mut self.touched[f]);
             }
             return;
         }
-        let (rep_d, blocks) = (&self.rep_scratch, &self.blocks_scratch);
+        let reach = families.iter().fold(0.0f64, |r, &(_, old)| r.max(old));
+        let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
+        layout.rep_distances(self.inst, loc, rep_d);
+        layout.blocks_where(rep_d, |_, dlb| dlb < reach, blocks);
         let mut buf = [0.0; HUGE_BLOCK];
         for &b in blocks.iter() {
             let bi = b as usize;
@@ -795,21 +736,14 @@ impl<'a> PdOmflp<'a> {
     /// The bid-reinvestment additions of [`Self::freeze`], split out so the
     /// distance row is borrowed only when some cap is positive.
     ///
-    /// One walk at every size, [`OpeningTargetIndex::freeze_reinvest`]:
+    /// One walk on both paths, [`OpeningTargetIndex::freeze_reinvest`]:
     /// sharded over the worker pool when one is installed, and bit-identical
-    /// whatever feeds it its distances. Below the partial-row threshold
-    /// ([`Self::partial_rows_active`]) it reads the arrival's full row,
-    /// re-borrowed from the metric or the row cache. On the partial-row
-    /// path it reads a full row only when one is at hand (the metric's
-    /// stored row, or one a wide cap-shrink pass cached) and the metric's
-    /// certified f32 screening brackets otherwise.
+    /// whatever feeds it its distances. On the row path it reads the
+    /// arrival's stored row; on the block-pass path
+    /// ([`Self::partial_rows_active`]) the metric's certified f32 screening
+    /// brackets, confirmed by exact calls.
     fn freeze_bids(&mut self, loc: PointId, members: &[CommodityId], caps: &[f64], cap_total: f64) {
-        let full_row = if self.partial_rows_active() {
-            let stored = self.inst.metric().row(loc);
-            stored.or_else(|| self.row_cache.cached_row(loc.0))
-        } else {
-            Some(distance_row(&mut self.row_cache, self.inst, loc))
-        };
+        let full_row = self.stored_rows.then(|| stored_row(self.inst, loc));
         self.targets.freeze_reinvest(
             self.inst,
             loc,
@@ -880,14 +814,20 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         }
 
         // The arrival's distances d(m, r) for the t3/t4 argmins. On the
-        // partial-row path one representative pass of the layout gives
-        // the per-block bounds, and the argmins read each block they scan
-        // through one layout pass, so no row is read. Otherwise the full
-        // row is borrowed zero-copy from the metric or the row cache. The
-        // values are the metric's either way, so targets, statistics and
-        // all downstream state are the same.
+        // row path the metric's stored row is read in place. On the
+        // block-pass path one representative pass of the layout gives the
+        // per-block bounds, and the argmins read each block they scan
+        // through one layout pass, so no row is read. The values are the
+        // metric's either way, so targets, statistics and all downstream
+        // state are the same.
         let inst = self.inst;
-        let dists = if self.partial_rows_active() {
+        let dists = if self.stored_rows {
+            let row = stored_row(inst, loc);
+            // One pass of per-block distance bounds for this arrival,
+            // shared by every t3/t4 argmin below and the freeze walk.
+            self.targets.prepare_query_row(Some(loc), row);
+            QueryDistances::Row(row)
+        } else {
             let t = &mut self.targets;
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
@@ -895,12 +835,6 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             self.arrival_rep_at = Some(loc);
             t.prepare_query_at(Some(loc), &self.arrival_rep);
             QueryDistances::Layout(inst, loc)
-        } else {
-            let row = distance_row(&mut self.row_cache, inst, loc);
-            // One pass of per-block distance bounds for this arrival,
-            // shared by every t3/t4 argmin below and the freeze walk.
-            self.targets.prepare_query_row(Some(loc), row);
-            QueryDistances::Row(row)
         };
 
         // Per-commodity targets t1 (connect) / t3 (temp open) and joint

@@ -24,7 +24,7 @@ pub enum Norm {
 /// for the bulk [`Metric::fill_row`] override, whose inner loops then stream
 /// one contiguous coordinate column per axis — the layout the
 /// autovectorizer wants. The duplication costs `8·dim·len` bytes (512 KiB
-/// at 16384 2-D points), far below any distance cache built on top.
+/// at 16384 2-D points), far below a distance matrix over the same points.
 #[derive(Debug, Clone)]
 pub struct EuclideanMetric {
     coords: Vec<f64>,

@@ -17,7 +17,6 @@
 //! relaxed to `d(a, a) = 0` (distinct points at distance zero are allowed,
 //! matching the paper where multiple facilities may share a point).
 
-pub mod blocked;
 pub mod dense;
 pub mod euclidean;
 pub mod graph;
@@ -42,7 +41,7 @@ use std::fmt;
 /// `distance` calls with no float divergence (up to the documented per-op
 /// rounding of any *different* fold they choose). One does: the PD
 /// engine's block layout, which keeps the coordinates in layout order and
-/// computes every distance of its huge-metric path (the representative
+/// computes every distance of its block-pass path (the representative
 /// and per-block distances of the t3/t4 argmins, the facility-cache
 /// refresh and the cap shrinks) as contiguous
 /// [`simd::accumulate_squared`] / [`simd::sqrt_in_place`] passes — the
@@ -140,23 +139,30 @@ pub trait Metric: Send + Sync {
     ///
     /// When `Some`, the slice has [`Metric::len`] entries and
     /// `row[p] == distance(PointId(p), q)` **bit for bit**, so consumers
-    /// read it in place instead of copying it into a row cache.
+    /// read it in place instead of copying it.
     /// `GraphMetric` and `DenseMetric` lend their matrix rows, which their
-    /// constructors make bitwise symmetric. Wrappers must forward it.
-    /// May panic if `q` is out of range.
+    /// constructors make bitwise symmetric.
+    ///
+    /// All or none: a metric lends a row for every point or for none. The
+    /// PD engine asks once, at construction, and then reads every row of a
+    /// lending metric in place, and layout block passes for any other
+    /// metric. Wrappers must forward it: one that drops it sends the
+    /// engine to block passes over a metric whose rows are at hand. May
+    /// panic if `q` is out of range.
     fn row(&self, _q: PointId) -> Option<&[f64]> {
         None
     }
 
     /// Fills `out[p] = distance(PointId(p), q)` for `p` in `0..out.len()`.
     ///
-    /// This is the bulk primitive behind row caches
-    /// ([`blocked::BlockedRowCache`]) and the engines' per-arrival distance
-    /// rows. The default copies [`Metric::row`] when the metric stores one
-    /// and calls [`Metric::distance`] per point otherwise. Implementations
-    /// may override it with a faster loop nest but must produce
-    /// **bit-identical** values to the per-call loop — callers rely on
-    /// cached rows being indistinguishable from calling
+    /// This is the bulk primitive behind the baseline engines'
+    /// facility-cache refresh (RAND, Meyerson and Fotakis fill the row of
+    /// each opening) and the offline solvers' distance rows; the PD engine
+    /// fills no row. The default copies [`Metric::row`] when the metric
+    /// stores one and calls [`Metric::distance`] per point otherwise.
+    /// Implementations may override it with a faster loop nest but must
+    /// produce **bit-identical** values to the per-call loop — callers
+    /// rely on filled rows being indistinguishable from calling
     /// [`Metric::distance`]. Panics if `out.len() > self.len()` or `q` is
     /// out of range.
     fn fill_row(&self, q: PointId, out: &mut [f64]) {

@@ -14,9 +14,10 @@
 //! # The bit-identity contract
 //!
 //! Every kernel must produce **bit-identical** results to its scalar loop —
-//! the repo-wide `fill_row` contract (cached rows must be indistinguishable
-//! from per-call `distance`). The vector forms qualify because each lane
-//! processes one point with exactly the scalar operation sequence:
+//! the repo-wide `fill_row` contract (filled rows and the PD layout's
+//! distance passes must be indistinguishable from per-call `distance`).
+//! The vector forms qualify because each lane processes one point with
+//! exactly the scalar operation sequence:
 //!
 //! * `sub`/`mul`/`add` lanes are the same IEEE-754 double operations as
 //!   their scalar counterparts — no reassociation, and **no FMA**: a fused

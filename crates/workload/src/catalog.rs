@@ -159,7 +159,7 @@ pub fn registry() -> Vec<Family> {
             name: "euclid-grid-large",
             regime: "hotspot-skewed Euclidean grid at |M| = 64·points (16384 \
                      at points=256) — beyond any dense distance matrix, the \
-                     blocked row-cache regime",
+                     layout block-pass regime",
             builder: euclid_grid_large,
         },
         Family {
@@ -441,7 +441,7 @@ fn euclid_grid_large(p: &CatalogProfile, seed: u64) -> Result<Scenario, CoreErro
     let cost = CostModel::power(s, 1.0, 2.5);
     let universe = cost.universe();
     // Hotspot-skewed locations (Zipf over a shuffled identity): big metric,
-    // localized demand — the working set the blocked row cache holds.
+    // localized demand, so the layout's block passes skip most blocks.
     let locs = spatial::sample_locations(n_pts, p.requests, 1.0, &mut rng);
     let requests = locs
         .into_iter()

@@ -15,6 +15,9 @@
 //! plus proptest-driven random shapes — and compare with `to_bits`, not
 //! tolerances.
 
+mod common;
+
+use common::{hide_rows, lend_rows};
 use omfl_commodity::cost::{CostModel, FacilityCostFn};
 use omfl_commodity::{CommoditySet, Universe};
 use omfl_core::algorithm::OnlineAlgorithm;
@@ -277,12 +280,12 @@ fn location_priced(scenario: &Scenario, spread: f64, seed: u64) -> Scenario {
 }
 
 /// Every catalog family at one seed, priced per location at spreads 0.5
-/// and 4, on the full-row path and on the partial-row path. The catalog
-/// prices facilities alike at every location. Here `f^e_m` and `f^S_m`
-/// differ per location, and both engines must still agree on both paths,
-/// whose relabeled blocks, block bounds and block passes all read them.
-/// One test per seed, so the harness runs the seeds' graph closures in
-/// parallel.
+/// and 4, on the row path (behind `LendRows`) and on the block-pass path
+/// (behind `HideRows`). The catalog prices facilities alike at every
+/// location. Here `f^e_m` and `f^S_m` differ per location, and both
+/// engines must still agree on both paths, whose relabeled blocks, block
+/// bounds and block passes all read them. One test per seed, so the
+/// harness runs the seeds' graph closures in parallel.
 fn assert_location_priced_families_match_naive(seed: u64) {
     let profile = CatalogProfile {
         points: 96,
@@ -293,12 +296,10 @@ fn assert_location_priced_families_match_naive(seed: u64) {
         let base = fam.build(&profile, seed).expect(fam.name);
         for spread in [0.5, 4.0] {
             let sc = location_priced(&base, spread, seed);
-            for partial in [false, true] {
-                let mut pd = PdOmflp::new(sc.instance());
-                if partial {
-                    pd.set_partial_row_threshold(0);
-                }
-                let label = format!("{} (seed {seed}, partial rows {partial})", sc.name);
+            for (sc, partial) in [(lend_rows(&sc), false), (hide_rows(&sc), true)] {
+                let pd = PdOmflp::new(sc.instance());
+                assert_eq!(pd.partial_rows_active(), partial, "{}", sc.name);
+                let label = format!("{} (seed {seed})", sc.name);
                 assert_matches_naive(pd, &sc, &label);
             }
         }

@@ -10,15 +10,16 @@
 //! block pruning and layout distance passes rest on both. The wrappers the
 //! program routes metrics through (`Box<dyn Metric>` in every `Instance`,
 //! `SharedMetric` in every scenario) must forward all of it: a wrapper
-//! that drops `row` would silently send the engine back to copying the
-//! closure into its row cache, and one that drops screening would send the
-//! partial-row freeze walk to an exact distance call per point. No outcome
-//! test can see either. The second test pins the row wiring through the
-//! cache counters.
+//! that drops `row` would silently send the engine to block passes over a
+//! metric whose rows are at hand, and one that drops screening would send
+//! the block-pass freeze walk to an exact distance call per point. No
+//! outcome test can see either. The second test pins the engine's rule:
+//! stored rows when the metric lends them, block passes otherwise.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::heavy::SharedMetric;
 use omfl_core::index::RADIUS_BOUND_SLACK;
+use omfl_core::naive::NaivePd;
 use omfl_core::pd::PdOmflp;
 use omfl_metric::dense::DenseMetric;
 use omfl_metric::euclidean::{EuclideanMetric, Norm};
@@ -316,45 +317,42 @@ fn rows_are_verbatim_and_wrappers_forward_them() {
 }
 
 #[test]
-fn pd_reads_stored_rows_in_place_and_caches_computed_ones() {
-    // A 1280-point graph: the engine reads the closure's rows in place,
-    // so nothing passes through its row cache.
+fn pd_reads_stored_rows_in_place_and_block_passes_otherwise() {
+    // The engine picks its distance source from the metric, once: a
+    // 1280-point graph lends its closure rows, so the engine reads them in
+    // place; a small line (hotspot-drift) computes its distances, so the
+    // engine takes layout block passes although it is far below
+    // `HUGE_METRIC_MIN_POINTS`. Both must replay the oracle bit for bit.
     let profile = CatalogProfile {
         points: 40,
         services: 8,
         requests: 120,
     };
-    let sc = by_name("zipf-services-large")
+    let graph = by_name("zipf-services-large")
         .unwrap()
         .build(&profile, 5)
         .expect("zipf-services-large");
-    let inst = sc.instance();
-    assert!(inst.num_points() > 1024);
-    assert!(
-        inst.metric().row(PointId(0)).is_some(),
-        "graph rows are stored"
-    );
-    let mut engine = PdOmflp::new(inst);
-    for r in &sc.requests {
-        engine.serve(r).unwrap();
-    }
-    assert!(engine.solution().facilities().len() > 1);
-    assert_eq!(engine.distance_cache_stats(), Some((0, 0, 0)));
-    assert_eq!(engine.row_fallback_promotions(), Some(0));
-
-    // A small line (hotspot-drift) computes its distances: the engine fills
-    // their rows through the cache at any size.
-    let sc = by_name("hotspot-drift")
+    let line = by_name("hotspot-drift")
         .unwrap()
         .build(&CatalogProfile::default(), 5)
         .expect("hotspot-drift");
-    let inst = sc.instance();
-    assert!(inst.num_points() <= 1024);
-    assert!(inst.metric().row(PointId(0)).is_none());
-    let mut engine = PdOmflp::new(inst);
-    for r in &sc.requests {
-        engine.serve(r).unwrap();
+    assert!(graph.instance().num_points() > 1024);
+    assert!(line.instance().num_points() <= 1024);
+    for (sc, stores) in [(&graph, true), (&line, false)] {
+        let inst = sc.instance();
+        assert_eq!(
+            inst.metric().row(PointId(0)).is_some(),
+            stores,
+            "{}",
+            sc.name
+        );
+        let mut engine = PdOmflp::new(inst);
+        assert_eq!(engine.partial_rows_active(), !stores, "{}", sc.name);
+        let mut oracle = NaivePd::new(inst);
+        for (step, r) in sc.requests.iter().enumerate() {
+            let (a, b) = (engine.serve(r).unwrap(), oracle.serve(r).unwrap());
+            assert_eq!(a, b, "{}: outcome diverged at arrival {step}", sc.name);
+        }
+        assert!(engine.solution().facilities().len() > 1, "{}", sc.name);
     }
-    let (_, misses, _) = engine.distance_cache_stats().expect("always Some");
-    assert!(misses > 0, "computed rows must be filled through the cache");
 }

@@ -21,12 +21,16 @@
 //! radius-bounded opening-target prune bitwise at every arrival against
 //! verbatim full scans over the oracle's bids, across the whole catalog
 //! (including the cold-query adversary, and at 1280–2560 points on both
-//! the full-row and the partial-row path), and drives *random*
-//! relabelings through whole engine runs — the index's block layout must
-//! never leak into engine-visible state. It also checks, after every
-//! arrival and on both paths, that every block bound is the exact minimum
-//! of its block's keys, which no engine outcome can show.
+//! the row path and the block-pass path, picked by wrapping the metric),
+//! and drives *random* relabelings through whole engine runs — the
+//! index's block layout must never leak into engine-visible state. It
+//! also checks, after every arrival and on both paths, that every block
+//! bound is the exact minimum of its block's keys, which no engine outcome
+//! can show.
 
+mod common;
+
+use common::{hide_rows, lend_rows};
 use omfl_commodity::CommodityId;
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::index::OpeningTargetIndex;
@@ -154,11 +158,10 @@ fn incremental_targets_equal_fresh_scans_at_every_arrival() {
 fn incremental_targets_lockstep_beyond_the_dense_cap() {
     // Push the large families — including the cold-query adversary whose
     // ids are scattered against spatial structure — to 1280–2560 points so
-    // the lockstep covers the blocked row cache (Euclidean families), stored
-    // graph rows and the relabeled radius-bounded prune together. Each runs
-    // twice: on the full-row path, and with the partial-row path forced
-    // on, where the scans read each block they visit through one layout
-    // pass and no row.
+    // the lockstep covers lent rows and the relabeled radius-bounded prune
+    // together. Each runs twice: behind `LendRows`, on the row path, and
+    // behind `HideRows`, on the block-pass path, where the scans read each
+    // block they visit through one layout pass and no row.
     let profile = CatalogProfile {
         points: 40,
         services: 8,
@@ -170,18 +173,16 @@ fn incremental_targets_lockstep_beyond_the_dense_cap() {
         "cold-scatter-large",
     ] {
         let sc = by_name(name).unwrap().build(&profile, 5).expect(name);
-        let inst = sc.instance();
-        let (skipped, _) = assert_targets_lockstep(&sc, PdOmflp::new(inst), name);
-        assert!(
-            skipped > 0,
-            "{name}: the prune never skipped a block on a hotspot workload"
-        );
-        let mut partial = PdOmflp::new(inst);
-        partial.set_partial_row_threshold(0);
-        assert!(partial.partial_rows_active(), "{name}: partial rows");
-        let label = format!("{name} (partial rows)");
-        let (skipped, _) = assert_targets_lockstep(&sc, partial, &label);
-        assert!(skipped > 0, "{label}: the prune never skipped a block");
+        for (sc, passes) in [(lend_rows(&sc), false), (hide_rows(&sc), true)] {
+            let engine = PdOmflp::new(sc.instance());
+            assert_eq!(engine.partial_rows_active(), passes, "{}", sc.name);
+            let (skipped, _) = assert_targets_lockstep(&sc, engine, &sc.name);
+            assert!(
+                skipped > 0,
+                "{}: the prune never skipped a block on a hotspot workload",
+                sc.name
+            );
+        }
     }
 }
 
@@ -273,29 +274,23 @@ fn block_bounds_stay_exact_minima_after_every_arrival() {
         clusters.requests.clone(),
     )
     .unwrap();
-    let mut runs = Vec::new();
-    for (label, sc) in [
-        ("zipf-services-large", &graph),
-        ("euclid-grid-large", &grid),
-        ("thm2-mix", &line),
-        ("euclid-clusters (dense)", &dense),
-    ] {
-        let engine = PdOmflp::new(sc.instance());
-        assert!(!engine.partial_rows_active(), "{label}: full rows");
-        runs.push((format!("{label} (full rows)"), sc, engine));
-    }
     assert!(
         dense.instance().metric().coherent_order().is_none(),
         "the dense metric must lay out the identity"
     );
-    for (label, sc) in [
-        ("zipf-services-large", &graph),
-        ("euclid-grid-large", &grid),
-    ] {
-        let mut engine = PdOmflp::new(sc.instance());
-        engine.set_partial_row_threshold(0);
-        assert!(engine.partial_rows_active(), "{label}: partial rows");
-        runs.push((format!("{label} (partial rows)"), sc, engine));
+    // Every scenario on the row path (behind `LendRows`), and all but the
+    // dense matrix on the block-pass path too (behind `HideRows`).
+    let rows = [&graph, &grid, &line, &dense].map(lend_rows);
+    let passes = [&graph, &grid, &line].map(hide_rows);
+    let mut runs = Vec::new();
+    for (sc, partial) in rows
+        .iter()
+        .map(|sc| (sc, false))
+        .chain(passes.iter().map(|sc| (sc, true)))
+    {
+        let engine = PdOmflp::new(sc.instance());
+        assert_eq!(engine.partial_rows_active(), partial, "{}", sc.name);
+        runs.push((sc.name.clone(), sc, engine));
     }
     // One arbitrary relabeling: ids reversed.
     let order: Vec<u32> = (0..graph.instance().num_points() as u32).rev().collect();

@@ -8,8 +8,10 @@
 //! an achieved lexicographic `(value, location)` best, and the merge
 //! re-imposes the sequential tie order. The same pool and partition shard
 //! the freeze walk (`OpeningTargetIndex::freeze_reinvest`) at every size,
-//! each shard owning its blocks' bid slots and bounds outright; these
-//! engines run below the partial-row threshold, so they also check that
+//! each shard owning its blocks' bid slots and bounds outright. The
+//! Euclidean cells take layout block passes and screen the walk's
+//! distances; the `zipf-services-large` cell (and the graph and dense
+//! families the proptest draws) read stored rows, so they also check that
 //! the pool cannot change what the walk reinvests from a full row. So the
 //! engine must be bit-for-bit indistinguishable — per-arrival outcomes,
 //! dual sums, total costs, and even the skip/scan statistics — at 1, 2, 7,
