@@ -1,10 +1,11 @@
 //! Per-point nearest-open-facility caches.
 
-use super::{SpatialLayout, HUGE_BLOCK};
+use super::{run_shards, SpatialLayout, HUGE_BLOCK};
 use crate::instance::Instance;
 use crate::solution::FacilityId;
 use omfl_commodity::CommodityId;
 use omfl_metric::PointId;
+use omfl_par::{ShardWriter, TaskPool};
 use std::sync::Arc;
 
 const NO_FACILITY: u32 = u32::MAX;
@@ -42,7 +43,7 @@ pub struct FacilityIndex {
     /// Block layout shared with the PD engine's
     /// [`OpeningTargetIndex`](super::OpeningTargetIndex) on its block-pass
     /// path: it orders the slots, and lets
-    /// [`Self::note_opening_in_blocks`] skip every block an opening
+    /// [`Self::note_opening_in_shards`] skip every block an opening
     /// provably cannot reach.
     layout: Option<Arc<SpatialLayout>>,
     /// Per-block upper bound on the cached distances, flat `e·nblocks + b`
@@ -50,7 +51,7 @@ pub struct FacilityIndex {
     /// without a layout. Starts at `∞`; each refresh recomputes exactly the
     /// blocks it visits — caches only fall, so the bound is never stale
     /// low.
-    block_max: Vec<f64>,
+    pub(super) block_max: Vec<f64>,
 }
 
 impl FacilityIndex {
@@ -83,16 +84,10 @@ impl FacilityIndex {
 
     /// Range of the maxima row of the cache an opening of `e` (small) or
     /// `None` (large) refreshes; empty without a layout.
-    fn maxima_range(&self, e: Option<CommodityId>) -> std::ops::Range<usize> {
+    pub(super) fn maxima_range(&self, e: Option<CommodityId>) -> std::ops::Range<usize> {
         let nblocks = self.layout.as_ref().map_or(0, |l| l.nblocks());
         let row = e.map_or(self.services, |e| e.index());
         row * nblocks..(row + 1) * nblocks
-    }
-
-    /// The per-block maxima of the cache an opening of `e` (small) or
-    /// `None` (large) refreshes; empty without a layout.
-    pub(crate) fn block_maxima(&self, e: Option<CommodityId>) -> &[f64] {
-        &self.block_max[self.maxima_range(e)]
     }
 
     /// The cache an opening of `e` (small) or `None` (large) refreshes,
@@ -127,7 +122,7 @@ impl FacilityIndex {
     /// (e.g. from [`Instance::fill_row`]): the strict-`<` update over every
     /// point, in opening order. Slots are ids here, so the row and the
     /// cache walk together; an index with a layout refreshes through
-    /// `note_opening_in_blocks` instead.
+    /// `note_opening_in_shards` instead.
     pub fn note_opening(&mut self, e: Option<CommodityId>, row: &[f64], fid: FacilityId) {
         assert_eq!(row.len(), self.points, "one distance per point");
         debug_assert!(self.layout.is_none(), "a full row is in id order");
@@ -142,43 +137,67 @@ impl FacilityIndex {
     }
 
     /// The bounded refresh: folds an opening at `at` (small for `e`, or
-    /// large for `None`) into the cache over `blocks` of the installed
-    /// layout only, with the same strict-`<` update as
-    /// [`Self::note_opening`], and recomputes those blocks' maxima in the
-    /// same pass. `blocks` must hold every block whose certified lower
-    /// bound on `d(·, at)` is below its maximum: a skipped block has
-    /// `d(p, at) ≥ max ≥ cached[p]` for every member, so the update could
-    /// not fire there. Each block's distances come from one
-    /// [`SpatialLayout::member_distances`] pass, in the order of the
-    /// block's contiguous slots.
-    pub(crate) fn note_opening_in_blocks(
+    /// large for `None`) into the cache of an index with a layout, from
+    /// `at`'s representative distances `rep_d`
+    /// ([`SpatialLayout::rep_distances`]), with the same strict-`<` update
+    /// as [`Self::note_opening`].
+    ///
+    /// One pass over the blocks, in shards of `shard_blocks` contiguous
+    /// blocks run on `pool` (inline, shard by shard, without one), the
+    /// pair `shards` names. A shard
+    /// tests each of its blocks and refreshes those whose certified lower
+    /// bound on `d(·, at)` is below the block's maximum: a skipped block
+    /// has `d(p, at) ≥ max ≥ cached[p]` for every member, so the update
+    /// could not fire there. A kept block reads its member distances in
+    /// one [`SpatialLayout::member_distances`] pass, updates its
+    /// contiguous run of slots in that order, and recomputes its maximum
+    /// in the same pass. Each shard writes only its own run of slots and
+    /// its own maxima, so the caches end bit-identical at every shard size
+    /// and on any pool, none included.
+    pub(crate) fn note_opening_in_shards(
         &mut self,
         inst: &Instance,
         e: Option<CommodityId>,
         at: PointId,
-        blocks: &[u32],
+        rep_d: &[f64],
         fid: FacilityId,
+        (pool, shard_blocks): (Option<&TaskPool>, usize),
     ) {
         let (cache_d, cache_f, maxima, layout) = self.refresh_parts(e);
         let layout = layout.expect("bounded refresh needs a layout");
-        let mut buf = [0.0; HUGE_BLOCK];
-        for &b in blocks {
-            let b = b as usize;
-            let dists = layout.member_distances(inst, b, at, &mut buf);
-            let slots = layout.slots(b);
-            let run = cache_d[slots.clone()].iter_mut().zip(&mut cache_f[slots]);
-            let mut max = 0.0f64;
-            for ((sd, sf), &d) in run.zip(dists) {
-                if d < *sd {
-                    *sd = d;
-                    *sf = fid.0;
+        // A shard's blocks hold one contiguous run of slots.
+        let run = shard_blocks * layout.block;
+        let run_d = ShardWriter::new(cache_d, run);
+        let run_f = ShardWriter::new(cache_f, run);
+        let run_max = ShardWriter::new(maxima, shard_blocks);
+        let body = |s: usize| {
+            // Safety: shard `s` touches only chunk `s` of each writer: the
+            // slots and the maxima of its own blocks.
+            let (cache_d, cache_f, maxima) =
+                unsafe { (run_d.chunk(s), run_f.chunk(s), run_max.chunk(s)) };
+            let mut buf = [0.0; HUGE_BLOCK];
+            for (j, block_max) in maxima.iter_mut().enumerate() {
+                let b = s * shard_blocks + j;
+                if layout.block_dlb(b, rep_d) >= *block_max {
+                    continue;
                 }
-                if *sd > max {
-                    max = *sd;
+                let dists = layout.member_distances(inst, b, at, &mut buf);
+                let slots = j * layout.block..j * layout.block + dists.len();
+                let run = cache_d[slots.clone()].iter_mut().zip(&mut cache_f[slots]);
+                let mut max = 0.0f64;
+                for ((sd, sf), &d) in run.zip(dists) {
+                    if d < *sd {
+                        *sd = d;
+                        *sf = fid.0;
+                    }
+                    if *sd > max {
+                        max = *sd;
+                    }
                 }
+                *block_max = max;
             }
-            maxima[b] = max;
-        }
+        };
+        run_shards(pool, run_max.num_chunks(), &body);
         self.openings += 1;
     }
 

@@ -81,8 +81,8 @@ impl SpatialLayout {
     }
 
     /// `out[b] = d(rep_b, q)` for every block `b`, in block order — the
-    /// input of [`OpeningTargetIndex::prepare_query_at`] and
-    /// [`Self::blocks_where`].
+    /// input of [`OpeningTargetIndex::prepare_query_at`],
+    /// [`Self::blocks_below`] and the facility-cache refresh.
     ///
     /// With an isometric embedding this is one contiguous pass per axis
     /// over the representatives' coordinates
@@ -177,17 +177,12 @@ impl SpatialLayout {
         dist_lower_bound(rep_d[b], self.radius[b])
     }
 
-    /// The blocks whose lower bound on `d(·, q)` passes `keep(b, dlb)`,
+    /// The blocks whose lower bound on `d(·, q)` is below `reach`,
     /// ascending, from `q`'s representative distances.
-    pub(crate) fn blocks_where(
-        &self,
-        rep_d: &[f64],
-        mut keep: impl FnMut(usize, f64) -> bool,
-        out: &mut Vec<u32>,
-    ) {
+    pub(crate) fn blocks_below(&self, rep_d: &[f64], reach: f64, out: &mut Vec<u32>) {
         out.clear();
         for b in 0..self.nblocks() {
-            if keep(b, self.block_dlb(b, rep_d)) {
+            if self.block_dlb(b, rep_d) < reach {
                 out.push(b as u32);
             }
         }
@@ -460,9 +455,10 @@ impl SpatialLayout {
 
 /// Blocks per task of [`SpatialLayout::from_order`]'s summary pass (on
 /// many threads from [`HUGE_METRIC_MIN_POINTS`] up). Blocks differ in how
-/// many medoid candidates survive screening, so tasks are kept small for
-/// the pool, which claims one at a time, to even the threads' loads out;
-/// each still amortizes its four scratch rows over 64 blocks.
+/// many medoid candidates survive screening, so tasks are kept small: the
+/// pool claims runs of tasks that shrink to one task at a time as the pass
+/// drains, which evens the threads' loads out at the end. Each task still
+/// amortizes its four scratch rows over 64 blocks.
 const SUMMARY_SHARD_BLOCKS: usize = 64;
 
 /// How far ahead of a block seed the ball partition looks for members (in

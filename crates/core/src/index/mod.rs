@@ -16,7 +16,8 @@
 //! installed, the caches are stored in layout order and the refresh visits
 //! only the blocks whose certified distance lower bound undercuts their
 //! largest cached distance (an opening can only lower caches near the new
-//! facility), each one a contiguous run of the caches.
+//! facility), each one a contiguous run of the caches, in shards of
+//! contiguous blocks on the engine's scan pool.
 //!
 //! # Bit-identical tie-breaking (the index invariant)
 //!
@@ -75,14 +76,15 @@ pub const HUGE_BLOCK: usize = 64;
 /// It drives three decisions, all purely performance crossovers — either
 /// side of it serves every arrival bit-identically:
 ///
-/// * **Pool-sharded t3/t4 scans.** [`crate::pd::PdOmflp::new`] installs
-///   the sharded-scan worker pool, which the freeze walk shares (when
+/// * **Pool-sharded t3/t4 scans and refreshes.** [`crate::pd::PdOmflp::new`]
+///   installs the sharded-scan worker pool, which the freeze walk and the
+///   block-pass facility-cache refresh share (when
 ///   [`omfl_par::default_threads`] reports more than one thread). Below it
 ///   the per-arrival scans are far too short for fan-out to pay; from it
-///   up each argmin spans thousands of blocks and the shard sweeps
-///   parallelize cleanly. The pool changes nothing observable, statistics
-///   included (the shard partition is a pure function of the block count;
-///   see [`SCAN_SHARD_BLOCKS`]).
+///   up each argmin and each refresh spans thousands of blocks and the
+///   shard sweeps parallelize cleanly. The pool changes nothing
+///   observable, statistics included (the shard partition is a pure
+///   function of the block count; see [`SCAN_SHARD_BLOCKS`]).
 /// * **64-point kd blocks.** A layout with kd ball ingest switches from
 ///   [`TARGET_BLOCK`] to [`HUGE_BLOCK`] points per block.
 /// * **Parallel block summaries.** The layout computes its blocks'
@@ -98,12 +100,41 @@ pub const HUGE_BLOCK: usize = 64;
 pub const HUGE_METRIC_MIN_POINTS: usize = 65536;
 
 /// Blocks per shard of the sharded argmin scan (see
-/// [`OpeningTargetIndex::small_target`]). The shard partition is a pure
+/// [`OpeningTargetIndex::small_target`]), the freeze walk and the
+/// block-pass facility-cache refresh. The shard partition is a pure
 /// function of the block count — never of the worker pool or thread count
 /// — so the skip/scan statistics are machine-portable and the bench floors
 /// on `block_skip_rate` stay meaningful. Below two shards' worth of blocks
 /// the scan runs the plain two-pass loop.
 pub const SCAN_SHARD_BLOCKS: usize = 128;
+
+/// Executes `body(0..nshards)` on the pool when one is installed, inline
+/// otherwise. Each shard's work must be independent (ours are: disjoint
+/// [`omfl_par::ShardWriter`] chunks over shared read-only inputs), which
+/// makes the two execution modes indistinguishable — results and
+/// statistics alike. Inlined, so that without a pool the loop calls the
+/// shard bodies directly: out of line, the one-thread t3/t4 argmins of
+/// `pd-1m` ran 11% slower on a 2-vCPU VM.
+#[inline]
+fn run_shards(pool: Option<&omfl_par::TaskPool>, nshards: usize, body: &(dyn Fn(usize) + Sync)) {
+    match pool {
+        // The pool contains shard panics per task and reports them typed;
+        // inside the engine a panicking shard means the arrival's answer
+        // or refresh cannot be completed, so re-raise as a single panic on
+        // the serve path. The serve layer's per-tenant containment catches
+        // it there — the pool itself (shared across tenants) stays usable.
+        Some(p) => {
+            if let Err(e) = p.run(nshards, body) {
+                panic!("scan shard panicked: {e}");
+            }
+        }
+        None => {
+            for s in 0..nshards {
+                body(s);
+            }
+        }
+    }
+}
 
 /// Relative slack subtracted from the per-block distance lower bound
 /// `d(rep, r) − radius`, scaled by `d(rep, r) + radius`.
@@ -142,6 +173,7 @@ mod tests {
     use omfl_commodity::{CommodityId, CommoditySet};
     use omfl_metric::line::LineMetric;
     use omfl_metric::{Metric, PointId};
+    use omfl_par::TaskPool;
     use std::sync::Arc;
 
     fn inst(positions: Vec<f64>, s: u16) -> Instance {
@@ -426,24 +458,25 @@ mod tests {
     }
 
     /// The engine's bounded refresh, replayed by hand: one representative
-    /// pass picks the blocks whose lower bound undercuts their maximum,
-    /// whose member distances the refresh reads block by block, however
-    /// many there are. Returns the number of blocks the pass kept.
+    /// pass, then the sharded refresh on the `(pool, blocks per shard)`
+    /// pair `shards` (inline without a pool). Returns the number of blocks
+    /// whose lower bound undercut their maximum, the blocks the refresh
+    /// reads, however many there are.
     fn bounded_opening(
         idx: &mut FacilityIndex,
         layout: &SpatialLayout,
         inst: &Instance,
-        e: Option<CommodityId>,
-        at: PointId,
-        fid: FacilityId,
+        (e, at, fid): (Option<CommodityId>, PointId, FacilityId),
+        shards: (Option<&TaskPool>, usize),
     ) -> usize {
         let mut rep_d = Vec::new();
         layout.rep_distances(inst, at, &mut rep_d);
-        let maxima = idx.block_maxima(e).to_vec();
-        let mut blocks = Vec::new();
-        layout.blocks_where(&rep_d, |b, dlb| dlb < maxima[b], &mut blocks);
-        idx.note_opening_in_blocks(inst, e, at, &blocks, fid);
-        blocks.len()
+        let maxima = &idx.block_max[idx.maxima_range(e)];
+        let kept = (0..layout.nblocks())
+            .filter(|&b| layout.block_dlb(b, &rep_d) < maxima[b])
+            .count();
+        idx.note_opening_in_shards(inst, e, at, &rep_d, fid, shards);
+        kept
     }
 
     #[test]
@@ -455,8 +488,12 @@ mod tests {
         // exactly like a layout-free one refreshed through full rows, and
         // every block maximum must dominate its members' caches. The
         // bounded passes include ones over every block (first openings,
-        // caches at ∞) and ones over few blocks.
-        let (m, s) = (240usize, 3usize);
+        // caches at ∞) and ones over few blocks. Each configuration of the
+        // sharded refresh keeps an index of its own: no pool and pools of
+        // 2 and 7 threads, at shards of 1 block, of 3 (the layout's 16
+        // blocks leave a partial last shard, and 250 points a partial last
+        // block) and of 128 (one shard, larger than the layout).
+        let (m, s) = (250usize, 3usize);
         let mut st = 0x5EEDu64;
         let positions: Vec<f64> = (0..m)
             .map(|_| (xorshift(&mut st) % 48) as f64 * 0.5)
@@ -475,10 +512,19 @@ mod tests {
                 .unwrap()
                 .layout_handle(),
         ];
+        let pools = [None, Some(TaskPool::new(2)), Some(TaskPool::new(7))];
+        let configs: Vec<(Option<&TaskPool>, usize)> = pools
+            .iter()
+            .flat_map(|pool| [1, 3, 128].map(|shard| (pool.as_ref(), shard)))
+            .collect();
         let (mut every, mut few) = (0, 0);
         for layout in layouts {
             let nblocks = layout.nblocks();
-            let mut bounded = FacilityIndex::with_layout(m, s, Arc::clone(&layout));
+            assert!(nblocks % 3 != 0 && nblocks < 128, "{nblocks} blocks");
+            let mut bounded: Vec<FacilityIndex> = configs
+                .iter()
+                .map(|_| FacilityIndex::with_layout(m, s, Arc::clone(&layout)))
+                .collect();
             let mut reference = FacilityIndex::new(m, s);
             for k in 0..160u32 {
                 let at = PointId((xorshift(&mut st) % m as u64) as u32);
@@ -488,39 +534,48 @@ mod tests {
                 };
                 let fid = FacilityId(k);
                 note_opening(&mut reference, &inst, e, at, fid);
-                let kept = bounded_opening(&mut bounded, &layout, &inst, e, at, fid);
-                if kept == nblocks {
+                let opening = (e, at, fid);
+                let kept: Vec<usize> = bounded
+                    .iter_mut()
+                    .zip(&configs)
+                    .map(|(idx, &config)| bounded_opening(idx, &layout, &inst, opening, config))
+                    .collect();
+                assert!(kept.iter().all(|&n| n == kept[0]), "kept {kept:?}");
+                if kept[0] == nblocks {
                     every += 1;
-                } else if kept * 5 <= nblocks {
+                } else if kept[0] * 5 <= nblocks {
                     few += 1;
                 }
                 let bits = |r: Option<(FacilityId, f64)>| r.map(|(f, d)| (f, d.to_bits()));
-                for p in (0..m as u32).map(PointId) {
-                    for c in (0..s as u16).map(CommodityId) {
+                for (bounded, &(pool, shard)) in bounded.iter().zip(&configs) {
+                    let threads = pool.map_or(1, TaskPool::threads);
+                    for p in (0..m as u32).map(PointId) {
+                        for c in (0..s as u16).map(CommodityId) {
+                            assert_eq!(
+                                bits(bounded.nearest_offering(c, p)),
+                                bits(reference.nearest_offering(c, p)),
+                                "offering {c:?} at {p:?} after opening {k}, {threads} threads, shards of {shard}"
+                            );
+                        }
                         assert_eq!(
-                            bits(bounded.nearest_offering(c, p)),
-                            bits(reference.nearest_offering(c, p)),
-                            "offering {c:?} at {p:?} after opening {k}"
+                            bits(bounded.nearest_large(p)),
+                            bits(reference.nearest_large(p)),
+                            "large at {p:?} after opening {k}, {threads} threads, shards of {shard}"
                         );
                     }
-                    assert_eq!(
-                        bits(bounded.nearest_large(p)),
-                        bits(reference.nearest_large(p)),
-                        "large at {p:?} after opening {k}"
-                    );
-                }
-                for row in (0..s as u16).map(|c| Some(CommodityId(c))).chain([None]) {
-                    let maxima = bounded.block_maxima(row);
-                    for (b, &max) in maxima.iter().enumerate() {
-                        for slot in layout.slots(b) {
-                            let cached = match row {
-                                Some(c) => bounded.small_d[c.index() * m + slot],
-                                None => bounded.large_d[slot],
-                            };
-                            assert!(
-                                max >= cached,
-                                "block {b} maximum {max} below cache {cached} at slot {slot}"
-                            );
+                    for row in (0..s as u16).map(|c| Some(CommodityId(c))).chain([None]) {
+                        let maxima = &bounded.block_max[bounded.maxima_range(row)];
+                        for (b, &max) in maxima.iter().enumerate() {
+                            for slot in layout.slots(b) {
+                                let cached = match row {
+                                    Some(c) => bounded.small_d[c.index() * m + slot],
+                                    None => bounded.large_d[slot],
+                                };
+                                assert!(
+                                    max >= cached,
+                                    "block {b} maximum {max} below cache {cached} at slot {slot}"
+                                );
+                            }
                         }
                     }
                 }
@@ -585,6 +640,7 @@ mod tests {
             let mut pruned = PastIndex::new(idx.layout_handle(), s);
             let mut plain = PastIndex::new(Arc::new(SpatialLayout::identity(m)), s);
             let e = CommodityId(1);
+            let mut walks = 0u64;
             for step in 0..400usize {
                 let at = PointId((xorshift(&mut st) % m as u64) as u32);
                 if step % 3 != 2 {
@@ -601,6 +657,7 @@ mod tests {
                     let got = pruned.large_shrink_candidates(&inst, at);
                     let want = plain.plain_large_shrink_candidates(&inst, at);
                     assert_eq!(got, want, "{m}: large candidates diverged at step {step}");
+                    walks += 2;
                 }
             }
             assert_eq!(pruned.slot_loc, plain.slot_loc);
@@ -612,6 +669,9 @@ mod tests {
                 scanned > 0 && skipped > 0,
                 "{m}: {skipped} skipped, {scanned} scanned"
             );
+            // Every walk accounts for every block, visited or not.
+            let nblocks = pruned.block_locs.len() as u64;
+            assert_eq!(skipped + scanned, nblocks * walks, "{m}: block count");
             let listed = pruned.block_locs.iter().filter(|b| !b.is_empty()).count();
             if sites < m {
                 assert!(

@@ -53,6 +53,10 @@ pub struct PastIndex {
     /// the bucket-level decisions below are order-independent, and the
     /// output is sorted).
     pub(super) block_locs: Vec<Vec<u32>>,
+    /// The blocks whose `block_locs` are non-empty, ascending: the only
+    /// blocks the shrink walks visit. A block joins when it gets its first
+    /// slot and never leaves.
+    occupied: Vec<u32>,
     /// Per-block upper bound on `max_cap_e` over the block's buckets, flat
     /// `e·nblocks + b`. Monotone-up on push; recomputed exactly for blocks
     /// the shrink walk clamps. Never stale low, so skipping is sound.
@@ -93,6 +97,7 @@ impl PastIndex {
             max_cap_any: Vec::new(),
             layout,
             block_locs: vec![Vec::new(); nblocks],
+            occupied: Vec::new(),
             block_cap_e: vec![0.0; services * nblocks],
             block_cap_any: vec![0.0; nblocks],
             max_cap_total: Vec::new(),
@@ -132,6 +137,10 @@ impl PastIndex {
             self.max_cap_any.push(0.0);
             self.max_cap_total.push(0.0);
             self.commodities_at.push(Vec::new());
+            if self.block_locs[b].is_empty() {
+                let at = self.occupied.partition_point(|&o| (o as usize) < b);
+                self.occupied.insert(at, b as u32);
+            }
             self.block_locs[b].push(n as u32);
         }
         let slot = self.slot_of[l] as usize - 1;
@@ -174,13 +183,14 @@ impl PastIndex {
     /// have their bound clamped to the new distance (all surviving caps
     /// are at most that).
     ///
-    /// The walk goes block by block over the layout: a block whose
-    /// certified distance lower bound (`d(at, rep) − radius`, slack
-    /// included) is at least its cap bound cannot contain a qualifying
-    /// bucket — `d(at, ℓ) ≥ dlb ≥ block cap ≥ bucket cap` for every `ℓ`
-    /// in it — so one distance read retires the whole block. Visited
-    /// blocks that clamp any bucket get their cap bound recomputed
-    /// exactly, keeping future skips tight.
+    /// The walk goes block by block over the layout's occupied blocks
+    /// (every other block holds no request and counts as skipped in one
+    /// step): a block whose certified distance lower bound
+    /// (`d(at, rep) − radius`, slack included) is at least its cap bound
+    /// cannot contain a qualifying bucket — `d(at, ℓ) ≥ dlb ≥ block cap ≥
+    /// bucket cap` for every `ℓ` in it — so one distance read retires the
+    /// whole block. Visited blocks that clamp any bucket get their cap
+    /// bound recomputed exactly, keeping future skips tight.
     ///
     /// Clamping a commodity bucket also re-tightens the location's
     /// *any*-cap bound from its parts (`max_cap_total` ∨ the per-commodity
@@ -201,9 +211,11 @@ impl PastIndex {
         let layout = Arc::clone(&self.layout);
         let nblocks = self.block_cap_any.len();
         let cap_base = e * nblocks;
-        for b in 0..nblocks {
+        self.blocks_skipped += (nblocks - self.occupied.len()) as u64;
+        for k in 0..self.occupied.len() {
+            let b = self.occupied[k] as usize;
             let bcap = self.block_cap_e[cap_base + b];
-            if bcap <= 0.0 || self.block_locs[b].is_empty() {
+            if bcap <= 0.0 {
                 self.blocks_skipped += 1;
                 continue;
             }
@@ -270,7 +282,8 @@ impl PastIndex {
     /// Candidate past-request indices for a *large* opening at `at` (any cap
     /// at the location may shrink). Sorted ascending — the history-walk
     /// order. Qualifying buckets have their bound clamped to `d(at, ℓ)`.
-    /// Block skipping as in [`Self::small_shrink_candidates`].
+    /// Occupied-block walk and block skipping as in
+    /// [`Self::small_shrink_candidates`].
     ///
     /// A large opening shrinks *every* cap at a qualifying location to at
     /// most `d(at, ℓ)` (the caller walks all members there and clamps both
@@ -285,9 +298,11 @@ impl PastIndex {
         let mut touched_e: Vec<u32> = Vec::new();
         let layout = Arc::clone(&self.layout);
         let nblocks = self.block_cap_any.len();
-        for b in 0..nblocks {
+        self.blocks_skipped += (nblocks - self.occupied.len()) as u64;
+        for k in 0..self.occupied.len() {
+            let b = self.occupied[k] as usize;
             let bcap = self.block_cap_any[b];
-            if bcap <= 0.0 || self.block_locs[b].is_empty() {
+            if bcap <= 0.0 {
                 self.blocks_skipped += 1;
                 continue;
             }

@@ -1,7 +1,7 @@
 //! Incremental t3/t4 opening targets over the block layout.
 
 use super::layout::check_relabeling;
-use super::{dist_lower_bound, SpatialLayout, HUGE_BLOCK, SCAN_SHARD_BLOCKS};
+use super::{dist_lower_bound, run_shards, SpatialLayout, HUGE_BLOCK, SCAN_SHARD_BLOCKS};
 use crate::instance::Instance;
 use crate::CoreError;
 use omfl_commodity::CommodityId;
@@ -172,30 +172,6 @@ fn opening_key(f: f64, b: f64) -> f64 {
     (f - b).max(0.0)
 }
 
-/// Executes `body(0..nshards)` on the pool when one is installed, inline
-/// otherwise. Each shard's work must be independent (ours are: disjoint
-/// [`ShardWriter`] chunks over shared read-only inputs), which makes the
-/// two execution modes indistinguishable — results and statistics alike.
-fn run_shards(pool: Option<&TaskPool>, nshards: usize, body: &(dyn Fn(usize) + Sync)) {
-    match pool {
-        // The pool contains shard panics per task and reports them typed;
-        // inside the engine a panicking scan shard means the arrival's
-        // answer cannot be assembled, so re-raise as a single panic on the
-        // serve path. The serve layer's per-tenant containment catches it
-        // there — the pool itself (shared across tenants) stays usable.
-        Some(p) => {
-            if let Err(e) = p.run(nshards, body) {
-                panic!("scan shard panicked: {e}");
-            }
-        }
-        None => {
-            for s in 0..nshards {
-                body(s);
-            }
-        }
-    }
-}
-
 /// The exact minimum opening key over block `bi`'s members.
 #[inline]
 fn block_min(layout: &SpatialLayout, f_row: &[f64], b_row: &[f64], bi: usize) -> f64 {
@@ -346,6 +322,12 @@ impl OpeningTargetIndex {
     /// statistics are bit-identical with any pool, including none.
     pub fn set_scan_pool(&mut self, pool: Option<Arc<TaskPool>>) {
         self.pool = pool;
+    }
+
+    /// The worker pool and blocks per shard of the sharded scans, which
+    /// the engine's facility-cache refresh shares.
+    pub(crate) fn scan_shards(&self) -> (Option<&TaskPool>, usize) {
+        (self.pool.as_deref(), self.shard_blocks)
     }
 
     /// Overrides the blocks-per-shard granularity (test/diagnostic hook).

@@ -44,7 +44,8 @@
 //!   block-pass path the caches are stored in layout order and the
 //!   refresh visits only the blocks whose certified distance lower bound
 //!   undercuts their largest cached distance, reading each block's member
-//!   distances in one pass and updating its contiguous run of the caches;
+//!   distances in one pass and updating its contiguous run of the caches,
+//!   in shards of contiguous blocks on the scan pool, like the argmins;
 //! * the t3/t4 opening targets come from an [`OpeningTargetIndex`] — a
 //!   bucketed lower-bound prune list over the monotone distance-free keys
 //!   `(f − B)⁺`, with blocks laid over a spatially coherent relabeling and
@@ -176,8 +177,7 @@ pub struct PdOmflp<'a> {
     arrival_rep: Vec<f64>,
     /// The location `arrival_rep` belongs to.
     arrival_rep_at: Option<PointId>,
-    /// Scratch for the blocks a coverage-bounded opening pass keeps: the
-    /// facility-cache refresh's, or a cap-shrink pass's.
+    /// Scratch for the blocks a cap-shrink pass keeps.
     blocks_scratch: Vec<u32>,
     /// The blocks each bid row's shrink walks marked during one opening,
     /// every block holding a lowered bid among them ([`Self::shrink_rows`]),
@@ -361,10 +361,11 @@ impl<'a> PdOmflp<'a> {
         Ok(Self::with_parts(inst, f_small, f_full, bad_cost, targets))
     }
 
-    /// Test/bench hook: forces the worker pool of the sharded scans and
-    /// freeze walk (`threads ≤ 1` removes it) and the blocks-per-shard
-    /// granularity, regardless of instance size. Answers are bit-identical
-    /// under every configuration; shard size also changes which skips are
+    /// Test/bench hook: forces the worker pool of the sharded scans, the
+    /// freeze walk and the block-pass facility-cache refresh (`threads ≤ 1`
+    /// removes it) and the blocks-per-shard granularity of all three,
+    /// regardless of instance size. Answers are bit-identical under every
+    /// configuration; shard size also changes which argmin skips are
     /// *attempted* (the stats), the pool never changes anything observable.
     pub fn configure_parallel_scans(&mut self, threads: usize, shard_blocks: usize) {
         self.targets.set_scan_pool(if threads > 1 {
@@ -387,10 +388,10 @@ impl<'a> PdOmflp<'a> {
         let s = inst.num_commodities();
         // Share the target index's spatial layout with the shrink walk (and,
         // on the block-pass path, the facility caches) so both can skip
-        // whole blocks, and fan the per-arrival block scans out over a
-        // worker pool once they are long enough to amortize it. All are
-        // engine-invisible: results and skip/scan statistics stay
-        // bit-identical.
+        // whole blocks, and fan the per-arrival block scans and the
+        // refreshes out over a worker pool once they are long enough to
+        // amortize it. All are engine-invisible: results and skip/scan
+        // statistics stay bit-identical.
         let past_index = PastIndex::new(targets.layout_handle(), s);
         let stored_rows = inst.metric().row(PointId(0)).is_some();
         let index = if stored_rows {
@@ -434,25 +435,24 @@ impl<'a> PdOmflp<'a> {
     /// Folds a fresh opening into the facility index. On the row path it
     /// walks `at`'s stored row. On the block-pass path `at`'s
     /// representative distances (the arrival's, when it opens there; else
-    /// one representative pass) pick the blocks whose lower bound on
-    /// `d(·, at)` undercuts their largest cached distance, and the bounded
-    /// refresh reads only those blocks, however many there are. Values are
-    /// identical either way.
+    /// one representative pass) feed the bounded refresh, which reads only
+    /// the blocks whose lower bound on `d(·, at)` undercuts their largest
+    /// cached distance, however many there are, in shards on the scan
+    /// pool. Values are identical either way.
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
         if self.stored_rows {
             self.index.note_opening(e, stored_row(self.inst, at), fid);
             return;
         }
-        let layout = self.targets.layout();
-        let (mut rep_d, blocks) = (&self.arrival_rep, &mut self.blocks_scratch);
+        let mut rep_d = &self.arrival_rep;
         if self.arrival_rep_at != Some(at) {
+            let layout = self.targets.layout();
             layout.rep_distances(self.inst, at, &mut self.rep_scratch);
             rep_d = &self.rep_scratch;
         }
-        let maxima = self.index.block_maxima(e);
-        layout.blocks_where(rep_d, |b, dlb| dlb < maxima[b], blocks);
+        let shards = self.targets.scan_shards();
         self.index
-            .note_opening_in_blocks(self.inst, e, at, blocks, fid);
+            .note_opening_in_shards(self.inst, e, at, rep_d, fid, shards);
     }
 
     /// The instance the algorithm runs on.
@@ -673,7 +673,7 @@ impl<'a> PdOmflp<'a> {
         let reach = families.iter().fold(0.0f64, |r, &(_, old)| r.max(old));
         let (rep_d, blocks) = (&mut self.rep_scratch, &mut self.blocks_scratch);
         layout.rep_distances(self.inst, loc, rep_d);
-        layout.blocks_where(rep_d, |_, dlb| dlb < reach, blocks);
+        layout.blocks_below(rep_d, reach, blocks);
         let mut buf = [0.0; HUGE_BLOCK];
         for &b in blocks.iter() {
             let bi = b as usize;

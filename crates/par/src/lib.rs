@@ -8,13 +8,16 @@
 //! report.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Condvar, Mutex};
 
 /// Applies `f` to every index/item pair on a [`TaskPool`] of `threads`
-/// participants. The pool claims one index at a time, so a few slow items
-/// never hold up the rest (catalog sweeps, where one (family, engine,
-/// trial) cell can dominate). Each result lands in its index's slot, so
+/// participants. The pool hands out runs of indices that shrink as the
+/// fan-out drains, down to one index at a time for the last `4·threads`
+/// (see [`TaskPool::run`]), so a few slow items never hold up the rest
+/// (catalog sweeps, where one (family, engine, trial) cell can dominate).
+/// Each result lands in its index's slot, so
 /// the output is in input order regardless of scheduling —
 /// `parallel_map(items, 1, f) == parallel_map(items, k, f)` bit for bit.
 ///
@@ -95,6 +98,14 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `0..ntasks` indices, block until all complete, reuse the same OS threads
 /// for the next fan-out.
 ///
+/// Participants claim **runs** of consecutive indices, one run per lock
+/// acquisition: `max(1, remaining / (4·threads))` of them (guided
+/// self-scheduling). A long fan-out thus takes far fewer claims than it
+/// has indices (32 for 128 indices on 2 threads), while its tail, and
+/// every fan-out of at most `4·threads` indices, is still claimed one
+/// index at a time, so a slow index never holds a run of others behind
+/// it.
+///
 /// Spawning threads per fan-out (as [`parallel_map`] does, one pool per
 /// call) is fine for coarse experiment cells but far too heavy for a hot
 /// path that fans out many times per arrival (the per-block argmin shards
@@ -130,6 +141,8 @@ struct PoolShared {
     work_cv: Condvar,
     /// The submitter parks here until `finished == ntasks`.
     done_cv: Condvar,
+    /// `4 · threads`, the divisor of [`PoolState::claim`].
+    claim_div: usize,
 }
 
 struct PoolState {
@@ -147,9 +160,32 @@ struct PoolState {
     shutdown: bool,
 }
 
+impl PoolState {
+    /// Claims the next run of indices: `max(1, remaining / claim_div)`
+    /// consecutive ones, so runs shrink as the fan-out drains and the last
+    /// `claim_div` indices go one at a time.
+    fn claim(&mut self, claim_div: usize) -> Range<usize> {
+        let start = self.next;
+        self.next += ((self.ntasks - start) / claim_div).max(1);
+        start..self.next
+    }
+}
+
+/// Runs `f` on every index of `run`, each in its own `catch_unwind`, and
+/// records each caught panic with its own index: a panicking index never
+/// stops the rest of its run.
+fn run_indices<F: Fn(usize) + ?Sized>(f: &F, run: Range<usize>, panics: &mut Vec<TaskPanic>) {
+    for i in run {
+        if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
+            let message = payload_message(&*p);
+            panics.push(TaskPanic { index: i, message });
+        }
+    }
+}
+
 /// Lifetime-erased pointer to the current task closure. Safety: `run`
 /// blocks until `finished == ntasks`, so the pointee outlives every
-/// dereference; workers only dereference it for indices claimed under the
+/// dereference; workers only dereference it for runs claimed under the
 /// mutex while the epoch matches.
 #[derive(Clone, Copy)]
 struct RawTask(*const (dyn Fn(usize) + Sync));
@@ -173,6 +209,7 @@ impl TaskPool {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
+            claim_div: 4 * threads,
         });
         let workers = (1..threads)
             .map(|_| {
@@ -194,7 +231,8 @@ impl TaskPool {
     }
 
     /// Executes `f(i)` for every `i in 0..ntasks`, each exactly once, and
-    /// returns when all have completed.
+    /// returns when all have completed. Indices are claimed in runs (see
+    /// the type docs), but each one still runs in its own panic catch.
     ///
     /// Panics in `f` are caught *per task*: the remaining indices still
     /// execute, no worker thread dies, the pool's mutex is never poisoned,
@@ -209,14 +247,7 @@ impl TaskPool {
         }
         if self.workers.is_empty() || ntasks == 1 {
             let mut panics = Vec::new();
-            for i in 0..ntasks {
-                if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    panics.push(TaskPanic {
-                        index: i,
-                        message: payload_message(&*p),
-                    });
-                }
-            }
+            run_indices(&f, 0..ntasks, &mut panics);
             return if panics.is_empty() {
                 Ok(())
             } else {
@@ -248,20 +279,17 @@ impl TaskPool {
         st.panics.clear();
         let epoch = st.epoch;
         self.shared.work_cv.notify_all();
-        // Participate: claim indices until none remain. The catch mirrors
-        // the workers': a panicking index is recorded and counted finished,
-        // so the fan-out always converges.
+        // Participate: claim runs until none remain. The catch mirrors the
+        // workers': a panicking index is recorded and counted finished with
+        // its run, so the fan-out always converges.
+        let mut caught = Vec::new();
         while st.next < st.ntasks {
-            let i = st.next;
-            st.next += 1;
+            let run = st.claim(self.shared.claim_div);
             drop(st);
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| f(i))).err();
+            run_indices(&f, run.clone(), &mut caught);
             st = self.shared.state.lock().expect("pool poisoned");
-            st.finished += 1;
-            if let Some(p) = caught {
-                let message = payload_message(&*p);
-                st.panics.push(TaskPanic { index: i, message });
-            }
+            st.finished += run.len();
+            st.panics.append(&mut caught);
         }
         while st.finished < st.ntasks {
             st = self.shared.done_cv.wait(st).expect("pool poisoned");
@@ -300,6 +328,7 @@ impl std::fmt::Debug for TaskPool {
 
 fn worker_loop(shared: &PoolShared) {
     let mut st = shared.state.lock().expect("pool poisoned");
+    let mut caught = Vec::new();
     loop {
         // Park until there is claimable work (or shutdown).
         while !(st.shutdown || st.task.is_some() && st.next < st.ntasks) {
@@ -311,24 +340,21 @@ fn worker_loop(shared: &PoolShared) {
         let raw = st.task.expect("checked above");
         let epoch = st.epoch;
         while st.epoch == epoch && st.next < st.ntasks {
-            let i = st.next;
-            st.next += 1;
+            let run = st.claim(shared.claim_div);
             drop(st);
-            // Safety: index claimed under the mutex for the matching epoch;
+            // Safety: run claimed under the mutex for the matching epoch;
             // the submitter keeps the closure alive until all indices finish.
-            // The catch keeps a panicking task from unwinding the worker:
-            // the panic is recorded for the submitter's PoolError, the index
-            // counts as finished, and this thread keeps serving fan-outs.
-            let caught =
-                std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*raw.0)(i) })).err();
+            // The per-index catch keeps a panicking task from unwinding the
+            // worker: the panic is recorded for the submitter's PoolError,
+            // the index counts as finished with its run, and this thread
+            // keeps serving fan-outs.
+            run_indices(unsafe { &*raw.0 }, run.clone(), &mut caught);
             st = shared.state.lock().expect("pool poisoned");
-            st.finished += 1;
-            if let Some(p) = caught {
-                let message = payload_message(&*p);
-                if st.epoch == epoch {
-                    st.panics.push(TaskPanic { index: i, message });
-                }
+            st.finished += run.len();
+            if st.epoch == epoch {
+                st.panics.append(&mut caught);
             }
+            caught.clear();
             if st.finished == st.ntasks && st.epoch == epoch {
                 shared.done_cv.notify_all();
             }
@@ -654,9 +680,11 @@ mod tests {
 
     #[test]
     fn task_pool_runs_every_index_exactly_once() {
-        for threads in [1usize, 2, 4, 7] {
+        // From `4·threads` indices up participants claim runs longer than
+        // one index, and 257 and 1,000 leave short runs at the end.
+        for threads in [1usize, 2, 3, 4, 7] {
             let pool = TaskPool::new(threads);
-            for ntasks in [0usize, 1, 2, 3, 16, 100] {
+            for ntasks in [0usize, 1, 2, 3, 16, 64, 100, 257, 1000] {
                 let hits: Vec<AtomicUsize> = (0..ntasks).map(|_| AtomicUsize::new(0)).collect();
                 pool.run(ntasks, |i| {
                     hits[i].fetch_add(1, Ordering::SeqCst);
@@ -827,6 +855,40 @@ mod tests {
                 .expect("pool recovered");
                 assert!(ok.iter().all(|h| h.load(Ordering::SeqCst) == 1));
             }
+        }
+    }
+
+    #[test]
+    fn task_pool_reports_every_panic_of_one_claimed_run() {
+        quiet_expected_panics();
+        // On 2 threads the first claim of 200 indices is a run of 25, so
+        // whoever claims it meets the panics at 0 and 1 in one run; 199 is
+        // claimed alone at the tail. A panic must neither cut its run short
+        // nor hide another panic of the same run.
+        let pool = TaskPool::new(2);
+        for _ in 0..20 {
+            let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+            let err = pool
+                .run(200, |i| {
+                    hits[i].fetch_add(1, Ordering::SeqCst);
+                    if matches!(i, 0 | 1 | 199) {
+                        panic!("deliberate test panic at {i}");
+                    }
+                })
+                .unwrap_err();
+            for (i, h) in hits.iter().enumerate() {
+                assert_eq!(h.load(Ordering::SeqCst), 1, "index {i}");
+            }
+            let mut panicked: Vec<(usize, String)> = err
+                .panics
+                .iter()
+                .map(|p| (p.index, p.message.clone()))
+                .collect();
+            panicked.sort_unstable();
+            let want: Vec<(usize, String)> = [0, 1, 199]
+                .map(|i| (i, format!("deliberate test panic at {i}")))
+                .into();
+            assert_eq!(panicked, want);
         }
     }
 

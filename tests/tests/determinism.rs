@@ -121,8 +121,10 @@ fn slow_cell_does_not_serialize_the_schedule() {
     // Starvation regression for the parallel map's scheduler. All four slow
     // items sit in what a chunk-static split over 8 threads would hand to
     // worker 0, so such a split serializes them: 4 × 80 ms = 320 ms on one
-    // worker. Claimed one index at a time they spread across idle workers
-    // and the whole map finishes in ≈ one slow item. Sleeps
+    // worker. The pool claims runs of max(1, remaining / (4·threads))
+    // indices, and 32 items over 8 threads are at most 4·threads, so they
+    // are claimed one index at a time: they spread across idle workers and
+    // the whole map finishes in ≈ one slow item. Sleeps
     // (not spins) keep the assertion independent of CPU speed; the bound is
     // generous — 2.5× the ideal — to absorb CI scheduling noise while
     // staying far below the serialized 320 ms.
