@@ -3,40 +3,18 @@
 //!
 //! Both adapters share the original metric via an `Arc` (see
 //! [`omfl_core::heavy::SharedMetric`]) and own a clone of the concrete
-//! [`CostModel`], so sub-instances are cheap and self-contained.
+//! [`CostModel`], so sub-instances are cheap and self-contained. The
+//! single-commodity projection lives in [`omfl_core::heavy`], which builds
+//! its heavy parts with it, and is re-exported here.
 
 use omfl_commodity::cost::{CostModel, FacilityCostFn};
-use omfl_commodity::{CommodityId, CommoditySet, Universe};
+use omfl_commodity::{CommoditySet, Universe};
+pub use omfl_core::heavy::single_commodity_instance;
 use omfl_core::heavy::SharedMetric;
 use omfl_core::instance::Instance;
 use omfl_core::CoreError;
 use omfl_metric::Metric;
 use std::sync::Arc;
-
-/// Cost adapter: a 1-commodity universe whose only commodity is original
-/// commodity `e`, priced via `f^{{e}}_m`.
-struct SingleCommodityCost {
-    inner: CostModel,
-    e: CommodityId,
-    orig_universe: Universe,
-    universe: Universe,
-}
-
-impl FacilityCostFn for SingleCommodityCost {
-    fn universe(&self) -> Universe {
-        self.universe
-    }
-
-    fn cost(&self, location: usize, config: &CommoditySet) -> f64 {
-        if config.is_empty() {
-            0.0
-        } else {
-            let s = CommoditySet::singleton(self.orig_universe, self.e)
-                .expect("commodity id from the original universe");
-            self.inner.cost(location, &s)
-        }
-    }
-}
 
 /// Cost adapter: a 1-commodity universe whose only "commodity" stands for
 /// the whole of `S`, priced via `f^{S}_m` — the substrate of the always-
@@ -60,30 +38,6 @@ impl FacilityCostFn for CollapsedCost {
     }
 }
 
-/// Builds the single-commodity sub-instance for original commodity `e`.
-pub fn single_commodity_instance(
-    metric: Arc<dyn Metric>,
-    cost: CostModel,
-    e: CommodityId,
-) -> Result<Instance, CoreError> {
-    let orig_universe = cost.universe();
-    if e.index() >= orig_universe.len() {
-        return Err(CoreError::BadInstance(format!(
-            "commodity {e} out of range for |S| = {}",
-            orig_universe.len()
-        )));
-    }
-    Instance::with_cost_fn(
-        Box::new(SharedMetric(metric)),
-        Box::new(SingleCommodityCost {
-            inner: cost,
-            e,
-            orig_universe,
-            universe: Universe::new(1).expect("1 >= 1"),
-        }),
-    )
-}
-
 /// Builds the collapsed ("everything is one commodity priced at `f^S_m`")
 /// sub-instance.
 pub fn collapsed_instance(metric: Arc<dyn Metric>, cost: CostModel) -> Result<Instance, CoreError> {
@@ -99,6 +53,7 @@ pub fn collapsed_instance(metric: Arc<dyn Metric>, cost: CostModel) -> Result<In
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omfl_commodity::CommodityId;
     use omfl_metric::line::LineMetric;
     use omfl_metric::PointId;
 

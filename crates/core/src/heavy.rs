@@ -84,15 +84,16 @@ impl FacilityCostFn for LightCost {
     }
 }
 
-/// Cost adapter presenting one original commodity as a 1-commodity universe.
-struct SingleCost {
+/// Cost adapter: a 1-commodity universe whose only commodity is original
+/// commodity `e`, priced via `f^{{e}}_m`.
+struct SingleCommodityCost {
     inner: CostModel,
-    orig: CommodityId,
+    e: CommodityId,
     orig_universe: Universe,
     universe: Universe,
 }
 
-impl FacilityCostFn for SingleCost {
+impl FacilityCostFn for SingleCommodityCost {
     fn universe(&self) -> Universe {
         self.universe
     }
@@ -101,11 +102,35 @@ impl FacilityCostFn for SingleCost {
         if config.is_empty() {
             0.0
         } else {
-            let s = CommoditySet::singleton(self.orig_universe, self.orig)
-                .expect("heavy id is in the original universe");
+            let s = CommoditySet::singleton(self.orig_universe, self.e)
+                .expect("commodity id from the original universe");
             self.inner.cost(location, &s)
         }
     }
+}
+
+/// Builds the single-commodity sub-instance for original commodity `e`.
+pub fn single_commodity_instance(
+    metric: Arc<dyn Metric>,
+    cost: CostModel,
+    e: CommodityId,
+) -> Result<Instance, CoreError> {
+    let orig_universe = cost.universe();
+    if e.index() >= orig_universe.len() {
+        return Err(CoreError::BadInstance(format!(
+            "commodity {e} out of range for |S| = {}",
+            orig_universe.len()
+        )));
+    }
+    Instance::with_cost_fn(
+        Box::new(SharedMetric(metric)),
+        Box::new(SingleCommodityCost {
+            inner: cost,
+            e,
+            orig_universe,
+            universe: Universe::new(1).expect("1 >= 1"),
+        }),
+    )
 }
 
 /// The original instance plus its light/heavy decomposition.
@@ -163,7 +188,6 @@ impl HeavyInstances {
         }
         let light_universe =
             Universe::new(light_to_orig.len() as u16).expect("light part is non-empty");
-        let single_universe = Universe::new(1).expect("1 >= 1");
 
         let original = Instance::with_cost_fn(
             Box::new(SharedMetric(Arc::clone(&metric))),
@@ -182,15 +206,7 @@ impl HeavyInstances {
         for &h in heavy_ids {
             heavy.push((
                 h,
-                Instance::with_cost_fn(
-                    Box::new(SharedMetric(Arc::clone(&metric))),
-                    Box::new(SingleCost {
-                        inner: cost.clone(),
-                        orig: h,
-                        orig_universe,
-                        universe: single_universe,
-                    }),
-                )?,
+                single_commodity_instance(Arc::clone(&metric), cost.clone(), h)?,
             ));
         }
         Ok(Self {

@@ -21,10 +21,6 @@ pub(crate) struct SpatialLayout {
     pub(super) perm: Vec<u32>,
     /// Original point id → relabeled position (inverse of `perm`).
     pub(super) pos: Vec<u32>,
-    /// `perm` is `0..n`: lets hot loops skip the gather. Independent of
-    /// `bounded` — a sorted line's coherent order IS the identity, yet its
-    /// radius bounds are real.
-    pub(super) identity: bool,
     /// Whether the medoid/radius summaries were computed from a metric.
     /// `false` is the no-metric fallback: distance bounds are identically
     /// zero and queries run the plain distance-free in-order scan (the
@@ -61,7 +57,6 @@ impl SpatialLayout {
         Self {
             perm: (0..points as u32).collect(),
             pos: (0..points as u32).collect(),
-            identity: true,
             bounded: false,
             block: TARGET_BLOCK,
             rep: (0..nblocks).map(|b| (b * TARGET_BLOCK) as u32).collect(),
@@ -253,7 +248,6 @@ impl SpatialLayout {
         for (i, &p) in order.iter().enumerate() {
             pos[p as usize] = i as u32;
         }
-        let identity = order.iter().enumerate().all(|(i, &p)| i as u32 == p);
         let nblocks = points.div_ceil(block);
         // A block's summary depends on its members alone and lands in its
         // own slot, so the layout is the same at every thread count.
@@ -285,7 +279,6 @@ impl SpatialLayout {
         Self {
             perm: order,
             pos,
-            identity,
             bounded: true,
             block,
             rep,

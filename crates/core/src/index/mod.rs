@@ -313,14 +313,13 @@ mod tests {
 
     /// The layout's representative pass and per-block pass against
     /// `Instance::distance`, bit for bit, for every query point and every
-    /// block, with the SIMD kernels on and off. `isometric` is whether
-    /// the layout must read its distances from layout-ordered coordinates
-    /// (otherwise they are pointwise metric calls). The t3/t4 argmins over
-    /// seeded costs and bids must then answer alike from the query's
-    /// `fill_row` row and from the layout passes, with equal statistics, on
-    /// one shard and on several, and equal the full scan.
+    /// block. `isometric` is whether the layout must read its distances
+    /// from layout-ordered coordinates (otherwise they are pointwise metric
+    /// calls). The t3/t4 argmins over seeded costs and bids must then
+    /// answer alike from the query's `fill_row` row and from the layout
+    /// passes, with equal statistics, on one shard and on several, and
+    /// equal the full scan.
     fn assert_layout_passes_exact(metric: Box<dyn Metric>, isometric: bool, label: &str) {
-        use omfl_metric::simd::set_simd_enabled;
         let inst = Instance::new(metric, 2, CostModel::power(2, 1.0, 2.0)).unwrap();
         let m = inst.num_points();
         let mut st = 0xB1D5 ^ m as u64;
@@ -347,12 +346,7 @@ mod tests {
             let (v, p) = scan_argmin(f_row, b_row, row);
             (v.to_bits(), PointId(p))
         };
-        for (simd, shard_blocks) in [
-            (true, SCAN_SHARD_BLOCKS),
-            (false, SCAN_SHARD_BLOCKS),
-            (true, 3),
-        ] {
-            set_simd_enabled(simd);
+        for shard_blocks in [SCAN_SHARD_BLOCKS, 3] {
             by_row.set_scan_shard_blocks(shard_blocks);
             by_layout.set_scan_shard_blocks(shard_blocks);
             for q in (0..m as u32).map(PointId) {
@@ -391,7 +385,6 @@ mod tests {
                 assert_eq!(by_layout.stats(), by_row.stats(), "{label}: stats at {q:?}");
             }
         }
-        set_simd_enabled(true);
         let (skipped, scanned) = by_row.stats();
         assert!(
             skipped > 0 && scanned > 0,

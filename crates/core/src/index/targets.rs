@@ -650,17 +650,6 @@ impl OpeningTargetIndex {
                 let start = bi * block;
                 let end = (start + block).min(m);
                 match dist {
-                    QueryDistances::Row(dist_row) if layout.identity => {
-                        // An identity ball partition (e.g. a sorted line): same
-                        // lexicographic tracking, no gather.
-                        for p in start..end {
-                            let v = opening_key(f_row[p], b_row[p]) + dist_row[p];
-                            if v < *best || (v == *best && (p as u32) < *best_id) {
-                                *best = v;
-                                *best_id = p as u32;
-                            }
-                        }
-                    }
                     QueryDistances::Row(dist_row) => {
                         for &p in &layout.perm[start..end] {
                             let pi = p as usize;

@@ -176,17 +176,18 @@ impl Metric for EuclideanMetric {
 
     /// Bulk row fill over the column-major coordinate copy: one streaming
     /// pass per axis accumulating into `out`, then (for L2) one sqrt pass.
-    /// The per-axis passes run through the runtime-dispatched SIMD kernels
-    /// in [`crate::simd`] (AVX/SSE2, scalar off x86-64).
+    /// The per-axis passes run through the kernels in [`crate::simd`]
+    /// (each one loop, compiled for the baseline target and for AVX).
     ///
     /// Bit-identity with the per-call loop: per point, the accumulator
     /// starts at 0.0 and folds the axes in ascending order with the exact
     /// same operations (`+= (x−y)²` / `+= |x−y|` / `max`), which is
     /// precisely the fold [`EuclideanMetric::distance`] performs — only the
     /// loop nest is interchanged, and per-point operation order is what
-    /// determines the float result. The SIMD kernels preserve this because
-    /// each lane applies the identical scalar operation sequence to one
-    /// point (no FMA, no reassociation — see the `simd` module docs).
+    /// determines the float result. Both compilations of the kernels
+    /// preserve this because each lane applies the identical scalar
+    /// operation sequence to one point (no FMA, no reassociation — see the
+    /// `simd` module docs).
     fn fill_row(&self, q: PointId, out: &mut [f64]) {
         let n = self.len();
         assert!(out.len() <= n, "row buffer longer than the space");
@@ -289,11 +290,11 @@ impl Metric for EuclideanMetric {
     /// Under L2 — the norm the freeze walk screens per block on the hot
     /// path — the loop nest is interchanged to axis-outer: candidates'
     /// column entries are gathered into a contiguous chunk and each axis
-    /// runs through [`crate::simd::screen_accumulate_squared`]
-    /// (AVX/SSE2/scalar). Per candidate the accumulation folds the axes in
-    /// the same ascending order with lane-identical arithmetic, so the
-    /// brackets are bit-identical to the candidate-outer loop at every
-    /// dispatch tier.
+    /// runs through [`crate::simd::screen_accumulate_squared`]. Per
+    /// candidate the accumulation folds the axes in the same ascending
+    /// order with lane-identical arithmetic, so the brackets are
+    /// bit-identical to the candidate-outer loop in both of the kernel's
+    /// compilations.
     fn screen_distances(&self, q: PointId, others: &[u32], lo: &mut [f64], hi: &mut [f64]) -> bool {
         assert!(others.len() <= lo.len() && others.len() <= hi.len());
         let n = self.len();
@@ -487,44 +488,6 @@ mod tests {
                             "norm {norm:?}, row {q}, entry {p}"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    /// The same adversarial point cloud as the bulk-fill test: the SIMD
-    /// dispatch must be invisible — rows computed with the explicit kernels
-    /// and with the scalar fallback agree bit for bit.
-    #[test]
-    fn simd_toggle_never_changes_row_bits() {
-        let _toggle = simd::toggle_lock();
-        let mut pts = Vec::new();
-        let mut state = 0xA5EDu64;
-        for _ in 0..53 {
-            let mut row = Vec::new();
-            for _ in 0..3 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                row.push(((state % 20000) as f64 - 10000.0) * 0.59);
-            }
-            pts.push(row);
-        }
-        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
-            let m = EuclideanMetric::new(&pts, norm).unwrap();
-            for q in [0u32, 11, 52] {
-                let mut on = vec![f64::NAN; 53];
-                m.fill_row(PointId(q), &mut on);
-                simd::set_simd_enabled(false);
-                let mut off = vec![f64::NAN; 53];
-                m.fill_row(PointId(q), &mut off);
-                simd::set_simd_enabled(true);
-                for (p, (a, b)) in on.iter().zip(&off).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "norm {norm:?}, row {q}, entry {p}"
-                    );
                 }
             }
         }

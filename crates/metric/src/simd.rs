@@ -1,431 +1,202 @@
-//! Explicit SIMD kernels for the bulk distance primitives.
+//! The bulk distance kernels: one scalar loop each, compiled twice.
 //!
-//! The column-streaming loops behind [`crate::euclidean::EuclideanMetric`]'s
-//! `fill_row` are pure element-wise maps: per point, subtract one broadcast
-//! query coordinate, square (or take the absolute value), and accumulate —
-//! then, for L2, one square-root pass. LLVM already autovectorizes those
-//! loops, but only for the *baseline* target features (SSE2 on x86-64), so
-//! half the vector width of every AVX machine goes unused. This module
-//! provides the same four kernels as explicit `std::arch` intrinsics behind
-//! a runtime dispatch: AVX when the CPU reports it, SSE2 otherwise, and a
-//! plain scalar loop on every other architecture (or when SIMD is switched
-//! off, see [`set_simd_enabled`]).
+//! The column-streaming passes behind [`crate::euclidean::EuclideanMetric`]'s
+//! `fill_row` and `screen_distances`, and behind the PD block layout's
+//! distance passes, are element-wise maps: per point, subtract one broadcast
+//! query coordinate, square (or take the absolute value) and accumulate,
+//! then, for L2, one square-root pass. Each kernel is written once, as that
+//! scalar loop, and compiled twice: as is, where LLVM vectorizes it for the
+//! baseline target (SSE2 on x86-64), and inlined into a twin compiled under
+//! `#[target_feature(enable = "avx")]`, where LLVM vectorizes it four lanes
+//! wide. The public function calls the twin when the CPU reports AVX.
 //!
 //! # The bit-identity contract
 //!
-//! Every kernel must produce **bit-identical** results to its scalar loop —
-//! the repo-wide `fill_row` contract (filled rows and the PD layout's
-//! distance passes must be indistinguishable from per-call `distance`).
-//! The vector forms qualify because each lane processes one point with
-//! exactly the scalar operation sequence:
+//! Both compilations return the bits of the scalar loop, by construction,
+//! so filled rows and the layout's distance passes equal per-call
+//! `distance` at every compilation:
 //!
-//! * `sub`/`mul`/`add` lanes are the same IEEE-754 double operations as
-//!   their scalar counterparts — no reassociation, and **no FMA**: a fused
-//!   `d·d + acc` rounds once instead of twice and would change low bits, so
-//!   these kernels never use it;
-//! * `sqrt` is correctly rounded by IEEE-754 (vector and scalar alike), so
-//!   `_mm*_sqrt_pd` equals `f64::sqrt` bit for bit;
-//! * `max` is only applied to non-negative finite values (absolute
-//!   differences), where `_mm*_max_pd` and `f64::max` agree exactly (the
-//!   `-0.0`/NaN corner cases that distinguish them cannot occur).
+//! * Rust never lets LLVM reassociate or contract float operations, so each
+//!   vector lane applies one point's operations in the loop's order. The
+//!   twin enables `avx` alone, which has no fused multiply-add.
+//! * `sqrt` is correctly rounded at every width.
+//! * `max` never sees a NaN, and never sees `+0.0` against `−0.0`, the one
+//!   pair on which LLVM may return either operand: its operands are
+//!   absolute differences, accumulators that start at `+0.0`, and the
+//!   difference of a clear-signed value and a non-negative slack.
 //!
-//! The lane count therefore only changes *which iteration* handles a point,
-//! never the arithmetic applied to it. `tests` pins every kernel against
-//! the scalar loop on adversarial values, and the euclidean metric's
-//! `bulk_fill_row_is_bit_identical_to_per_call` test locks the whole row
-//! path to `distance` under every dispatch tier.
+//! The lane count only decides which iteration handles a point. `tests`
+//! checks both compilations against plain loops on adversarial values, and
+//! the euclidean metric's `bulk_fill_row_is_bit_identical_to_per_call`
+//! checks whole rows against `distance`.
+//!
+//! Every kernel asserts that its slices have equal lengths before its loop,
+//! in release builds too.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Global SIMD switch, default on. Results are bit-identical either way —
-/// the toggle exists so the tier-equivalence tests can run the scalar
-/// loops and the vector kernels side by side in one process, and so a
-/// misbehaving platform can be ruled out without a rebuild. Racing toggles
-/// never change a result for the same reason: both paths compute the same
-/// bits. They do change which tier a comparison exercises, so this crate's
-/// tests that switch the toggle or rely on its state serialize on one lock.
-static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the explicit SIMD kernels process-wide.
-pub fn set_simd_enabled(on: bool) {
-    SIMD_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the explicit SIMD kernels are currently enabled.
-pub fn simd_enabled() -> bool {
-    SIMD_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Serializes the tests that switch [`set_simd_enabled`] or whose checks
-/// depend on its state: the harness runs a crate's tests on parallel
-/// threads of one process, where one test's "off" would otherwise turn
-/// another's dispatch check into a failure, or its vector-vs-scalar
-/// comparison into scalar against scalar. Poison-tolerant, so one failing
-/// test does not fail every later one.
-#[cfg(test)]
-pub(crate) fn toggle_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Which kernel tier [`active_dispatch`] resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// 4 × f64 lanes (`__m256d`), runtime-detected.
-    Avx,
-    /// 2 × f64 lanes (`__m128d`), the x86-64 baseline.
-    Sse2,
-    /// The plain scalar loops (non-x86 targets, or SIMD disabled).
-    Scalar,
-}
-
-/// The kernel tier the current process would use right now.
-pub fn active_dispatch() -> Dispatch {
-    if !simd_enabled() {
-        return Dispatch::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx") {
-            Dispatch::Avx
-        } else {
-            Dispatch::Sse2
+/// Defines each kernel from its scalar loop: the always-inlined body in
+/// `baseline`, its AVX twin in `avx`, and the public function that picks
+/// one of the two.
+macro_rules! kernels {
+    ($($(#[$doc:meta])* pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block)*) => {
+        /// Each kernel's loop, compiled for the baseline target wherever it
+        /// is inlined.
+        mod baseline {
+            $(#[inline(always)]
+            pub(super) fn $name($($arg: $ty),*) $body)*
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Dispatch::Scalar
-    }
-}
 
-/// `out[i] += (col[i] − q)²` — the L2 axis accumulation.
-pub fn accumulate_squared(out: &mut [f64], col: &[f64], q: f64) {
-    debug_assert_eq!(out.len(), col.len());
-    match active_dispatch() {
+        /// Each kernel's loop, inlined into a function compiled with AVX.
         #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx => unsafe { accumulate_squared_avx(out, col, q) },
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse2 => unsafe { accumulate_squared_sse2(out, col, q) },
-        _ => {
-            for (slot, &c) in out.iter_mut().zip(col) {
-                let d = c - q;
-                *slot += d * d;
+        mod avx {
+            $(#[target_feature(enable = "avx")]
+            pub(super) fn $name($($arg: $ty),*) {
+                super::baseline::$name($($arg),*)
+            })*
+        }
+
+        $($(#[$doc])*
+        pub fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx") {
+                // SAFETY: the twin enables AVX alone, and the CPU reports it.
+                return unsafe { avx::$name($($arg),*) };
             }
-        }
-    }
+            baseline::$name($($arg),*)
+        })*
+    };
 }
 
-/// `out[i] += |col[i] − q|` — the L1 axis accumulation.
-pub fn accumulate_abs(out: &mut [f64], col: &[f64], q: f64) {
-    debug_assert_eq!(out.len(), col.len());
-    match active_dispatch() {
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx => unsafe { accumulate_abs_avx(out, col, q) },
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse2 => unsafe { accumulate_abs_sse2(out, col, q) },
-        _ => {
-            for (slot, &c) in out.iter_mut().zip(col) {
-                *slot += (c - q).abs();
-            }
-        }
-    }
-}
-
-/// `out[i] = max(out[i], |col[i] − q|)` — the L∞ axis fold.
-pub fn fold_max_abs(out: &mut [f64], col: &[f64], q: f64) {
-    debug_assert_eq!(out.len(), col.len());
-    match active_dispatch() {
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx => unsafe { fold_max_abs_avx(out, col, q) },
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse2 => unsafe { fold_max_abs_sse2(out, col, q) },
-        _ => {
-            for (slot, &c) in out.iter_mut().zip(col) {
-                *slot = slot.max((c - q).abs());
-            }
-        }
-    }
-}
-
-/// The L2 screening axis accumulation over the f32 store:
-///
-/// ```text
-/// a  = |f64(col[i] − q)|          (the subtraction in f32, then widened)
-/// lo[i] += max(a − slack, 0)²
-/// hi[i] += (a + slack)²
-/// ```
-///
-/// One pass per axis builds the squared bracket accumulators behind
-/// [`crate::Metric::screen_distances`]. The f32 subtraction happens in the
-/// narrow type *before* widening — exactly the scalar expression — and the
-/// widening conversion is exact, so the lane arithmetic is the scalar
-/// sequence verbatim (`max` against non-NaN arguments; a `−0.0` from
-/// `a == slack` squares to the same `+0.0` either way).
-pub fn screen_accumulate_squared(lo: &mut [f64], hi: &mut [f64], col: &[f32], q: f32, slack: f64) {
-    debug_assert!(lo.len() == col.len() && hi.len() == col.len());
-    match active_dispatch() {
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx => unsafe { screen_accumulate_squared_avx(lo, hi, col, q, slack) },
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse2 => unsafe { screen_accumulate_squared_sse2(lo, hi, col, q, slack) },
-        _ => {
-            for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(col) {
-                let a = f64::from(c - q).abs();
-                let al = (a - slack).max(0.0);
-                let ah = a + slack;
-                *l += al * al;
-                *h += ah * ah;
-            }
-        }
-    }
-}
-
-/// `out[i] = √out[i]` — the L2 finishing pass.
-pub fn sqrt_in_place(out: &mut [f64]) {
-    match active_dispatch() {
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx => unsafe { sqrt_in_place_avx(out) },
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse2 => unsafe { sqrt_in_place_sse2(out) },
-        _ => {
-            for slot in out.iter_mut() {
-                *slot = slot.sqrt();
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! The intrinsic bodies. Every tail element falls through to the exact
-    //! scalar expression, and every vector op is lane-wise identical to it
-    //! (see the module docs for why that makes the results bit-identical).
-    use std::arch::x86_64::*;
-
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn accumulate_squared_avx(out: &mut [f64], col: &[f64], q: f64) {
-        let n = out.len();
-        let qv = _mm256_set1_pd(q);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm256_sub_pd(_mm256_loadu_pd(col.as_ptr().add(i)), qv);
-            let acc = _mm256_loadu_pd(out.as_ptr().add(i));
-            _mm256_storeu_pd(
-                out.as_mut_ptr().add(i),
-                _mm256_add_pd(acc, _mm256_mul_pd(d, d)),
-            );
-            i += 4;
-        }
-        for j in i..n {
-            let d = col[j] - q;
-            out[j] += d * d;
+kernels! {
+    /// `out[i] += (col[i] − q)²`: the L2 axis accumulation.
+    ///
+    /// # Panics
+    ///
+    /// If `out` and `col` differ in length.
+    pub fn accumulate_squared(out: &mut [f64], col: &[f64], q: f64) {
+        assert_eq!(out.len(), col.len());
+        for (slot, &c) in out.iter_mut().zip(col) {
+            let d = c - q;
+            *slot += d * d;
         }
     }
 
-    pub(super) unsafe fn accumulate_squared_sse2(out: &mut [f64], col: &[f64], q: f64) {
-        let n = out.len();
-        let qv = _mm_set1_pd(q);
-        let mut i = 0;
-        while i + 2 <= n {
-            let d = _mm_sub_pd(_mm_loadu_pd(col.as_ptr().add(i)), qv);
-            let acc = _mm_loadu_pd(out.as_ptr().add(i));
-            _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_add_pd(acc, _mm_mul_pd(d, d)));
-            i += 2;
-        }
-        for j in i..n {
-            let d = col[j] - q;
-            out[j] += d * d;
+    /// `out[i] += |col[i] − q|`: the L1 axis accumulation.
+    ///
+    /// # Panics
+    ///
+    /// If `out` and `col` differ in length.
+    pub fn accumulate_abs(out: &mut [f64], col: &[f64], q: f64) {
+        assert_eq!(out.len(), col.len());
+        for (slot, &c) in out.iter_mut().zip(col) {
+            *slot += (c - q).abs();
         }
     }
 
-    /// Clears the sign bit — exactly `f64::abs`.
-    #[inline]
-    unsafe fn abs256(x: __m256d) -> __m256d {
-        _mm256_andnot_pd(_mm256_set1_pd(-0.0), x)
-    }
-
-    #[inline]
-    unsafe fn abs128(x: __m128d) -> __m128d {
-        _mm_andnot_pd(_mm_set1_pd(-0.0), x)
-    }
-
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn accumulate_abs_avx(out: &mut [f64], col: &[f64], q: f64) {
-        let n = out.len();
-        let qv = _mm256_set1_pd(q);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = abs256(_mm256_sub_pd(_mm256_loadu_pd(col.as_ptr().add(i)), qv));
-            let acc = _mm256_loadu_pd(out.as_ptr().add(i));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_add_pd(acc, d));
-            i += 4;
-        }
-        for j in i..n {
-            out[j] += (col[j] - q).abs();
+    /// `out[i] = max(out[i], |col[i] − q|)`: the L∞ axis fold. Both
+    /// compilations agree bit for bit when `out` holds no NaN and no
+    /// `−0.0`, as an accumulator filled with `0.0` does.
+    ///
+    /// # Panics
+    ///
+    /// If `out` and `col` differ in length.
+    pub fn fold_max_abs(out: &mut [f64], col: &[f64], q: f64) {
+        assert_eq!(out.len(), col.len());
+        for (slot, &c) in out.iter_mut().zip(col) {
+            *slot = slot.max((c - q).abs());
         }
     }
 
-    pub(super) unsafe fn accumulate_abs_sse2(out: &mut [f64], col: &[f64], q: f64) {
-        let n = out.len();
-        let qv = _mm_set1_pd(q);
-        let mut i = 0;
-        while i + 2 <= n {
-            let d = abs128(_mm_sub_pd(_mm_loadu_pd(col.as_ptr().add(i)), qv));
-            let acc = _mm_loadu_pd(out.as_ptr().add(i));
-            _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_add_pd(acc, d));
-            i += 2;
-        }
-        for j in i..n {
-            out[j] += (col[j] - q).abs();
-        }
-    }
-
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn fold_max_abs_avx(out: &mut [f64], col: &[f64], q: f64) {
-        let n = out.len();
-        let qv = _mm256_set1_pd(q);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = abs256(_mm256_sub_pd(_mm256_loadu_pd(col.as_ptr().add(i)), qv));
-            let acc = _mm256_loadu_pd(out.as_ptr().add(i));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_max_pd(acc, d));
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = out[j].max((col[j] - q).abs());
-        }
-    }
-
-    pub(super) unsafe fn fold_max_abs_sse2(out: &mut [f64], col: &[f64], q: f64) {
-        let n = out.len();
-        let qv = _mm_set1_pd(q);
-        let mut i = 0;
-        while i + 2 <= n {
-            let d = abs128(_mm_sub_pd(_mm_loadu_pd(col.as_ptr().add(i)), qv));
-            let acc = _mm_loadu_pd(out.as_ptr().add(i));
-            _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_max_pd(acc, d));
-            i += 2;
-        }
-        for j in i..n {
-            out[j] = out[j].max((col[j] - q).abs());
-        }
-    }
-
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn screen_accumulate_squared_avx(
+    /// The L2 screening axis accumulation over the f32 store:
+    ///
+    /// ```text
+    /// a  = |f64(col[i] − q)|          (the subtraction in f32, then widened)
+    /// lo[i] += max(a − slack, 0)²
+    /// hi[i] += (a + slack)²
+    /// ```
+    ///
+    /// One pass per axis builds the squared bracket accumulators behind
+    /// [`crate::Metric::screen_distances`]. The widening is exact, and
+    /// `slack` is non-negative.
+    ///
+    /// # Panics
+    ///
+    /// If `lo` or `hi` differs in length from `col`.
+    pub fn screen_accumulate_squared(
         lo: &mut [f64],
         hi: &mut [f64],
         col: &[f32],
         q: f32,
         slack: f64,
     ) {
-        let n = col.len();
-        let qv = _mm_set1_ps(q);
-        let sv = _mm256_set1_pd(slack);
-        let zero = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            // f32 subtraction first, then the exact widening — the scalar
-            // `f64::from(c − q)` order of operations.
-            let d32 = _mm_sub_ps(_mm_loadu_ps(col.as_ptr().add(i)), qv);
-            let a = abs256(_mm256_cvtps_pd(d32));
-            let al = _mm256_max_pd(_mm256_sub_pd(a, sv), zero);
-            let ah = _mm256_add_pd(a, sv);
-            let lacc = _mm256_loadu_pd(lo.as_ptr().add(i));
-            let hacc = _mm256_loadu_pd(hi.as_ptr().add(i));
-            _mm256_storeu_pd(
-                lo.as_mut_ptr().add(i),
-                _mm256_add_pd(lacc, _mm256_mul_pd(al, al)),
-            );
-            _mm256_storeu_pd(
-                hi.as_mut_ptr().add(i),
-                _mm256_add_pd(hacc, _mm256_mul_pd(ah, ah)),
-            );
-            i += 4;
-        }
-        for j in i..n {
-            let a = f64::from(col[j] - q).abs();
+        assert_eq!(lo.len(), col.len());
+        assert_eq!(hi.len(), col.len());
+        for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(col) {
+            let a = f64::from(c - q).abs();
             let al = (a - slack).max(0.0);
             let ah = a + slack;
-            lo[j] += al * al;
-            hi[j] += ah * ah;
+            *l += al * al;
+            *h += ah * ah;
         }
     }
 
-    pub(super) unsafe fn screen_accumulate_squared_sse2(
-        lo: &mut [f64],
-        hi: &mut [f64],
-        col: &[f32],
-        q: f32,
-        slack: f64,
-    ) {
-        let n = col.len();
-        let qv = _mm_set1_ps(q);
-        let sv = _mm_set1_pd(slack);
-        let zero = _mm_setzero_pd();
-        let mut i = 0;
-        while i + 2 <= n {
-            let d32 = _mm_sub_ps(_mm_setr_ps(col[i], col[i + 1], 0.0, 0.0), qv);
-            let a = abs128(_mm_cvtps_pd(d32));
-            let al = _mm_max_pd(_mm_sub_pd(a, sv), zero);
-            let ah = _mm_add_pd(a, sv);
-            let lacc = _mm_loadu_pd(lo.as_ptr().add(i));
-            let hacc = _mm_loadu_pd(hi.as_ptr().add(i));
-            _mm_storeu_pd(lo.as_mut_ptr().add(i), _mm_add_pd(lacc, _mm_mul_pd(al, al)));
-            _mm_storeu_pd(hi.as_mut_ptr().add(i), _mm_add_pd(hacc, _mm_mul_pd(ah, ah)));
-            i += 2;
-        }
-        for j in i..n {
-            let a = f64::from(col[j] - q).abs();
-            let al = (a - slack).max(0.0);
-            let ah = a + slack;
-            lo[j] += al * al;
-            hi[j] += ah * ah;
-        }
-    }
-
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn sqrt_in_place_avx(out: &mut [f64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm256_storeu_pd(
-                out.as_mut_ptr().add(i),
-                _mm256_sqrt_pd(_mm256_loadu_pd(out.as_ptr().add(i))),
-            );
-            i += 4;
-        }
-        for v in out[i..n].iter_mut() {
-            *v = v.sqrt();
-        }
-    }
-
-    pub(super) unsafe fn sqrt_in_place_sse2(out: &mut [f64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 2 <= n {
-            _mm_storeu_pd(
-                out.as_mut_ptr().add(i),
-                _mm_sqrt_pd(_mm_loadu_pd(out.as_ptr().add(i))),
-            );
-            i += 2;
-        }
-        for v in out[i..n].iter_mut() {
-            *v = v.sqrt();
+    /// `out[i] = √out[i]`: the L2 finishing pass.
+    pub fn sqrt_in_place(out: &mut [f64]) {
+        for slot in out.iter_mut() {
+            *slot = slot.sqrt();
         }
     }
 }
-
-#[cfg(target_arch = "x86_64")]
-use x86::*;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
 
-    /// Deterministic awkward doubles: mixed signs, subnormal-ish scales,
-    /// exact ties, values whose squares lose bits.
+    /// One compilation of the five kernels.
+    struct Kernels {
+        name: &'static str,
+        squared: fn(&mut [f64], &[f64], f64),
+        abs: fn(&mut [f64], &[f64], f64),
+        max_abs: fn(&mut [f64], &[f64], f64),
+        screen: fn(&mut [f64], &mut [f64], &[f32], f32, f64),
+        sqrt: fn(&mut [f64]),
+    }
+
+    /// The baseline bodies, and the AVX twins when the CPU reports AVX.
+    fn compilations() -> Vec<Kernels> {
+        let baseline = Kernels {
+            name: "baseline",
+            squared: baseline::accumulate_squared,
+            abs: baseline::accumulate_abs,
+            max_abs: baseline::fold_max_abs,
+            screen: baseline::screen_accumulate_squared,
+            sqrt: baseline::sqrt_in_place,
+        };
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY (every closure): the CPU reports AVX.
+            let avx = Kernels {
+                name: "avx",
+                squared: |o, c, q| unsafe { avx::accumulate_squared(o, c, q) },
+                abs: |o, c, q| unsafe { avx::accumulate_abs(o, c, q) },
+                max_abs: |o, c, q| unsafe { avx::fold_max_abs(o, c, q) },
+                screen: |l, h, c, q, s| unsafe { avx::screen_accumulate_squared(l, h, c, q, s) },
+                sqrt: |o| unsafe { avx::sqrt_in_place(o) },
+            };
+            return vec![baseline, avx];
+        }
+        vec![baseline]
+    }
+
+    /// Lengths around every loop shape: LLVM's AVX loop runs a 16-element
+    /// vector body, a 4-element remainder loop and a scalar tail.
+    const LENGTHS: [usize; 24] = [
+        0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 19, 20, 31, 32, 33, 35, 63, 64, 65, 67, 100, 129, 130,
+    ];
+
+    /// Deterministic awkward doubles: mixed signs, exact ties, values whose
+    /// squares lose bits, `±0.0`, subnormals and `±1e300` (whose square
+    /// overflows to infinity).
     fn awkward(n: usize, salt: u64) -> Vec<f64> {
         let mut st = 0x5EED ^ salt;
         (0..n)
@@ -436,6 +207,12 @@ mod tests {
                 let v = ((st % 20000) as f64 - 10000.0) * 0.000_312_5;
                 if i % 11 == 0 {
                     0.0
+                } else if i % 13 == 5 {
+                    -0.0
+                } else if i % 13 == 9 {
+                    v * 1.0e-310
+                } else if i % 17 == 3 {
+                    1.0e300f64.copysign(v)
                 } else if i % 7 == 0 {
                     -v * 1.0e8
                 } else {
@@ -445,66 +222,36 @@ mod tests {
             .collect()
     }
 
+    /// The kernels' loops written out once more. `black_box` keeps them
+    /// scalar in optimized builds, so each point runs on its own.
     fn scalar_sq(out: &mut [f64], col: &[f64], q: f64) {
         for (slot, &c) in out.iter_mut().zip(col) {
-            let d = c - q;
+            let d = black_box(c) - q;
             *slot += d * d;
         }
     }
 
     fn scalar_abs(out: &mut [f64], col: &[f64], q: f64) {
         for (slot, &c) in out.iter_mut().zip(col) {
-            *slot += (c - q).abs();
+            *slot += (black_box(c) - q).abs();
         }
     }
 
     fn scalar_max(out: &mut [f64], col: &[f64], q: f64) {
         for (slot, &c) in out.iter_mut().zip(col) {
-            *slot = slot.max((c - q).abs());
+            *slot = slot.max((black_box(c) - q).abs());
         }
     }
 
-    #[test]
-    fn kernels_are_bit_identical_to_scalar_loops() {
-        let _toggle = toggle_lock();
-        // Odd lengths exercise every vector tail; accumulators start from a
-        // prior pass's values, not zero, to catch ordering mistakes.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 31, 64, 129] {
-            let col = awkward(n, 1);
-            let seed = awkward(n, 2);
-            for q in [-3.75, 0.0, 1.0e9, 2.5e-5] {
-                let mut a = seed.clone();
-                let mut b = seed.clone();
-                accumulate_squared(&mut a, &col, q);
-                scalar_sq(&mut b, &col, q);
-                assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-
-                let mut a = seed.clone();
-                let mut b = seed.clone();
-                accumulate_abs(&mut a, &col, q);
-                scalar_abs(&mut b, &col, q);
-                assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-
-                let mut a: Vec<f64> = seed.iter().map(|v| v.abs()).collect();
-                let mut b = a.clone();
-                fold_max_abs(&mut a, &col, q);
-                scalar_max(&mut b, &col, q);
-                assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-
-                let mut a: Vec<f64> = seed.iter().map(|v| v * v).collect();
-                let mut b = a.clone();
-                sqrt_in_place(&mut a);
-                for slot in b.iter_mut() {
-                    *slot = slot.sqrt();
-                }
-                assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-            }
+    fn scalar_sqrt(out: &mut [f64]) {
+        for slot in out.iter_mut() {
+            *slot = black_box(*slot).sqrt();
         }
     }
 
     fn scalar_screen(lo: &mut [f64], hi: &mut [f64], col: &[f32], q: f32, slack: f64) {
         for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(col) {
-            let a = f64::from(c - q).abs();
+            let a = f64::from(black_box(c) - q).abs();
             let al = (a - slack).max(0.0);
             let ah = a + slack;
             *l += al * al;
@@ -512,55 +259,121 @@ mod tests {
         }
     }
 
+    fn assert_bits(got: &[f64], want: &[f64], label: &str) {
+        assert_eq!(got.len(), want.len(), "{label}");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label}: entry {i}");
+        }
+    }
+
+    #[test]
+    fn kernels_are_bit_identical_to_scalar_loops() {
+        let qs = [-3.75, 0.0, -0.0, 1.0e9, 2.5e-5, 1.0e-310, 1.0e300];
+        for k in compilations() {
+            // Accumulators start from a prior pass's values, not zero, to
+            // catch ordering mistakes.
+            for n in LENGTHS {
+                let col = awkward(n, 1);
+                let seed = awkward(n, 2);
+                for q in qs {
+                    let label = format!("{} n = {n}, q = {q:e}", k.name);
+                    let (mut a, mut b) = (seed.clone(), seed.clone());
+                    (k.squared)(&mut a, &col, q);
+                    scalar_sq(&mut b, &col, q);
+                    assert_bits(&a, &b, &format!("squared, {label}"));
+
+                    let (mut a, mut b) = (seed.clone(), seed.clone());
+                    (k.abs)(&mut a, &col, q);
+                    scalar_abs(&mut b, &col, q);
+                    assert_bits(&a, &b, &format!("abs, {label}"));
+
+                    let mut a: Vec<f64> = seed.iter().map(|v| v.abs()).collect();
+                    let mut b = a.clone();
+                    (k.max_abs)(&mut a, &col, q);
+                    scalar_max(&mut b, &col, q);
+                    assert_bits(&a, &b, &format!("max_abs, {label}"));
+                }
+                // Squares, and the seeds with their signs cleared except
+                // on zeros, so that `−0.0` reaches the pass too.
+                let squares: Vec<f64> = seed.iter().map(|v| v * v).collect();
+                let unsigned = seed
+                    .iter()
+                    .map(|&v| if v == 0.0 { v } else { v.abs() })
+                    .collect();
+                for mut a in [squares, unsigned] {
+                    let mut b = a.clone();
+                    (k.sqrt)(&mut a);
+                    scalar_sqrt(&mut b);
+                    assert_bits(&a, &b, &format!("sqrt, {} n = {n}", k.name));
+                }
+            }
+        }
+    }
+
+    /// `(q, slack)` pairs of the screening test.
+    const SCREEN_QUERIES: [(f32, f64); 4] = [
+        (-3.75, 1.0e-4),
+        (0.0, 0.0),
+        (-0.0, 1.0e-310),
+        (1.0e9, 128.0),
+    ];
+
     #[test]
     fn screen_kernel_is_bit_identical_to_its_scalar_loop() {
-        let _toggle = toggle_lock();
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 31, 64, 129] {
-            let col: Vec<f32> = awkward(n, 4).iter().map(|&v| v as f32).collect();
-            let seed_lo = awkward(n, 5);
-            let seed_hi = awkward(n, 6);
-            // A slack equal to some |c − q| exercises the a − s == 0 corner.
-            for (q, slack) in [(-3.75f32, 1.0e-4), (0.0, 0.0), (1.0e9, 128.0)] {
-                let slack_exact = col
-                    .first()
-                    .map_or(slack, |&c| f64::from(c - q).abs().min(slack));
-                for s in [slack, slack_exact] {
-                    let (mut al, mut ah) = (seed_lo.clone(), seed_hi.clone());
-                    let (mut bl, mut bh) = (seed_lo.clone(), seed_hi.clone());
-                    screen_accumulate_squared(&mut al, &mut ah, &col, q, s);
-                    scalar_screen(&mut bl, &mut bh, &col, q, s);
-                    assert!(al.iter().zip(&bl).all(|(x, y)| x.to_bits() == y.to_bits()));
-                    assert!(ah.iter().zip(&bh).all(|(x, y)| x.to_bits() == y.to_bits()));
+        for k in compilations() {
+            for n in LENGTHS {
+                // Narrowed: ±1e300 becomes ±∞, and the f64 subnormals
+                // become ±0.0, so an f32 subnormal is mixed in as well.
+                let col: Vec<f32> = awkward(n, 4)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| if i % 19 == 10 { -1.0e-40 } else { v as f32 })
+                    .collect();
+                let seed_lo = awkward(n, 5);
+                let seed_hi = awkward(n, 6);
+                for (q, slack) in SCREEN_QUERIES {
+                    // A slack equal to some |c − q| exercises the
+                    // a − s == 0 corner.
+                    let slack_exact = col
+                        .iter()
+                        .map(|&c| f64::from(c - q).abs())
+                        .find(|a| a.is_finite())
+                        .unwrap_or(slack);
+                    for s in [slack, slack_exact] {
+                        let (mut al, mut ah) = (seed_lo.clone(), seed_hi.clone());
+                        let (mut bl, mut bh) = (seed_lo.clone(), seed_hi.clone());
+                        (k.screen)(&mut al, &mut ah, &col, q, s);
+                        scalar_screen(&mut bl, &mut bh, &col, q, s);
+                        let label = format!("{} n = {n}, q = {q:e}, slack = {s:e}", k.name);
+                        assert_bits(&al, &bl, &format!("lo, {label}"));
+                        assert_bits(&ah, &bh, &format!("hi, {label}"));
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn disabling_simd_changes_nothing_but_the_dispatch() {
-        let _toggle = toggle_lock();
-        let col = awkward(97, 3);
-        let mut on = vec![0.0; 97];
-        accumulate_squared(&mut on, &col, 0.125);
-        sqrt_in_place(&mut on);
-        set_simd_enabled(false);
-        assert_eq!(active_dispatch(), Dispatch::Scalar);
-        let mut off = vec![0.0; 97];
-        accumulate_squared(&mut off, &col, 0.125);
-        sqrt_in_place(&mut off);
-        set_simd_enabled(true);
-        assert!(on.iter().zip(&off).all(|(x, y)| x.to_bits() == y.to_bits()));
+    #[should_panic(expected = "left == right")]
+    fn accumulate_squared_rejects_unequal_lengths() {
+        accumulate_squared(&mut [0.0; 8], &[1.0; 3], 0.0);
     }
 
     #[test]
-    fn dispatch_reports_a_real_tier() {
-        let _toggle = toggle_lock();
-        // On x86-64 the baseline guarantees at least SSE2.
-        let d = active_dispatch();
-        if cfg!(target_arch = "x86_64") {
-            assert_ne!(d, Dispatch::Scalar);
-        } else {
-            assert_eq!(d, Dispatch::Scalar);
-        }
+    #[should_panic(expected = "left == right")]
+    fn accumulate_abs_rejects_unequal_lengths() {
+        accumulate_abs(&mut [0.0; 8], &[1.0; 3], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn fold_max_abs_rejects_unequal_lengths() {
+        fold_max_abs(&mut [0.0; 8], &[1.0; 3], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn screen_accumulate_squared_rejects_unequal_lengths() {
+        screen_accumulate_squared(&mut [0.0; 3], &mut [0.0; 3], &[1.0; 8], 0.0, 0.0);
     }
 }

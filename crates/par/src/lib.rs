@@ -83,8 +83,10 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// Renders a caught panic payload for [`TaskPanic::message`].
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a caught panic payload: the `&str` or `String` it carries, or a
+/// placeholder for any other payload. [`TaskPanic::message`] holds it, and
+/// callers that catch panics of their own can use it too.
+pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -58,7 +58,7 @@ pub use snapshot::SnapshotHandle;
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::CoreError;
-use omfl_par::TaskPool;
+use omfl_par::{payload_message, TaskPool};
 use omfl_sim::{boxed_engine, ArrivalSource, Engine, SimReport, StreamingMetrics};
 use omfl_workload::Scenario;
 use std::collections::BTreeSet;
@@ -87,6 +87,15 @@ pub enum ServeError {
     UnsupportedEngine(&'static str),
     /// More tenants than the `u32` arrival encoding can address.
     TooManyTenants(usize),
+    /// The first arrival of the stream that names a tenant the server does
+    /// not have, or a request its tenant's scenario does not hold. Checked
+    /// for the whole stream before anything is served.
+    BadArrival {
+        /// The arrival's tenant index.
+        tenant: usize,
+        /// The arrival's request index within that tenant.
+        arrival: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -100,6 +109,10 @@ impl fmt::Display for ServeError {
                 write!(f, "engine {name} cannot run as a boxed tenant engine")
             }
             ServeError::TooManyTenants(n) => write!(f, "{n} tenants exceed u32 addressing"),
+            ServeError::BadArrival { tenant, arrival } => write!(
+                f,
+                "arrival ({tenant}, {arrival}) names no request of the server's tenants"
+            ),
         }
     }
 }
@@ -290,18 +303,6 @@ fn lock_tenant<'t, 'a>(
     }
 }
 
-/// Best-effort string form of a panic payload (`&str` and `String`
-/// payloads; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// A multi-tenant server: one long-lived engine per scenario, sharded over
 /// a task pool. Build with [`Server::new`], grab [`SnapshotHandle`]s, then
 /// [`Server::serve`] a canonical arrival stream to completion.
@@ -366,8 +367,11 @@ impl<'a> Server<'a> {
     /// A producer thread feeds the ring from `source` in micro-batches;
     /// the calling thread drains micro-batches and dispatches each across
     /// shards via `pool.run`. An arrival `(t, i)` must satisfy
-    /// `t < num_tenants()` and index a request of tenant `t`'s scenario in
-    /// ascending per-tenant order — [`ArrivalSource`] guarantees this.
+    /// `t < num_tenants()` and index a request of tenant `t`'s scenario,
+    /// or the call returns [`ServeError::BadArrival`] before serving
+    /// anything. Each tenant's arrivals must come in ascending request
+    /// order. An [`ArrivalSource`] built from the scenarios' request counts
+    /// meets both.
     ///
     /// Tenant faults (panics, engine errors, verification failures) do
     /// not fail the run: the faulted tenant is quarantined and reported in
@@ -394,6 +398,22 @@ impl<'a> Server<'a> {
         pool: &TaskPool,
         faults: &FaultPlan,
     ) -> Result<(ServeReport, ServeTelemetry), ServeError> {
+        let requests: Vec<usize> = self
+            .tenants
+            .iter()
+            .map(|t| lock_tenant(t).0.scenario.requests.len())
+            .collect();
+        let bad = source.order().iter().find(|&&(t, i)| {
+            requests
+                .get(t as usize)
+                .is_none_or(|&len| i as usize >= len)
+        });
+        if let Some(&(t, i)) = bad {
+            return Err(ServeError::BadArrival {
+                tenant: t as usize,
+                arrival: i as usize,
+            });
+        }
         let shards = cfg.shards.max(1);
         let micro_batch = cfg.micro_batch.max(1);
         let deadline = cfg.deadline;
@@ -503,7 +523,7 @@ impl<'a> Server<'a> {
                                 tenant: t,
                                 arrival: Some(i),
                                 reason: QuarantineReason::Panic {
-                                    message: panic_message(&*payload),
+                                    message: payload_message(&*payload),
                                 },
                             }),
                         }

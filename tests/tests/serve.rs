@@ -254,6 +254,28 @@ fn unsupported_tenant_engines_surface_a_typed_error() {
     }
 }
 
+/// A stream naming a tenant past the fleet, or a request past its tenant's
+/// scenario, is rejected before anything is served, with a typed error
+/// naming the first such arrival instead of a panic.
+#[test]
+fn arrivals_the_server_does_not_have_surface_a_typed_error() {
+    let scenarios = tenant_fleet(1);
+    let len = scenarios[0].requests.len();
+    let pool = TaskPool::new(2);
+    let cfg = ServeConfig::default();
+    for (stream_lens, want) in [(vec![len, 1], (1, 0)), (vec![len + 1], (0, len))] {
+        let server = Server::new(&scenarios, Engine::Pd).expect("pd tenants build");
+        let source = ArrivalSource::round_robin(&stream_lens);
+        match server.serve(&source, &cfg, &pool) {
+            Err(ServeError::BadArrival { tenant, arrival }) => {
+                assert_eq!((tenant, arrival), want, "stream {stream_lens:?}")
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+            Ok(_) => panic!("expected BadArrival for stream {stream_lens:?}"),
+        }
+    }
+}
+
 /// Degenerate config values (zero shards, zero micro-batch) clamp instead
 /// of dividing by zero or spinning.
 #[test]
